@@ -1,0 +1,16 @@
+//! Records the compiler version for the benchmark's host-context header.
+
+use std::process::Command;
+
+fn main() {
+    let rustc = std::env::var("RUSTC").unwrap_or_else(|_| "rustc".into());
+    let version = Command::new(rustc)
+        .arg("--version")
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map_or_else(|| "unknown".into(), |s| s.trim().to_owned());
+    println!("cargo:rustc-env=PERFBENCH_RUSTC_VERSION={version}");
+    println!("cargo:rerun-if-changed=build.rs");
+}
