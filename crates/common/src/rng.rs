@@ -150,7 +150,9 @@ fn widening_mul(a: u64, b: u64) -> (u64, u64) {
 ///
 /// Heavy-hitter access patterns (the paper's H2O workload, §V-A) follow a
 /// Zipfian popularity law: a small hot set absorbs most accesses. The sampler
-/// precomputes the CDF once, then draws in `O(log n)`.
+/// precomputes the CDF once, plus a guide table that narrows each draw's
+/// search to the few ranks whose CDF values share its bucket, so a draw is
+/// typically O(1) probes.
 ///
 /// # Examples
 ///
@@ -165,6 +167,11 @@ fn widening_mul(a: u64, b: u64) -> (u64, u64) {
 #[derive(Debug, Clone)]
 pub struct Zipf {
     cdf: Vec<f64>,
+    /// `guide[j]` is the first rank whose CDF value is `>= j / G`, for
+    /// `G = guide.len() - 1` (a power of two, so `j / G` and `u * G` are
+    /// exact): a draw `u` in bucket `floor(u * G)` lands on a rank in
+    /// `guide[j]..=guide[j + 1]`.
+    guide: Vec<u32>,
 }
 
 impl Zipf {
@@ -187,7 +194,14 @@ impl Zipf {
         for v in &mut cdf {
             *v /= total;
         }
-        Zipf { cdf }
+        let buckets = n.next_power_of_two();
+        let guide = (0..=buckets)
+            .map(|j| {
+                let edge = j as f64 / buckets as f64;
+                cdf.partition_point(|&c| c < edge).min(n - 1) as u32
+            })
+            .collect();
+        Zipf { cdf, guide }
     }
 
     /// Number of ranks in the support.
@@ -203,8 +217,25 @@ impl Zipf {
     }
 
     /// Draws a rank in `[0, n)`; rank 0 is the most popular.
+    ///
+    /// The rank is the first whose CDF value is `>= u` for a uniform `u`
+    /// (the last rank if none is), found inside the guide table's bucket.
+    /// A draw that hits a CDF value exactly falls back to the full binary
+    /// search, so even ties between equal CDF values resolve as they
+    /// always have.
     pub fn sample(&self, rng: &mut Pcg32) -> usize {
-        let u = rng.gen_f64();
+        self.sample_at(rng.gen_f64())
+    }
+
+    /// The rank [`Zipf::sample`] returns for the uniform draw `u` in `[0, 1)`.
+    fn sample_at(&self, u: f64) -> usize {
+        let buckets = self.guide.len() - 1;
+        let j = (u * buckets as f64) as usize;
+        let (lo, hi) = (self.guide[j] as usize, self.guide[j + 1] as usize);
+        let i = lo + self.cdf[lo..hi].partition_point(|&c| c < u);
+        if self.cdf[i] != u {
+            return i;
+        }
         match self
             .cdf
             .binary_search_by(|probe| probe.partial_cmp(&u).expect("cdf is finite"))
@@ -323,6 +354,50 @@ mod tests {
             low > draws / 4,
             "top-10 ranks got {low}/{draws}, expected heavy skew"
         );
+    }
+
+    /// The reference draw: a binary search over the whole CDF.
+    fn zipf_reference(zipf: &Zipf, u: f64) -> usize {
+        match zipf
+            .cdf
+            .binary_search_by(|probe| probe.partial_cmp(&u).expect("finite"))
+        {
+            Ok(i) => i,
+            Err(i) => i.min(zipf.cdf.len() - 1),
+        }
+    }
+
+    #[test]
+    fn zipf_guide_table_matches_binary_search() {
+        for (n, s) in [
+            (1, 1.0),
+            (5, 0.9),
+            (64, 1.2),
+            (512, 1.1),
+            (1000, 3.0),
+            (4096, 0.5),
+        ] {
+            let zipf = Zipf::new(n, s);
+            let mut a = Pcg32::seed_from_u64(n as u64);
+            let mut b = a.clone();
+            for _ in 0..20_000 {
+                let u = b.gen_f64();
+                assert_eq!(zipf.sample(&mut a), zipf_reference(&zipf, u), "n={n} s={s}");
+            }
+            // Draws on and next to every CDF value and bucket edge.
+            let edges = zipf.cdf.iter().copied();
+            let buckets = zipf.guide.len() - 1;
+            let grid = (0..buckets).map(|j| j as f64 / buckets as f64);
+            for x in edges.chain(grid).filter(|&x| x < 1.0) {
+                for u in [x, x.next_down().max(0.0), x.next_up()] {
+                    if u >= 1.0 {
+                        continue;
+                    }
+                    let rank = zipf.sample_at(u);
+                    assert_eq!(rank, zipf_reference(&zipf, u), "n={n} s={s} u={u}");
+                }
+            }
+        }
     }
 
     #[test]

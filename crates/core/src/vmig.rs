@@ -9,6 +9,8 @@
 //! current bundle window), and each `issue` call drains up to N lines as
 //! one vector prefetch.
 
+use std::collections::VecDeque;
+
 use nvr_common::{Cycle, FlatMap, LineAddr};
 use nvr_mem::MemorySystem;
 
@@ -29,8 +31,10 @@ use nvr_mem::MemorySystem;
 #[derive(Debug, Clone)]
 pub struct Vmig {
     width: usize,
-    /// Queued target lines in arrival order.
-    queue: Vec<LineAddr>,
+    /// Queued target lines in arrival order. A deque, so dropping the
+    /// issued run near the head moves the few deferred lines before it
+    /// instead of shifting the whole backlog behind it.
+    queue: VecDeque<LineAddr>,
     /// Predicted-reuse score per queued line (0 for unscored traffic,
     /// e.g. index stream-ahead lines), keyed by line index. Doubles as
     /// the dedup set: membership here means the line is in `queue`, so a
@@ -63,7 +67,7 @@ impl Vmig {
         assert!(width > 0, "vector width must be non-zero");
         Vmig {
             width,
-            queue: Vec::new(),
+            queue: VecDeque::new(),
             scores: FlatMap::new(),
             nsb_admit: 0,
             vectors_issued: 0,
@@ -90,7 +94,7 @@ impl Vmig {
             }
             None => {
                 self.scores.insert(line.index(), u64::from(score));
-                self.queue.push(line);
+                self.queue.push_back(line);
             }
         }
     }

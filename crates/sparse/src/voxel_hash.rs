@@ -139,37 +139,42 @@ impl VoxelHashTable {
     /// Panics if the table would exceed a 0.9 load factor — the generators
     /// size tables up front, so growth is deliberately unimplemented.
     pub fn insert(&mut self, key: VoxelKey, slot: u32) -> Option<u32> {
+        let (bucket, prev) = self.find(key);
+        self.place(bucket, key, slot);
+        prev
+    }
+
+    /// Writes `key -> slot` into `bucket`, the bucket [`Self::find`]
+    /// returned for `key`.
+    fn place(&mut self, bucket: usize, key: VoxelKey, slot: u32) {
         assert!(
             (self.len + 1) as f64 <= self.buckets.len() as f64 * 0.9,
             "voxel table over 90% load; size it larger up front"
         );
-        let mut i = key.hash() & self.mask;
-        loop {
-            match &mut self.buckets[i as usize] {
-                Some((k, s)) if *k == key => {
-                    let prev = *s;
-                    *s = slot;
-                    return Some(prev);
-                }
-                Some(_) => i = (i + 1) & self.mask,
-                empty @ None => {
-                    *empty = Some((key, slot));
-                    self.len += 1;
-                    return None;
-                }
-            }
+        if self.buckets[bucket].is_none() {
+            self.len += 1;
         }
+        self.buckets[bucket] = Some((key, slot));
     }
 
     /// Looks up the slot stored for `key`.
     #[must_use]
     pub fn lookup(&self, key: VoxelKey) -> Option<u32> {
-        let mut i = key.hash() & self.mask;
+        self.find(key).1
+    }
+
+    /// One probe for `key`: the bucket the lookup ends on — `key`'s own
+    /// bucket if present, else the empty bucket that ends the search,
+    /// where an insert would place it — and the slot stored for `key`.
+    /// The bucket is the last entry of [`Self::probe_path`].
+    #[must_use]
+    pub fn find(&self, key: VoxelKey) -> (usize, Option<u32>) {
+        let mut i = (key.hash() & self.mask) as usize;
         loop {
-            match &self.buckets[i as usize] {
-                Some((k, s)) if *k == key => return Some(*s),
-                Some(_) => i = (i + 1) & self.mask,
-                None => return None,
+            match self.buckets[i] {
+                Some((k, s)) if k == key => return (i, Some(s)),
+                Some(_) => i = (i + 1) & self.mask as usize,
+                None => return (i, None),
             }
         }
     }
@@ -216,8 +221,8 @@ impl VoxelHashTable {
                 rng.gen_range(u64::from(extent)) as i32,
                 rng.gen_range(u64::from(extent)) as i32,
             );
-            if table.lookup(key).is_none() {
-                table.insert(key, keys.len() as u32);
+            if let (bucket, None) = table.find(key) {
+                table.place(bucket, key, keys.len() as u32);
                 keys.push(key);
             }
         }
@@ -284,6 +289,18 @@ mod tests {
         assert!(probes >= keys.len());
         assert!(keys.iter().all(|&k| table.lookup(k).is_some()));
         let _ = t.insert(VoxelKey::new(0, 0, 0), 0);
+    }
+
+    #[test]
+    fn find_ends_where_probe_path_ends() {
+        let mut rng = Pcg32::seed_from_u64(13);
+        let (table, keys) = VoxelHashTable::random(200, 16, 256, &mut rng);
+        let absent = (0..200).map(|i| VoxelKey::new(i, -1, 7));
+        for k in keys.iter().copied().chain(absent) {
+            let (bucket, slot) = table.find(k);
+            assert_eq!(Some(&bucket), table.probe_path(k).last(), "{k:?}");
+            assert_eq!(slot.is_some(), keys.contains(&k), "{k:?}");
+        }
     }
 
     #[test]

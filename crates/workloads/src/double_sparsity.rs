@@ -10,7 +10,7 @@ use nvr_common::rng::Zipf;
 use nvr_common::Pcg32;
 use nvr_trace::{NpuProgram, SparseFunc};
 
-use crate::spec::{assemble, TileSketch, WorkloadSpec, IA_BASE};
+use crate::spec::{assemble, KeySet, TileSketch, WorkloadSpec, IA_BASE};
 
 /// Sequence length (KV-cache rows).
 const SEQ_LEN: usize = 8192;
@@ -49,14 +49,16 @@ pub fn build_with_ratio(spec: &WorkloadSpec, keep_ratio: usize) -> NpuProgram {
     // The attended window is SEQ_LEN/4 keys; keep 1 in keep_ratio of them.
     let window = SEQ_LEN / 4;
     let k = (window / keep_ratio).max(1);
+    let mut chosen = KeySet::new(SEQ_LEN);
 
     let sketches = (0..steps)
         .map(|step| {
-            let mut chosen = std::collections::BTreeSet::new();
             if keep_ratio == 1 {
                 // Dense: the full contiguous window (sequential gathers).
                 let base = (step * 64) % (SEQ_LEN - window);
-                chosen.extend((base as u32)..(base + window) as u32);
+                for key in (base as u32)..(base + window) as u32 {
+                    chosen.insert(key);
+                }
             }
             while chosen.len() < k {
                 let key = if rng.gen_bool(HOT_FRACTION) {
@@ -67,7 +69,7 @@ pub fn build_with_ratio(spec: &WorkloadSpec, keep_ratio: usize) -> NpuProgram {
                 chosen.insert(key);
             }
             // Top-k lists are stored sorted (CSR-like index list).
-            let indices: Vec<u32> = chosen.into_iter().collect();
+            let indices = chosen.drain_sorted();
             // Attention: QK^T scores pipeline with AV accumulation
             // through the array (one pass over the k gathered rows).
             let compute = sa.sparse_mac_cycles(indices.len(), HEAD_DIM);

@@ -23,7 +23,7 @@ use crate::spec::TileOrder;
 /// assert_eq!(g.nodes(), 256);
 /// assert!(g.edges() > 0);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Graph {
     offsets: Vec<u32>,
     neighbours: Vec<u32>,
@@ -34,9 +34,55 @@ const RMAT_A: f64 = 0.57;
 const RMAT_B: f64 = 0.19;
 const RMAT_C: f64 = 0.19;
 
+/// The set of edges an R-MAT draw has accepted, keyed `src * nodes + dst`:
+/// linear probing over one flat vector at load ≤ 1/2, sized up front from
+/// the edge budget so it never grows.
+struct EdgeSet {
+    slots: Vec<u64>,
+    shift: u32,
+}
+
+impl EdgeSet {
+    const EMPTY: u64 = u64::MAX;
+
+    fn with_capacity(keys: usize) -> Self {
+        let n = (2 * keys).next_power_of_two().max(2);
+        EdgeSet {
+            slots: vec![Self::EMPTY; n],
+            shift: u64::BITS - n.trailing_zeros(),
+        }
+    }
+
+    /// Adds `key`; returns whether it was absent.
+    fn insert(&mut self, key: u64) -> bool {
+        let mask = self.slots.len() - 1;
+        // Fibonacci hashing: the multiply's top bits pick the home slot.
+        let mut i = (key.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> self.shift) as usize;
+        loop {
+            match self.slots[i] {
+                k if k == key => return false,
+                Self::EMPTY => {
+                    self.slots[i] = key;
+                    return true;
+                }
+                _ => i = (i + 1) & mask,
+            }
+        }
+    }
+}
+
 impl Graph {
     /// Generates an R-MAT graph with `nodes` vertices (rounded up to a
     /// power of two internally) and ~`avg_degree` out-edges per node.
+    ///
+    /// Each edge draw descends `log2(n)` quadrant levels, one `gen_f64`
+    /// per level. The comparisons against the partition thresholds are
+    /// done on the draw's 53 integer bits (`gen_f64` is exactly
+    /// `x53 · 2⁻⁵³`, so `p < T ⇔ x53 < ceil(T · 2⁵³)`), and each level
+    /// appends one source bit and one destination bit. Duplicate and
+    /// self edges are rejected through an open-addressing edge set sized
+    /// by the edge budget; accepted edges are laid out by a counting sort
+    /// on the source.
     ///
     /// # Panics
     ///
@@ -46,90 +92,54 @@ impl Graph {
         assert!(nodes > 0, "graph must have nodes");
         assert!(avg_degree > 0.0, "average degree must be positive");
         let scale = usize::BITS - (nodes - 1).leading_zeros();
-        let n = 1usize << scale;
         let n_edges = (nodes as f64 * avg_degree) as usize;
+        let [t_a, t_ab, t_abc] = [RMAT_A, RMAT_A + RMAT_B, RMAT_A + RMAT_B + RMAT_C]
+            .map(|t| (t * (1u64 << 53) as f64).ceil() as u64);
 
-        let mut adj: Vec<Vec<u32>> = vec![Vec::new(); nodes];
-        // Duplicate detection: a dense src×dst bit matrix when it fits
-        // (the GNN graphs are ≤8192 nodes, so ≤8 MB transient) makes the
-        // membership test O(1) and placement a plain push; larger graphs
-        // fall back to sorted lists with binary-search insertion. Both
-        // paths give identical membership answers, so the rng sequence,
-        // placed count, and final CSR are unchanged either way.
-        let mut bits = if nodes <= 8192 {
-            vec![0u64; (nodes * nodes).div_ceil(64)]
-        } else {
-            Vec::new()
-        };
-        let mut placed = 0usize;
+        let mut seen = EdgeSet::with_capacity(n_edges);
+        let mut edges: Vec<(u32, u32)> = Vec::with_capacity(n_edges);
         let mut guard = 0usize;
-        while placed < n_edges && guard < n_edges * 8 {
+        while edges.len() < n_edges && guard < n_edges * 8 {
             guard += 1;
-            let (mut lo_r, mut hi_r) = (0usize, n);
-            let (mut lo_c, mut hi_c) = (0usize, n);
-            while hi_r - lo_r > 1 {
-                let p = rng.gen_f64();
-                let (top, left) = if p < RMAT_A {
-                    (true, true)
-                } else if p < RMAT_A + RMAT_B {
-                    (true, false)
-                } else if p < RMAT_A + RMAT_B + RMAT_C {
-                    (false, true)
-                } else {
-                    (false, false)
-                };
-                let mid_r = (lo_r + hi_r) / 2;
-                let mid_c = (lo_c + hi_c) / 2;
-                if top {
-                    hi_r = mid_r;
-                } else {
-                    lo_r = mid_r;
-                }
-                if left {
-                    hi_c = mid_c;
-                } else {
-                    lo_c = mid_c;
-                }
+            let (mut src, mut dst) = (0usize, 0usize);
+            for _ in 0..scale {
+                let x = rng.next_u64() >> 11;
+                // Quadrants a, b, c, d = (top, left), (top, right),
+                // (bottom, left), (bottom, right).
+                let bottom = usize::from(x >= t_ab);
+                let right = usize::from(x >= t_a) ^ bottom ^ usize::from(x >= t_abc);
+                src = (src << 1) | bottom;
+                dst = (dst << 1) | right;
             }
-            let (src, dst) = (lo_r, lo_c);
-            if src < nodes && dst < nodes && src != dst {
-                if bits.is_empty() {
-                    let list = &mut adj[src];
-                    if let Err(pos) = list.binary_search(&(dst as u32)) {
-                        list.insert(pos, dst as u32);
-                        placed += 1;
-                    }
-                } else {
-                    let bit = src * nodes + dst;
-                    let mask = 1u64 << (bit % 64);
-                    if bits[bit / 64] & mask == 0 {
-                        bits[bit / 64] |= mask;
-                        adj[src].push(dst as u32);
-                        placed += 1;
-                    }
-                }
-            }
-        }
-        if !bits.is_empty() {
-            // Bitset placement appends in sample order; restore the sorted
-            // adjacency the binary-search path builds directly.
-            for list in &mut adj {
-                list.sort_unstable();
-            }
-        }
-        // Ensure no isolated nodes: give each a self-adjacent ring edge.
-        for (i, list) in adj.iter_mut().enumerate() {
-            if list.is_empty() {
-                list.push(((i + 1) % nodes) as u32);
+            if src < nodes && dst < nodes && src != dst && seen.insert((src * nodes + dst) as u64) {
+                edges.push((src as u32, dst as u32));
             }
         }
 
-        let mut offsets = Vec::with_capacity(nodes + 1);
-        let mut neighbours = Vec::new();
-        offsets.push(0u32);
-        for list in &adj {
-            neighbours.extend_from_slice(list);
-            offsets.push(neighbours.len() as u32);
+        // Counting sort on the source. A node no edge leaves gets one
+        // ring edge to its successor, so none is isolated.
+        let mut offsets = vec![0u32; nodes + 1];
+        for &(src, _) in &edges {
+            offsets[src as usize + 1] += 1;
+        }
+        for deg in &mut offsets[1..] {
+            *deg = (*deg).max(1);
+        }
+        for v in 0..nodes {
+            offsets[v + 1] += offsets[v];
+        }
+        let mut neighbours = vec![0u32; offsets[nodes] as usize];
+        let mut fill = offsets[..nodes].to_vec();
+        for &(src, dst) in &edges {
+            neighbours[fill[src as usize] as usize] = dst;
+            fill[src as usize] += 1;
+        }
+        for v in 0..nodes {
+            let (a, b) = (offsets[v] as usize, offsets[v + 1] as usize);
+            if fill[v] as usize == a {
+                neighbours[a] = ((v + 1) % nodes) as u32;
+            }
+            neighbours[a..b].sort_unstable();
         }
         Graph {
             offsets,
@@ -216,6 +226,138 @@ impl Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::TestRng;
+
+    /// The original R-MAT generator, kept as the differential oracle for
+    /// [`Graph::rmat`]: floating-point quadrant thresholds, a dense
+    /// src×dst bitset for graphs of ≤8192 nodes and sorted adjacency lists
+    /// with binary-search insertion above that.
+    fn rmat_reference(nodes: usize, avg_degree: f64, rng: &mut Pcg32) -> Graph {
+        let scale = usize::BITS - (nodes - 1).leading_zeros();
+        let n = 1usize << scale;
+        let n_edges = (nodes as f64 * avg_degree) as usize;
+        let mut adj: Vec<Vec<u32>> = vec![Vec::new(); nodes];
+        let mut bits = if nodes <= 8192 {
+            vec![0u64; (nodes * nodes).div_ceil(64)]
+        } else {
+            Vec::new()
+        };
+        let mut placed = 0usize;
+        let mut guard = 0usize;
+        while placed < n_edges && guard < n_edges * 8 {
+            guard += 1;
+            let (mut lo_r, mut hi_r) = (0usize, n);
+            let (mut lo_c, mut hi_c) = (0usize, n);
+            while hi_r - lo_r > 1 {
+                let p = rng.gen_f64();
+                let (top, left) = if p < RMAT_A {
+                    (true, true)
+                } else if p < RMAT_A + RMAT_B {
+                    (true, false)
+                } else if p < RMAT_A + RMAT_B + RMAT_C {
+                    (false, true)
+                } else {
+                    (false, false)
+                };
+                let mid_r = (lo_r + hi_r) / 2;
+                let mid_c = (lo_c + hi_c) / 2;
+                if top {
+                    hi_r = mid_r;
+                } else {
+                    lo_r = mid_r;
+                }
+                if left {
+                    hi_c = mid_c;
+                } else {
+                    lo_c = mid_c;
+                }
+            }
+            let (src, dst) = (lo_r, lo_c);
+            if src < nodes && dst < nodes && src != dst {
+                if bits.is_empty() {
+                    let list = &mut adj[src];
+                    if let Err(pos) = list.binary_search(&(dst as u32)) {
+                        list.insert(pos, dst as u32);
+                        placed += 1;
+                    }
+                } else {
+                    let bit = src * nodes + dst;
+                    let mask = 1u64 << (bit % 64);
+                    if bits[bit / 64] & mask == 0 {
+                        bits[bit / 64] |= mask;
+                        adj[src].push(dst as u32);
+                        placed += 1;
+                    }
+                }
+            }
+        }
+        if !bits.is_empty() {
+            for list in &mut adj {
+                list.sort_unstable();
+            }
+        }
+        for (i, list) in adj.iter_mut().enumerate() {
+            if list.is_empty() {
+                list.push(((i + 1) % nodes) as u32);
+            }
+        }
+        let mut offsets = vec![0u32];
+        let mut neighbours = Vec::new();
+        for list in &adj {
+            neighbours.extend_from_slice(list);
+            offsets.push(neighbours.len() as u32);
+        }
+        Graph {
+            offsets,
+            neighbours,
+        }
+    }
+
+    /// One generator input: seed and stream, node count, average degree.
+    #[derive(Debug, Clone, Copy)]
+    struct RmatCase {
+        seed: u64,
+        stream: u64,
+        nodes: usize,
+        avg_degree: f64,
+    }
+
+    /// Node counts in `1..=10_000` — half uniform, so both of the
+    /// reference's dedupe paths (≤8192 and >8192 nodes) are drawn, half
+    /// from `1..=64`, where the power-of-two rounding and the
+    /// isolated-node ring edges matter most — with degrees in `(0, 12]`.
+    struct RmatCases;
+
+    impl Strategy for RmatCases {
+        type Value = RmatCase;
+
+        fn generate(&self, rng: &mut TestRng) -> RmatCase {
+            let span = if rng.next_u64() & 1 == 0 { 10_000 } else { 64 };
+            RmatCase {
+                seed: rng.next_u64(),
+                stream: rng.next_u64(),
+                nodes: 1 + rng.below(span) as usize,
+                avg_degree: 12.0 * (1.0 - rng.unit_f64()),
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The rewritten generator returns the reference's graph and
+        /// leaves the generator in the reference's final state.
+        #[test]
+        fn rmat_matches_reference_generator(case in RmatCases) {
+            let mut a = Pcg32::seed_with_stream(case.seed, case.stream);
+            let mut b = a.clone();
+            let fast = Graph::rmat(case.nodes, case.avg_degree, &mut a);
+            let reference = rmat_reference(case.nodes, case.avg_degree, &mut b);
+            prop_assert_eq!(fast, reference);
+            prop_assert_eq!(a, b, "final generator state differs");
+        }
+    }
 
     #[test]
     fn rmat_shape_and_determinism() {

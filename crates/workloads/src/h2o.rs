@@ -10,7 +10,7 @@ use nvr_common::rng::Zipf;
 use nvr_common::Pcg32;
 use nvr_trace::{NpuProgram, SparseFunc};
 
-use crate::spec::{assemble, TileSketch, WorkloadSpec, IA_BASE};
+use crate::spec::{assemble, KeySet, TileSketch, WorkloadSpec, IA_BASE};
 
 /// KV-cache rows.
 const SEQ_LEN: usize = 4096;
@@ -35,6 +35,7 @@ pub fn build(spec: &WorkloadSpec) -> NpuProgram {
     // The hitter pool drifts slowly: one membership change per step, with
     // the replacement drawn Zipf-biased toward recent ranks.
     let mut pool: Vec<u32> = (0..HITTERS as u32).collect();
+    let mut chosen = KeySet::new(SEQ_LEN);
     let sketches = (0..steps)
         .map(|step| {
             if step > 0 {
@@ -42,11 +43,13 @@ pub fn build(spec: &WorkloadSpec) -> NpuProgram {
                 pool[HITTERS - 1 - victim] = rng.gen_range(SEQ_LEN as u64) as u32;
             }
             // H2O keeps *all* heavy hitters plus a recency/random window.
-            let mut chosen: std::collections::BTreeSet<u32> = pool.iter().copied().collect();
+            for &key in &pool {
+                chosen.insert(key);
+            }
             while chosen.len() < BUDGET {
                 chosen.insert(rng.gen_range(SEQ_LEN as u64) as u32);
             }
-            let indices: Vec<u32> = chosen.into_iter().collect();
+            let indices = chosen.drain_sorted();
             TileSketch {
                 indices,
                 compute_cycles: sa.sparse_mac_cycles(BUDGET, HEAD_DIM),

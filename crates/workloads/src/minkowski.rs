@@ -43,8 +43,8 @@ fn kernel_offsets() -> Vec<(i32, i32, i32)> {
 pub(crate) fn export_bucket_table(table: &VoxelHashTable, keys: &[VoxelKey]) -> Vec<u32> {
     let mut out = vec![0u32; table.bucket_count()];
     for &key in keys {
-        let bucket = *table.probe_path(key).last().expect("probe path non-empty");
-        out[bucket] = table.lookup(key).expect("inserted key resolves");
+        let (bucket, slot) = table.find(key);
+        out[bucket] = slot.expect("inserted key resolves");
     }
     out
 }
@@ -151,8 +151,14 @@ pub(crate) fn build_pointcloud(
     let offsets = kernel_offsets();
     let bucket_table = export_bucket_table(table, keys);
     let n_tiles = params.tiles * spec.scale.tile_factor();
-    let mut sorted_keys = keys.to_vec();
-    sorted_keys.sort_unstable();
+    let sorted_keys = match order {
+        VoxelOrder::Random => Vec::new(),
+        VoxelOrder::Sorted => {
+            let mut sorted = keys.to_vec();
+            sorted.sort_unstable();
+            sorted
+        }
+    };
 
     let sketches = (0..n_tiles)
         .enumerate()
@@ -166,9 +172,7 @@ pub(crate) fn build_pointcloud(
                     }
                 };
                 for &(dx, dy, dz) in &offsets {
-                    let nb = centre.offset(dx, dy, dz);
-                    if table.lookup(nb).is_some() {
-                        let bucket = *table.probe_path(nb).last().expect("non-empty");
+                    if let (bucket, Some(_)) = table.find(centre.offset(dx, dy, dz)) {
                         indices.push(bucket as u32);
                     }
                 }
@@ -176,7 +180,7 @@ pub(crate) fn build_pointcloud(
             if indices.is_empty() {
                 // Centre voxel always resolves to itself.
                 let centre = keys[0];
-                indices.push(*table.probe_path(centre).last().expect("non-empty") as u32);
+                indices.push(table.find(centre).0 as u32);
             }
             let found = indices.len();
             TileSketch {

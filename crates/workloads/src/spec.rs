@@ -183,6 +183,55 @@ impl WorkloadSpec {
     }
 }
 
+/// A set of `u32` keys below a fixed bound, one bit per key, drained in
+/// ascending order: the sorted top-k index list of the attention builders.
+#[derive(Debug, Clone)]
+pub(crate) struct KeySet {
+    words: Vec<u64>,
+    len: usize,
+}
+
+impl KeySet {
+    /// An empty set over keys `0..bound`.
+    pub(crate) fn new(bound: usize) -> Self {
+        KeySet {
+            words: vec![0; bound.div_ceil(64)],
+            len: 0,
+        }
+    }
+
+    /// Distinct keys held.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Adds `key`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key` is not below the bound rounded up to a multiple
+    /// of 64.
+    pub(crate) fn insert(&mut self, key: u32) {
+        let (word, bit) = (key as usize / 64, key % 64);
+        let w = &mut self.words[word];
+        self.len += usize::from((*w >> bit) & 1 == 0);
+        *w |= 1 << bit;
+    }
+
+    /// The keys in ascending order; leaves the set empty.
+    pub(crate) fn drain_sorted(&mut self) -> Vec<u32> {
+        let mut out = Vec::with_capacity(self.len);
+        for (i, w) in self.words.iter_mut().enumerate() {
+            while *w != 0 {
+                out.push(i as u32 * 64 + w.trailing_zeros());
+                *w &= *w - 1;
+            }
+        }
+        self.len = 0;
+        out
+    }
+}
+
 /// Ingredients of one tile handed to [`assemble`].
 #[derive(Debug, Clone)]
 pub struct TileSketch {
@@ -298,6 +347,19 @@ mod tests {
             row_bytes: 64,
         };
         let _ = assemble("t", &spec, vec![], func, 16, vec![]);
+    }
+
+    #[test]
+    fn key_set_drains_distinct_keys_in_order() {
+        let mut set = KeySet::new(200);
+        for k in [130, 5, 64, 5, 199, 0, 63, 130] {
+            set.insert(k);
+        }
+        assert_eq!(set.len(), 6);
+        assert_eq!(set.drain_sorted(), vec![0, 5, 63, 64, 130, 199]);
+        assert_eq!(set.len(), 0);
+        set.insert(7);
+        assert_eq!(set.drain_sorted(), vec![7], "draining empties the set");
     }
 
     #[test]

@@ -3,6 +3,8 @@
 //! prefetchers on the same access stream.
 
 use nvr::prelude::*;
+use nvr::trace::GatherDesc;
+use nvr::workloads::spec::{INDEX_BASE, TABLE_BASE};
 
 #[test]
 fn identical_seeds_identical_results() {
@@ -292,4 +294,171 @@ fn optimised_hot_paths_match_seed_fingerprints() {
         }
     }
     assert_eq!(idx, GOLDEN.len(), "every golden row must be exercised");
+}
+
+/// FNV-1a over 64-bit words: the program fingerprint's digest.
+struct Digest(u64);
+
+impl Digest {
+    fn new() -> Self {
+        Digest(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, w: u64) {
+        self.0 = (self.0 ^ w).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
+/// Content hash of a built program: its name and width, every tile's
+/// fields and index values, and every word of every image segment.
+fn program_fingerprint(p: &NpuProgram) -> u64 {
+    let mut d = Digest::new();
+    for b in p.name.bytes() {
+        d.word(u64::from(b));
+    }
+    d.word(p.width.bytes());
+    d.word(p.tiles.len() as u64);
+    for t in &p.tiles {
+        d.word(t.id as u64);
+        d.word(t.index_region.start().raw());
+        d.word(t.index_region.bytes());
+        match t.gather {
+            None => d.word(0),
+            Some(GatherDesc { func, batch }) => {
+                match func {
+                    SparseFunc::Affine { ia_base, row_bytes } => {
+                        d.word(1);
+                        d.word(ia_base.raw());
+                        d.word(row_bytes);
+                    }
+                    SparseFunc::TableLookup {
+                        table_base,
+                        ia_base,
+                        row_bytes,
+                    } => {
+                        d.word(2);
+                        d.word(table_base.raw());
+                        d.word(ia_base.raw());
+                        d.word(row_bytes);
+                    }
+                }
+                d.word(batch as u64);
+            }
+        }
+        d.word(t.dma_bytes);
+        d.word(t.compute_cycles);
+        d.word(t.store_bytes);
+        for v in t.index_values(&p.image) {
+            d.word(u64::from(v));
+        }
+    }
+    // The builders install segments only at the index and table bases;
+    // walking both until the first uncovered word must account for every
+    // installed byte.
+    let mut covered = 0;
+    for base in [INDEX_BASE, TABLE_BASE] {
+        d.word(base.raw());
+        let mut words = 0u64;
+        while let Some(w) = p.image.try_read_u32(base.offset(words * 4)) {
+            d.word(u64::from(w));
+            words += 1;
+        }
+        d.word(words);
+        covered += words * 4;
+    }
+    assert_eq!(
+        covered,
+        p.image.segment_bytes(),
+        "{}: image has a segment outside the index and table bases",
+        p.name
+    );
+    d.0
+}
+
+/// Pinned content hashes of every workload's program at every scale, in
+/// natural and clustered order (FP16, seed 2025).
+///
+/// This is the byte-identity contract of the program builders: a faster
+/// generator (R-MAT, voxel probing, top-k sampling) must reproduce every
+/// tile, index and table word exactly, because those words are the
+/// simulated addresses. On a mismatch the test prints the full table as
+/// computed; a change that means to alter programs replaces `GOLDEN`
+/// with it and says so.
+#[test]
+fn builders_match_pinned_program_fingerprints() {
+    const GOLDEN: &[(&str, &str, &str, u64)] = &[
+        ("DS", "tiny", "natural", 0x6914ff42e9fc1a6c),
+        ("DS", "tiny", "clustered", 0x6914ff42e9fc1a6c),
+        ("DS", "default", "natural", 0xfd0efe2e9cc8d568),
+        ("DS", "default", "clustered", 0xfd0efe2e9cc8d568),
+        ("DS", "large", "natural", 0x3f0923aa8c89ee02),
+        ("DS", "large", "clustered", 0x3f0923aa8c89ee02),
+        ("GAT", "tiny", "natural", 0xdb3a47f143df2744),
+        ("GAT", "tiny", "clustered", 0x5cdc065d3d1b26f9),
+        ("GAT", "default", "natural", 0xe40f3c5c817c6db7),
+        ("GAT", "default", "clustered", 0x30d31eefa123fb26),
+        ("GAT", "large", "natural", 0x119c84e6d62963b2),
+        ("GAT", "large", "clustered", 0x6a72596f65303476),
+        ("GCN", "tiny", "natural", 0x72de3d1429b53ddb),
+        ("GCN", "tiny", "clustered", 0x3b7d25a40ceccba8),
+        ("GCN", "default", "natural", 0xef078f86e0c82beb),
+        ("GCN", "default", "clustered", 0x8dc333e46bf29f6f),
+        ("GCN", "large", "natural", 0x81e345106e1d5b1c),
+        ("GCN", "large", "clustered", 0xdad1bb22fe4b98ce),
+        ("GSABT", "tiny", "natural", 0x150e81af0994bb36),
+        ("GSABT", "tiny", "clustered", 0x150e81af0994bb36),
+        ("GSABT", "default", "natural", 0x87bcdf87a6e71296),
+        ("GSABT", "default", "clustered", 0x87bcdf87a6e71296),
+        ("GSABT", "large", "natural", 0x3a480bae6f4f94d6),
+        ("GSABT", "large", "clustered", 0x3a480bae6f4f94d6),
+        ("H2O", "tiny", "natural", 0x5697f70854b0f082),
+        ("H2O", "tiny", "clustered", 0x5697f70854b0f082),
+        ("H2O", "default", "natural", 0xc6069214a39bbfb2),
+        ("H2O", "default", "clustered", 0xc6069214a39bbfb2),
+        ("H2O", "large", "natural", 0x28056286c9e834ba),
+        ("H2O", "large", "clustered", 0x28056286c9e834ba),
+        ("MK", "tiny", "natural", 0x4871735330f7e763),
+        ("MK", "tiny", "clustered", 0x4871735330f7e763),
+        ("MK", "default", "natural", 0x7ee70d890384678d),
+        ("MK", "default", "clustered", 0x7ee70d890384678d),
+        ("MK", "large", "natural", 0xc0c0fb6f830bdbea),
+        ("MK", "large", "clustered", 0xc0c0fb6f830bdbea),
+        ("SCN", "tiny", "natural", 0xd1efcbfbb70c7d6b),
+        ("SCN", "tiny", "clustered", 0xd1efcbfbb70c7d6b),
+        ("SCN", "default", "natural", 0x459cfeb6b7a4cdf8),
+        ("SCN", "default", "clustered", 0x459cfeb6b7a4cdf8),
+        ("SCN", "large", "natural", 0x92681337e712011f),
+        ("SCN", "large", "clustered", 0x92681337e712011f),
+        ("ST", "tiny", "natural", 0x3a797bed1641be60),
+        ("ST", "tiny", "clustered", 0x3a797bed1641be60),
+        ("ST", "default", "natural", 0x53c4e873337ce1a0),
+        ("ST", "default", "clustered", 0x53c4e873337ce1a0),
+        ("ST", "large", "natural", 0xf9a99282d1db89a0),
+        ("ST", "large", "clustered", 0xf9a99282d1db89a0),
+    ];
+    let mut rows = Vec::new();
+    for workload in WorkloadId::ALL {
+        for scale in Scale::ALL {
+            for order in [TileOrder::Natural, TileOrder::Clustered] {
+                let spec = WorkloadSpec {
+                    width: DataWidth::Fp16,
+                    seed: 2025,
+                    scale,
+                    order,
+                };
+                let fp = program_fingerprint(&workload.build(&spec));
+                rows.push((workload.short(), scale.to_string(), order.to_string(), fp));
+            }
+        }
+    }
+    let got: Vec<(&str, &str, &str, u64)> = rows
+        .iter()
+        .map(|(w, s, o, fp)| (*w, s.as_str(), o.as_str(), *fp))
+        .collect();
+    if got != GOLDEN {
+        for (w, s, o, fp) in &got {
+            println!("        ({w:?}, {s:?}, {o:?}, 0x{fp:016x}),");
+        }
+        panic!("program fingerprints deviate from the pinned table (computed table above)");
+    }
 }
