@@ -19,8 +19,8 @@ pub enum TriggerPolicy {
 ///
 /// Every knob names its paper counterpart and the rationale for its
 /// default; the defaults reproduce the paper's Table I configuration as
-/// calibrated by this repo's headline run (`cargo run -p nvr_bench --bin
-/// headline`).
+/// calibrated by this repo's headline run (`cargo run -p nvr_sim --bin
+/// sweep -- --figure headline`).
 ///
 /// # Examples
 ///

@@ -348,8 +348,6 @@ pub struct Report {
     pub diagnostics: Vec<Diagnostic>,
     /// How many files were checked.
     pub files_checked: usize,
-    /// How many of those were served from the fingerprint cache.
-    pub files_cached: usize,
     /// What the workspace model indexed (0 across the board when the
     /// semantic pass did not run, e.g. single-file `lint_source`).
     pub model_stats: ModelStats,
@@ -368,11 +366,10 @@ impl Report {
         let mut out = String::from("{\n  \"tool\": \"nvr-lint\",\n");
         let s = &self.model_stats;
         out.push_str(&format!(
-            "  \"files_checked\": {},\n  \"files_cached\": {},\n  \"model_stats\": \
+            "  \"files_checked\": {},\n  \"model_stats\": \
              {{\"files\": {}, \"enums\": {}, \"variants\": {}, \"structs\": {}, \
              \"fields\": {}, \"matches\": {}, \"csv_headers\": {}}},\n  \"violations\": [",
             self.files_checked,
-            self.files_cached,
             s.files,
             s.enums,
             s.variants,

@@ -3,18 +3,17 @@
 //! Walks `crates/`, `tests/` and `examples/` under the workspace root
 //! (skipping `target/`, `vendor/` — third-party stand-ins — and any
 //! `fixtures/` directory, which holds deliberately-bad lint inputs).
-//! Pass 1 analyzes each file ([`crate::rules::analyze_source`], served
-//! from the fingerprint cache when unchanged); pass 2 stitches the
-//! per-file models into a [`WorkspaceModel`] and runs the cross-file
-//! semantic rules ([`crate::semantic`]) over it plus the two
+//! Pass 1 analyzes each file ([`crate::rules::analyze_source`]); pass 2
+//! stitches the per-file models into a [`WorkspaceModel`] and runs the
+//! cross-file semantic rules ([`crate::semantic`]) over it plus the two
 //! documentation files. Suppressions resolve *after* both passes, so an
 //! `allow(...)` comment covers semantic findings exactly like token
 //! findings.
 
+use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use crate::cache::{self, Cache, Entry};
 use crate::diag::{Report, Rule};
 use crate::model::WorkspaceModel;
 use crate::rules::{analyze_source, resolve_file};
@@ -34,17 +33,13 @@ const DOC_FILES: [&str; 2] = ["README.md", "docs/ARCHITECTURE.md"];
 /// Knobs for a workspace lint run.
 #[derive(Debug, Clone, Default)]
 pub struct LintOptions {
-    /// Where to load/store the pass-1 fingerprint cache; `None` disables
-    /// caching (every file re-analyzed).
-    pub cache_path: Option<PathBuf>,
     /// Restrict the report to one rule (`--rule`); suppression-audit
     /// diagnostics are filtered out too, so the output is exactly that
     /// rule's findings.
     pub rule: Option<Rule>,
 }
 
-/// Lints the workspace rooted at `root` with default options (no cache,
-/// all rules).
+/// Lints the workspace rooted at `root` with every rule.
 ///
 /// # Errors
 ///
@@ -59,9 +54,7 @@ pub fn lint_workspace(root: &Path) -> Result<Report, String> {
 /// # Errors
 ///
 /// Returns a message when `root` is not a workspace root (no `Cargo.toml`)
-/// or a file cannot be read. Cache load/store failures are *not* errors:
-/// an unreadable cache means a cold run, a failed write means the next
-/// run is cold too.
+/// or a file cannot be read.
 pub fn lint_workspace_with(root: &Path, opts: &LintOptions) -> Result<Report, String> {
     if !root.join("Cargo.toml").is_file() {
         return Err(format!(
@@ -73,17 +66,10 @@ pub fn lint_workspace_with(root: &Path, opts: &LintOptions) -> Result<Report, St
     for scan in SCAN_ROOTS {
         collect_rs_files(&root.join(scan), &mut files);
     }
-    files.sort();
 
-    // Pass 1, cache-aware. `fresh` becomes both this run's working set
-    // and the cache written back for the next run.
-    let old_cache = opts
-        .cache_path
-        .as_deref()
-        .map(cache::load)
-        .unwrap_or_default();
-    let mut fresh = Cache::default();
-    let mut report = Report::default();
+    // Pass 1, per file. Keyed by workspace-relative path, so pass 2 and
+    // the suppression resolution visit files in one fixed order.
+    let mut analyses = BTreeMap::new();
     for path in &files {
         let src =
             fs::read_to_string(path).map_err(|e| format!("reading {}: {e}", path.display()))?;
@@ -94,30 +80,19 @@ pub fn lint_workspace_with(root: &Path, opts: &LintOptions) -> Result<Report, St
             .map(|c| c.as_os_str().to_string_lossy())
             .collect::<Vec<_>>()
             .join("/");
-        let fingerprint = cache::fingerprint(&src);
-        let analysis = match old_cache.entries.get(&rel) {
-            Some(entry) if entry.fingerprint == fingerprint => {
-                report.files_cached += 1;
-                entry.analysis.clone()
-            }
-            _ => analyze_source(&rel, &src),
-        };
-        report.files_checked += 1;
-        fresh.entries.insert(
-            rel,
-            Entry {
-                fingerprint,
-                analysis,
-            },
-        );
+        let analysis = analyze_source(&rel, &src);
+        analyses.insert(rel, analysis);
     }
+    let mut report = Report {
+        files_checked: analyses.len(),
+        ..Report::default()
+    };
 
     // Pass 2: the cross-file rules over the stitched model + docs.
     let model = WorkspaceModel {
-        files: fresh
-            .entries
-            .values()
-            .map(|e| e.analysis.model.clone())
+        files: analyses
+            .values_mut()
+            .map(|a| std::mem::take(&mut a.model))
             .collect(),
     };
     report.model_stats = model.stats();
@@ -132,12 +107,11 @@ pub fn lint_workspace_with(root: &Path, opts: &LintOptions) -> Result<Report, St
     let mut semantic_diags = semantic::run(&model, &docs);
 
     // Suppression resolution, per file, over token + semantic findings.
-    for (rel, entry) in &fresh.entries {
-        let a = &entry.analysis;
-        let mut findings = a.findings.clone();
+    for (rel, a) in analyses {
+        let mut findings = a.findings;
         let mut i = 0;
         while i < semantic_diags.len() {
-            if semantic_diags[i].file == *rel {
+            if semantic_diags[i].file == rel {
                 findings.push(semantic_diags.swap_remove(i));
             } else {
                 i += 1;
@@ -145,7 +119,7 @@ pub fn lint_workspace_with(root: &Path, opts: &LintOptions) -> Result<Report, St
         }
         report
             .diagnostics
-            .extend(resolve_file(rel, findings, &a.allows, a.malformed.clone()));
+            .extend(resolve_file(&rel, findings, &a.allows, a.malformed));
     }
     // What remains targets the doc files, which carry no allow comments.
     report.diagnostics.append(&mut semantic_diags);
@@ -155,10 +129,6 @@ pub fn lint_workspace_with(root: &Path, opts: &LintOptions) -> Result<Report, St
 
     if let Some(rule) = opts.rule {
         report.diagnostics.retain(|d| d.rule == rule);
-    }
-    if let Some(path) = &opts.cache_path {
-        // Best-effort: a failed write only costs the next run its warmth.
-        let _ = cache::save(path, &fresh);
     }
     Ok(report)
 }
@@ -186,7 +156,7 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
     let Ok(entries) = fs::read_dir(dir) else {
         return;
     };
-    // read_dir order is platform-dependent; the caller sorts the full list.
+    // read_dir order is platform-dependent; the caller keys files by path.
     for entry in entries.flatten() {
         let path = entry.path();
         if path.is_dir() {

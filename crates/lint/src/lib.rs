@@ -10,14 +10,13 @@
 //! statically, on every line of the workspace, on every PR, in two
 //! passes:
 //!
-//! * **Pass 1 (per file, cached):** a hand-rolled, comment/string/
+//! * **Pass 1 (per file):** a hand-rolled, comment/string/
 //!   attribute-aware lexer ([`lexer`]) feeds the token rules
 //!   (ordered-container and wall-clock/ambient-RNG determinism hazards,
 //!   narrowing casts and unjustified panics in tick paths, crate-root
 //!   attributes, knob docs, same-file CSV schema sync) and an item-level
 //!   parser ([`parser`]) that distils each file into a
-//!   [`model::FileModel`]. Results are fingerprint-cached in
-//!   `target/nvr-lint-cache.json` ([`cache`]).
+//!   [`model::FileModel`].
 //! * **Pass 2 (workspace):** the per-file models stitch into a
 //!   [`model::WorkspaceModel`] and the cross-file semantic rules
 //!   ([`semantic`]) run over it: registry variant drift, wildcard arms
@@ -36,7 +35,6 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod cache;
 pub mod diag;
 pub mod engine;
 pub mod lexer;

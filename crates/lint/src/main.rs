@@ -7,21 +7,15 @@
 //! cargo run -p nvr_lint -- --list-rules     # print the rule catalogue
 //! cargo run -p nvr_lint -- --rule registry/wildcard-arm   # one rule only
 //! cargo run -p nvr_lint -- --explain config/dead-knob     # rule rationale
-//! cargo run -p nvr_lint -- --no-cache       # force a cold pass-1
 //! ```
 //!
-//! Exit codes: 0 clean, 1 violations found, 2 usage or I/O error. The
-//! pass-1 cache lives at `target/nvr-lint-cache.json` under the
-//! workspace root unless `--cache PATH` / `--no-cache` says otherwise; a
-//! timing line with the cache hit count goes to stderr so CI logs show
-//! cold-vs-warm wall-clock.
+//! Exit codes: 0 clean, 1 violations found, 2 usage or I/O error.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::time::Instant;
 
 use nvr_lint::{find_workspace_root, lint_workspace_with, LintOptions, Rule};
 
@@ -32,8 +26,6 @@ struct Args {
     list_rules: bool,
     rule: Option<Rule>,
     explain: Option<Rule>,
-    cache: Option<PathBuf>,
-    no_cache: bool,
 }
 
 fn rule_by_name(name: &str) -> Result<Rule, String> {
@@ -50,8 +42,6 @@ fn parse_args() -> Result<Args, String> {
         list_rules: false,
         rule: None,
         explain: None,
-        cache: None,
-        no_cache: false,
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
@@ -75,17 +65,12 @@ fn parse_args() -> Result<Args, String> {
                 let name = it.next().ok_or("--explain expects a rule name")?;
                 args.explain = Some(rule_by_name(&name)?);
             }
-            "--cache" => {
-                args.cache = Some(PathBuf::from(it.next().ok_or("--cache expects a path")?));
-            }
-            "--no-cache" => args.no_cache = true,
             "--list-rules" => args.list_rules = true,
             "-h" | "--help" => {
                 println!(
                     "nvr-lint: workspace determinism & invariant checks\n\n\
                      USAGE: nvr-lint [--format text|json] [--out PATH] [--root PATH]\n\
-                     \x20               [--rule NAME] [--explain NAME] [--list-rules]\n\
-                     \x20               [--cache PATH] [--no-cache]\n\n\
+                     \x20               [--rule NAME] [--explain NAME] [--list-rules]\n\n\
                      Exit codes: 0 clean, 1 violations, 2 usage/I/O error."
                 );
                 std::process::exit(0);
@@ -128,21 +113,7 @@ fn main() -> ExitCode {
         eprintln!("nvr-lint: no workspace root found (pass --root)");
         return ExitCode::from(2);
     };
-    let opts = LintOptions {
-        cache_path: if args.no_cache {
-            None
-        } else {
-            Some(
-                args.cache
-                    .unwrap_or_else(|| root.join("target/nvr-lint-cache.json")),
-            )
-        },
-        rule: args.rule,
-    };
-    // Timing telemetry only: the measured duration is printed to stderr
-    // and never feeds a result.
-    // nvr-lint: allow(determinism/wall-clock) reason="CLI wall-clock telemetry for the CI cold-vs-warm cache line; stderr only"
-    let started = Instant::now();
+    let opts = LintOptions { rule: args.rule };
     let report = match lint_workspace_with(&root, &opts) {
         Ok(report) => report,
         Err(e) => {
@@ -150,11 +121,6 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
-    eprintln!(
-        "nvr-lint: pass 1+2 over {} file(s) ({} cached) in {elapsed_ms:.1} ms",
-        report.files_checked, report.files_cached
-    );
     if let Some(out) = &args.out {
         if let Err(e) = std::fs::write(out, report.to_json()) {
             eprintln!("nvr-lint: writing {}: {e}", out.display());

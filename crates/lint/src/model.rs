@@ -3,10 +3,7 @@
 //! Pass 1 builds one [`FileModel`] per source file (item-level facts the
 //! [`crate::parser`] extracts from the token stream); the engine stitches
 //! them into a [`WorkspaceModel`] and the cross-file rules in
-//! [`crate::semantic`] query the whole thing at once. Every structure
-//! here is deliberately flat and string-keyed so it serialises into the
-//! fingerprint cache (`target/nvr-lint-cache.json`) without a schema
-//! crate.
+//! [`crate::semantic`] query the whole thing at once.
 
 use std::collections::BTreeSet;
 

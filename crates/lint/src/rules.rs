@@ -3,7 +3,7 @@
 //!
 //! Two entry points:
 //!
-//! * [`analyze_source`] is the cacheable pass-1 half: lex, run every
+//! * [`analyze_source`] is the pass-1 half: lex, run every
 //!   token rule whose scope covers the file, parse the suppression
 //!   comments and build the file's [`FileModel`] — *without* resolving
 //!   suppressions, because the workspace semantic pass may still add
@@ -104,8 +104,7 @@ impl AllowData {
     }
 }
 
-/// Everything pass 1 learns about one file — pure in the file contents,
-/// which is what makes it cacheable by fingerprint.
+/// Everything pass 1 learns about one file — pure in the file contents.
 #[derive(Debug, Clone, Default)]
 pub struct FileAnalysis {
     /// Token-rule findings, *before* suppression resolution.

@@ -163,46 +163,3 @@ fn rule_filter_gates_the_exit_code() {
     let out = run(&root, &["--rule", "nonsense/rule"]);
     assert_eq!(out.status.code(), Some(2), "{out:?}");
 }
-
-#[test]
-fn cache_warms_hits_and_invalidates_on_edit() {
-    let root = fake_workspace("cache", CLEAN_LIB);
-    let cache = root.join("lint-cache.json");
-    let cache_args = [
-        "--cache",
-        cache.to_str().expect("utf8 path"),
-        "--format",
-        "json",
-    ];
-    // The fake-workspace dir persists across test-suite invocations.
-    let _ = fs::remove_file(&cache);
-
-    let out = run(&root, &cache_args);
-    assert_eq!(out.status.code(), Some(0), "{out:?}");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("\"files_cached\": 0"), "cold: {stdout}");
-    assert!(cache.is_file(), "cache written on the cold run");
-
-    let out = run(&root, &cache_args);
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("\"files_cached\": 1"), "warm: {stdout}");
-
-    // Any content change flips the fingerprint and forces re-analysis.
-    let lib = root.join("crates/core/src/lib.rs");
-    let edited = format!("{CLEAN_LIB}\n/// Another.\npub fn more() {{}}\n");
-    fs::write(&lib, edited).expect("edit lib.rs");
-    let out = run(&root, &cache_args);
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("\"files_cached\": 0"), "edited: {stdout}");
-}
-
-#[test]
-fn no_cache_flag_writes_nothing() {
-    let root = fake_workspace("no-cache", CLEAN_LIB);
-    let out = run(&root, &["--no-cache"]);
-    assert_eq!(out.status.code(), Some(0), "{out:?}");
-    assert!(
-        !root.join("target/nvr-lint-cache.json").exists(),
-        "--no-cache must not create the default cache file"
-    );
-}

@@ -111,7 +111,7 @@ fn hot_loop_alloc_good_is_clean() {
 fn hot_loop_alloc_ignored_outside_core_and_mem() {
     let src = include_str!("fixtures/hot_loop_alloc_bad.rs");
     assert_eq!(fired("crates/sim/src/sweep.rs", src), []);
-    assert_eq!(fired("crates/bench/src/bin/perf.rs", src), []);
+    assert_eq!(fired("crates/sim/src/bin/sweep.rs", src), []);
 }
 
 #[test]

@@ -7,22 +7,18 @@
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use nvr_lint::{lint_workspace_with, LintOptions};
-
 fn fixture(tree: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests/fixtures/semantic")
         .join(tree)
 }
 
-/// Runs the binary on a fixture tree with the cache disabled (fixture
-/// trees are checked in; nothing may be written into them).
+/// Runs the binary on a fixture tree.
 fn run(tree: &str, extra: &[&str]) -> (i32, String) {
     let root = fixture(tree);
     let out = Command::new(env!("CARGO_BIN_EXE_nvr-lint"))
         .arg("--root")
         .arg(&root)
-        .arg("--no-cache")
         .args(extra)
         .output()
         .expect("nvr-lint runs");
@@ -127,34 +123,4 @@ fn rule_filter_restricts_the_report() {
         2,
         "{stdout}"
     );
-}
-
-#[test]
-fn warm_cache_reproduces_the_cold_report() {
-    // Library-level: same tree, cold run vs fully-cached run, with the
-    // cache in the test's scratch dir (never inside the fixture tree).
-    let cache = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("nvr-lint-semantic-cache.json");
-    let _ = std::fs::remove_file(&cache);
-    let opts = LintOptions {
-        cache_path: Some(cache.clone()),
-        rule: None,
-    };
-    let root = fixture("variant_drift_bad");
-    let cold = lint_workspace_with(&root, &opts).expect("cold run");
-    assert_eq!(cold.files_cached, 0);
-    let warm = lint_workspace_with(&root, &opts).expect("warm run");
-    assert_eq!(warm.files_cached, warm.files_checked, "all files cached");
-    let render = |r: &nvr_lint::Report| {
-        r.diagnostics
-            .iter()
-            .map(ToString::to_string)
-            .collect::<Vec<_>>()
-    };
-    assert_eq!(
-        render(&cold),
-        render(&warm),
-        "cached pass 1 must not change findings"
-    );
-    assert!(!cold.diagnostics.is_empty(), "fixture tree has findings");
-    let _ = std::fs::remove_file(&cache);
 }

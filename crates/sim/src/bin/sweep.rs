@@ -44,7 +44,8 @@ USAGE (grid mode):
 
 OPTIONS:
   --jobs N        worker threads (default: available parallelism)
-  --figure NAME   fig1b|fig5|fig6|fig6b|fig7|fig7b|fig8|fig9|headline|table1|table2 (repeatable)
+  --figure NAME   fig1b|fig5|fig6|fig6b|fig7|fig7b|fig8|fig9|headline|table1|table2|ablations
+                  (repeatable)
   --workload W    DS|GAT|GCN|GSABT|H2O|MK|SCN|ST (repeatable; grid mode)
   --system S      InO|OoO|Stream|IMP|DVR|NVR|NVR+NSB (repeatable; grid mode)
   --scale SCALE   tiny|default|large (repeatable in grid mode)

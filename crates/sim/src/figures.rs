@@ -1,9 +1,10 @@
 //! One driver per table/figure of the paper's evaluation (§V).
 //!
 //! Every driver exposes `run(...) -> Data` returning structured results and
-//! a `Display` implementation printing the paper-style rendition; the
-//! `nvr-bench` binaries and Criterion benches are thin wrappers over these.
+//! a `Display` implementation printing the paper-style rendition;
+//! `sweep --figure <name>` is the one entry point that regenerates each.
 
+pub mod ablations;
 pub mod fig1b;
 pub mod fig5;
 pub mod fig6;
@@ -44,11 +45,14 @@ pub enum FigureId {
     Table1,
     /// Table II — workload inventory.
     Table2,
+    /// Ablations of NVR's design choices (not a paper figure).
+    Ablations,
 }
 
 impl FigureId {
-    /// Every artifact, in the paper's order of appearance.
-    pub const ALL: [FigureId; 11] = [
+    /// Every artifact, in the paper's order of appearance, then the
+    /// ablations.
+    pub const ALL: [FigureId; 12] = [
         FigureId::Fig1b,
         FigureId::Fig5,
         FigureId::Fig6,
@@ -60,6 +64,7 @@ impl FigureId {
         FigureId::Headline,
         FigureId::Table1,
         FigureId::Table2,
+        FigureId::Ablations,
     ];
 
     /// CLI/report name.
@@ -77,6 +82,7 @@ impl FigureId {
             FigureId::Headline => "headline",
             FigureId::Table1 => "table1",
             FigureId::Table2 => "table2",
+            FigureId::Ablations => "ablations",
         }
     }
 
@@ -105,6 +111,7 @@ impl FigureId {
             FigureId::Headline => headline::run_jobs(scale, seed, jobs).to_string(),
             FigureId::Table1 => table1::run().to_string(),
             FigureId::Table2 => table2::run().to_string(),
+            FigureId::Ablations => ablations::run_jobs(scale, seed, jobs).to_string(),
         }
     }
 }

@@ -4,7 +4,7 @@
 //! NVR into comparable runs, and regenerates every table and figure of the
 //! paper's evaluation (§V). Each `figures::fig*` module returns structured
 //! data *and* prints a paper-style text rendition, so the same code backs
-//! the Criterion benches, the CLI binaries and the integration tests.
+//! the `sweep` binary and the integration tests.
 //!
 //! # Examples
 //!

@@ -44,8 +44,7 @@ use nvr_workloads::{Scale, TileOrder, WorkloadId, WorkloadSpec};
 use crate::report::{fmt3, Table};
 use crate::runner::{run_system_tuned, RunOutcome, SystemKind};
 
-/// Seed the experiment harnesses default to (kept in sync with
-/// `nvr_bench::EXPERIMENT_SEED`).
+/// Seed the figure drivers and sweeps default to.
 pub const DEFAULT_SEED: u64 = 2025;
 
 /// The cartesian sweep specification: every combination of the five axes

@@ -1,44 +1,11 @@
-//! Property-based tests of the sparse-format substrate.
+//! Property-based tests of the voxel hash table and top-k selection.
 
 use proptest::prelude::*;
 
 use nvr_common::Pcg32;
-use nvr_sparse::gen::{random_csr, SparsityPattern};
-use nvr_sparse::{top_k_indices, BitmapMatrix, DenseMatrix, VoxelHashTable, VoxelKey};
+use nvr_sparse::{top_k_indices, VoxelHashTable, VoxelKey};
 
 proptest! {
-    /// CSR -> CSC -> CSR is identity on the dense rendering.
-    #[test]
-    fn csr_csc_roundtrip(seed in any::<u64>(), rows in 1usize..40, cols in 1usize..40) {
-        let mut rng = Pcg32::seed_from_u64(seed);
-        let m = random_csr(rows, cols, 0.2, SparsityPattern::Uniform, &mut rng);
-        let back = m.to_csc().to_csr();
-        prop_assert_eq!(m.to_dense(), back.to_dense());
-    }
-
-    /// Bitmap encoding is lossless.
-    #[test]
-    fn bitmap_roundtrip(seed in any::<u64>(), rows in 1usize..20, cols in 1usize..130) {
-        let mut rng = Pcg32::seed_from_u64(seed);
-        let m = random_csr(rows, cols, 0.15, SparsityPattern::Uniform, &mut rng);
-        let bm = BitmapMatrix::from_csr(&m);
-        prop_assert_eq!(bm.nnz(), m.nnz());
-        prop_assert_eq!(bm.to_csr().to_dense(), m.to_dense());
-    }
-
-    /// SpMM distributes over identity: W * I == dense(W).
-    #[test]
-    fn spmm_identity(seed in any::<u64>(), n in 1usize..24) {
-        let mut rng = Pcg32::seed_from_u64(seed);
-        let w = random_csr(n, n, 0.3, SparsityPattern::Uniform, &mut rng);
-        let mut eye = DenseMatrix::zeros(n, n);
-        for i in 0..n {
-            *eye.get_mut(i, i) = 1.0;
-        }
-        let out = w.spmm(&eye);
-        prop_assert!(out.max_abs_diff(&w.to_dense()) < 1e-5);
-    }
-
     /// top_k agrees with a full sort for arbitrary inputs.
     #[test]
     fn topk_matches_sort(scores in prop::collection::vec(0.0f32..1.0, 1..200), frac in 0usize..=100) {
@@ -66,29 +33,5 @@ proptest! {
         }
         // A key far outside the extent was never inserted.
         prop_assert_eq!(table.lookup(VoxelKey::new(1 << 20, 0, 0)), None);
-    }
-
-    /// Generated CSR matrices always have sorted, in-range, deduplicated rows.
-    #[test]
-    fn generator_invariants(
-        seed in any::<u64>(),
-        rows in 1usize..30,
-        cols in 8usize..200,
-        pat in 0usize..4,
-    ) {
-        let pattern = match pat {
-            0 => SparsityPattern::Uniform,
-            1 => SparsityPattern::Block { block: 4 },
-            2 => SparsityPattern::Banded { half_width: 8 },
-            _ => SparsityPattern::PowerLaw { exponent: 1.1 },
-        };
-        let mut rng = Pcg32::seed_from_u64(seed);
-        let m = random_csr(rows, cols, 0.1, pattern, &mut rng);
-        for r in 0..m.rows() {
-            let row = m.row(r);
-            prop_assert!(row.windows(2).all(|w| w[0] < w[1]));
-            prop_assert!(row.iter().all(|&c| (c as usize) < cols));
-        }
-        prop_assert!(m.values().iter().all(|&v| v != 0.0));
     }
 }

@@ -166,9 +166,9 @@ fn parallel_sweep_matches_serial_bit_for_bit() {
 /// rewrites: cycles, hit/miss splits, DRAM traffic, prefetch usefulness
 /// and the full timeliness outcome, per system. A mismatch means a
 /// "performance" change altered simulation semantics — exactly the
-/// regression this suite exists to catch. (The perf gate's
-/// `sim_cycles_total` check covers the whole grid's cycle sum; this test
-/// pins the per-system, per-counter decomposition.)
+/// regression this suite exists to catch. (`tiny_grid_cycle_total_is_pinned`
+/// covers the whole tiny grid's cycle sum; this test pins the per-system,
+/// per-counter decomposition.)
 #[test]
 fn optimised_hot_paths_match_seed_fingerprints() {
     // Columns: workload, system, total_cycles, base_cycles,
@@ -294,6 +294,32 @@ fn optimised_hot_paths_match_seed_fingerprints() {
         }
     }
     assert_eq!(idx, GOLDEN.len(), "every golden row must be exercised");
+}
+
+/// The summed `total_cycles` of the pinned tiny grid: every workload under
+/// every system, natural order, FP16, seed 2025 (56 cells). The total is
+/// bit-exact on any host, so a change that moves any cell's timing fails
+/// here even when it leaves the fingerprinted workloads above untouched.
+#[test]
+fn tiny_grid_cycle_total_is_pinned() {
+    let spec = SweepSpec {
+        workloads: WorkloadId::ALL.to_vec(),
+        systems: SystemKind::ALL.to_vec(),
+        scales: vec![Scale::Tiny],
+        orders: vec![TileOrder::Natural],
+        widths: vec![DataWidth::Fp16],
+        seeds: vec![2025],
+        nsb_admit: None,
+        mem_cfg: MemoryConfig::default(),
+    };
+    let results = run_sweep(&spec, 2);
+    assert_eq!(results.cells.len(), 56);
+    let total: u64 = results
+        .cells
+        .iter()
+        .map(|c| c.outcome.result.total_cycles)
+        .sum();
+    assert_eq!(total, 5_699_443);
 }
 
 /// FNV-1a over 64-bit words: the program fingerprint's digest.

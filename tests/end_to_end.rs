@@ -65,6 +65,30 @@ fn nvr_dominates_inorder_everywhere() {
     }
 }
 
+/// Out-of-order issue never loses to the in-order baseline, on any
+/// workload or width: hiding latency behind independent work can only
+/// help on the same memory system.
+#[test]
+fn ooo_never_slower_than_inorder() {
+    let mem_cfg = MemoryConfig::default();
+    for workload in WorkloadId::ALL {
+        for width in DataWidth::ALL {
+            let spec = WorkloadSpec::tiny(width, 2025);
+            let program = workload.build(&spec);
+            let ino = run_system(&program, &mem_cfg, SystemKind::InOrder);
+            let ooo = run_system(&program, &mem_cfg, SystemKind::OutOfOrder);
+            assert!(
+                ooo.result.total_cycles <= ino.result.total_cycles,
+                "{}/{}: OoO {} vs InO {}",
+                workload.short(),
+                width,
+                ooo.result.total_cycles,
+                ino.result.total_cycles
+            );
+        }
+    }
+}
+
 /// The paper's ordering on the scattered-gather workloads: runahead beats
 /// pattern-based prefetching, which beats nothing.
 #[test]

@@ -1,7 +1,7 @@
 //! Smoke tests of the figure drivers at test scale: each produces data of
 //! the right shape and renders without panicking.
 
-use nvr::sim::figures;
+use nvr::sim::figures::{self, FigureId};
 use nvr::workloads::{Scale, WorkloadId};
 
 #[test]
@@ -64,4 +64,23 @@ fn headline_subset_is_positive() {
     let h = figures::headline::run_with_workloads(Scale::Tiny, 4, &[WorkloadId::Ds]);
     assert!(h.speedup_vs_no_prefetch > 1.0);
     assert!(h.to_string().contains("speedup"));
+}
+
+#[test]
+fn ablations_renders() {
+    use figures::ablations::{run_jobs, NSB_WAYS, WORKLOADS};
+    let data = run_jobs(Scale::Tiny, 6, 1);
+    assert_eq!(data.assoc.len(), NSB_WAYS.len());
+    assert_eq!(data.variants.len(), 9 * WORKLOADS.len());
+    let text = data.to_string();
+    assert!(text.starts_with("NVR design ablations"));
+    assert!(text.contains("NSB associativity ablation"));
+    let rows = |marker: &str| text.lines().filter(|l| l.contains(marker)).count();
+    assert_eq!(rows("-way: "), data.assoc.len(), "{text}");
+    assert_eq!(rows(" cycles, speedup "), data.variants.len(), "{text}");
+    assert_eq!(
+        text,
+        FigureId::Ablations.regenerate(Scale::Tiny, 6, 4),
+        "worker count changed the rendition"
+    );
 }
