@@ -5,16 +5,16 @@
 //! (randomised iteration order is a determinism hazard), and `BTreeMap`'s
 //! pointer chasing is too slow for bookkeeping that runs once per
 //! simulated prefetch or resolved target line. [`FlatMap`] fills the gap:
-//! linear probing over two flat vectors under a fixed hash (the
-//! splitmix64 finaliser), with backward-shift deletion — no tombstones,
-//! no allocator traffic after warm-up, and identical behaviour on every
-//! run and host.
+//! linear probing over one flat vector of key/value pairs (a probe reads
+//! one cache line) under a fixed hash (Fibonacci hashing), with
+//! backward-shift deletion — no tombstones, no allocator traffic after
+//! warm-up, and identical behaviour on every run and host.
 //!
 //! Keys are restricted to values below [`FlatMap::EMPTY`] (`u64::MAX`),
 //! which simulator identifiers — line indices, addresses, PCs — always
 //! satisfy.
 
-/// A `u64 -> u64` map over flat parallel vectors (see module docs).
+/// A `u64 -> u64` map over a flat vector of pairs (see module docs).
 ///
 /// # Examples
 ///
@@ -30,10 +30,8 @@
 /// ```
 #[derive(Debug, Clone)]
 pub struct FlatMap {
-    /// Keys ([`FlatMap::EMPTY`] marks a free slot).
-    keys: Vec<u64>,
-    /// Values parallel to `keys`.
-    vals: Vec<u64>,
+    /// (key, value) slots; key [`FlatMap::EMPTY`] marks a free slot.
+    slots: Vec<(u64, u64)>,
     /// Occupied slots.
     len: usize,
 }
@@ -41,22 +39,18 @@ pub struct FlatMap {
 /// Initial slot count; must be a power of two.
 const INITIAL_SLOTS: usize = 64;
 
-/// The splitmix64 finaliser: a fixed, statistically strong mix from key
-/// to probe start.
-fn hash(key: u64) -> u64 {
-    let mut h = key;
-    h ^= h >> 30;
-    h = h.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    h ^= h >> 27;
-    h = h.wrapping_mul(0x94d0_49bb_1331_11eb);
-    h ^ (h >> 31)
+/// Home slot of `key` in a table of `slots` (a power of two) slots:
+/// Fibonacci hashing, the top bits of the key times 2^64 / φ. One
+/// multiply spreads runs and strides of simulator identifiers evenly,
+/// and keeps each probe's address off a longer mixing chain.
+fn home(key: u64, slots: usize) -> usize {
+    (key.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (u64::BITS - slots.trailing_zeros())) as usize
 }
 
 impl Default for FlatMap {
     fn default() -> Self {
         FlatMap {
-            keys: vec![Self::EMPTY; INITIAL_SLOTS],
-            vals: vec![0; INITIAL_SLOTS],
+            slots: vec![(Self::EMPTY, 0); INITIAL_SLOTS],
             len: 0,
         }
     }
@@ -93,38 +87,39 @@ impl FlatMap {
     pub fn insert(&mut self, key: u64, val: u64) -> Option<u64> {
         assert!(key != Self::EMPTY, "key {key:#x} is the free-slot marker");
         // Keep the load factor under 1/2 so probe chains stay short.
-        if (self.len + 1) * 2 > self.keys.len() {
+        if (self.len + 1) * 2 > self.slots.len() {
             self.grow();
         }
-        let mask = self.keys.len() - 1;
-        let mut slot = (hash(key) as usize) & mask;
+        let mask = self.slots.len() - 1;
+        let mut i = home(key, self.slots.len());
         loop {
-            if self.keys[slot] == key {
-                return Some(std::mem::replace(&mut self.vals[slot], val));
+            let slot = &mut self.slots[i];
+            if slot.0 == key {
+                return Some(std::mem::replace(&mut slot.1, val));
             }
-            if self.keys[slot] == Self::EMPTY {
-                self.keys[slot] = key;
-                self.vals[slot] = val;
+            if slot.0 == Self::EMPTY {
+                *slot = (key, val);
                 self.len += 1;
                 return None;
             }
-            slot = (slot + 1) & mask;
+            i = (i + 1) & mask;
         }
     }
 
     /// The value stored for `key`, if present.
     #[must_use]
     pub fn get(&self, key: u64) -> Option<u64> {
-        let mask = self.keys.len() - 1;
-        let mut slot = (hash(key) as usize) & mask;
+        let mask = self.slots.len() - 1;
+        let mut i = home(key, self.slots.len());
         loop {
-            if self.keys[slot] == key {
-                return Some(self.vals[slot]);
+            let (k, v) = self.slots[i];
+            if k == key {
+                return Some(v);
             }
-            if self.keys[slot] == Self::EMPTY {
+            if k == Self::EMPTY {
                 return None;
             }
-            slot = (slot + 1) & mask;
+            i = (i + 1) & mask;
         }
     }
 
@@ -132,18 +127,18 @@ impl FlatMap {
     /// backward-shift deletion, so probe chains stay dense and lookups
     /// never cross tombstones.
     pub fn remove(&mut self, key: u64) -> Option<u64> {
-        let mask = self.keys.len() - 1;
-        let mut hole = (hash(key) as usize) & mask;
+        let mask = self.slots.len() - 1;
+        let mut hole = home(key, self.slots.len());
         loop {
-            if self.keys[hole] == key {
+            if self.slots[hole].0 == key {
                 break;
             }
-            if self.keys[hole] == Self::EMPTY {
+            if self.slots[hole].0 == Self::EMPTY {
                 return None;
             }
             hole = (hole + 1) & mask;
         }
-        let val = self.vals[hole];
+        let val = self.slots[hole].1;
         self.len -= 1;
         // Backward shift: walk the cluster after the hole; any entry whose
         // home slot does not lie cyclically inside `(hole, j]` belongs at
@@ -151,41 +146,39 @@ impl FlatMap {
         let mut j = hole;
         loop {
             j = (j + 1) & mask;
-            if self.keys[j] == Self::EMPTY {
+            let entry = self.slots[j];
+            if entry.0 == Self::EMPTY {
                 break;
             }
-            let home = (hash(self.keys[j]) as usize) & mask;
+            let h = home(entry.0, self.slots.len());
             let in_interval = if hole <= j {
-                home > hole && home <= j
+                h > hole && h <= j
             } else {
-                home > hole || home <= j
+                h > hole || h <= j
             };
             if !in_interval {
-                self.keys[hole] = self.keys[j];
-                self.vals[hole] = self.vals[j];
+                self.slots[hole] = entry;
                 hole = j;
             }
         }
-        self.keys[hole] = Self::EMPTY;
+        self.slots[hole].0 = Self::EMPTY;
         Some(val)
     }
 
     /// Doubles the slot count, rehashing every occupied entry.
     fn grow(&mut self) {
-        let new_cap = self.keys.len() * 2;
-        let old_keys = std::mem::replace(&mut self.keys, vec![Self::EMPTY; new_cap]);
-        let old_vals = std::mem::replace(&mut self.vals, vec![0; new_cap]);
+        let new_cap = self.slots.len() * 2;
+        let old = std::mem::replace(&mut self.slots, vec![(Self::EMPTY, 0); new_cap]);
         let mask = new_cap - 1;
-        for (key, val) in old_keys.into_iter().zip(old_vals) {
+        for (key, val) in old {
             if key == Self::EMPTY {
                 continue;
             }
-            let mut slot = (hash(key) as usize) & mask;
-            while self.keys[slot] != Self::EMPTY {
-                slot = (slot + 1) & mask;
+            let mut i = home(key, self.slots.len());
+            while self.slots[i].0 != Self::EMPTY {
+                i = (i + 1) & mask;
             }
-            self.keys[slot] = key;
-            self.vals[slot] = val;
+            self.slots[i] = (key, val);
         }
     }
 }

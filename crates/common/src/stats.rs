@@ -187,6 +187,7 @@ impl Histogram {
     }
 
     /// Records one sample.
+    #[inline]
     pub fn record(&mut self, value: u64) {
         let bucket = (64 - value.leading_zeros()).min(31) as usize;
         self.buckets[bucket] += 1;

@@ -13,11 +13,14 @@
 //! rejects (shrinks) and evicts on it.
 //!
 //! Determinism: the predictor is an open-addressing table keyed by line
-//! index under a fixed hash (the splitmix64 finaliser) with a fixed decay
+//! index under a fixed hash (Fibonacci hashing) with a fixed decay
 //! epoch — no [`std::collections::HashMap`] randomised state, no clocks —
 //! so identical runs produce identical scores. The table form matters for
 //! speed: `observe` runs once per resolved target line, and a pointer-
 //! chasing map on that path dominated the NSB configurations' wall time.
+//! For the same reason decay is lazy: each slot remembers the epoch its
+//! count was written in and is halved on read, so an epoch boundary costs
+//! one increment instead of a table rebuild.
 
 use nvr_common::LineAddr;
 
@@ -38,6 +41,32 @@ const INITIAL_SLOTS: usize = 1024;
 /// real key.
 const EMPTY: u64 = u64::MAX;
 
+/// One table slot. Probes land on random slots, so a slot's fields share
+/// a cache line instead of living in parallel lanes.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    /// Line index, or [`EMPTY`].
+    key: u64,
+    /// Touch count as of `stamp`.
+    count: u32,
+    /// Decay epoch in which `count` was written; the count is worth
+    /// `count >> (epoch - stamp)` now (see [`decayed`]).
+    stamp: u32,
+}
+
+impl Entry {
+    const FREE: Entry = Entry {
+        key: EMPTY,
+        count: 0,
+        stamp: 0,
+    };
+
+    /// The count as of decay epoch `epoch`.
+    fn score(&self, epoch: u32) -> u32 {
+        decayed(self.count, self.stamp, epoch)
+    }
+}
+
 /// Counts resolved-target touches per line inside a decaying horizon.
 ///
 /// # Examples
@@ -54,13 +83,13 @@ const EMPTY: u64 = u64::MAX;
 /// ```
 #[derive(Debug, Clone)]
 pub struct ReusePredictor {
-    /// Line-index keys (`EMPTY` marks a free slot); linear probing from
-    /// the key's hash, power-of-two capacity.
-    keys: Vec<u64>,
-    /// Touch counts parallel to `keys`.
-    counts: Vec<u32>,
-    /// Occupied slots.
+    /// Linear probing from the key's hash, power-of-two capacity.
+    slots: Vec<Entry>,
+    /// Occupied slots, including entries decayed to zero that the next
+    /// [`ReusePredictor::rebuild`] drops.
     len: usize,
+    /// Decay steps taken so far.
+    epoch: u32,
     /// Observations since the last decay step.
     since_decay: u32,
 }
@@ -68,23 +97,27 @@ pub struct ReusePredictor {
 impl Default for ReusePredictor {
     fn default() -> Self {
         ReusePredictor {
-            keys: vec![EMPTY; INITIAL_SLOTS],
-            counts: vec![0; INITIAL_SLOTS],
+            slots: vec![Entry::FREE; INITIAL_SLOTS],
             len: 0,
+            epoch: 0,
             since_decay: 0,
         }
     }
 }
 
-/// The splitmix64 finaliser: a fixed, statistically strong mix from line
-/// index to probe start.
-fn hash(key: u64) -> u64 {
-    let mut h = key;
-    h ^= h >> 30;
-    h = h.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    h ^= h >> 27;
-    h = h.wrapping_mul(0x94d0_49bb_1331_11eb);
-    h ^ (h >> 31)
+/// A count written in decay epoch `stamp`, as of `epoch`: halved (integer
+/// division) once per decay step since, which is one shift. A count
+/// halved to zero is an exhausted entry.
+fn decayed(count: u32, stamp: u32, epoch: u32) -> u32 {
+    count.checked_shr(epoch - stamp).unwrap_or(0)
+}
+
+/// Home slot of `key` in a table of `slots` (a power of two) slots:
+/// Fibonacci hashing, the top bits of the key times 2^64 / φ. One
+/// multiply spreads line-index runs and strides evenly, and keeps the
+/// probe's address off a longer mixing chain.
+fn home(key: u64, slots: usize) -> usize {
+    (key.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (u64::BITS - slots.trailing_zeros())) as usize
 }
 
 impl ReusePredictor {
@@ -100,96 +133,102 @@ impl ReusePredictor {
     pub fn observe(&mut self, line: LineAddr) -> u32 {
         self.since_decay += 1;
         if self.since_decay >= DECAY_EPOCH {
-            self.decay();
+            self.epoch += 1;
             self.since_decay = 0;
         }
         // Keep the load factor under 1/2 so probe chains stay short.
-        if (self.len + 1) * 2 > self.keys.len() {
-            self.grow();
+        if (self.len + 1) * 2 > self.slots.len() {
+            self.rebuild();
         }
-        let mask = self.keys.len() - 1;
+        let mask = self.slots.len() - 1;
         let key = line.index();
-        let mut slot = (hash(key) as usize) & mask;
+        let mut i = home(key, self.slots.len());
         loop {
-            if self.keys[slot] == key {
-                self.counts[slot] = self.counts[slot].saturating_add(1);
-                return self.counts[slot];
+            let slot = &mut self.slots[i];
+            if slot.key == key {
+                // An exhausted entry restarts at 1, as a fresh one does.
+                slot.count = slot.score(self.epoch).saturating_add(1);
+                slot.stamp = self.epoch;
+                return slot.count;
             }
-            if self.keys[slot] == EMPTY {
-                self.keys[slot] = key;
-                self.counts[slot] = 1;
+            if slot.key == EMPTY {
+                *slot = Entry {
+                    key,
+                    count: 1,
+                    stamp: self.epoch,
+                };
                 self.len += 1;
                 return 1;
             }
-            slot = (slot + 1) & mask;
+            i = (i + 1) & mask;
         }
     }
 
     /// The current score of `line` (0 if never observed this horizon).
     #[must_use]
     pub fn score(&self, line: LineAddr) -> u32 {
-        let mask = self.keys.len() - 1;
+        let mask = self.slots.len() - 1;
         let key = line.index();
-        let mut slot = (hash(key) as usize) & mask;
+        let mut i = home(key, self.slots.len());
         loop {
-            if self.keys[slot] == key {
-                return self.counts[slot];
+            let slot = &self.slots[i];
+            if slot.key == key {
+                return slot.score(self.epoch);
             }
-            if self.keys[slot] == EMPTY {
+            if slot.key == EMPTY {
                 return 0;
             }
-            slot = (slot + 1) & mask;
+            i = (i + 1) & mask;
         }
     }
 
-    /// Lines currently holding a non-zero score.
+    /// Lines currently holding a non-zero score (a scan of the table).
     #[must_use]
     pub fn tracked(&self) -> usize {
-        self.len
+        self.slots
+            .iter()
+            .filter(|s| s.key != EMPTY && s.score(self.epoch) > 0)
+            .count()
     }
 
-    /// Halves every count, dropping exhausted entries. Rebuilds the table
-    /// (deletion under linear probing would otherwise need backward
-    /// shifting); runs once per [`DECAY_EPOCH`] observations, so the
-    /// rebuild amortises to a fraction of an observe.
-    fn decay(&mut self) {
-        let old_keys = std::mem::take(&mut self.keys);
-        let old_counts = std::mem::take(&mut self.counts);
-        self.keys = vec![EMPTY; old_keys.len()];
-        self.counts = vec![0; old_keys.len()];
-        self.len = 0;
-        let mask = self.keys.len() - 1;
-        for (key, count) in old_keys.into_iter().zip(old_counts) {
-            if key == EMPTY || count / 2 == 0 {
-                continue;
-            }
-            let mut slot = (hash(key) as usize) & mask;
-            while self.keys[slot] != EMPTY {
-                slot = (slot + 1) & mask;
-            }
-            self.keys[slot] = key;
-            self.counts[slot] = count / 2;
-            self.len += 1;
+    /// Drops exhausted entries and carries the rest into the current
+    /// epoch, in a fresh table sized to the survivors: the smallest
+    /// power-of-two slot count, from [`INITIAL_SLOTS`] up, that they fill
+    /// at most a quarter of. Runs when the table reaches half load, so it
+    /// amortises to a fraction of an observe.
+    fn rebuild(&mut self) {
+        let epoch = self.epoch;
+        let live = self
+            .slots
+            .iter()
+            .filter(|s| s.key != EMPTY && s.score(epoch) > 0)
+            .count();
+        let mut cap = INITIAL_SLOTS;
+        while (live + 1) * 4 > cap {
+            cap *= 2;
         }
+        let old = std::mem::replace(&mut self.slots, vec![Entry::FREE; cap]);
+        for entry in old.into_iter().filter(|e| e.key != EMPTY) {
+            let count = entry.score(epoch);
+            if count > 0 {
+                self.place(Entry {
+                    count,
+                    stamp: epoch,
+                    ..entry
+                });
+            }
+        }
+        self.len = live;
     }
 
-    /// Doubles the slot count, rehashing every occupied entry.
-    fn grow(&mut self) {
-        let new_cap = self.keys.len() * 2;
-        let old_keys = std::mem::replace(&mut self.keys, vec![EMPTY; new_cap]);
-        let old_counts = std::mem::replace(&mut self.counts, vec![0; new_cap]);
-        let mask = new_cap - 1;
-        for (key, count) in old_keys.into_iter().zip(old_counts) {
-            if key == EMPTY {
-                continue;
-            }
-            let mut slot = (hash(key) as usize) & mask;
-            while self.keys[slot] != EMPTY {
-                slot = (slot + 1) & mask;
-            }
-            self.keys[slot] = key;
-            self.counts[slot] = count;
+    /// Puts `entry` at the first free slot of its probe chain.
+    fn place(&mut self, entry: Entry) {
+        let mask = self.slots.len() - 1;
+        let mut i = home(entry.key, self.slots.len());
+        while self.slots[i].key != EMPTY {
+            i = (i + 1) & mask;
         }
+        self.slots[i] = entry;
     }
 }
 
@@ -241,6 +280,7 @@ mod tests {
             p.observe(LineAddr::new(99));
         }
         // The decay ran inside the last observe: 3 -> 1, 1 -> 0 (dropped).
+        assert_eq!(p.tracked(), 2, "lines 1 and 99 keep a score");
         assert_eq!(p.score(LineAddr::new(1)), 1);
         assert_eq!(p.score(LineAddr::new(2)), 0);
         // The cold line's own count also halved.
@@ -255,9 +295,9 @@ mod tests {
             c.observe(LineAddr::new(5));
         }
         // Force the stored count to the ceiling, then observe once more.
-        for count in &mut c.counts {
-            if *count > 0 {
-                *count = u32::MAX;
+        for slot in &mut c.slots {
+            if slot.count > 0 {
+                slot.count = u32::MAX;
             }
         }
         assert_eq!(c.observe(LineAddr::new(5)), u32::MAX);
@@ -277,6 +317,57 @@ mod tests {
         assert_eq!(p.tracked(), 2000);
         for i in 0..2000u64 {
             assert_eq!(p.score(LineAddr::new(i)), 2, "line {i}");
+        }
+    }
+
+    /// The eager-decay semantics, naively: an ordered map whose counts all
+    /// halve at each epoch boundary, dropping exhausted entries.
+    #[derive(Default)]
+    struct Reference {
+        counts: std::collections::BTreeMap<u64, u32>,
+        since_decay: u32,
+    }
+
+    impl Reference {
+        fn observe(&mut self, key: u64) -> u32 {
+            self.since_decay += 1;
+            if self.since_decay >= DECAY_EPOCH {
+                self.counts.retain(|_, c| {
+                    *c /= 2;
+                    *c > 0
+                });
+                self.since_decay = 0;
+            }
+            let c = self.counts.entry(key).or_insert(0);
+            *c = c.saturating_add(1);
+            *c
+        }
+    }
+
+    #[test]
+    fn lazy_decay_matches_eager_reference() {
+        let mut rng = nvr_common::Pcg32::seed_from_u64(42);
+        let (mut p, mut r) = (ReusePredictor::new(), Reference::default());
+        // Hub lines recur across many epochs; the cold tail forces table
+        // growth, and lines seen once die within an epoch, so later
+        // rebuilds drop them and carry the survivors over.
+        for i in 0..(24 * DECAY_EPOCH) {
+            let key = match rng.gen_index(10) {
+                0..=2 => rng.gen_range(64),
+                3..=5 => 1000 + rng.gen_range(50_000),
+                _ => 1_000_000 + u64::from(i),
+            };
+            assert_eq!(
+                p.observe(LineAddr::new(key)),
+                r.observe(key),
+                "observation {i}"
+            );
+            if i % 997 == 0 {
+                for (&k, &c) in &r.counts {
+                    assert_eq!(p.score(LineAddr::new(k)), c, "line {k}");
+                }
+                assert_eq!(p.tracked(), r.counts.len());
+            }
         }
     }
 }

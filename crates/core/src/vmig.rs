@@ -14,6 +14,36 @@ use std::collections::VecDeque;
 use nvr_common::{Cycle, FlatMap, LineAddr};
 use nvr_mem::MemorySystem;
 
+/// One queued target line, with what the issue stage last learned of its
+/// residency.
+#[derive(Debug, Clone, Copy)]
+struct Queued {
+    line: LineAddr,
+    /// [`MemorySystem::residency_epoch`] when a residency probe last found
+    /// the line off-chip; [`UNPROBED`] before the first probe.
+    absent_at: u64,
+}
+
+/// [`Queued::absent_at`] of a line never probed (no epoch reaches it).
+const UNPROBED: u64 = u64::MAX;
+
+/// Whether `entry`'s line is resident or in flight on the NPU side. The
+/// probe is skipped while the residency epoch still equals the one at
+/// which the line was last found absent: no line has arrived since, so
+/// neither has this one. A deferred line behind a full channel then costs
+/// one epoch compare per issue call instead of a lookup per level.
+fn on_chip(entry: &mut Queued, mem: &MemorySystem) -> bool {
+    let epoch = mem.residency_epoch();
+    if entry.absent_at == epoch {
+        return false;
+    }
+    let present = mem.npu_side_contains(entry.line);
+    if !present {
+        entry.absent_at = epoch;
+    }
+    present
+}
+
 /// The VMIG issue stage.
 ///
 /// # Examples
@@ -34,7 +64,7 @@ pub struct Vmig {
     /// Queued target lines in arrival order. A deque, so dropping the
     /// issued run near the head moves the few deferred lines before it
     /// instead of shifting the whole backlog behind it.
-    queue: VecDeque<LineAddr>,
+    queue: VecDeque<Queued>,
     /// Predicted-reuse score per queued line (0 for unscored traffic,
     /// e.g. index stream-ahead lines), keyed by line index. Doubles as
     /// the dedup set: membership here means the line is in `queue`, so a
@@ -94,7 +124,10 @@ impl Vmig {
             }
             None => {
                 self.scores.insert(line.index(), u64::from(score));
-                self.queue.push_back(line);
+                self.queue.push_back(Queued {
+                    line,
+                    absent_at: UNPROBED,
+                });
             }
         }
     }
@@ -191,7 +224,8 @@ impl Vmig {
         const MEMO_CHANNELS: usize = 32;
         let mut chan_ready = [None::<bool>; MEMO_CHANNELS];
         while issued < cap && taken < self.queue.len() {
-            let line = self.queue[taken];
+            let mut entry = self.queue[taken];
+            let line = entry.line;
             taken += 1;
             // The channel gate only applies to lines that would actually
             // fetch: an on-chip line (possible in NSB mode, where the
@@ -211,9 +245,9 @@ impl Vmig {
                 }
             };
             let deferred = if fill_nsb {
-                !ready && !mem.npu_side_contains(line)
+                !ready && !on_chip(&mut entry, mem)
             } else {
-                if mem.npu_side_contains(line) {
+                if on_chip(&mut entry, mem) {
                     self.lines_filtered += 1;
                     self.scores.remove(line.index());
                     continue;
@@ -222,7 +256,7 @@ impl Vmig {
             };
             if deferred {
                 self.lines_deferred += 1;
-                self.queue[kept] = line;
+                self.queue[kept] = entry;
                 kept += 1;
                 continue;
             }
@@ -403,7 +437,7 @@ mod tests {
         v.push_scored(LineAddr::new(5), 3);
         v.push_scored(LineAddr::new(5), 2);
         assert_eq!(v.pending(), 1);
-        assert_eq!(v.queue[0], LineAddr::new(5));
+        assert_eq!(v.queue[0].line, LineAddr::new(5));
         assert_eq!(v.scores.get(LineAddr::new(5).index()), Some(3));
     }
 

@@ -45,6 +45,25 @@ const AMBIENT_RNG_IDENTS: [&str; 5] = [
 /// Narrowing integer targets for `as` casts in tick paths.
 const NARROW_TARGETS: [&str; 7] = ["u8", "u16", "u32", "i8", "i16", "i32", "f32"];
 
+/// Keywords that open an item, so a `#[cfg(test)]` before them gates the
+/// whole item body rather than one field or statement.
+const ITEM_KEYWORDS: [&str; 14] = [
+    "pub",
+    "fn",
+    "mod",
+    "impl",
+    "struct",
+    "enum",
+    "trait",
+    "const",
+    "static",
+    "type",
+    "use",
+    "unsafe",
+    "extern",
+    "macro_rules",
+];
+
 /// Tick-path files where a stray panic would take down a whole sweep and
 /// where every `unwrap`/`expect` therefore needs a written justification.
 const HOT_LOOP_FILES: [&str; 4] = [
@@ -267,6 +286,30 @@ pub(crate) fn cfg_test_lines(lexed: &Lexed) -> Vec<(u32, u32)> {
             && tok_is(&toks[i + 6], "]");
         if !is_cfg_test {
             i += 1;
+            continue;
+        }
+        // A gated field, struct-literal field or statement (anything that
+        // is not an item) ends at its first `,` or `;` outside brackets, or
+        // at the close of the enclosing block.
+        let is_item = toks.get(i + 7).is_some_and(|t| {
+            tok_is(t, "#") || (t.kind == TokKind::Ident && ITEM_KEYWORDS.contains(&t.text.as_str()))
+        });
+        if !is_item {
+            let mut j = i + 7;
+            let mut depth = 0i64;
+            while j < toks.len() {
+                match toks[j].kind {
+                    TokKind::Punct('(' | '[' | '{') => depth += 1,
+                    TokKind::Punct(')' | ']' | '}') if depth == 0 => break,
+                    TokKind::Punct(')' | ']' | '}') => depth -= 1,
+                    TokKind::Punct(',' | ';') if depth == 0 => break,
+                    _ => {}
+                }
+                j += 1;
+            }
+            let end = toks.get(j).map_or(u32::MAX, |t| t.line);
+            ranges.push((toks[i].line, end));
+            i = j;
             continue;
         }
         // Find the body's opening brace, then its matching close.
@@ -828,6 +871,19 @@ mod tests {
                    Some(1).unwrap(); }\n}\n";
         let fired = rules_fired("crates/mem/src/dram.rs", src);
         assert_eq!(fired, [Rule::PanicHotLoop]); // only the non-test expect
+    }
+
+    #[test]
+    fn cfg_test_field_and_statement_cover_only_themselves() {
+        // A test-only field and statement must not exempt the code after
+        // them: the constructor's expect below is still a finding.
+        let src = "struct C {\n    a: u64,\n    #[cfg(test)]\n    n: std::cell::Cell<u64>,\n}\n\
+                   impl C {\n    fn new(x: Option<u64>) -> Self {\n        \
+                   #[cfg(test)]\n        let _ = x.unwrap();\n        \
+                   C {\n            #[cfg(test)]\n            n: Default::default(),\n            \
+                   a: x.expect(\"set\"),\n        }\n    }\n}\n";
+        let fired = rules_fired("crates/mem/src/dram.rs", src);
+        assert_eq!(fired, [Rule::PanicHotLoop]); // the expect, not the gated unwrap
     }
 
     #[test]

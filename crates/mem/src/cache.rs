@@ -1,5 +1,7 @@
 //! Non-blocking set-associative cache with timestamp-forwarded fills.
 
+use std::hint::select_unpredictable;
+
 use nvr_common::{Cycle, LineAddr};
 
 use crate::config::{CacheConfig, RetentionPolicy};
@@ -70,12 +72,84 @@ pub enum ProbeResult {
     Miss,
 }
 
-/// Per-way state bits packed into one byte of the SoA `flags` array.
-const F_VALID: u8 = 1 << 0;
-/// Whether the fill was initiated by a prefetch.
-const F_PREFETCH: u8 = 1 << 1;
+/// Tag of a never-filled way. No line maps to it: line indices are byte
+/// addresses shifted down by the line-size log, so they, and the tags
+/// derived from them, stay far below `u64::MAX`. A filled way is never
+/// invalidated, so the tag lane alone decides residency.
+const NO_TAG: u64 = u64::MAX;
+/// Per-way provenance bit in the SoA `flags` lane: the fill was initiated
+/// by a prefetch.
+const F_PREFETCH: u8 = 1 << 0;
 /// Whether a demand access touched the line since its fill.
-const F_DEMANDED: u8 = 1 << 2;
+const F_DEMANDED: u8 = 1 << 1;
+
+/// One resolved tag lookup of a line in a [`Cache`]: its set and tag, and
+/// its SoA slot when resident or in flight.
+///
+/// The hierarchy looks each level up once per call and hands the result
+/// to the slot-taking methods ([`Cache::probe_slot`], [`Cache::install_at`],
+/// [`Cache::ready_at`], [`Cache::refresh_reuse_at`]). A slot stays valid
+/// until its cache installs another line, which never happens between the
+/// lookup and its uses inside one hierarchy call.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Slot {
+    line: LineAddr,
+    set: usize,
+    tag: u64,
+    /// SoA index of the line's way, if resident or in flight.
+    way: Option<usize>,
+}
+
+impl Slot {
+    /// Whether the line is resident or in flight.
+    pub(crate) fn found(&self) -> bool {
+        self.way.is_some()
+    }
+}
+
+/// Entries of an ascending cycle file (an MSHR file's completions, a DRAM
+/// channel's queued starts) that are due by `now`: a prefix. On a
+/// saturated channel even the head is usually still pending, which one
+/// compare answers; otherwise a binary search finds the prefix.
+pub(crate) fn completed_by(file: &[Cycle], now: Cycle) -> usize {
+    match file.first() {
+        Some(&head) if head <= now => file.partition_point(|&c| c <= now),
+        _ => 0,
+    }
+}
+
+/// Drops the entries of an ascending completion file completed by `now`.
+pub(crate) fn retire(file: &mut Vec<Cycle>, now: Cycle) {
+    let done = completed_by(file, now);
+    if done > 0 {
+        file.drain(..done);
+    }
+}
+
+/// Records a fill completing at `fill_done` in an ascending completion
+/// file, first dropping the entries completed by `now`. Timestamp-forwarded
+/// bursts append strictly later completions, so the common case is a push.
+pub(crate) fn track_fill(file: &mut Vec<Cycle>, fill_done: Cycle, now: Cycle) {
+    retire(file, now);
+    match file.last() {
+        Some(&last) if last > fill_done => {
+            let pos = file.partition_point(|&c| c <= fill_done);
+            file.insert(pos, fill_done);
+        }
+        _ => file.push(fill_done),
+    }
+}
+
+/// The weaker of a way's ranked (score, `last_use`, way) entry and the
+/// best one so far, chosen without a branch: which wins is data-dependent,
+/// so a branch would mispredict. On a full tie `best` stays, so the
+/// earlier way wins.
+#[inline]
+fn weaker(way: (u64, u64, usize), best: (u64, u64, usize)) -> (u64, u64, usize) {
+    let key =
+        |(score, last_use, _): (u64, u64, usize)| (u128::from(score) << 64) | u128::from(last_use);
+    select_unpredictable(key(way) < key(best), way, best)
+}
 
 /// A non-blocking set-associative cache level.
 ///
@@ -93,10 +167,9 @@ const F_DEMANDED: u8 = 1 << 2;
 ///
 /// Way metadata lives in dense structure-of-arrays form: parallel vectors
 /// (`tags`, `fill_done`, `last_use`, `reuse`, `flags`), each indexed by
-/// `set * ways + way`. A probe touches only the `flags`/`tags` lanes until
-/// it finds its way, so the tag scan streams through two tightly packed
-/// arrays instead of striding across per-way structs — and there is no
-/// per-set `Vec` indirection on the hot path.
+/// `set * ways + way`. Never-filled ways hold a sentinel tag no line maps
+/// to, so a lookup scans the `tags` lane alone — one tightly packed array,
+/// with no per-set `Vec` indirection on the hot path.
 ///
 /// # Examples
 ///
@@ -117,12 +190,13 @@ pub struct Cache {
     ways: usize,
     n_sets: u64,
     /// `n_sets - 1` when the set count is a power of two (the usual
-    /// geometry), letting the per-probe `%`/`/` pair collapse to mask and
+    /// geometry), letting the per-lookup `%`/`/` pair collapse to mask and
     /// shift; `u64::MAX` marks the division fallback.
     set_mask: u64,
     /// `log2(n_sets)` when the set count is a power of two.
     set_shift: u32,
-    /// SoA way metadata, indexed by `set * ways + way`.
+    /// SoA way metadata, indexed by `set * ways + way`; [`NO_TAG`] marks a
+    /// never-filled way.
     tags: Vec<u64>,
     /// Cycle at which each way's fill completes; `<= now` means filled.
     fill_done: Vec<Cycle>,
@@ -133,7 +207,7 @@ pub struct Cache {
     /// by one per demand hit and ages on rejected fills; always 0 under
     /// [`RetentionPolicy::Lru`].
     reuse: Vec<u32>,
-    /// Validity/provenance bits (`F_VALID | F_PREFETCH | F_DEMANDED`).
+    /// Provenance bits (`F_PREFETCH | F_DEMANDED`); 0 for never-filled ways.
     flags: Vec<u8>,
     /// Completion cycles of outstanding fills (the MSHR file), kept in
     /// ascending order so occupancy questions are binary searches.
@@ -142,6 +216,12 @@ pub struct Cache {
     /// Per-prefetch lifetime events, recorded only when a consumer enabled
     /// the log (`None` costs nothing on the demand path).
     life_log: Option<Vec<PrefetchLifeEvent>>,
+    /// Lines placed into a way so far. Lines become resident only here,
+    /// so a line absent while this count holds stays absent.
+    fills: u64,
+    /// Tag lookups so far, for the one-lookup-per-level invariant test.
+    #[cfg(test)]
+    lookups: std::cell::Cell<u64>,
 }
 
 impl Cache {
@@ -167,7 +247,7 @@ impl Cache {
             n_sets: sets,
             set_mask,
             set_shift,
-            tags: vec![0; slots],
+            tags: vec![NO_TAG; slots],
             fill_done: vec![0; slots],
             last_use: vec![0; slots],
             reuse: vec![0; slots],
@@ -175,34 +255,27 @@ impl Cache {
             inflight: Vec::with_capacity(cfg.mshr_entries),
             stats: CacheStats::new(cfg.name),
             life_log: None,
+            fills: 0,
+            #[cfg(test)]
+            lookups: std::cell::Cell::new(0),
             cfg,
         }
     }
 
     /// Starts recording [`PrefetchLifeEvent`]s. Idempotent; events
-    /// accumulate until drained with [`Cache::take_life_events`] or
-    /// [`Cache::swap_life_events`], so only consumers that drain regularly
-    /// (e.g. a runahead controller's `advance` loop) should enable it.
+    /// accumulate until drained with [`Cache::swap_life_events`], so only
+    /// consumers that drain regularly (e.g. a runahead controller's
+    /// `advance` loop) should enable it.
     pub fn enable_life_log(&mut self) {
         if self.life_log.is_none() {
             self.life_log = Some(Vec::new());
         }
     }
 
-    /// Drains the recorded lifetime events, in occurrence order. Returns
-    /// an empty vec when the log was never enabled.
-    pub fn take_life_events(&mut self) -> Vec<PrefetchLifeEvent> {
-        match &mut self.life_log {
-            Some(log) => std::mem::take(log),
-            None => Vec::new(),
-        }
-    }
-
-    /// Exchanges the recorded lifetime events with `buf` (which the caller
-    /// keeps cleared between drains), so a steady-state drain cycle reuses
-    /// two allocations forever instead of allocating a fresh log per drain
-    /// the way [`Cache::take_life_events`] does. No-op when the log was
-    /// never enabled.
+    /// Exchanges the recorded lifetime events (in occurrence order) with
+    /// `buf`, which the caller keeps cleared between drains, so a
+    /// steady-state drain cycle reuses two allocations forever. No-op when
+    /// the log was never enabled.
     pub fn swap_life_events(&mut self, buf: &mut Vec<PrefetchLifeEvent>) {
         if let Some(log) = &mut self.life_log {
             std::mem::swap(log, buf);
@@ -210,7 +283,7 @@ impl Cache {
     }
 
     /// Reconstructs the line address of the way at (`set`, tag) — the
-    /// inverse of [`Cache::set_index`] / [`Cache::tag`], needed to name
+    /// inverse of the set/tag split in [`Cache::lookup`], needed to name
     /// evicted lines in the lifetime log.
     fn line_of(&self, set: usize, tag: u64) -> LineAddr {
         LineAddr::new(tag * self.n_sets + set as u64)
@@ -228,7 +301,7 @@ impl Cache {
         if self.life_log.is_none() {
             return;
         }
-        if let Some(i) = self.find_way(line) {
+        if let Some(i) = self.lookup(line).way {
             if self.flags[i] & (F_PREFETCH | F_DEMANDED) == F_PREFETCH {
                 let late = self.fill_done[i] > now;
                 if let Some(log) = &mut self.life_log {
@@ -254,96 +327,110 @@ impl Cache {
         &self.stats
     }
 
-    #[inline]
-    fn set_index(&self, line: LineAddr) -> usize {
-        if self.set_mask != u64::MAX {
-            (line.index() & self.set_mask) as usize
-        } else {
-            (line.index() % self.n_sets) as usize
-        }
+    /// Lines placed into a way so far (refills of a resident line and
+    /// rejected scored fills do not count). Evictions only remove lines,
+    /// so a line seen absent stays absent until this count moves.
+    pub(crate) fn fills(&self) -> u64 {
+        self.fills
     }
 
+    /// Resolves `line`'s set, tag and way — the one tag scan per level
+    /// that each hierarchy call makes. Power-of-two set counts split the
+    /// line index by mask and shift; other counts divide.
     #[inline]
-    fn tag(&self, line: LineAddr) -> u64 {
-        if self.set_mask != u64::MAX {
-            line.index() >> self.set_shift
+    pub(crate) fn lookup(&self, line: LineAddr) -> Slot {
+        #[cfg(test)]
+        self.lookups.set(self.lookups.get() + 1);
+        let (set, tag) = if self.set_mask != u64::MAX {
+            (line.index() & self.set_mask, line.index() >> self.set_shift)
         } else {
-            line.index() / self.n_sets
-        }
-    }
-
-    /// SoA slot index of `line`'s way, if resident or in flight.
-    #[inline]
-    fn find_way(&self, line: LineAddr) -> Option<usize> {
-        let base = self.set_index(line) * self.ways;
-        let tag = self.tag(line);
-        let tags = &self.tags[base..base + self.ways];
-        let flags = &self.flags[base..base + self.ways];
-        for w in 0..self.ways {
-            if flags[w] & F_VALID != 0 && tags[w] == tag {
-                return Some(base + w);
+            (line.index() % self.n_sets, line.index() / self.n_sets)
+        };
+        debug_assert_ne!(tag, NO_TAG, "{line:?} maps to the never-filled tag");
+        let set = set as usize;
+        let base = set * self.ways;
+        // A line occupies at most one way, so the last match is the only
+        // one; scanning every way without an early exit trades a few
+        // compares for the mispredicted exit branch of a search.
+        let mut way = None;
+        for (w, &t) in self.tags[base..base + self.ways].iter().enumerate() {
+            if t == tag {
+                way = Some(base + w);
             }
         }
-        None
+        Slot {
+            line,
+            set,
+            tag,
+            way,
+        }
+    }
+
+    /// Tag lookups so far.
+    #[cfg(test)]
+    pub(crate) fn lookups(&self) -> u64 {
+        self.lookups.get()
     }
 
     /// Looks up `line` at cycle `now`. `is_demand` controls statistics and
     /// the `demanded` mark used for prefetch-usefulness accounting.
     pub fn probe(&mut self, line: LineAddr, now: Cycle, is_demand: bool) -> ProbeResult {
+        let slot = self.lookup(line);
+        self.probe_slot(slot, now, is_demand)
+    }
+
+    /// [`Cache::probe`] at an already resolved slot.
+    pub(crate) fn probe_slot(&mut self, slot: Slot, now: Cycle, is_demand: bool) -> ProbeResult {
         let hit_latency = self.cfg.hit_latency;
-        match self.find_way(line) {
-            Some(i) => {
-                self.last_use[i] = now;
-                let filled = self.fill_done[i] <= now;
-                let first_demand_of_prefetch =
-                    is_demand && self.flags[i] & (F_PREFETCH | F_DEMANDED) == F_PREFETCH;
-                if is_demand {
-                    self.flags[i] |= F_DEMANDED;
-                    // Each consumption spends one unit of predicted reuse, so
-                    // a line whose forecast is exhausted becomes evictable
-                    // again (no-op under LRU, where scores are always 0).
-                    self.reuse[i] = self.reuse[i].saturating_sub(1);
-                }
+        let Some(i) = slot.way else {
+            if is_demand {
+                self.stats.demand_misses.inc();
+            }
+            return ProbeResult::Miss;
+        };
+        self.last_use[i] = now;
+        let filled = self.fill_done[i] <= now;
+        let first_demand_of_prefetch =
+            is_demand && self.flags[i] & (F_PREFETCH | F_DEMANDED) == F_PREFETCH;
+        if is_demand {
+            self.flags[i] |= F_DEMANDED;
+            // Each consumption spends one unit of predicted reuse, so a
+            // line whose forecast is exhausted becomes evictable again
+            // (no-op under LRU, where scores are always 0).
+            self.reuse[i] = self.reuse[i].saturating_sub(1);
+        }
+        if first_demand_of_prefetch {
+            if let Some(log) = &mut self.life_log {
+                log.push(PrefetchLifeEvent::FirstUse {
+                    line: slot.line,
+                    at: now,
+                    late: !filled,
+                });
+            }
+        }
+        if filled {
+            if is_demand {
+                self.stats.demand_hits.inc();
                 if first_demand_of_prefetch {
-                    if let Some(log) = &mut self.life_log {
-                        log.push(PrefetchLifeEvent::FirstUse {
-                            line,
-                            at: now,
-                            late: !filled,
-                        });
-                    }
-                }
-                if filled {
-                    if is_demand {
-                        self.stats.demand_hits.inc();
-                        if first_demand_of_prefetch {
-                            self.stats.prefetch_useful.inc();
-                        }
-                    }
-                    ProbeResult::Hit {
-                        ready_at: now + hit_latency,
-                    }
-                } else {
-                    let ready_at = self.fill_done[i].max(now + hit_latency);
-                    let fill_was_prefetch = self.flags[i] & F_PREFETCH != 0;
-                    if is_demand {
-                        self.stats.mshr_merges.inc();
-                        if first_demand_of_prefetch {
-                            self.stats.prefetch_useful.inc();
-                            self.stats.prefetch_late.inc();
-                        }
-                    }
-                    ProbeResult::InFlight {
-                        ready_at,
-                        fill_was_prefetch,
-                    }
+                    self.stats.prefetch_useful.inc();
                 }
             }
-            None => {
-                if is_demand {
-                    self.stats.demand_misses.inc();
+            ProbeResult::Hit {
+                ready_at: now + hit_latency,
+            }
+        } else {
+            let ready_at = self.fill_done[i].max(now + hit_latency);
+            let fill_was_prefetch = self.flags[i] & F_PREFETCH != 0;
+            if is_demand {
+                self.stats.mshr_merges.inc();
+                if first_demand_of_prefetch {
+                    self.stats.prefetch_useful.inc();
+                    self.stats.prefetch_late.inc();
                 }
-                ProbeResult::Miss
+            }
+            ProbeResult::InFlight {
+                ready_at,
+                fill_was_prefetch,
             }
         }
     }
@@ -352,20 +439,25 @@ impl Cache {
     /// state or statistics. Used by prefetchers to test redundancy.
     #[must_use]
     pub fn contains(&self, line: LineAddr) -> bool {
-        self.find_way(line).is_some()
+        self.lookup(line).found()
     }
 
     /// Cycle at which `line`'s data is (or becomes) available, if resident,
     /// without touching LRU state or statistics.
     #[must_use]
     pub fn ready_time(&self, line: LineAddr, now: Cycle) -> Option<Cycle> {
-        self.find_way(line).map(|i| self.fill_done[i].max(now))
+        self.ready_at(self.lookup(line), now)
+    }
+
+    /// [`Cache::ready_time`] at an already resolved slot.
+    pub(crate) fn ready_at(&self, slot: Slot, now: Cycle) -> Option<Cycle> {
+        slot.way.map(|i| self.fill_done[i].max(now))
     }
 
     /// Number of MSHR entries still pending at `now`.
     #[must_use]
     pub fn mshr_pending(&self, now: Cycle) -> usize {
-        self.inflight.len() - self.inflight.partition_point(|&c| c <= now)
+        self.inflight.len() - completed_by(&self.inflight, now)
     }
 
     /// Whether a new fill can be accepted at `now`.
@@ -383,7 +475,7 @@ impl Cache {
     /// super-logarithmic per miss dominates the whole simulation.
     #[must_use]
     pub fn mshr_free_at(&self, now: Cycle) -> Cycle {
-        let done = self.inflight.partition_point(|&c| c <= now);
+        let done = completed_by(&self.inflight, now);
         let pending = self.inflight.len() - done;
         if pending < self.cfg.mshr_entries {
             return now;
@@ -405,29 +497,20 @@ impl Cache {
     /// The caller is responsible for having checked [`Cache::mshr_available`]
     /// for demand fills.
     pub fn install(&mut self, line: LineAddr, fill_done: Cycle, from_prefetch: bool, now: Cycle) {
-        self.install_inner(line, fill_done, from_prefetch, now, 0, 0);
+        let slot = self.lookup(line);
+        self.install_at(slot, fill_done, from_prefetch, now, 0, 0);
     }
 
-    /// [`Cache::install`] for a speculative fill whose DRAM channel queue
-    /// delayed it by `queue_delay` cycles — the delay rides the lifetime
-    /// log's `Issued` event so timeliness reports can attribute lateness
-    /// to arbitration rather than prediction.
-    pub fn install_speculative(
-        &mut self,
-        line: LineAddr,
-        fill_done: Cycle,
-        now: Cycle,
-        queue_delay: Cycle,
-    ) {
-        self.install_inner(line, fill_done, true, now, queue_delay, 0);
-    }
-
-    /// [`Cache::install_speculative`] carrying a predicted-reuse score for
-    /// [`RetentionPolicy::ScoredReuse`] victim selection. Returns whether
-    /// the fill was accepted: a scored cache *shrinks* instead of evicting
-    /// when every resident line's score is at least the incoming one, and
-    /// the rejected fill never becomes resident (counted in
-    /// `retention_rejected`). Always accepted under [`RetentionPolicy::Lru`].
+    /// [`Cache::install`] for a speculative fill that carries a
+    /// predicted-reuse score for [`RetentionPolicy::ScoredReuse`] victim
+    /// selection and was delayed `queue_delay` cycles in its DRAM channel
+    /// queue (the delay rides the lifetime log's `Issued` event, so
+    /// timeliness reports can attribute lateness to arbitration rather
+    /// than prediction). Returns whether the fill was accepted: a scored
+    /// cache *shrinks* instead of evicting when every resident line's
+    /// score is at least the incoming one, and the rejected fill never
+    /// becomes resident (counted in `retention_rejected`). Always accepted
+    /// under [`RetentionPolicy::Lru`].
     pub fn install_speculative_scored(
         &mut self,
         line: LineAddr,
@@ -436,44 +519,29 @@ impl Cache {
         queue_delay: Cycle,
         reuse: u32,
     ) -> bool {
-        self.install_inner(line, fill_done, true, now, queue_delay, reuse)
+        let slot = self.lookup(line);
+        self.install_at(slot, fill_done, true, now, queue_delay, reuse)
     }
 
-    /// Records an outstanding demand fill, dropping completed entries and
-    /// keeping the file sorted. Timestamp-forwarded bursts append strictly
-    /// later completions, so the common case is a pure push.
-    fn note_inflight(&mut self, fill_done: Cycle, now: Cycle) {
-        let done = self.inflight.partition_point(|&c| c <= now);
-        if done > 0 {
-            self.inflight.drain(..done);
-        }
-        match self.inflight.last() {
-            Some(&last) if last > fill_done => {
-                let pos = self.inflight.partition_point(|&c| c <= fill_done);
-                self.inflight.insert(pos, fill_done);
-            }
-            _ => self.inflight.push(fill_done),
-        }
-    }
-
-    fn install_inner(
+    /// Installs the line of an already resolved `slot` — the body of every
+    /// install form. A resident line is refilled in place; otherwise the
+    /// level's policy picks a victim way in the slot's set.
+    pub(crate) fn install_at(
         &mut self,
-        line: LineAddr,
+        slot: Slot,
         fill_done: Cycle,
         from_prefetch: bool,
         now: Cycle,
         queue_delay: Cycle,
         reuse: u32,
     ) -> bool {
-        let set = self.set_index(line);
-        let tag = self.tag(line);
-        if let Some(i) = self.find_way(line) {
+        if let Some(i) = slot.way {
             // Refill of a resident line (e.g. prefetch after demand raced in).
             self.fill_done[i] = self.fill_done[i].min(fill_done);
             self.last_use[i] = now;
             self.reuse[i] = self.reuse[i].max(reuse);
             if !from_prefetch {
-                self.note_inflight(fill_done, now);
+                track_fill(&mut self.inflight, fill_done, now);
             }
             return true;
         }
@@ -481,9 +549,10 @@ impl Cache {
         // Victim selection happens *before* any bookkeeping so a rejected
         // scored fill leaves the cache (MSHRs, lifetime log, stats other
         // than the rejection counter) untouched.
+        let base = slot.set * self.ways;
         let victim = match self.cfg.policy {
-            RetentionPolicy::Lru => self.pick_victim(set, now),
-            RetentionPolicy::ScoredReuse => match self.pick_victim_scored(set, now, reuse, true) {
+            RetentionPolicy::Lru => self.pick_victim(base, now),
+            RetentionPolicy::ScoredReuse => match self.pick_victim_scored(base, now, reuse) {
                 Ok(i) => i,
                 Err(shrink) => {
                     self.stats.retention_rejected.inc();
@@ -499,75 +568,90 @@ impl Cache {
             // un-demanded speculative lines would only displace the
             // eviction onto demanded-hot residents — worse than letting
             // score order decide.
-            RetentionPolicy::ScoredEvict => match self.pick_victim_scored(set, now, reuse, false) {
-                Ok(i) | Err(i) => i,
-            },
+            RetentionPolicy::ScoredEvict => self.pick_victim_weakest(base, now),
         };
 
-        if !from_prefetch {
-            self.note_inflight(fill_done, now);
-        }
         if from_prefetch {
             if let Some(log) = &mut self.life_log {
                 log.push(PrefetchLifeEvent::Issued {
-                    line,
+                    line: slot.line,
                     at: now,
                     fill_done,
                     queue_delay,
                 });
             }
+        } else {
+            track_fill(&mut self.inflight, fill_done, now);
         }
-        let victim_flags = self.flags[victim];
-        let evicted_unused_line = (victim_flags & (F_VALID | F_PREFETCH | F_DEMANDED)
-            == F_VALID | F_PREFETCH)
-            .then(|| self.line_of(set, self.tags[victim]));
-        if victim_flags & F_VALID != 0 {
+        let victim_tag = self.tags[victim];
+        if victim_tag != NO_TAG {
             self.stats.evictions.inc();
-            if victim_flags & (F_PREFETCH | F_DEMANDED) == F_PREFETCH {
+            if self.flags[victim] & (F_PREFETCH | F_DEMANDED) == F_PREFETCH {
                 self.stats.prefetch_evicted_unused.inc();
+                let evicted = self.line_of(slot.set, victim_tag);
+                if let Some(log) = &mut self.life_log {
+                    log.push(PrefetchLifeEvent::EvictedUnused {
+                        line: evicted,
+                        at: now,
+                    });
+                }
             }
         }
-        if let Some(evicted) = evicted_unused_line {
-            if let Some(log) = &mut self.life_log {
-                log.push(PrefetchLifeEvent::EvictedUnused {
-                    line: evicted,
-                    at: now,
-                });
-            }
-        }
-        self.tags[victim] = tag;
+        self.fills += 1;
+        self.tags[victim] = slot.tag;
         self.fill_done[victim] = fill_done;
         self.last_use[victim] = now;
         self.reuse[victim] = reuse;
-        self.flags[victim] = F_VALID | if from_prefetch { F_PREFETCH } else { 0 };
+        self.flags[victim] = if from_prefetch { F_PREFETCH } else { 0 };
         true
     }
 
-    /// LRU victim, preferring ways whose fill already completed so that
-    /// in-flight fills are not silently clobbered. Returns a SoA slot
-    /// index (`set * ways + way`).
-    fn pick_victim(&self, set: usize, now: Cycle) -> usize {
-        let base = set * self.ways;
-        let mut filled_lru: Option<usize> = None;
-        let mut any_lru: Option<usize> = None;
-        for i in base..base + self.ways {
-            if self.flags[i] & F_VALID == 0 {
-                return i;
-            }
-            // First-minimum semantics: strictly-less keeps the earliest way
-            // on ties, matching an LRU scan in way order.
-            if self.fill_done[i] <= now
-                && filled_lru.is_none_or(|b| self.last_use[i] < self.last_use[b])
-            {
-                filled_lru = Some(i);
-            }
-            if any_lru.is_none_or(|b| self.last_use[i] < self.last_use[b]) {
-                any_lru = Some(i);
+    /// LRU victim of the set at SoA offset `base`: the first never-filled
+    /// way, else the least recently used way whose fill completed (so
+    /// in-flight fills are not silently clobbered), else — every way
+    /// mid-fill, which is pathological — the least recently used way.
+    /// Returns a SoA slot index.
+    ///
+    /// One pass finds the first-minimum `last_use` way. When that way is
+    /// filled it is also the filled LRU, so the fill-state filter runs
+    /// only when it is mid-fill.
+    fn pick_victim(&self, base: usize, now: Cycle) -> usize {
+        let end = base + self.ways;
+        let last_use = &self.last_use[base..end];
+        let fill_done = &self.fill_done[base..end];
+        if let Some(w) = self.first_unfilled(base) {
+            return base + w;
+        }
+        let mut lru = 0;
+        for w in 1..last_use.len() {
+            // Strictly less keeps the earliest way on ties, matching an
+            // LRU scan in way order.
+            if last_use[w] < last_use[lru] {
+                lru = w;
             }
         }
-        // Every way is mid-fill (pathological): fall back to plain LRU.
-        // nvr-lint: allow(panic/hot-loop) reason="CacheConfig::validate rejects ways == 0, so the scan above always selects a way"
-        filled_lru.or(any_lru).expect("ways is non-empty")
+        if fill_done[lru] <= now {
+            return base + lru;
+        }
+        let mut filled_lru: Option<usize> = None;
+        for w in 0..last_use.len() {
+            if fill_done[w] <= now && filled_lru.is_none_or(|b| last_use[w] < last_use[b]) {
+                filled_lru = Some(w);
+            }
+        }
+        base + filled_lru.unwrap_or(lru)
+    }
+
+    /// The first never-filled way of the set at `base`, if any. Victims
+    /// take the first never-filled way and a filled way is never
+    /// invalidated, so never-filled ways form a suffix of the set: a set
+    /// whose last way is filled has none.
+    fn first_unfilled(&self, base: usize) -> Option<usize> {
+        let tags = &self.tags[base..base + self.ways];
+        if tags[tags.len() - 1] != NO_TAG {
+            return None;
+        }
+        tags.iter().position(|&t| t == NO_TAG)
     }
 
     /// Victim selection under [`RetentionPolicy::ScoredReuse`] — the
@@ -580,92 +664,91 @@ impl Cache {
     /// 3. otherwise the weakest *evictable* resident (min score, LRU
     ///    tie-break) is evicted only if the incoming score strictly beats
     ///    it — else the fill is rejected (`Err` carries the weakest way so
-    ///    the caller can age it). With `protect_active` (the shrink-capable
-    ///    NSB), a speculative line that has not yet seen its demand and
-    ///    still carries score is an **active-window line** — the runahead
-    ///    thread only resolves targets inside the lookahead horizon, so its
-    ///    demand is imminent — and never competes for eviction; letting a
-    ///    freshly pinned hub clobber it converts a timely prefetch into a
-    ///    demand miss. When every filled way is such a line the fill is
-    ///    rejected and the weakest ages, so a set full of mispredicted
-    ///    "imminent" lines drains deterministically.
+    ///    the caller can age it). A speculative line that has not yet seen
+    ///    its demand and still carries score is an **active-window line** —
+    ///    the runahead thread only resolves targets inside the lookahead
+    ///    horizon, so its demand is imminent — and never competes for
+    ///    eviction; letting a freshly pinned hub clobber it converts a
+    ///    timely prefetch into a demand miss. When every filled way is such
+    ///    a line the fill is rejected and the weakest ages, so a set full of
+    ///    mispredicted "imminent" lines drains deterministically.
     ///
-    /// The all-mid-fill pathological case falls back to [`Cache::pick_victim`]'s
+    /// One pass ([`Cache::weakest`]) ranks both the weakest filled way and
+    /// the weakest evictable one. Case 2 is the weakest filled way having
+    /// score 0 (an exhausted way outranks every scored one). The
+    /// all-mid-fill pathological case falls back to [`Cache::pick_victim`]'s
     /// plain-LRU behaviour. Returns SoA slot indices.
-    fn pick_victim_scored(
-        &self,
-        set: usize,
-        now: Cycle,
-        incoming: u32,
-        protect_active: bool,
-    ) -> Result<usize, usize> {
-        let base = set * self.ways;
-        // Local set-sized slices: the scan runs once per install, and
-        // bounds-check-free indexing measurably matters there.
-        let flags = &self.flags[base..base + self.ways];
-        let fill_done = &self.fill_done[base..base + self.ways];
-        let reuse = &self.reuse[base..base + self.ways];
-        let last_use = &self.last_use[base..base + self.ways];
-        let mut exhausted_lru: Option<usize> = None;
-        // First pass: an invalid way is taken on sight, and an exhausted
-        // (reuse == 0) way preempts everything the second pass computes.
-        // Both are the common steady-state outcomes, so the expensive
-        // weakest-resident ranking below runs only when neither exists.
-        for i in 0..self.ways {
-            if flags[i] & F_VALID == 0 {
-                return Ok(base + i);
-            }
-            if fill_done[i] > now {
-                continue;
-            }
-            if reuse[i] == 0 && exhausted_lru.is_none_or(|b| last_use[i] < last_use[b]) {
-                exhausted_lru = Some(i);
-            }
+    fn pick_victim_scored(&self, base: usize, now: Cycle, incoming: u32) -> Result<usize, usize> {
+        if let Some(w) = self.first_unfilled(base) {
+            return Ok(base + w);
         }
-        if let Some(i) = exhausted_lru {
-            return Ok(base + i);
+        let (Some(filled), evictable) = self.weakest(base, now) else {
+            return Ok(self.pick_victim(base, now));
+        };
+        if self.reuse[base + filled] == 0 {
+            return Ok(base + filled);
         }
-        let mut weakest_evictable: Option<usize> = None;
-        let mut weakest_filled: Option<usize> = None;
-        // Keys are (reuse, last_use) lexicographic with first-minimum
-        // semantics, matching a min_by_key scan in way order.
-        let weaker = |i: usize, b: usize| (reuse[i], last_use[i]) < (reuse[b], last_use[b]);
-        for i in 0..self.ways {
-            if fill_done[i] > now {
-                continue;
-            }
-            let active_window =
-                protect_active && flags[i] & (F_PREFETCH | F_DEMANDED) == F_PREFETCH;
-            if !active_window && weakest_evictable.is_none_or(|b| weaker(i, b)) {
-                weakest_evictable = Some(i);
-            }
-            if weakest_filled.is_none_or(|b| weaker(i, b)) {
-                weakest_filled = Some(i);
-            }
-        }
-        match weakest_evictable {
-            Some(i) if incoming > reuse[i] => Ok(base + i),
-            Some(i) => Err(base + i),
-            None => match weakest_filled {
-                Some(i) => Err(base + i),
-                None => Ok(self.pick_victim(set, now)),
-            },
+        match evictable {
+            None => Err(base + filled),
+            Some(w) if incoming > self.reuse[base + w] => Ok(base + w),
+            Some(w) => Err(base + w),
         }
     }
 
-    /// Raises a resident `line`'s predicted-reuse score to at least
-    /// `reuse` — how a *redundant* scored prefetch keeps a hot line
-    /// pinned: later runahead windows re-observe the line with a larger
-    /// remaining-touch forecast, and without the refresh the score would
-    /// only ever decay (one per demand hit) until the line became
+    /// Victim selection under [`RetentionPolicy::ScoredEvict`]: the first
+    /// never-filled way, else the weakest filled way (min score, LRU
+    /// tie-break) — an exhausted way first, as under
+    /// [`RetentionPolicy::ScoredReuse`] — else, every way mid-fill, plain
+    /// LRU. No way is protected and no fill is refused. Returns a SoA slot
+    /// index.
+    fn pick_victim_weakest(&self, base: usize, now: Cycle) -> usize {
+        if let Some(w) = self.first_unfilled(base) {
+            return base + w;
+        }
+        self.weakest(base, now)
+            .0
+            .map_or_else(|| self.pick_victim(base, now), |w| base + w)
+    }
+
+    /// The weakest filled way of the set at `base` and its weakest
+    /// evictable way (filled and not an active-window line), ranked by
+    /// minimum score, then least recent use, then way order; indices within
+    /// the set, `None` when no way qualifies.
+    ///
+    /// One branch-free pass ranks every way on an exact (score, `last_use`)
+    /// key, with the score widened to `u64` so that `u64::MAX`, above any
+    /// score, marks a way a ranking excludes.
+    fn weakest(&self, base: usize, now: Cycle) -> (Option<usize>, Option<usize>) {
+        let end = base + self.ways;
+        let (flags, fill_done) = (&self.flags[base..end], &self.fill_done[base..end]);
+        let (reuse, last_use) = (&self.reuse[base..end], &self.last_use[base..end]);
+        let none = (u64::MAX, u64::MAX, 0);
+        let (mut filled, mut evictable) = (none, none);
+        for w in 0..reuse.len() {
+            let pending = fill_done[w] > now;
+            let score = select_unpredictable(pending, u64::MAX, u64::from(reuse[w]));
+            filled = weaker((score, last_use[w], w), filled);
+            let active = flags[w] & (F_PREFETCH | F_DEMANDED) == F_PREFETCH;
+            let score = select_unpredictable(active, u64::MAX, score);
+            evictable = weaker((score, last_use[w], w), evictable);
+        }
+        let way = |(score, _, w): (u64, u64, usize)| (score != u64::MAX).then_some(w);
+        (way(filled), way(evictable))
+    }
+
+    /// Raises the predicted-reuse score of the line at a resolved `slot`
+    /// to at least `reuse` — how a *redundant* scored prefetch keeps a hot
+    /// line pinned: later runahead windows re-observe the line with a
+    /// larger remaining-touch forecast, and without the refresh the score
+    /// would only ever decay (one per demand hit) until the line became
     /// evictable mid-stream. A no-op under [`RetentionPolicy::Lru`]
-    /// (scores must stay 0 for the LRU-equivalence invariant) and for
-    /// absent or mid-fill-refilled lines.
-    pub fn refresh_reuse(&mut self, line: LineAddr, reuse: u32) {
+    /// (scores must stay 0 for the LRU-equivalence invariant) and for an
+    /// absent line.
+    pub(crate) fn refresh_reuse_at(&mut self, slot: Slot, reuse: u32) {
         if self.cfg.policy == RetentionPolicy::Lru {
             return;
         }
-        if let Some(i) = self.find_way(line) {
+        if let Some(i) = slot.way {
             self.reuse[i] = self.reuse[i].max(reuse);
         }
     }
@@ -675,10 +758,11 @@ impl Cache {
     /// Call once at the end of a simulation so that accuracy denominators
     /// include prefetches that were still resident (and unused) at the end.
     pub fn finalize_stats(&mut self) {
+        // Never-filled ways carry no flags, so they never match.
         let unused = self
             .flags
             .iter()
-            .filter(|&&f| f & (F_VALID | F_PREFETCH | F_DEMANDED) == F_VALID | F_PREFETCH)
+            .filter(|&&f| f & (F_PREFETCH | F_DEMANDED) == F_PREFETCH)
             .count() as u64;
         self.stats.prefetch_resident_unused.add(unused);
     }
@@ -703,6 +787,7 @@ impl Cache {
 mod tests {
     use super::*;
     use crate::config::KIB;
+    use nvr_common::Pcg32;
 
     fn tiny_cache(ways: u64, sets: u64) -> Cache {
         Cache::new(CacheConfig {
@@ -848,6 +933,21 @@ mod tests {
         assert_eq!(c.mshr_free_at(0), 110);
         assert_eq!(c.mshr_free_at(105), 110);
         assert_eq!(c.mshr_free_at(110), 110);
+    }
+
+    #[test]
+    fn completed_by_matches_binary_search() {
+        // Empty, pending-head, partial and fully completed files.
+        for len in [0usize, 1, 2, 9, 40] {
+            let file: Vec<Cycle> = (0..len as u64).map(|i| 10 * i).collect();
+            for now in 0..(10 * len as u64 + 10) {
+                assert_eq!(
+                    completed_by(&file, now),
+                    file.partition_point(|&c| c <= now),
+                    "len {len}, now {now}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1021,5 +1121,163 @@ mod tests {
         }];
         off.swap_life_events(&mut keep);
         assert_eq!(keep.len(), 1);
+    }
+
+    /// `pick_victim` as it stood before the single-pass rewrite (never-filled
+    /// ways then had a clear valid bit; now they carry [`NO_TAG`]): the
+    /// differential oracle for the production scan.
+    fn reference_pick_victim(c: &Cache, base: usize, now: Cycle) -> usize {
+        let mut filled_lru: Option<usize> = None;
+        let mut any_lru: Option<usize> = None;
+        for i in base..base + c.ways {
+            if c.tags[i] == NO_TAG {
+                return i;
+            }
+            if c.fill_done[i] <= now && filled_lru.is_none_or(|b| c.last_use[i] < c.last_use[b]) {
+                filled_lru = Some(i);
+            }
+            if any_lru.is_none_or(|b| c.last_use[i] < c.last_use[b]) {
+                any_lru = Some(i);
+            }
+        }
+        filled_lru.or(any_lru).expect("ways is non-empty")
+    }
+
+    /// `pick_victim_scored` as it stood before the single-pass rewrite: an
+    /// exhausted-way pass, then the weakest-resident ranking pass.
+    fn reference_pick_victim_scored(
+        c: &Cache,
+        base: usize,
+        now: Cycle,
+        incoming: u32,
+        protect_active: bool,
+    ) -> Result<usize, usize> {
+        let ways = base..base + c.ways;
+        let mut exhausted_lru: Option<usize> = None;
+        for i in ways.clone() {
+            if c.tags[i] == NO_TAG {
+                return Ok(i);
+            }
+            if c.fill_done[i] > now {
+                continue;
+            }
+            if c.reuse[i] == 0 && exhausted_lru.is_none_or(|b| c.last_use[i] < c.last_use[b]) {
+                exhausted_lru = Some(i);
+            }
+        }
+        if let Some(i) = exhausted_lru {
+            return Ok(i);
+        }
+        let mut weakest_evictable: Option<usize> = None;
+        let mut weakest_filled: Option<usize> = None;
+        let weaker = |i: usize, b: usize| (c.reuse[i], c.last_use[i]) < (c.reuse[b], c.last_use[b]);
+        for i in ways {
+            if c.fill_done[i] > now {
+                continue;
+            }
+            let active = protect_active && c.flags[i] & (F_PREFETCH | F_DEMANDED) == F_PREFETCH;
+            if !active && weakest_evictable.is_none_or(|b| weaker(i, b)) {
+                weakest_evictable = Some(i);
+            }
+            if weakest_filled.is_none_or(|b| weaker(i, b)) {
+                weakest_filled = Some(i);
+            }
+        }
+        match weakest_evictable {
+            Some(i) if incoming > c.reuse[i] => Ok(i),
+            Some(i) => Err(i),
+            None => match weakest_filled {
+                Some(i) => Err(i),
+                None => Ok(reference_pick_victim(c, base, now)),
+            },
+        }
+    }
+
+    /// A draw from a tiny range (dense ties) or a cycle-sized one, or, in
+    /// a `wide` set state, sometimes within `tiny` of `max` or anywhere
+    /// below it — where high bits decide the order, so a ranking key
+    /// narrower than the field would misorder ways.
+    fn draw(rng: &mut Pcg32, wide: bool, tiny: u64, max: u64) -> u64 {
+        match rng.gen_index(5) {
+            2 => rng.gen_range(1 << 16),
+            3 if wide => max - rng.gen_range(tiny),
+            4 if wide => rng.gen_range(max),
+            _ => rng.gen_range(tiny),
+        }
+    }
+
+    #[test]
+    fn victim_selection_matches_reference_loops() {
+        let mut rng = Pcg32::seed_from_u64(0x71c7);
+        let mut states = 0u64;
+        for ways in [1u64, 2, 4, 8, 16] {
+            // Two sets, so victims are checked at a non-zero SoA base too.
+            let mut c = tiny_cache(ways, 2);
+            for _ in 0..24_000 {
+                let base = rng.gen_index(2) * c.ways;
+                let wide = rng.gen_bool(0.3);
+                let now = draw(&mut rng, wide, 8, u64::MAX - 8);
+                // A full set most of the time; otherwise an invalid suffix
+                // (ways fill in way order and are never invalidated).
+                let valid = if rng.gen_bool(0.6) {
+                    c.ways
+                } else {
+                    rng.gen_index(c.ways + 1)
+                };
+                let all_mid_fill = rng.gen_bool(0.1);
+                let zero_scores = rng.gen_bool(0.2);
+                for w in 0..c.ways {
+                    let i = base + w;
+                    if w >= valid {
+                        (c.tags[i], c.fill_done[i], c.last_use[i]) = (NO_TAG, 0, 0);
+                        (c.reuse[i], c.flags[i]) = (0, 0);
+                        continue;
+                    }
+                    c.tags[i] = w as u64;
+                    c.fill_done[i] = match rng.gen_index(3) {
+                        _ if all_mid_fill => now + 1 + rng.gen_range(4),
+                        0 => now.saturating_sub(rng.gen_range(4)),
+                        1 => now,
+                        _ => now + 1 + rng.gen_range(4),
+                    };
+                    c.last_use[i] = draw(&mut rng, wide, 4, u64::MAX);
+                    c.reuse[i] = if zero_scores {
+                        0
+                    } else {
+                        draw(&mut rng, wide, 4, u64::from(u32::MAX)) as u32
+                    };
+                    c.flags[i] = rng.gen_index(4) as u8;
+                }
+                let weakest = (base..base + valid).map(|i| c.reuse[i]).min().unwrap_or(0);
+                let incoming = match rng.gen_index(5) {
+                    0 => 0,
+                    1 => weakest.saturating_sub(1),
+                    2 => weakest,
+                    3 => weakest.saturating_add(1),
+                    _ => draw(&mut rng, wide, 4, u64::from(u32::MAX)) as u32,
+                };
+                assert_eq!(
+                    c.pick_victim(base, now),
+                    reference_pick_victim(&c, base, now),
+                    "LRU, {ways} ways, valid {valid}, now {now}"
+                );
+                // Protection on: the ScoredReuse fill/shrink decision.
+                assert_eq!(
+                    c.pick_victim_scored(base, now, incoming),
+                    reference_pick_victim_scored(&c, base, now, incoming, true),
+                    "scored, {ways} ways, valid {valid}, now {now}, incoming {incoming}"
+                );
+                // Protection off: ScoredEvict takes either outcome's slot.
+                let (Ok(evict) | Err(evict)) =
+                    reference_pick_victim_scored(&c, base, now, incoming, false);
+                assert_eq!(
+                    c.pick_victim_weakest(base, now),
+                    evict,
+                    "weakest, {ways} ways, valid {valid}, now {now}"
+                );
+                states += 1;
+            }
+        }
+        assert!(states >= 100_000);
     }
 }

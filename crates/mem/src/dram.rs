@@ -2,8 +2,9 @@
 //! queues and demand-over-prefetch arbitration.
 //!
 //! The backend owns [`DramConfig::channels`] independent channels; cache
-//! lines interleave across them by line address (`line % channels`), so
-//! the mapping is deterministic and sequential line runs stripe evenly.
+//! lines interleave across them by line address (`line % channels`, a
+//! mask for power-of-two counts), so the mapping is deterministic and
+//! sequential line runs stripe evenly.
 //! Each channel models a pipelined bus — one line transfer occupies the
 //! bus for [`DramConfig::line_transfer_cycles`] and completes a fixed
 //! latency after its slot starts — plus a bounded queue of *speculative*
@@ -43,10 +44,9 @@
 //! assert_eq!(a, b);
 //! ```
 
-use std::collections::VecDeque;
-
 use nvr_common::{Cycle, LineAddr, LINE_BYTES};
 
+use crate::cache::completed_by;
 use crate::config::DramConfig;
 use crate::stats::DramStats;
 
@@ -71,14 +71,19 @@ struct Lane {
     /// transfers that have already started.
     busy_free: Cycle,
     /// Scheduled start cycles of queued (not yet started) speculative
-    /// transfers, ascending.
-    pf_queue: VecDeque<Cycle>,
+    /// transfers, ascending. A started transfer leaves it at the lane's
+    /// next demand slot or enqueue.
+    pf_queue: Vec<Cycle>,
 }
 
 /// The multi-channel DRAM backend (see module docs).
 #[derive(Debug, Clone)]
 pub struct DramBackend {
     cfg: DramConfig,
+    /// `channels - 1` when the channel count is a power of two, letting
+    /// the per-line channel map mask instead of divide; `u64::MAX` marks
+    /// the modulo fallback.
+    channel_mask: u64,
     lanes: Vec<Lane>,
     stats: DramStats,
 }
@@ -97,7 +102,13 @@ impl DramBackend {
             channels: vec![Default::default(); cfg.channels],
             ..DramStats::default()
         };
+        let channels = cfg.channels as u64;
         DramBackend {
+            channel_mask: if channels.is_power_of_two() {
+                channels - 1
+            } else {
+                u64::MAX
+            },
             lanes: vec![Lane::default(); cfg.channels],
             stats,
             cfg,
@@ -119,7 +130,11 @@ impl DramBackend {
     /// The channel `line` interleaves onto.
     #[must_use]
     pub fn channel_of(&self, line: LineAddr) -> usize {
-        (line.index() % self.cfg.channels as u64) as usize
+        if self.channel_mask != u64::MAX {
+            (line.index() & self.channel_mask) as usize
+        } else {
+            (line.index() % self.cfg.channels as u64) as usize
+        }
     }
 
     /// Promotes queued speculative transfers whose slot has started by
@@ -127,13 +142,11 @@ impl DramBackend {
     fn promote(&mut self, ch: usize, now: Cycle) {
         let t = self.cfg.line_transfer_cycles();
         let lane = &mut self.lanes[ch];
-        while let Some(&start) = lane.pf_queue.front() {
-            if start <= now {
-                lane.busy_free = lane.busy_free.max(start + t);
-                lane.pf_queue.pop_front();
-            } else {
-                break;
-            }
+        let started = completed_by(&lane.pf_queue, now);
+        if started > 0 {
+            // Starts ascend, so the last started transfer ends last.
+            lane.busy_free = lane.busy_free.max(lane.pf_queue[started - 1] + t);
+            lane.pf_queue.drain(..started);
         }
     }
 
@@ -186,13 +199,13 @@ impl DramBackend {
             return ChannelPrefetch::QueueFull;
         }
         let lane = &mut self.lanes[ch];
-        let tail_end = lane.pf_queue.back().map_or(lane.busy_free, |&s| s + t);
+        let tail_end = lane.pf_queue.last().map_or(lane.busy_free, |&s| s + t);
         let start = now.max(tail_end);
         if start <= now {
             // Starts immediately: straight onto the bus, never queued.
             lane.busy_free = lane.busy_free.max(start + t);
         } else {
-            lane.pf_queue.push_back(start);
+            lane.pf_queue.push(start);
         }
         let queue_delay = start - now;
         self.stats.busy_cycles.add(t);
@@ -219,10 +232,10 @@ impl DramBackend {
     /// at `now`.
     #[must_use]
     pub fn prefetch_queue_len(&self, line: LineAddr, now: Cycle) -> usize {
-        // The queue is bounded by `queue_depth` (single digits), where a
-        // straight count beats a binary search.
+        // Start cycles ascend, so the transfers still waiting at `now` are
+        // a suffix; the started prefix lingers until the next enqueue.
         let q = &self.lanes[self.channel_of(line)].pf_queue;
-        q.iter().filter(|&&s| s > now).count()
+        q.len() - completed_by(q, now)
     }
 
     /// Per-channel share of `bytes` under even striping (dense traffic),
@@ -287,8 +300,8 @@ impl DramBackend {
         self.lanes
             .iter()
             .filter_map(|lane| {
-                let i = lane.pf_queue.partition_point(|&s| s <= now);
-                lane.pf_queue.get(i).copied()
+                let q = &lane.pf_queue;
+                q.get(completed_by(q, now)).copied()
             })
             .min()
     }
@@ -360,13 +373,36 @@ mod tests {
 
     #[test]
     fn lines_interleave_deterministically() {
-        let d = DramBackend::new(DramConfig::default().with_channels(4));
-        for i in 0..64 {
-            let line = LineAddr::new(i);
-            assert_eq!(d.channel_of(line), (i % 4) as usize);
-            // The mapping is a pure function of the line address.
-            assert_eq!(d.channel_of(line), d.channel_of(line));
+        // Power-of-two counts take the mask path, the rest the modulo
+        // path; both must be `line % channels`.
+        for channels in [1, 2, 3, 4, 5, 8] {
+            let d = DramBackend::new(DramConfig::default().with_channels(channels));
+            for i in (0..64).chain([u64::MAX >> 6, (1 << 40) + 7]) {
+                let line = LineAddr::new(i);
+                assert_eq!(d.channel_of(line), (i % channels as u64) as usize);
+            }
         }
+    }
+
+    #[test]
+    fn queue_len_counts_only_waiting_transfers() {
+        let cfg = DramConfig {
+            queue_depth: 4,
+            ..DramConfig::default()
+        };
+        let t = cfg.line_transfer_cycles();
+        let mut d = DramBackend::new(cfg);
+        // One transfer on the bus, three queued at t, 2t and 3t.
+        for i in 0..4 {
+            d.prefetch_fetch(LineAddr::new(i), 0);
+        }
+        assert_eq!(d.prefetch_queue_len(LineAddr::new(0), 0), 3);
+        assert_eq!(d.prefetch_queue_len(LineAddr::new(0), t - 1), 3);
+        // Started transfers stay at the head until the next enqueue, but
+        // no longer count as waiting.
+        assert_eq!(d.prefetch_queue_len(LineAddr::new(0), t), 2);
+        assert_eq!(d.prefetch_queue_len(LineAddr::new(0), 2 * t + 1), 1);
+        assert_eq!(d.prefetch_queue_len(LineAddr::new(0), 3 * t), 0);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use nvr_common::{Cycle, LineAddr, Region};
 
-use crate::cache::{Cache, ProbeResult};
+use crate::cache::{completed_by, retire, track_fill, Cache, ProbeResult};
 use crate::config::MemoryConfig;
 use crate::dram::{ChannelPrefetch, DramBackend};
 use crate::stats::MemoryStats;
@@ -157,42 +157,40 @@ impl MemorySystem {
                 },
             };
         }
-        match &mut self.nsb {
-            Some(nsb) => match nsb.probe(line, now, true) {
-                ProbeResult::Hit { ready_at } => {
-                    // The demand never reaches the L2, but the lifetime
-                    // log lives there: record the consumption so the
-                    // prefetched L2 copy is not misread as unused.
-                    self.l2.log_external_use(line, now);
-                    AccessResult {
-                        ready_at,
-                        outcome: AccessOutcome::NsbHit,
-                    }
+        let Some(nsb) = &mut self.nsb else {
+            return Self::l2_demand(&mut self.l2, &mut self.dram, line, now).0;
+        };
+        let slot = nsb.lookup(line);
+        match nsb.probe_slot(slot, now, true) {
+            ProbeResult::Hit { ready_at } => {
+                // The demand never reaches the L2, but the lifetime log
+                // lives there: record the consumption so the prefetched
+                // L2 copy is not misread as unused.
+                self.l2.log_external_use(line, now);
+                AccessResult {
+                    ready_at,
+                    outcome: AccessOutcome::NsbHit,
                 }
-                ProbeResult::InFlight { ready_at, .. } => {
-                    self.l2.log_external_use(line, now);
-                    AccessResult {
-                        ready_at,
-                        outcome: AccessOutcome::InFlight,
-                    }
+            }
+            ProbeResult::InFlight { ready_at, .. } => {
+                self.l2.log_external_use(line, now);
+                AccessResult {
+                    ready_at,
+                    outcome: AccessOutcome::InFlight,
                 }
-                ProbeResult::Miss => {
-                    // NSB lookup cost precedes the L2 access.
-                    // nvr-lint: allow(panic/hot-loop) reason="this arm only runs when the hierarchy was built with an NSB, so the config is present"
-                    let t_l2 = now + self.cfg.nsb.as_ref().expect("nsb cfg").hit_latency;
-                    let (result, fill_done) =
-                        Self::l2_demand(&mut self.l2, &mut self.dram, line, t_l2);
-                    // Fill the NSB alongside so subsequent touches hit near
-                    // the NPU (demand fills allocate in both levels).
-                    // nvr-lint: allow(panic/hot-loop) reason="same NSB-present invariant as the probe that produced this ProbeResult::Miss"
-                    let nsb = self.nsb.as_mut().expect("nsb present");
-                    if nsb.mshr_available(now) {
-                        nsb.install(line, fill_done, false, now);
-                    }
-                    result
+            }
+            ProbeResult::Miss => {
+                // NSB lookup cost precedes the L2 access.
+                let t_l2 = now + nsb.config().hit_latency;
+                let (result, fill_done) = Self::l2_demand(&mut self.l2, &mut self.dram, line, t_l2);
+                // Fill the NSB alongside so subsequent touches hit near
+                // the NPU (demand fills allocate in both levels). The L2
+                // access touched neither the NSB nor its slot.
+                if nsb.mshr_available(now) {
+                    nsb.install_at(slot, fill_done, false, now, 0, 0);
                 }
-            },
-            None => Self::l2_demand(&mut self.l2, &mut self.dram, line, now).0,
+                result
+            }
         }
     }
 
@@ -205,7 +203,8 @@ impl MemorySystem {
         line: LineAddr,
         now: Cycle,
     ) -> (AccessResult, Cycle) {
-        match l2.probe(line, now, true) {
+        let slot = l2.lookup(line);
+        match l2.probe_slot(slot, now, true) {
             ProbeResult::Hit { ready_at } => (
                 AccessResult {
                     ready_at,
@@ -224,7 +223,7 @@ impl MemorySystem {
                 // A full MSHR file stalls the demand until a slot frees.
                 let issue_at = l2.mshr_free_at(now);
                 let fill_done = dram.demand_fetch(line, issue_at);
-                l2.install(line, fill_done, false, now);
+                l2.install_at(slot, fill_done, false, now, 0, 0);
                 (
                     AccessResult {
                         ready_at: fill_done,
@@ -279,19 +278,22 @@ impl MemorySystem {
         if self.ideal {
             return PrefetchOutcome::Redundant;
         }
-        let l2_has = self.l2.contains(line);
-        if l2_has {
+        // Each level is looked up once; the slots carry the result to the
+        // refresh, ready-time and install steps below.
+        let l2_slot = self.l2.lookup(line);
+        if l2_slot.found() {
             self.l2.note_prefetch_redundant();
-            self.l2.refresh_reuse(line, reuse);
+            self.l2.refresh_reuse_at(l2_slot, reuse);
             // The data is (or will be) on-chip; optionally pull it into the
             // NSB so the NPU-side latency drops too.
             if fill_nsb {
                 if let Some(nsb) = &mut self.nsb {
-                    if nsb.contains(line) {
-                        nsb.refresh_reuse(line, nsb_reuse);
+                    let nsb_slot = nsb.lookup(line);
+                    if nsb_slot.found() {
+                        nsb.refresh_reuse_at(nsb_slot, nsb_reuse);
                     } else if nsb.mshr_available(now) {
-                        if let Some(ready) = self.l2.ready_time(line, now) {
-                            if nsb.install_speculative_scored(line, ready, now, 0, nsb_reuse) {
+                        if let Some(ready) = self.l2.ready_at(l2_slot, now) {
+                            if nsb.install_at(nsb_slot, ready, true, now, 0, nsb_reuse) {
                                 nsb.note_prefetch_issued();
                                 return PrefetchOutcome::Issued { fill_done: ready };
                             }
@@ -301,7 +303,11 @@ impl MemorySystem {
             }
             return PrefetchOutcome::Redundant;
         }
-        if self.prefetch_slots(now) == 0 {
+        // Retiring completed speculative fills first leaves only pending
+        // entries, so occupancy is the file length and the insertion
+        // below finds nothing left to retire.
+        retire(&mut self.pf_inflight, now);
+        if self.pf_inflight.len() >= self.cfg.prefetch_mshrs {
             self.l2.note_prefetch_dropped();
             return PrefetchOutcome::Dropped;
         }
@@ -318,20 +324,21 @@ impl MemorySystem {
                 return PrefetchOutcome::Dropped;
             }
         };
-        self.track_prefetch(fill_done, now);
+        track_fill(&mut self.pf_inflight, fill_done, now);
         // A scored L2 may shrink (reject the fill) to keep a hotter
         // resident; the DRAM fetch is already in flight either way, so
         // the issue is counted against the level regardless and the
         // rejection shows up in `retention_rejected`.
         self.l2
-            .install_speculative_scored(line, fill_done, now, queue_delay, reuse);
+            .install_at(l2_slot, fill_done, true, now, queue_delay, reuse);
         self.l2.note_prefetch_issued();
         if fill_nsb {
             if let Some(nsb) = &mut self.nsb {
-                if nsb.mshr_available(now)
-                    && nsb.install_speculative_scored(line, fill_done, now, 0, nsb_reuse)
-                {
-                    nsb.note_prefetch_issued();
+                if nsb.mshr_available(now) {
+                    let nsb_slot = nsb.lookup(line);
+                    if nsb.install_at(nsb_slot, fill_done, true, now, 0, nsb_reuse) {
+                        nsb.note_prefetch_issued();
+                    }
                 }
             }
         }
@@ -370,46 +377,24 @@ impl MemorySystem {
     /// file back-pressures instead of dropping elements.
     #[must_use]
     pub fn prefetch_slots(&self, now: Cycle) -> usize {
-        let pending = self.pf_inflight.len() - self.pf_inflight.partition_point(|&c| c <= now);
+        let pending = self.pf_inflight.len() - completed_by(&self.pf_inflight, now);
         self.cfg.prefetch_mshrs.saturating_sub(pending)
-    }
-
-    /// Records a speculative fill in the prefetch MSHR file, pruning
-    /// completed entries and keeping the file sorted (fills land in
-    /// near-monotone order, so the common case is a plain push).
-    fn track_prefetch(&mut self, fill_done: Cycle, now: Cycle) {
-        let done = self.pf_inflight.partition_point(|&c| c <= now);
-        if done > 0 {
-            self.pf_inflight.drain(..done);
-        }
-        match self.pf_inflight.last() {
-            Some(&last) if last > fill_done => {
-                let pos = self.pf_inflight.partition_point(|&c| c <= fill_done);
-                self.pf_inflight.insert(pos, fill_done);
-            }
-            _ => self.pf_inflight.push(fill_done),
-        }
     }
 
     /// Starts recording per-prefetch lifetime events at the L2 (the level
     /// NVR fills): issue, fill, first demand use, and unused eviction. Off
     /// by default — non-runahead prefetchers never pay for it. Idempotent;
     /// the consumer must drain with
-    /// [`MemorySystem::take_prefetch_life_events`] regularly or the log
+    /// [`MemorySystem::swap_prefetch_life_events`] regularly or the log
     /// grows for the rest of the run.
     pub fn enable_prefetch_life_log(&mut self) {
         self.l2.enable_life_log();
     }
 
-    /// Drains the L2's recorded [`crate::cache::PrefetchLifeEvent`]s in
-    /// occurrence order. Empty when the log was never enabled.
-    pub fn take_prefetch_life_events(&mut self) -> Vec<crate::cache::PrefetchLifeEvent> {
-        self.l2.take_life_events()
-    }
-
-    /// Exchanges the L2's recorded lifetime events with the caller's
-    /// (cleared) buffer — the allocation-free form of
-    /// [`MemorySystem::take_prefetch_life_events`] for per-advance drains.
+    /// Exchanges the L2's recorded [`crate::cache::PrefetchLifeEvent`]s,
+    /// in occurrence order, with the caller's (cleared) buffer — an
+    /// allocation-free drain for once-per-advance use. Leaves `buf` as it
+    /// was when the log was never enabled.
     pub fn swap_prefetch_life_events(&mut self, buf: &mut Vec<crate::cache::PrefetchLifeEvent>) {
         self.l2.swap_life_events(buf);
     }
@@ -424,8 +409,10 @@ impl MemorySystem {
     /// finding the same thing.
     #[must_use]
     pub fn next_prefetch_wakeup(&self, now: Cycle) -> Option<Cycle> {
-        let pending = self.pf_inflight.partition_point(|&c| c <= now);
-        let mshr = self.pf_inflight.get(pending).copied();
+        let mshr = self
+            .pf_inflight
+            .get(completed_by(&self.pf_inflight, now))
+            .copied();
         let queue = self.dram.next_pf_queue_start(now);
         match (mshr, queue) {
             (Some(a), Some(b)) => Some(a.min(b)),
@@ -446,6 +433,16 @@ impl MemorySystem {
             (Some(a), None) => Some(a),
             (None, b) => b,
         }
+    }
+
+    /// A residency epoch: moves whenever a line becomes resident (or in
+    /// flight) at any level, and at no other time. Evictions only remove
+    /// lines, so a line [`MemorySystem::npu_side_contains`] found absent
+    /// stays absent while the epoch holds — issue queues use this to skip
+    /// re-probing lines they already saw off-chip.
+    #[must_use]
+    pub fn residency_epoch(&self) -> u64 {
+        self.l2.fills() + self.nsb.as_ref().map_or(0, Cache::fills)
     }
 
     /// Whether `line` is resident (or in flight) at the level closest to
@@ -712,5 +709,69 @@ mod tests {
         mem.finalize();
         let acc = mem.prefetch_accuracy();
         assert!(acc > 0.0 && acc < 1.0, "accuracy {acc} should be partial");
+    }
+
+    /// Tag lookups so far at (L2, NSB).
+    fn lookups(mem: &MemorySystem) -> (u64, u64) {
+        (mem.l2.lookups(), mem.nsb.as_ref().map_or(0, Cache::lookups))
+    }
+
+    #[test]
+    fn each_call_looks_each_level_up_at_most_once() {
+        use crate::config::RetentionPolicy;
+        use nvr_common::Pcg32;
+        // A small L2 and a 4-way NSB keep sets conflicting, so the stream
+        // reaches refills, evictions, rejections and NSB promotions.
+        let small_l2 = CacheConfig::l2_default().with_size(16 * 1024);
+        let scored_nsb = CacheConfig::nsb_default()
+            .with_size(2048)
+            .with_ways(4)
+            .with_policy(RetentionPolicy::ScoredReuse);
+        let configs = [
+            MemoryConfig::default().with_l2(small_l2.clone()),
+            MemoryConfig::default()
+                .with_l2(small_l2.clone())
+                .with_nsb(CacheConfig::nsb_default().with_size(2048)),
+            MemoryConfig::default()
+                .with_l2(small_l2.with_policy(RetentionPolicy::ScoredEvict))
+                .with_nsb(scored_nsb),
+        ];
+        let mut rng = Pcg32::seed_from_u64(0x100c);
+        for cfg in configs {
+            let mut mem = MemorySystem::new(cfg);
+            mem.enable_prefetch_life_log();
+            let mut now = 0;
+            for op in 0..20_000 {
+                now += rng.gen_range(40);
+                let line = LineAddr::new(rng.gen_range(1024));
+                let before = lookups(&mem);
+                let call = match rng.gen_index(3) {
+                    0 => {
+                        mem.demand_line(line, now);
+                        "demand_line"
+                    }
+                    1 => {
+                        mem.prefetch_line(line, now, rng.gen_bool(0.5));
+                        "prefetch_line"
+                    }
+                    _ => {
+                        let reuse = rng.gen_range(4) as u32;
+                        let nsb_reuse = rng.gen_range(4) as u32;
+                        mem.prefetch_line_scored(line, now, rng.gen_bool(0.7), reuse, nsb_reuse);
+                        "prefetch_line_scored"
+                    }
+                };
+                let after = lookups(&mem);
+                assert!(
+                    after.0 - before.0 <= 1 && after.1 - before.1 <= 1,
+                    "op {op}: {call} looked up (L2, NSB) {:?} times",
+                    (after.0 - before.0, after.1 - before.1)
+                );
+                // Keep the lifetime log from growing without bound.
+                mem.swap_prefetch_life_events(&mut Vec::new());
+            }
+            let s = mem.stats();
+            assert!(s.l2.evictions.get() > 0 && s.l2.prefetch_redundant.get() > 0);
+        }
     }
 }

@@ -488,3 +488,96 @@ fn builders_match_pinned_program_fingerprints() {
         panic!("program fingerprints deviate from the pinned table (computed table above)");
     }
 }
+
+/// Pinned result digests for the configurations the default grid never
+/// reaches: a 192 KB L2 (384 sets, so set indexing takes the division
+/// path), scored NSBs of 1, 2, 4 and 8 ways in front of a score-evicting
+/// L2, 2 and 3 DRAM channels (the masked and the modulo channel maps),
+/// and NVR+NSB with admission scoring off. Tiny GCN and H2O, FP16, seed
+/// 777. Each digest is FNV-1a over the cell's full `RunOutcome` `Debug`
+/// rendering, so every counter, histogram bucket and timeliness field is
+/// covered. On a mismatch the test prints the computed table.
+#[test]
+fn fallback_configurations_match_pinned_digests() {
+    use nvr::core::nsb_scored;
+    use nvr::mem::RetentionPolicy;
+    use nvr::sim::runner::run_system_tuned;
+
+    const GOLDEN: &[(&str, &str, &str, u64)] = &[
+        ("GCN", "l2-192k", "InO", 0x003736dcedca2845),
+        ("GCN", "l2-192k", "NVR", 0x392999e79e452b1b),
+        ("GCN", "l2-192k", "NVR+NSB", 0xcd67fc66af530f72),
+        ("GCN", "nsb-1way", "NVR+NSB", 0xc3e7c0ad795c41be),
+        ("GCN", "nsb-2way", "NVR+NSB", 0xd183d3e2d808c0ea),
+        ("GCN", "nsb-4way", "NVR+NSB", 0x1851701cfee87834),
+        ("GCN", "nsb-8way", "NVR+NSB", 0x44d85f217c0f51b0),
+        ("GCN", "dram-2ch", "InO", 0x104d994abd44a9dd),
+        ("GCN", "dram-2ch", "NVR", 0x3a0fbd0747150b56),
+        ("GCN", "dram-2ch", "NVR+NSB", 0x9d481f58f31a150c),
+        ("GCN", "dram-3ch", "InO", 0x83433fc46dcefd3a),
+        ("GCN", "dram-3ch", "NVR", 0xcfdee60c65b1acbc),
+        ("GCN", "dram-3ch", "NVR+NSB", 0xd6362e2d4302fbf6),
+        ("GCN", "admit-0", "NVR+NSB", 0x11449661792e074e),
+        ("H2O", "l2-192k", "InO", 0x45883ff6d3bf858b),
+        ("H2O", "l2-192k", "NVR", 0x1b218f067000e3b0),
+        ("H2O", "l2-192k", "NVR+NSB", 0x5371dcae7b69fa6c),
+        ("H2O", "nsb-1way", "NVR+NSB", 0x6604bc9f689b93b1),
+        ("H2O", "nsb-2way", "NVR+NSB", 0xf078cd4147f5172d),
+        ("H2O", "nsb-4way", "NVR+NSB", 0x1319ce4a3f91cca0),
+        ("H2O", "nsb-8way", "NVR+NSB", 0x82d9cd9c13c5fd31),
+        ("H2O", "dram-2ch", "InO", 0x7364f48a8310a4fb),
+        ("H2O", "dram-2ch", "NVR", 0x3648c4e1e4147552),
+        ("H2O", "dram-2ch", "NVR+NSB", 0x189edaeec69a4ed7),
+        ("H2O", "dram-3ch", "InO", 0xf2dc5e873b3d82df),
+        ("H2O", "dram-3ch", "NVR", 0x972866951f1753f3),
+        ("H2O", "dram-3ch", "NVR+NSB", 0xcb0c0377fe1d8d37),
+        ("H2O", "admit-0", "NVR+NSB", 0xa8df705eddcb30d8),
+    ];
+    let base = MemoryConfig::default();
+    let mut cases: Vec<(String, MemoryConfig, SystemKind, Option<u32>)> = Vec::new();
+    let l2_192k = base
+        .clone()
+        .with_l2(CacheConfig::l2_default().with_size(192 * 1024));
+    for system in [SystemKind::InOrder, SystemKind::Nvr, SystemKind::NvrNsb] {
+        cases.push(("l2-192k".into(), l2_192k.clone(), system, None));
+    }
+    for ways in [1, 2, 4, 8] {
+        let mut cfg = base.clone().with_nsb(nsb_scored(16).with_ways(ways));
+        cfg.l2.policy = RetentionPolicy::ScoredEvict;
+        cases.push((format!("nsb-{ways}way"), cfg, SystemKind::NvrNsb, None));
+    }
+    for channels in [2, 3] {
+        let cfg = base
+            .clone()
+            .with_dram(DramConfig::default().with_channels(channels));
+        for system in [SystemKind::InOrder, SystemKind::Nvr, SystemKind::NvrNsb] {
+            cases.push((format!("dram-{channels}ch"), cfg.clone(), system, None));
+        }
+    }
+    cases.push(("admit-0".into(), base.clone(), SystemKind::NvrNsb, Some(0)));
+
+    let mut rows = Vec::new();
+    for workload in [WorkloadId::Gcn, WorkloadId::H2o] {
+        let program = workload.build(&WorkloadSpec::tiny(DataWidth::Fp16, 777));
+        for (label, cfg, system, admit) in &cases {
+            let outcome = run_system_tuned(&program, cfg, *system, *admit);
+            let mut d = Digest::new();
+            for b in format!("{outcome:?}").bytes() {
+                d.word(u64::from(b));
+            }
+            rows.push((workload.short(), label.clone(), system.label(), d.0));
+        }
+    }
+    let got: Vec<(&str, &str, &str, u64)> = rows
+        .iter()
+        .map(|(w, c, s, fp)| (*w, c.as_str(), *s, *fp))
+        .collect();
+    if got != GOLDEN {
+        for (w, c, s, fp) in &got {
+            println!("        ({w:?}, {c:?}, {s:?}, 0x{fp:016x}),");
+        }
+        panic!(
+            "fallback-configuration digests deviate from the pinned table (computed table above)"
+        );
+    }
+}
