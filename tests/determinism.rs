@@ -581,3 +581,49 @@ fn fallback_configurations_match_pinned_digests() {
         );
     }
 }
+
+/// Pinned digests of the figure renditions whose drivers build their own
+/// systems: `FigureId::regenerate(Scale::Tiny, 2025, 2)` for fig6b, fig7,
+/// fig9, headline and the ablations, plus fig9's policy-study CSV. Each
+/// digest is FNV-1a over the rendition's bytes, so a driver refactor that
+/// moves any printed digit fails here. On a mismatch the test prints the
+/// computed table.
+#[test]
+fn figure_renditions_match_pinned_digests() {
+    const GOLDEN: &[(&str, u64)] = &[
+        ("fig6b", 0xce3aa8d2ff2f9b43),
+        ("fig7", 0xacf9cace378921a9),
+        ("fig9", 0x612edaafa6ba0cd9),
+        ("headline", 0x6e8bf8f25fbfb947),
+        ("ablations", 0x33178c95ad6785cc),
+        ("fig9-policy-csv", 0xa04a7e6bad076e70),
+    ];
+    let digest = |text: &str| {
+        let mut d = Digest::new();
+        for b in text.bytes() {
+            d.word(u64::from(b));
+        }
+        d.0
+    };
+    let mut got: Vec<(&str, u64)> = [
+        FigureId::Fig6b,
+        FigureId::Fig7,
+        FigureId::Fig9,
+        FigureId::Headline,
+        FigureId::Ablations,
+    ]
+    .into_iter()
+    .map(|fig| (fig.name(), digest(&fig.regenerate(Scale::Tiny, 2025, 2))))
+    .collect();
+    let policy = nvr::sim::figures::fig9::policy_sweep_jobs(Scale::Tiny, 2025, 2);
+    got.push((
+        "fig9-policy-csv",
+        digest(&nvr::sim::figures::fig9::policy_csv(&policy)),
+    ));
+    if got != GOLDEN {
+        for (name, fp) in &got {
+            println!("        ({name:?}, 0x{fp:016x}),");
+        }
+        panic!("figure digests deviate from the pinned table (computed table above)");
+    }
+}
