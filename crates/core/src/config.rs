@@ -96,10 +96,6 @@ pub struct NvrConfig {
     /// ablation: without it, NVR overruns like a fixed-distance runahead).
     /// Default true — the SST is core to the paper's design.
     pub use_lbd: bool,
-    /// Whether prefetches also fill the NSB (§IV-G; only meaningful when
-    /// the memory system has one). Default false; [`NvrConfig::with_nsb`]
-    /// enables it.
-    pub fill_nsb: bool,
     /// DARE-style retention-priority threshold: a resolved target line's
     /// predicted-reuse score (how many *more* times the current runahead
     /// windows will touch the line, counted by the controller's
@@ -110,14 +106,18 @@ pub struct NvrConfig {
     /// compete at score 1 (their single imminent use), so demonstrated
     /// hubs outrank the stream for residency. 0 disables scoring entirely
     /// — every fill carries score 0 and scored levels behave exactly as
-    /// pure LRU, bit for bit. Only meaningful with [`NvrConfig::fill_nsb`]
-    /// and a [`nvr_mem::RetentionPolicy::ScoredReuse`] NSB
-    /// ([`crate::nsb_scored`]). Default 0; [`NvrConfig::with_nsb`] sets
-    /// the calibrated value 4 (a line must be touched by at least four
-    /// distinct gather targets in the lookahead horizon to outrank NSB
-    /// residents — the sweet spot of the fig9 policy study: lower
-    /// thresholds pin GSABT's briefly-hot attention blocks past their
-    /// window, higher ones forfeit GCN's and DS's hub reuse).
+    /// pure LRU, bit for bit. Inert when the memory system has no NSB;
+    /// with one (which NVR always fills, §IV-G), a non-zero threshold
+    /// also keeps unscored single-use traffic (index lines, two-level
+    /// probes) out of the NSB, and the scores steer residency in a
+    /// [`nvr_mem::RetentionPolicy::ScoredReuse`] NSB
+    /// ([`crate::nsb_scored`]) and a
+    /// [`nvr_mem::RetentionPolicy::ScoredEvict`] L2. Default 4, the
+    /// calibrated value (a line must be touched by at least four distinct
+    /// gather targets in the lookahead horizon to outrank NSB residents —
+    /// the sweet spot of the fig9 policy study: lower thresholds pin
+    /// GSABT's briefly-hot attention blocks past their window, higher ones
+    /// forfeit GCN's and DS's hub reuse).
     pub nsb_admit_min_reuse: u32,
     /// Runahead entry policy (§III Q&A1). Default
     /// [`TriggerPolicy::OnLoad`], the paper's proactive design.
@@ -125,14 +125,13 @@ pub struct NvrConfig {
 }
 
 impl NvrConfig {
-    /// The configuration used when an NSB is present (§IV-G).
+    /// The configuration used when an NSB is present (§IV-G): equal to
+    /// [`NvrConfig::default`], since NVR fills the NSB whenever the memory
+    /// system has one. Kept for callers written against the older API
+    /// (the `perfbench/` package calls it).
     #[must_use]
     pub fn with_nsb() -> Self {
-        NvrConfig {
-            fill_nsb: true,
-            nsb_admit_min_reuse: 4,
-            ..NvrConfig::default()
-        }
+        NvrConfig::default()
     }
 
     /// Checks the configuration is realisable.
@@ -179,8 +178,7 @@ impl Default for NvrConfig {
             throttle_window: 128,
             fuzzy_factor: 1.1,
             use_lbd: true,
-            fill_nsb: false,
-            nsb_admit_min_reuse: 0,
+            nsb_admit_min_reuse: 4,
             trigger: TriggerPolicy::OnLoad,
         }
     }
@@ -193,8 +191,7 @@ mod tests {
     #[test]
     fn default_is_valid() {
         NvrConfig::default().validate().expect("valid");
-        NvrConfig::with_nsb().validate().expect("valid");
-        assert!(NvrConfig::with_nsb().fill_nsb);
+        assert_eq!(NvrConfig::with_nsb(), NvrConfig::default());
     }
 
     #[test]

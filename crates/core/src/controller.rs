@@ -141,8 +141,8 @@ enum StepOutcome {
 /// use nvr_core::{NvrConfig, NvrPrefetcher};
 /// use nvr_prefetch::Prefetcher;
 ///
-/// let nvr = NvrPrefetcher::new(NvrConfig::with_nsb());
-/// assert!(nvr.fills_nsb());
+/// let nvr = NvrPrefetcher::new(NvrConfig::default());
+/// assert!(nvr.fills_nsb()); // whenever the memory system has an NSB
 /// ```
 #[derive(Debug, Clone)]
 pub struct NvrPrefetcher {
@@ -154,15 +154,19 @@ pub struct NvrPrefetcher {
     lifetime: LifetimeTracker,
     /// Per-line reuse scoring over resolved targets, feeding the NSB's
     /// DARE-style admission (active only when
-    /// [`NvrConfig::nsb_admit_min_reuse`] is non-zero and fills target
-    /// the NSB).
+    /// [`NvrConfig::nsb_admit_min_reuse`] is non-zero and the memory
+    /// system has an NSB).
     reuse: ReusePredictor,
     clock: Cycle,
     /// In-flight speculative windows, oldest first (the lookahead
     /// pipeline). Capacity is the throttled effective depth.
     windows: VecDeque<Runahead>,
-    /// Whether the memory system's prefetch lifetime log has been enabled.
-    life_log_on: bool,
+    /// Whether the first `advance` has run: it arms the memory system's
+    /// prefetch lifetime log and reads whether the NPU has an NSB.
+    armed: bool,
+    /// Whether prefetches also fill the NSB (§IV-G): set on the first
+    /// `advance` to whether the memory system has one.
+    fill_nsb: bool,
     current_tile: usize,
     miss_seen_in_tile: bool,
     /// Monotone element-space cursor: everything below it has either been
@@ -191,22 +195,17 @@ impl NvrPrefetcher {
     pub fn new(cfg: NvrConfig) -> Self {
         // nvr-lint: allow(panic/hot-loop) reason="init-time config validation in the constructor, outside the tick loop"
         cfg.validate().expect("nvr config must be valid");
-        let mut vmig = Vmig::new(cfg.vmig_batch_lines);
-        vmig.set_nsb_admit(if cfg.fill_nsb {
-            cfg.nsb_admit_min_reuse
-        } else {
-            0
-        });
         NvrPrefetcher {
             sd: StrideDetector::new(cfg.vector_width),
             lbd: LoopBoundDetector::new(cfg.fuzzy_factor),
             scd: SparseChainDetector::new(),
-            vmig,
+            vmig: Vmig::new(cfg.vmig_batch_lines),
             lifetime: LifetimeTracker::new(cfg.throttle_window),
             reuse: ReusePredictor::new(),
             clock: 0,
             windows: VecDeque::with_capacity(cfg.lookahead_tiles),
-            life_log_on: false,
+            armed: false,
+            fill_nsb: false,
             current_tile: 0,
             miss_seen_in_tile: false,
             covered_until: 0,
@@ -227,7 +226,7 @@ impl NvrPrefetcher {
     /// admission threshold is non-zero. When inactive every line carries
     /// score 0 and the memory side behaves exactly as pure LRU.
     fn scoring_active(&self) -> bool {
-        self.cfg.fill_nsb && self.cfg.nsb_admit_min_reuse > 0
+        self.fill_nsb && self.cfg.nsb_admit_min_reuse > 0
     }
 
     /// Whether *unscored* single-use traffic (index stream lines,
@@ -236,7 +235,7 @@ impl NvrPrefetcher {
     /// thread itself, and letting them compete for the NSB's 256 lines is
     /// precisely the thrash the admission threshold exists to stop.
     fn bulk_fill_nsb(&self) -> bool {
-        self.cfg.fill_nsb && !self.scoring_active()
+        self.fill_nsb && !self.scoring_active()
     }
 
     /// Whether any speculative window is in flight (for tests).
@@ -592,7 +591,7 @@ impl Prefetcher for NvrPrefetcher {
     }
 
     fn fills_nsb(&self) -> bool {
-        self.cfg.fill_nsb
+        true
     }
 
     fn finalize_run(&mut self, mem: &mut MemorySystem) {
@@ -631,12 +630,19 @@ impl Prefetcher for NvrPrefetcher {
         image: &MemoryImage,
         mem: &mut MemorySystem,
     ) {
-        // Arm the memory system's prefetch lifetime log on first entry and
-        // fold everything it recorded since the last window into the
+        // On first entry, arm the memory system's prefetch lifetime log
+        // and fill the NSB if the NPU has one (§IV-G); then fold
+        // everything the log recorded since the last window into the
         // tracker — the throttle input and the fig. 6b data.
-        if !self.life_log_on {
+        if !self.armed {
             mem.enable_prefetch_life_log();
-            self.life_log_on = true;
+            self.fill_nsb = mem.has_nsb();
+            self.vmig.set_nsb_admit(if self.fill_nsb {
+                self.cfg.nsb_admit_min_reuse
+            } else {
+                0
+            });
+            self.armed = true;
         }
         self.lifetime.drain(mem);
         // Snoop ingestion is free (hardware registers).
@@ -688,7 +694,7 @@ impl Prefetcher for NvrPrefetcher {
                 .iter()
                 .any(|st| matches!(st.phase, Phase::Resolve { .. }));
             let issued = if self.vmig.pending() >= self.cfg.vmig_batch_lines || !flowing {
-                self.vmig.issue(mem, self.clock, self.cfg.fill_nsb) > 0
+                self.vmig.issue(mem, self.clock, self.fill_nsb) > 0
             } else {
                 false
             };
@@ -936,7 +942,7 @@ mod tests {
 
         let nsb_cfg = MemoryConfig::default().with_nsb(CacheConfig::nsb_default());
         let mut mem_nsb = MemorySystem::new(nsb_cfg);
-        let mut with_nsb = NvrPrefetcher::new(NvrConfig::with_nsb());
+        let mut with_nsb = NvrPrefetcher::new(NvrConfig::default());
         let r_nsb = engine.run(&program, &mut mem_nsb, &mut with_nsb);
 
         assert!(

@@ -43,7 +43,7 @@
 //!
 //! let nvr = NvrPrefetcher::new(NvrConfig::default());
 //! assert_eq!(nvr.name(), "NVR");
-//! assert!(!nvr.fills_nsb()); // until an NSB is configured
+//! assert!(nvr.fills_nsb()); // whenever the memory system has an NSB
 //! ```
 
 #![forbid(unsafe_code)]

@@ -120,9 +120,12 @@ pub trait Prefetcher {
         mem: &mut MemorySystem,
     );
 
-    /// Whether this prefetcher's fills should also populate the NSB
-    /// (§IV-G: NSB pays off only with accurate prefetchers; the engine
-    /// honours this flag when an NSB is configured).
+    /// Whether this prefetcher's fills also populate the NSB when the
+    /// memory system has one (§IV-G: the NSB pays off only with accurate
+    /// prefetchers). Informational: the engine never reads it, and each
+    /// prefetcher decides its own fills (NVR fills whenever an NSB is
+    /// present). It stays on the trait because the `perfbench/` package's
+    /// timing wrapper implements it.
     fn fills_nsb(&self) -> bool {
         false
     }

@@ -26,7 +26,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use nvr_common::DataWidth;
-use nvr_sim::figures::FigureId;
+use nvr_sim::figures::{fig9, FigureId};
 use nvr_sim::sweep::{pool, run_sweep, SweepSpec, DEFAULT_SEED};
 use nvr_sim::SystemKind;
 use nvr_workloads::{Scale, TileOrder, WorkloadId};
@@ -39,7 +39,7 @@ USAGE (figures mode, default):
 
 USAGE (grid mode):
   sweep --grid [--jobs N] [--workload W]... [--system S]... [--scale SCALE]...
-        [--order O]... [--width X]... [--seed S]... [--nsb-admit T] [--channels N]
+        [--order O]... [--width X]... [--seed S]... [--channels N]
         [--csv PATH|-] [--timings PATH]
 
 OPTIONS:
@@ -52,7 +52,6 @@ OPTIONS:
   --order O       natural|degree|clustered tile order (repeatable; grid mode)
   --width X       int8|fp16|int32 (repeatable; grid mode)
   --seed S        u64 seed (repeatable in grid mode)
-  --nsb-admit T   NSB admission threshold override for NVR systems (0 = LRU NSB; grid mode)
   --channels N    DRAM channel count of the grid's memory system (grid mode)
   --csv PATH      grid mode: write the deterministic result CSV (`-` = stdout);
                   figures mode with fig9: write the retention-policy study CSV
@@ -71,7 +70,6 @@ struct Args {
     orders: Vec<TileOrder>,
     widths: Vec<DataWidth>,
     seeds: Vec<u64>,
-    nsb_admit: Option<u32>,
     channels: Option<usize>,
     csv: Option<String>,
     timings: Option<String>,
@@ -88,7 +86,6 @@ fn parse_args() -> Result<Args, String> {
         orders: Vec::new(),
         widths: Vec::new(),
         seeds: Vec::new(),
-        nsb_admit: None,
         channels: None,
         csv: None,
         timings: None,
@@ -137,13 +134,6 @@ fn parse_args() -> Result<Args, String> {
                         .map_err(|e| format!("--seed: {e}"))?,
                 );
             }
-            "--nsb-admit" => {
-                args.nsb_admit = Some(
-                    value("--nsb-admit")?
-                        .parse()
-                        .map_err(|e| format!("--nsb-admit: {e}"))?,
-                );
-            }
             "--channels" => {
                 let n: usize = value("--channels")?
                     .parse()
@@ -175,9 +165,6 @@ fn parse_args() -> Result<Args, String> {
             return Err(
                 "--workload/--system/--width/--order only apply to grid mode (add --grid)".into(),
             );
-        }
-        if args.nsb_admit.is_some() {
-            return Err("--nsb-admit only applies to grid mode (add --grid)".into());
         }
         if args.csv.is_some()
             && !(args.figures.contains(&FigureId::Fig9) || args.figures.is_empty())
@@ -215,12 +202,21 @@ fn run_figures(args: &Args) -> Result<(), String> {
     let scale = args.scales.first().copied().unwrap_or_default();
     let seed = args.seeds.first().copied().unwrap_or(DEFAULT_SEED);
     let mut timing_csv = String::from("figure,wall_ms\n");
+    let mut policy = Vec::new();
     // nvr-lint: allow(determinism/wall-clock) reason="end-to-end timing goes to stderr and --timings CSV only; stdout stays byte-identical"
     let t0 = Instant::now();
     for fig in &figures {
         // nvr-lint: allow(determinism/wall-clock) reason="per-figure timing goes to stderr and --timings CSV only; stdout stays byte-identical"
         let fig_t0 = Instant::now();
-        let rendition = fig.regenerate(scale, seed, args.jobs);
+        let rendition = if *fig == FigureId::Fig9 {
+            // Keep fig9's retention-policy study for the --csv artifact
+            // instead of running it a second time.
+            let data = fig9::run_jobs(scale, seed, args.jobs);
+            policy = data.policy.clone();
+            data.to_string()
+        } else {
+            fig.regenerate(scale, seed, args.jobs)
+        };
         let wall = fig_t0.elapsed();
         println!("{rendition}");
         eprintln!(
@@ -242,11 +238,9 @@ fn run_figures(args: &Args) -> Result<(), String> {
         write_file(path, &timing_csv)?;
     }
     if let Some(path) = &args.csv {
-        // The fig9 retention-policy study as a deterministic CSV (the CI
-        // artifact). Recomputed from the same (scale, seed), so the file
-        // matches the rendition printed above for any --jobs.
-        let cells = nvr_sim::figures::fig9::policy_sweep_jobs(scale, seed, args.jobs);
-        let csv = nvr_sim::figures::fig9::policy_csv(&cells);
+        // The fig9 retention-policy study printed above, as a
+        // deterministic CSV (the CI artifact).
+        let csv = fig9::policy_csv(&policy);
         match path.as_str() {
             "-" => print!("{csv}"),
             _ => write_file(path, &csv)?,
@@ -275,7 +269,6 @@ fn run_grid(args: &Args) -> Result<(), String> {
         orders: pick(&args.orders, defaults.orders),
         widths: pick(&args.widths, defaults.widths),
         seeds: pick(&args.seeds, defaults.seeds),
-        nsb_admit: args.nsb_admit,
         mem_cfg,
     };
     let results = run_sweep(&spec, args.jobs);

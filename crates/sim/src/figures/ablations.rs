@@ -7,11 +7,10 @@ use std::fmt;
 
 use nvr_common::DataWidth;
 use nvr_core::{nsb_scored, NvrConfig, NvrPrefetcher, TriggerPolicy};
-use nvr_mem::{CacheConfig, MemoryConfig, MemorySystem};
-use nvr_npu::{NpuConfig, NpuEngine};
-use nvr_prefetch::NullPrefetcher;
+use nvr_mem::{CacheConfig, MemoryConfig};
 use nvr_workloads::{Scale, TileOrder, WorkloadId, WorkloadSpec};
 
+use crate::runner::SystemKind;
 use crate::sweep::run_batch;
 
 /// One NSB associativity point: a 16 KB scored NSB under NVR+NSB on H2O.
@@ -121,11 +120,10 @@ pub fn run_jobs(scale: Scale, seed: u64, jobs: usize) -> Ablations {
                     ways,
                     ..nsb_scored(16)
                 };
-                let mut mem = MemorySystem::new(MemoryConfig::default().with_nsb(nsb));
-                let mut nvr = NvrPrefetcher::new(NvrConfig::with_nsb());
-                let r = NpuEngine::new(NpuConfig::default()).run(&program, &mut mem, &mut nvr);
-                let s = mem.stats();
-                let nsb_stats = s.nsb.as_ref().expect("NSB configured");
+                let r = SystemKind::NvrNsb
+                    .spec(&MemoryConfig::default().with_nsb(nsb))
+                    .run(&program);
+                let nsb_stats = r.mem.nsb.as_ref().expect("NSB configured");
                 AssocCell {
                     ways,
                     cycles: r.total_cycles,
@@ -140,21 +138,21 @@ pub fn run_jobs(scale: Scale, seed: u64, jobs: usize) -> Ablations {
         .map(|w| {
             move || {
                 let program = w.build(&spec);
-                let engine = NpuEngine::new(NpuConfig::default());
-                let mut mem_base = MemorySystem::new(MemoryConfig::default());
-                let base = engine.run(&program, &mut mem_base, &mut NullPrefetcher::new());
+                let mem_cfg = MemoryConfig::default();
+                let base = SystemKind::InOrder.spec(&mem_cfg).run(&program);
+                let nvr_spec = SystemKind::Nvr.spec(&mem_cfg);
                 variants()
                     .into_iter()
                     .map(|(label, cfg)| {
-                        let mut mem = MemorySystem::new(MemoryConfig::default());
+                        // Our own prefetcher, so its VMIG can be read after.
                         let mut nvr = NvrPrefetcher::new(cfg);
-                        let r = engine.run(&program, &mut mem, &mut nvr);
+                        let r = nvr_spec.run_with(&program, &mut nvr);
                         VariantCell {
                             label,
                             workload: w.short(),
                             cycles: r.total_cycles,
                             speedup: base.total_cycles as f64 / r.total_cycles as f64,
-                            accuracy: mem.prefetch_accuracy(),
+                            accuracy: r.mem.prefetch_accuracy(),
                             pack: nvr.vmig().mean_pack_width(),
                         }
                     })

@@ -12,7 +12,7 @@ use nvr_workloads::double_sparsity;
 use nvr_workloads::{Scale, TileOrder, WorkloadSpec};
 
 use crate::report::{fmt3, Table};
-use crate::runner::{run_system, SystemKind};
+use crate::runner::SystemKind;
 use crate::sweep::run_batch;
 
 /// One sweep point.
@@ -62,32 +62,28 @@ pub fn run_jobs(scale: Scale, seed: u64, jobs: usize) -> Fig1b {
                     order: TileOrder::Natural,
                 };
                 let program = double_sparsity::build_with_ratio(&spec, ratio);
-                run_system(&program, &MemoryConfig::default(), SystemKind::InOrder)
+                SystemKind::InOrder
+                    .spec(&MemoryConfig::default())
+                    .run(&program)
             }
         })
         .collect();
     let outcomes = run_batch(tasks, jobs);
-    let dense = outcomes[0].result.total_cycles;
+    let dense = outcomes[0].total_cycles;
     let points = ratios
         .iter()
         .zip(&outcomes)
-        .map(|(&ratio, outcome)| {
-            let cycles = outcome.result.total_cycles;
+        .map(|(&ratio, result)| {
+            let cycles = result.total_cycles;
             Point {
                 ratio,
                 cycles,
                 speedup: dense as f64 / cycles.max(1) as f64,
-                offchip_lines: outcome.result.mem.demand_offchip_lines(),
+                offchip_lines: result.mem.demand_offchip_lines(),
             }
         })
         .collect();
     Fig1b { points }
-}
-
-/// Runs the sweep single-threaded.
-#[must_use]
-pub fn run(scale: Scale, seed: u64) -> Fig1b {
-    run_jobs(scale, seed, 1)
 }
 
 impl fmt::Display for Fig1b {
@@ -120,7 +116,7 @@ mod tests {
 
     #[test]
     fn speedup_saturates_below_reduction() {
-        let data = run(Scale::Tiny, 3);
+        let data = run_jobs(Scale::Tiny, 3, 1);
         assert_eq!(data.points.len(), 5);
         let p16 = data.speedup_at_16x();
         assert!(p16 > 1.5, "sparsity should speed things up ({p16})");

@@ -10,11 +10,11 @@ use std::fmt;
 use nvr_common::DataWidth;
 use nvr_core::nsb_config;
 use nvr_mem::MemoryConfig;
-use nvr_workloads::{Scale, TileOrder, WorkloadId};
+use nvr_workloads::{Scale, WorkloadId};
 
 use crate::report::{fmt3, Table};
 use crate::runner::SystemKind;
-use crate::sweep::{run_sweep, SweepSpec};
+use crate::sweep::{run_sweep, SweepResults, SweepSpec};
 
 /// One bar of one panel.
 #[derive(Debug, Clone, PartialEq)]
@@ -79,21 +79,15 @@ impl Fig5 {
     }
 }
 
-/// Runs one panel as a sweep over `jobs` workers.
-fn run_panel(
-    scale: Scale,
-    seed: u64,
-    width: DataWidth,
-    nsb: bool,
-    jobs: usize,
-    bars: &mut Vec<Bar>,
-) {
+/// Runs one panel as a sweep over `jobs` workers: every system at one
+/// width, over the paper's 16 KB NSB when `nsb` is set.
+fn run_panel(scale: Scale, seed: u64, width: DataWidth, nsb: bool, jobs: usize) -> SweepResults {
     let mem_cfg = if nsb {
         MemoryConfig::default().with_nsb(nsb_config(16))
     } else {
         MemoryConfig::default()
     };
-    let panel = run_sweep(
+    run_sweep(
         &SweepSpec {
             scales: vec![scale],
             widths: vec![width],
@@ -102,55 +96,37 @@ fn run_panel(
             ..SweepSpec::default()
         },
         jobs,
-    );
-    // The normalisation denominator: InO, same width, no NSB. For the NSB
-    // panel that baseline is not in the panel's own grid, so run it as a
-    // second (InO-only) sweep.
-    let plain_ino;
-    let denom_sweep = if nsb {
-        plain_ino = run_sweep(
-            &SweepSpec {
-                systems: vec![SystemKind::InOrder],
-                scales: vec![scale],
-                widths: vec![width],
-                seeds: vec![seed],
-                ..SweepSpec::default()
-            },
-            jobs,
-        );
-        &plain_ino
-    } else {
-        &panel
-    };
-    for w in WorkloadId::ALL {
-        let denom = denom_sweep
+    )
+}
+
+/// Appends one bar per cell of `panel`, normalised to the InO cell of the
+/// same workload in `denom` (InO, same width, no NSB).
+fn push_bars(bars: &mut Vec<Bar>, panel: &SweepResults, denom: &SweepResults, nsb: bool) {
+    for cell in &panel.cells {
+        let j = &cell.job;
+        let denom = denom
             .get(
-                w,
+                j.workload,
                 SystemKind::InOrder,
-                scale,
-                TileOrder::Natural,
-                width,
-                seed,
+                j.scale,
+                j.order,
+                j.width,
+                j.seed,
             )
             .expect("InO baseline in sweep")
             .outcome
             .result
             .total_cycles;
-        for system in SystemKind::ALL {
-            let o = &panel
-                .get(w, system, scale, TileOrder::Natural, width, seed)
-                .expect("sweep covers the full grid")
-                .outcome;
-            bars.push(Bar {
-                workload: w.short(),
-                system: system.label(),
-                width,
-                nsb,
-                norm_total: o.normalised_total(denom),
-                norm_base: o.base_cycles as f64 / denom.max(1) as f64,
-                norm_stall: o.normalised_stall(denom),
-            });
-        }
+        let o = &cell.outcome;
+        bars.push(Bar {
+            workload: j.workload.short(),
+            system: j.system.label(),
+            width: j.width,
+            nsb,
+            norm_total: o.normalised_total(denom),
+            norm_base: o.base_cycles as f64 / denom.max(1) as f64,
+            norm_stall: o.normalised_stall(denom),
+        });
     }
 }
 
@@ -159,16 +135,15 @@ fn run_panel(
 pub fn run_jobs(scale: Scale, seed: u64, jobs: usize) -> Fig5 {
     let mut bars = Vec::new();
     for width in DataWidth::ALL {
-        run_panel(scale, seed, width, false, jobs, &mut bars);
+        let panel = run_panel(scale, seed, width, false, jobs);
+        push_bars(&mut bars, &panel, &panel, false);
+        if width == DataWidth::Int32 {
+            // The NSB panel normalises to this panel's InO cells.
+            let nsb = run_panel(scale, seed, width, true, jobs);
+            push_bars(&mut bars, &nsb, &panel, true);
+        }
     }
-    run_panel(scale, seed, DataWidth::Int32, true, jobs, &mut bars);
     Fig5 { bars }
-}
-
-/// Runs all four panels, single-threaded.
-#[must_use]
-pub fn run(scale: Scale, seed: u64) -> Fig5 {
-    run_jobs(scale, seed, 1)
 }
 
 impl fmt::Display for Fig5 {
@@ -216,12 +191,13 @@ impl fmt::Display for Fig5 {
 mod tests {
     use super::*;
 
-    /// One-panel smoke test at tiny scale (the full figure is exercised by
-    /// the bench harness).
+    /// Panel smoke test at tiny scale (the full figure is exercised by
+    /// `sweep --figure fig5`).
     #[test]
     fn int8_panel_shape_holds() {
         let mut bars = Vec::new();
-        run_panel(Scale::Tiny, 11, DataWidth::Int8, false, 2, &mut bars);
+        let panel = run_panel(Scale::Tiny, 11, DataWidth::Int8, false, 2);
+        push_bars(&mut bars, &panel, &panel, false);
         let fig = Fig5 { bars };
         let panel = fig.panel(DataWidth::Int8, false);
         assert_eq!(panel.len(), 8 * 7);

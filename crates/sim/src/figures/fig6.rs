@@ -141,18 +141,6 @@ pub fn run_jobs(scale: Scale, seed: u64, jobs: usize) -> Fig6 {
     run_jobs_with_workloads(scale, seed, jobs, &WorkloadId::ALL)
 }
 
-/// Single-threaded convenience wrapper over [`run_jobs`].
-#[must_use]
-pub fn run(scale: Scale, seed: u64) -> Fig6 {
-    run_jobs(scale, seed, 1)
-}
-
-/// Single-threaded variant of [`run_jobs_with_workloads`].
-#[must_use]
-pub fn run_with_workloads(scale: Scale, seed: u64, workloads: &[WorkloadId]) -> Fig6 {
-    run_jobs_with_workloads(scale, seed, 1, workloads)
-}
-
 /// Runs with a workload subset (tests use fewer) on `jobs` workers.
 #[must_use]
 pub fn run_jobs_with_workloads(
@@ -337,7 +325,7 @@ mod tests {
     fn nvr_leads_accuracy_and_coverage() {
         // Two contrasting workloads keep the test fast: affine DS and
         // two-level MK.
-        let fig = run_with_workloads(Scale::Tiny, 5, &[WorkloadId::Ds, WorkloadId::Mk]);
+        let fig = run_jobs_with_workloads(Scale::Tiny, 5, 1, &[WorkloadId::Ds, WorkloadId::Mk]);
         let nvr_cov = fig.avg_coverage("NVR");
         for s in ["Stream", "IMP", "DVR"] {
             assert!(
@@ -356,7 +344,7 @@ mod tests {
 
     #[test]
     fn pollution_is_the_unclamped_coverage() {
-        let fig = run_with_workloads(Scale::Tiny, 5, &[WorkloadId::Ds, WorkloadId::Mk]);
+        let fig = run_jobs_with_workloads(Scale::Tiny, 5, 1, &[WorkloadId::Ds, WorkloadId::Mk]);
         for c in &fig.cells {
             // coverage == clamp(-pollution, 0, 1) by construction; a
             // positive pollution must coincide with zero coverage.
@@ -376,7 +364,7 @@ mod tests {
 
     #[test]
     fn movement_panel_shows_offchip_collapse() {
-        let fig = run_with_workloads(Scale::Tiny, 6, &[WorkloadId::Ds]);
+        let fig = run_jobs_with_workloads(Scale::Tiny, 6, 1, &[WorkloadId::Ds]);
         assert_eq!(fig.movement.len(), 3);
         assert!(
             fig.nvr_offchip_reduction() > 3.0,

@@ -19,13 +19,13 @@
 use std::fmt;
 
 use nvr_common::DataWidth;
-use nvr_core::{nsb_config, NvrConfig, NvrPrefetcher};
-use nvr_mem::{MemoryConfig, MemorySystem};
-use nvr_npu::{NpuConfig, NpuEngine};
-use nvr_prefetch::{NullPrefetcher, Prefetcher, TimelinessReport};
+use nvr_core::{nsb_config, NvrConfig};
+use nvr_mem::MemoryConfig;
+use nvr_prefetch::TimelinessReport;
 use nvr_workloads::{Scale, TileOrder, WorkloadId, WorkloadSpec};
 
 use crate::report::{fmt3, Table};
+use crate::runner::{PrefetcherSpec, SystemKind, SystemSpec};
 use crate::sweep::run_batch;
 
 /// Timeliness of one (workload, lookahead-variant) pair.
@@ -64,21 +64,21 @@ impl Fig6b {
     }
 }
 
-/// The compared variants: the pre-pipelining single-window episode loop,
-/// the pipelined cross-tile default, and the pipelined engine filling the
-/// paper's 16 KB NSB (§IV-G) — the NVR+NSB system's timeliness bar.
-fn variants() -> [(&'static str, NvrConfig, MemoryConfig); 3] {
-    let single = NvrConfig {
-        lookahead_tiles: 1,
-        ..NvrConfig::default()
-    };
+/// The compared variants as (label, lookahead depth, system, memory): the
+/// pre-pipelining single-window episode loop, the pipelined cross-tile
+/// default, and the pipelined engine filling the paper's 16 KB NSB
+/// (§IV-G) — the NVR+NSB system's timeliness bar.
+fn variants() -> [(&'static str, usize, SystemKind, MemoryConfig); 3] {
+    let depth = NvrConfig::default().lookahead_tiles;
+    let plain = MemoryConfig::default();
     [
-        ("single-window", single, MemoryConfig::default()),
-        ("pipelined", NvrConfig::default(), MemoryConfig::default()),
+        ("single-window", 1, SystemKind::Nvr, plain.clone()),
+        ("pipelined", depth, SystemKind::Nvr, plain.clone()),
         (
             "pipelined+NSB",
-            NvrConfig::with_nsb(),
-            MemoryConfig::default().with_nsb(nsb_config(16)),
+            depth,
+            SystemKind::Nvr,
+            plain.with_nsb(nsb_config(16)),
         ),
     ]
 }
@@ -87,12 +87,6 @@ fn variants() -> [(&'static str, NvrConfig, MemoryConfig); 3] {
 #[must_use]
 pub fn run_jobs(scale: Scale, seed: u64, jobs: usize) -> Fig6b {
     run_jobs_with_workloads(scale, seed, jobs, &WorkloadId::ALL)
-}
-
-/// Single-threaded convenience wrapper over [`run_jobs`].
-#[must_use]
-pub fn run(scale: Scale, seed: u64) -> Fig6b {
-    run_jobs(scale, seed, 1)
 }
 
 /// Runs with a workload subset (tests use fewer) on `jobs` workers.
@@ -113,23 +107,29 @@ pub fn run_jobs_with_workloads(
                 order: TileOrder::Natural,
             };
             let program = w.build(&spec);
-            let engine = NpuEngine::new(NpuConfig::default());
-            let mut mem_base = MemorySystem::new(MemoryConfig::default());
-            let base = engine.run(&program, &mut mem_base, &mut NullPrefetcher::new());
+            let base = SystemKind::InOrder
+                .spec(&MemoryConfig::default())
+                .run(&program)
+                .total_cycles;
             variants()
                 .into_iter()
-                .map(|(variant, cfg, mem_cfg)| {
-                    let depth = cfg.lookahead_tiles;
-                    let mut mem = MemorySystem::new(mem_cfg);
-                    let mut nvr = NvrPrefetcher::new(cfg);
-                    let r = engine.run(&program, &mut mem, &mut nvr);
-                    nvr.finalize_run(&mut mem);
+                .map(|(variant, depth, system, mem)| {
+                    // Each variant is its system with the lookahead depth set.
+                    let spec = SystemSpec {
+                        prefetcher: PrefetcherSpec::Nvr(NvrConfig {
+                            lookahead_tiles: depth,
+                            ..NvrConfig::default()
+                        }),
+                        ..system.spec(&mem)
+                    };
+                    let mut nvr = spec.prefetcher.build();
+                    let r = spec.run_with(&program, nvr.as_mut());
                     TimelinessCell {
                         workload: w.short(),
                         variant,
                         depth,
                         cycles: r.total_cycles,
-                        speedup: base.total_cycles as f64 / r.total_cycles.max(1) as f64,
+                        speedup: base as f64 / r.total_cycles.max(1) as f64,
                         prefetch_late: r.mem.l2.prefetch_late.get(),
                         timeliness: nvr.timeliness().unwrap_or_default(),
                     }

@@ -16,7 +16,7 @@ use nvr_llm::{
 use nvr_mem::{DramConfig, MemoryConfig};
 
 use crate::report::{fmt3, Table};
-use crate::runner::{run_system, SystemKind};
+use crate::runner::SystemKind;
 use crate::sweep::run_batch;
 
 /// Panel (a): one layer's miss rates under one system.
@@ -100,12 +100,13 @@ fn sparse_step_cycles(
     } else {
         SystemKind::InOrder
     };
-    let qkt = run_system(&qkt_program(cfg, l, seed), &mem_cfg, system);
-    let av = run_system(&av_program(cfg, l, seed), &mem_cfg, system);
+    let spec = system.spec(&mem_cfg);
+    let qkt = spec.run(&qkt_program(cfg, l, seed));
+    let av = spec.run(&av_program(cfg, l, seed));
     // The programs simulate 48 decode steps of one head; scale to the
     // whole stack (heads x layers serialise through the gather unit).
     let sim_steps = 48.0;
-    let per_step = (qkt.result.total_cycles + av.result.total_cycles) as f64 / sim_steps;
+    let per_step = (qkt.total_cycles + av.total_cycles) as f64 / sim_steps;
     per_step * cfg.heads as f64 * cfg.layers as f64
 }
 
@@ -139,12 +140,12 @@ pub fn run_jobs(seed: u64, fast: bool, jobs: usize) -> Fig8 {
                         "QKT" => qkt_program(&cfg, l, seed),
                         _ => av_program(&cfg, l, seed),
                     };
-                    let o = run_system(&program, &MemoryConfig::default(), system);
+                    let r = system.spec(&MemoryConfig::default()).run(&program);
                     LayerMiss {
                         layer,
                         system: system.label(),
-                        batch_miss_rate: o.result.batch_miss_rate(),
-                        element_miss_rate: o.result.element_miss_rate(),
+                        batch_miss_rate: r.batch_miss_rate(),
+                        element_miss_rate: r.element_miss_rate(),
                     }
                 }
             })
@@ -205,12 +206,6 @@ pub fn run_jobs(seed: u64, fast: bool, jobs: usize) -> Fig8 {
         }
     }
     fig
-}
-
-/// Runs all three panels, single-threaded.
-#[must_use]
-pub fn run(seed: u64, fast: bool) -> Fig8 {
-    run_jobs(seed, fast, 1)
 }
 
 impl fmt::Display for Fig8 {
@@ -274,7 +269,7 @@ mod tests {
 
     #[test]
     fn nvr_improves_decode_and_batch_misses() {
-        let fig = run(3, true);
+        let fig = run_jobs(3, true, 1);
         // Panel (a): NVR shrinks both miss metrics on the gather layers;
         // batch misses stay >= element misses.
         for layer in ["QKT", "AV"] {

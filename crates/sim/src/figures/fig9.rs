@@ -19,14 +19,13 @@
 use std::fmt;
 
 use nvr_common::{DataWidth, LINE_BYTES};
-use nvr_core::{nsb_config, nsb_scored, NvrConfig, NvrPrefetcher};
-use nvr_mem::{CacheConfig, MemoryConfig, MemorySystem, RetentionPolicy};
-use nvr_npu::{NpuConfig, NpuEngine};
+use nvr_core::{nsb_config, nsb_scored, NvrConfig};
+use nvr_mem::{CacheConfig, MemoryConfig, RetentionPolicy};
 use nvr_workloads::minkowski::{self, PointcloudParams, VoxelOrder};
 use nvr_workloads::{Scale, TileOrder, WorkloadId, WorkloadSpec};
 
 use crate::report::{fmt3, Table};
-use crate::runner::{run_system, run_system_tuned, SystemKind};
+use crate::runner::{PrefetcherSpec, SystemKind, SystemSpec};
 use crate::sweep::run_batch;
 
 /// One cell of the sensitivity grid.
@@ -138,22 +137,23 @@ pub fn run_subset_jobs(
                     order: TileOrder::Natural,
                 };
                 let program = WorkloadId::H2o.build(&spec);
-                let engine = NpuEngine::new(NpuConfig::default());
                 let mem_cfg = MemoryConfig::default()
                     .with_l2(CacheConfig::l2_default().with_size(l2_kb * 1024))
                     .with_nsb(nsb_config(nsb_kb));
                 // Co-design: the NSB is the speculative buffer, so it bounds
                 // how much speculative state NVR may keep in flight (§IV-G) —
-                // half its lines, leaving the rest for resident reuse.
+                // half its lines, leaving the rest for resident reuse. The
+                // grid runs the plain-LRU NSB with admission scoring off.
                 let lookahead = ((nsb_kb * 1024 / LINE_BYTES) / 2).max(16) as usize;
-                let nvr_cfg = NvrConfig {
-                    fill_nsb: true,
-                    lookahead_lines: lookahead,
-                    ..NvrConfig::default()
-                };
-                let mut mem = MemorySystem::new(mem_cfg);
-                let mut nvr = NvrPrefetcher::new(nvr_cfg);
-                let result = engine.run(&program, &mut mem, &mut nvr);
+                let result = SystemSpec {
+                    prefetcher: PrefetcherSpec::Nvr(NvrConfig {
+                        lookahead_lines: lookahead,
+                        nsb_admit_min_reuse: 0,
+                        ..NvrConfig::default()
+                    }),
+                    ..SystemKind::NvrNsb.spec(&mem_cfg)
+                }
+                .run(&program);
                 let area_kb = (nsb_kb + l2_kb) as f64;
                 Cell {
                     nsb_kb,
@@ -169,12 +169,6 @@ pub fn run_subset_jobs(
         density: Vec::new(),
         policy: Vec::new(),
     }
-}
-
-/// Single-threaded subset runner (tests).
-#[must_use]
-pub fn run_subset(scale: Scale, seed: u64, nsb_sizes: &[u64], l2_sizes: &[u64]) -> Fig9 {
-    run_subset_jobs(scale, seed, nsb_sizes, l2_sizes, 1)
 }
 
 /// Density sweep points (occupied voxels of the MK-shaped scene).
@@ -206,18 +200,29 @@ pub fn density_sweep_jobs(scale: Scale, seed: u64, jobs: usize) -> Vec<DensityCe
                     .with_order(order);
                 let program = minkowski::build_with_params(&spec, &params);
                 let mem_cfg = MemoryConfig::default();
-                let ino = run_system(&program, &mem_cfg, SystemKind::InOrder);
-                let nvr = run_system(&program, &mem_cfg, SystemKind::Nvr);
+                let ino = SystemKind::InOrder.spec(&mem_cfg).run(&program);
+                let nvr = SystemKind::Nvr.spec(&mem_cfg).run(&program);
                 DensityCell {
                     points,
                     order,
-                    nvr_cycles: nvr.result.total_cycles,
-                    speedup: ino.result.total_cycles as f64 / nvr.result.total_cycles.max(1) as f64,
+                    nvr_cycles: nvr.total_cycles,
+                    speedup: ino.total_cycles as f64 / nvr.total_cycles.max(1) as f64,
                 }
             }
         })
         .collect();
     run_batch(tasks, jobs)
+}
+
+/// NVR+NSB over `mem_cfg` with NSB admission threshold `admit`.
+fn admit_spec(mem_cfg: &MemoryConfig, admit: u32) -> SystemSpec {
+    SystemSpec {
+        prefetcher: PrefetcherSpec::Nvr(NvrConfig {
+            nsb_admit_min_reuse: admit,
+            ..NvrConfig::default()
+        }),
+        ..SystemKind::NvrNsb.spec(mem_cfg)
+    }
 }
 
 /// NSB capacities of the retention-policy study (KB).
@@ -260,14 +265,14 @@ pub fn policy_sweep_jobs(scale: Scale, seed: u64, jobs: usize) -> Vec<PolicyCell
                     cfg.l2.policy = RetentionPolicy::ScoredEvict;
                     cfg
                 };
-                let ino = run_system(&program, &mem_cfg, SystemKind::InOrder);
-                let nsb = run_system_tuned(&program, &mem_cfg, SystemKind::NvrNsb, Some(admit));
+                let ino = SystemKind::InOrder.spec(&mem_cfg).run(&program);
+                let nsb = admit_spec(&mem_cfg, admit).run(&program);
                 PolicyCell {
                     nsb_kb,
                     policy,
                     admit,
-                    cycles: nsb.result.total_cycles,
-                    speedup: ino.result.total_cycles as f64 / nsb.result.total_cycles.max(1) as f64,
+                    cycles: nsb.total_cycles,
+                    speedup: ino.total_cycles as f64 / nsb.total_cycles.max(1) as f64,
                 }
             }
         })
@@ -300,12 +305,6 @@ pub fn run_jobs(scale: Scale, seed: u64, jobs: usize) -> Fig9 {
     fig.density = density_sweep_jobs(scale, seed, jobs);
     fig.policy = policy_sweep_jobs(scale, seed, jobs);
     fig
-}
-
-/// Runs the full paper grid, single-threaded.
-#[must_use]
-pub fn run(scale: Scale, seed: u64) -> Fig9 {
-    run_jobs(scale, seed, 1)
 }
 
 impl fmt::Display for Fig9 {
@@ -415,7 +414,7 @@ mod tests {
 
     #[test]
     fn bigger_caches_do_not_hurt_latency() {
-        let fig = run_subset(Scale::Tiny, 4, &[4, 16], &[64, 256]);
+        let fig = run_subset_jobs(Scale::Tiny, 4, &[4, 16], &[64, 256], 1);
         assert_eq!(fig.cells.len(), 4);
         let small = fig.cell(4, 64).expect("cell").cycles;
         let big = fig.cell(16, 256).expect("cell").cycles;
@@ -426,7 +425,7 @@ mod tests {
     fn nsb_growth_beats_area_penalty_at_large_l2() {
         // The paper's Fig. 9 claim in shape: at a 256 KB L2, quadrupling
         // the (tiny) NSB raises perf/area.
-        let fig = run_subset(Scale::Tiny, 4, &[4, 16], &[256]);
+        let fig = run_subset_jobs(Scale::Tiny, 4, &[4, 16], &[256], 1);
         let small = fig.cell(4, 256).expect("cell").perf;
         let big = fig.cell(16, 256).expect("cell").perf;
         assert!(big > small, "NSB 16 KB {big} should beat 4 KB {small}");
@@ -472,14 +471,14 @@ mod tests {
         let program = WorkloadId::Gcn.build(&spec);
         let lru_cfg = MemoryConfig::default().with_nsb(nsb_config(16));
         let scored_cfg = MemoryConfig::default().with_nsb(nsb_scored(16));
-        let lru = run_system_tuned(&program, &lru_cfg, SystemKind::NvrNsb, Some(0));
-        let scored = run_system_tuned(&program, &scored_cfg, SystemKind::NvrNsb, Some(0));
-        assert_eq!(lru.result.total_cycles, scored.result.total_cycles);
+        let lru = admit_spec(&lru_cfg, 0).run(&program);
+        let scored = admit_spec(&scored_cfg, 0).run(&program);
+        assert_eq!(lru.total_cycles, scored.total_cycles);
     }
 
     #[test]
     fn perf_metric_penalises_area() {
-        let fig = run_subset(Scale::Tiny, 4, &[4], &[64, 1024]);
+        let fig = run_subset_jobs(Scale::Tiny, 4, &[4], &[64, 1024], 1);
         let small = fig.cell(4, 64).expect("cell");
         let big = fig.cell(4, 1024).expect("cell");
         // Unless the big L2 is dramatically faster, its perf/area is lower.

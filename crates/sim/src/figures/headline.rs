@@ -12,7 +12,7 @@
 
 use std::fmt;
 
-use nvr_common::DataWidth;
+use nvr_common::{mean, DataWidth};
 use nvr_mem::MemoryConfig;
 use nvr_workloads::{Scale, TileOrder, WorkloadId};
 
@@ -56,39 +56,6 @@ impl Headline {
             .iter()
             .max_by(|a, b| a.geomean.total_cmp(&b.geomean))
     }
-}
-
-/// Computes per-workload speedups of `system` over InO within `results`.
-fn config_speedups(
-    results: &crate::sweep::SweepResults,
-    system: SystemKind,
-    scale: Scale,
-    seed: u64,
-    workloads: &[WorkloadId],
-) -> Vec<(&'static str, f64)> {
-    workloads
-        .iter()
-        .map(|&w| {
-            let ino = results
-                .get(
-                    w,
-                    SystemKind::InOrder,
-                    scale,
-                    TileOrder::Natural,
-                    DataWidth::Fp16,
-                    seed,
-                )
-                .expect("InO baseline in sweep");
-            let sys = results
-                .get(w, system, scale, TileOrder::Natural, DataWidth::Fp16, seed)
-                .expect("system cell in sweep");
-            (
-                w.short(),
-                ino.outcome.result.total_cycles as f64
-                    / sys.outcome.result.total_cycles.max(1) as f64,
-            )
-        })
-        .collect()
 }
 
 /// Recomputes the claims over a workload set, fanning the grids out over
@@ -147,14 +114,6 @@ pub fn run_jobs_with_workloads(
                 .push(1.0 - nvr.result.mem.demand_offchip_lines() as f64 / ino_off as f64);
         }
     }
-    let avg = |v: &[f64]| {
-        if v.is_empty() {
-            0.0
-        } else {
-            v.iter().sum::<f64>() / v.len() as f64
-        }
-    };
-
     // The best-configuration search: NVR and NVR+NSB on one channel come
     // from the primary grid; the two-channel row pairs InO and NVR+NSB on
     // the same two-channel memory system (fair comparison).
@@ -175,7 +134,18 @@ pub fn run_jobs_with_workloads(
         ("NVR+NSB", &results, SystemKind::NvrNsb),
         ("NVR+NSB 2ch", &two_ch, SystemKind::NvrNsb),
     ] {
-        let speedups = config_speedups(sweep, system, scale, seed, workloads);
+        let speedups: Vec<(&'static str, f64)> = workloads
+            .iter()
+            .map(|&w| {
+                let cell = sweep
+                    .get(w, system, scale, TileOrder::Natural, DataWidth::Fp16, seed)
+                    .expect("system cell in sweep");
+                let speedup = sweep
+                    .speedup_vs_inorder(cell)
+                    .expect("InO baseline in sweep");
+                (w.short(), speedup)
+            })
+            .collect();
         configs.push(HeadlineConfig {
             label,
             geomean: geometric_mean(&speedups.iter().map(|(_, s)| *s).collect::<Vec<_>>()),
@@ -186,29 +156,17 @@ pub fn run_jobs_with_workloads(
     let speedups = configs[0].speedups.clone();
     Headline {
         speedup_vs_no_prefetch: configs[0].geomean,
-        miss_reduction_vs_gpp: avg(&miss_reductions),
-        offchip_reduction: avg(&offchip_reductions),
+        miss_reduction_vs_gpp: mean(&miss_reductions),
+        offchip_reduction: mean(&offchip_reductions),
         speedups,
         configs,
     }
-}
-
-/// Single-threaded variant of [`run_jobs_with_workloads`].
-#[must_use]
-pub fn run_with_workloads(scale: Scale, seed: u64, workloads: &[WorkloadId]) -> Headline {
-    run_jobs_with_workloads(scale, seed, 1, workloads)
 }
 
 /// Recomputes the claims over all eight workloads on `jobs` workers.
 #[must_use]
 pub fn run_jobs(scale: Scale, seed: u64, jobs: usize) -> Headline {
     run_jobs_with_workloads(scale, seed, jobs, &WorkloadId::ALL)
-}
-
-/// Recomputes the claims over all eight workloads, single-threaded.
-#[must_use]
-pub fn run(scale: Scale, seed: u64) -> Headline {
-    run_jobs(scale, seed, 1)
 }
 
 impl fmt::Display for Headline {
@@ -255,7 +213,7 @@ mod tests {
 
     #[test]
     fn claims_hold_in_shape_on_subset() {
-        let h = run_with_workloads(Scale::Tiny, 9, &[WorkloadId::Ds, WorkloadId::Gcn]);
+        let h = run_jobs_with_workloads(Scale::Tiny, 9, 1, &[WorkloadId::Ds, WorkloadId::Gcn]);
         assert!(
             h.speedup_vs_no_prefetch > 1.5,
             "speedup {}",

@@ -1,8 +1,33 @@
 //! Comparable single runs of one program under one system configuration.
+//!
+//! Every simulated system is one [`SystemSpec`] value — NPU, memory
+//! hierarchy and prefetcher as plain data. [`SystemKind::spec`] is the one
+//! table from a paper label to its spec, and [`SystemSpec`] owns the two
+//! runs every driver needs: the timed run and the ideal-memory base run.
+//! A knob study is a struct update over a label's spec:
+//!
+//! ```
+//! use nvr_core::NvrConfig;
+//! use nvr_mem::MemoryConfig;
+//! use nvr_sim::runner::{PrefetcherSpec, SystemKind, SystemSpec};
+//! use nvr_common::DataWidth;
+//! use nvr_workloads::{WorkloadId, WorkloadSpec};
+//!
+//! let program = WorkloadId::Ds.build(&WorkloadSpec::tiny(DataWidth::Int8, 1));
+//! let shallow = SystemSpec {
+//!     prefetcher: PrefetcherSpec::Nvr(NvrConfig {
+//!         lookahead_tiles: 1,
+//!         ..NvrConfig::default()
+//!     }),
+//!     ..SystemKind::Nvr.spec(&MemoryConfig::default())
+//! };
+//! let ino = SystemKind::InOrder.spec(&MemoryConfig::default());
+//! assert!(shallow.run(&program).total_cycles < ino.run(&program).total_cycles);
+//! ```
 
 use nvr_common::Cycle;
 use nvr_core::{nsb_scored, NvrConfig, NvrPrefetcher};
-use nvr_mem::{MemoryConfig, MemorySystem};
+use nvr_mem::{MemoryConfig, MemorySystem, RetentionPolicy};
 use nvr_npu::{NpuConfig, NpuEngine, RunResult};
 use nvr_prefetch::{
     DvrPrefetcher, ImpPrefetcher, NullPrefetcher, Prefetcher, StreamPrefetcher, TimelinessReport,
@@ -24,7 +49,8 @@ pub enum SystemKind {
     Imp,
     /// In-order + Decoupled Vector Runahead.
     Dvr,
-    /// In-order + NPU Vector Runahead (the paper's contribution).
+    /// In-order + NPU Vector Runahead (the paper's contribution). NVR
+    /// fills the NSB whenever the memory configuration has one.
     Nvr,
     /// In-order + NVR filling a 16 KB NSB in front of the L2 (§IV-G).
     /// Self-contained: when the sweep's memory configuration has no NSB,
@@ -76,66 +102,126 @@ impl SystemKind {
         }
     }
 
-    /// The memory configuration this system actually runs against:
-    /// [`SystemKind::NvrNsb`] adds the paper's default NSB — under the
-    /// scored retention policy, which degenerates to LRU bit-for-bit when
-    /// admission scoring is off — when the given configuration has none,
-    /// and runs the L2 under score-weighted eviction
-    /// ([`nvr_mem::RetentionPolicy::ScoredEvict`], always-admit) so
-    /// predicted-reuse scores pin hub lines at both levels; every other
-    /// system uses the configuration as-is.
+    /// The system this label names, run against `mem`: the one table from
+    /// label to spec. Every system but OoO runs the in-order NPU, and
+    /// every system uses `mem` as-is except [`SystemKind::NvrNsb`]: when
+    /// `mem` has no NSB it adds the paper's default one — under the scored
+    /// retention policy, which degenerates to LRU bit-for-bit when
+    /// admission scoring is off — and runs the L2 under score-weighted
+    /// eviction ([`RetentionPolicy::ScoredEvict`], always-admit) so
+    /// predicted-reuse scores pin hub lines at both levels. Over a memory
+    /// that already has an NSB, NVR and NVR+NSB are the same system.
     #[must_use]
-    pub fn effective_mem_cfg(self, mem_cfg: &MemoryConfig) -> MemoryConfig {
-        match self {
-            SystemKind::NvrNsb if mem_cfg.nsb.is_none() => {
-                let mut cfg = mem_cfg.clone().with_nsb(nsb_scored(16));
-                cfg.l2.policy = nvr_mem::RetentionPolicy::ScoredEvict;
-                cfg
-            }
-            SystemKind::InOrder
-            | SystemKind::OutOfOrder
-            | SystemKind::Stream
-            | SystemKind::Imp
-            | SystemKind::Dvr
-            | SystemKind::Nvr
-            | SystemKind::NvrNsb => mem_cfg.clone(),
-        }
-    }
-
-    fn npu_config(self) -> NpuConfig {
-        match self {
-            SystemKind::OutOfOrder => NpuConfig::out_of_order(),
-            SystemKind::InOrder
-            | SystemKind::Stream
-            | SystemKind::Imp
-            | SystemKind::Dvr
-            | SystemKind::Nvr
-            | SystemKind::NvrNsb => NpuConfig::default(),
-        }
-    }
-
-    fn prefetcher(self, mem_cfg: &MemoryConfig, nsb_admit: Option<u32>) -> Box<dyn Prefetcher> {
-        let tune = |mut cfg: NvrConfig| {
-            if let Some(admit) = nsb_admit {
-                cfg.nsb_admit_min_reuse = admit;
-            }
-            cfg
+    pub fn spec(self, mem: &MemoryConfig) -> SystemSpec {
+        let in_order = |prefetcher| SystemSpec {
+            npu: NpuConfig::default(),
+            mem: mem.clone(),
+            prefetcher,
         };
         match self {
-            SystemKind::InOrder | SystemKind::OutOfOrder => Box::new(NullPrefetcher::new()),
-            SystemKind::Stream => Box::new(StreamPrefetcher::default()),
-            SystemKind::Imp => Box::new(ImpPrefetcher::default()),
-            SystemKind::Dvr => Box::new(DvrPrefetcher::default()),
-            SystemKind::NvrNsb => Box::new(NvrPrefetcher::new(tune(NvrConfig::with_nsb()))),
-            SystemKind::Nvr => {
-                let cfg = if mem_cfg.nsb.is_some() {
-                    NvrConfig::with_nsb()
-                } else {
-                    NvrConfig::default()
-                };
-                Box::new(NvrPrefetcher::new(tune(cfg)))
+            SystemKind::InOrder => in_order(PrefetcherSpec::None),
+            SystemKind::OutOfOrder => SystemSpec {
+                npu: NpuConfig::out_of_order(),
+                ..in_order(PrefetcherSpec::None)
+            },
+            SystemKind::Stream => in_order(PrefetcherSpec::Stream),
+            SystemKind::Imp => in_order(PrefetcherSpec::Imp),
+            SystemKind::Dvr => in_order(PrefetcherSpec::Dvr),
+            SystemKind::Nvr => in_order(PrefetcherSpec::Nvr(NvrConfig::default())),
+            SystemKind::NvrNsb => {
+                let mut spec = in_order(PrefetcherSpec::Nvr(NvrConfig::default()));
+                if spec.mem.nsb.is_none() {
+                    spec.mem.nsb = Some(nsb_scored(16));
+                    spec.mem.l2.policy = RetentionPolicy::ScoredEvict;
+                }
+                spec
             }
         }
+    }
+
+    /// The memory configuration this system actually runs against: its
+    /// [`SystemKind::spec`]'s memory.
+    #[must_use]
+    pub fn effective_mem_cfg(self, mem_cfg: &MemoryConfig) -> MemoryConfig {
+        self.spec(mem_cfg).mem
+    }
+}
+
+/// The prefetcher of a [`SystemSpec`], as plain data.
+#[derive(Debug, Clone, PartialEq)]
+pub enum PrefetcherSpec {
+    /// No prefetching.
+    None,
+    /// The adaptive stream prefetcher, default configuration.
+    Stream,
+    /// The Indirect Memory Prefetcher, default configuration.
+    Imp,
+    /// Decoupled Vector Runahead, default configuration.
+    Dvr,
+    /// NPU Vector Runahead under the given configuration.
+    Nvr(NvrConfig),
+}
+
+impl PrefetcherSpec {
+    /// A fresh prefetcher of this kind, with no state from earlier runs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an NVR configuration fails [`NvrConfig::validate`].
+    #[must_use]
+    pub fn build(&self) -> Box<dyn Prefetcher> {
+        match self {
+            PrefetcherSpec::None => Box::new(NullPrefetcher::new()),
+            PrefetcherSpec::Stream => Box::new(StreamPrefetcher::default()),
+            PrefetcherSpec::Imp => Box::new(ImpPrefetcher::default()),
+            PrefetcherSpec::Dvr => Box::new(DvrPrefetcher::default()),
+            PrefetcherSpec::Nvr(cfg) => Box::new(NvrPrefetcher::new(cfg.clone())),
+        }
+    }
+}
+
+/// One simulated system as plain data: the NPU, the memory hierarchy it
+/// runs against, and its prefetcher. [`SystemKind::spec`] builds the
+/// paper's named systems; any other point is a struct update over one.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SystemSpec {
+    /// The NPU's configuration (in-order or out-of-order execution).
+    pub npu: NpuConfig,
+    /// The memory hierarchy the timed run simulates.
+    pub mem: MemoryConfig,
+    /// The prefetcher driving the timed run.
+    pub prefetcher: PrefetcherSpec,
+}
+
+impl SystemSpec {
+    /// The timed run with a fresh prefetcher built from
+    /// [`SystemSpec::prefetcher`].
+    #[must_use]
+    pub fn run(&self, program: &NpuProgram) -> RunResult {
+        self.run_with(program, self.prefetcher.build().as_mut())
+    }
+
+    /// The timed run driven by the caller's `prefetcher` instead of
+    /// [`SystemSpec::prefetcher`], so the caller can read it afterwards
+    /// (timeliness, VMIG statistics): `program` on this NPU against a fresh
+    /// memory system, then [`Prefetcher::finalize_run`].
+    #[must_use]
+    pub fn run_with(&self, program: &NpuProgram, prefetcher: &mut dyn Prefetcher) -> RunResult {
+        let mut mem = MemorySystem::new(self.mem.clone());
+        let result = NpuEngine::new(self.npu.clone()).run(program, &mut mem, prefetcher);
+        prefetcher.finalize_run(&mut mem);
+        result
+    }
+
+    /// Total cycles of the ideal-memory base run: `program` on this NPU
+    /// against an all-hit memory system, without prefetching (Fig. 5's
+    /// lower bar segment).
+    #[must_use]
+    pub fn base_cycles(&self, program: &NpuProgram) -> Cycle {
+        let mut ideal = MemorySystem::ideal(self.mem.clone());
+        NpuEngine::new(self.npu.clone())
+            .run(program, &mut ideal, &mut NullPrefetcher::new())
+            .total_cycles
     }
 }
 
@@ -188,41 +274,18 @@ impl RunOutcome {
 }
 
 /// Runs `program` under `system` against `mem_cfg` (as adjusted by
-/// [`SystemKind::effective_mem_cfg`]), plus the paired ideal-memory run
+/// [`SystemKind::spec`]): the timed run plus the paired ideal-memory run
 /// for the base/stall split.
 #[must_use]
 pub fn run_system(program: &NpuProgram, mem_cfg: &MemoryConfig, system: SystemKind) -> RunOutcome {
-    run_system_tuned(program, mem_cfg, system, None)
-}
-
-/// [`run_system`] with an NSB-admission override: `Some(t)` forces
-/// `NvrConfig::nsb_admit_min_reuse = t` on the NVR-family systems (0
-/// disables admission scoring, reverting the NSB to pure LRU); `None`
-/// keeps each system's calibrated default. Non-NVR systems ignore it.
-#[must_use]
-pub fn run_system_tuned(
-    program: &NpuProgram,
-    mem_cfg: &MemoryConfig,
-    system: SystemKind,
-    nsb_admit: Option<u32>,
-) -> RunOutcome {
-    let engine = NpuEngine::new(system.npu_config());
-    let mem_cfg = system.effective_mem_cfg(mem_cfg);
-
-    let mut mem = MemorySystem::new(mem_cfg.clone());
-    let mut prefetcher = system.prefetcher(&mem_cfg, nsb_admit);
-    let result = engine.run(program, &mut mem, prefetcher.as_mut());
-    prefetcher.finalize_run(&mut mem);
-    let timeliness = prefetcher.timeliness();
-
-    let mut ideal = MemorySystem::ideal(mem_cfg);
-    let base = engine.run(program, &mut ideal, &mut NullPrefetcher::new());
-
+    let spec = system.spec(mem_cfg);
+    let mut prefetcher = spec.prefetcher.build();
+    let result = spec.run_with(program, prefetcher.as_mut());
     RunOutcome {
         system,
         result,
-        base_cycles: base.total_cycles,
-        timeliness,
+        base_cycles: spec.base_cycles(program),
+        timeliness: prefetcher.timeliness(),
     }
 }
 
@@ -285,6 +348,36 @@ mod tests {
             SystemKind::NvrNsb.effective_mem_cfg(&cfg).nsb,
             Some(nvr_core::nsb_config(8))
         );
+    }
+
+    #[test]
+    fn one_label_one_spec() {
+        // Over the default memory every label names a distinct system.
+        let plain = MemoryConfig::default();
+        let specs: Vec<SystemSpec> = SystemKind::ALL.iter().map(|s| s.spec(&plain)).collect();
+        for (i, a) in specs.iter().enumerate() {
+            for (j, b) in specs.iter().enumerate().skip(i + 1) {
+                assert_ne!(
+                    a,
+                    b,
+                    "{} and {} share a spec",
+                    SystemKind::ALL[i].label(),
+                    SystemKind::ALL[j].label()
+                );
+            }
+        }
+        // Over an NSB-bearing memory exactly NVR and NVR+NSB coincide: NVR
+        // fills whatever NSB the NPU has.
+        let with_nsb = MemoryConfig::default().with_nsb(nvr_core::nsb_config(16));
+        let mut same = Vec::new();
+        for (i, a) in SystemKind::ALL.iter().enumerate() {
+            for b in &SystemKind::ALL[i + 1..] {
+                if a.spec(&with_nsb) == b.spec(&with_nsb) {
+                    same.push((a.label(), b.label()));
+                }
+            }
+        }
+        assert_eq!(same, [("NVR", "NVR+NSB")]);
     }
 
     #[test]

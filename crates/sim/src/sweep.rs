@@ -42,12 +42,12 @@ use nvr_trace::NpuProgram;
 use nvr_workloads::{Scale, TileOrder, WorkloadId, WorkloadSpec};
 
 use crate::report::{fmt3, Table};
-use crate::runner::{run_system_tuned, RunOutcome, SystemKind};
+use crate::runner::{run_system, RunOutcome, SystemKind};
 
 /// Seed the figure drivers and sweeps default to.
 pub const DEFAULT_SEED: u64 = 2025;
 
-/// The cartesian sweep specification: every combination of the five axes
+/// The cartesian sweep specification: every combination of the six axes
 /// becomes one [`SweepJob`].
 #[derive(Debug, Clone)]
 pub struct SweepSpec {
@@ -65,10 +65,6 @@ pub struct SweepSpec {
     pub widths: Vec<DataWidth>,
     /// RNG-seed axis (scenario diversity).
     pub seeds: Vec<u64>,
-    /// NSB-admission override shared by every cell: `Some(t)` forces the
-    /// NVR-family `nsb_admit_min_reuse` to `t` (0 = pure-LRU NSB), `None`
-    /// keeps the calibrated default.
-    pub nsb_admit: Option<u32>,
     /// Memory system shared by every cell.
     pub mem_cfg: MemoryConfig,
 }
@@ -83,7 +79,6 @@ impl Default for SweepSpec {
             orders: vec![TileOrder::Natural],
             widths: vec![DataWidth::Fp16],
             seeds: vec![DEFAULT_SEED],
-            nsb_admit: None,
             mem_cfg: MemoryConfig::default(),
         }
     }
@@ -115,7 +110,6 @@ impl SweepSpec {
                                     order,
                                     width,
                                     seed,
-                                    nsb_admit: self.nsb_admit,
                                     mem_cfg: self.mem_cfg.clone(),
                                 });
                             }
@@ -143,8 +137,6 @@ pub struct SweepJob {
     pub width: DataWidth,
     /// Program seed.
     pub seed: u64,
-    /// NSB-admission override for the NVR-family systems.
-    pub nsb_admit: Option<u32>,
     /// Memory system configuration.
     pub mem_cfg: MemoryConfig,
 }
@@ -183,7 +175,7 @@ impl SweepJob {
     /// system axis instead of regenerating it per cell.
     #[must_use]
     pub fn run_with_program(&self, program: &NpuProgram) -> RunOutcome {
-        run_system_tuned(program, &self.mem_cfg, self.system, self.nsb_admit)
+        run_system(program, &self.mem_cfg, self.system)
     }
 }
 

@@ -78,7 +78,6 @@ fn parallel_sweep_matches_serial_bit_for_bit() {
         orders: TileOrder::ALL.to_vec(),
         widths: vec![DataWidth::Fp16],
         seeds: vec![777, 778],
-        nsb_admit: None,
         mem_cfg: MemoryConfig {
             dram: DramConfig::default().with_channels(2),
             ..MemoryConfig::default()
@@ -309,7 +308,6 @@ fn tiny_grid_cycle_total_is_pinned() {
         orders: vec![TileOrder::Natural],
         widths: vec![DataWidth::Fp16],
         seeds: vec![2025],
-        nsb_admit: None,
         mem_cfg: MemoryConfig::default(),
     };
     let results = run_sweep(&spec, 2);
@@ -501,7 +499,7 @@ fn builders_match_pinned_program_fingerprints() {
 fn fallback_configurations_match_pinned_digests() {
     use nvr::core::nsb_scored;
     use nvr::mem::RetentionPolicy;
-    use nvr::sim::runner::run_system_tuned;
+    use nvr::sim::runner::{PrefetcherSpec, SystemSpec};
 
     const GOLDEN: &[(&str, &str, &str, u64)] = &[
         ("GCN", "l2-192k", "InO", 0x003736dcedca2845),
@@ -534,33 +532,48 @@ fn fallback_configurations_match_pinned_digests() {
         ("H2O", "admit-0", "NVR+NSB", 0xa8df705eddcb30d8),
     ];
     let base = MemoryConfig::default();
-    let mut cases: Vec<(String, MemoryConfig, SystemKind, Option<u32>)> = Vec::new();
+    let mut cases: Vec<(String, SystemKind, SystemSpec)> = Vec::new();
     let l2_192k = base
         .clone()
         .with_l2(CacheConfig::l2_default().with_size(192 * 1024));
     for system in [SystemKind::InOrder, SystemKind::Nvr, SystemKind::NvrNsb] {
-        cases.push(("l2-192k".into(), l2_192k.clone(), system, None));
+        cases.push(("l2-192k".into(), system, system.spec(&l2_192k)));
     }
     for ways in [1, 2, 4, 8] {
         let mut cfg = base.clone().with_nsb(nsb_scored(16).with_ways(ways));
         cfg.l2.policy = RetentionPolicy::ScoredEvict;
-        cases.push((format!("nsb-{ways}way"), cfg, SystemKind::NvrNsb, None));
+        let system = SystemKind::NvrNsb;
+        cases.push((format!("nsb-{ways}way"), system, system.spec(&cfg)));
     }
     for channels in [2, 3] {
         let cfg = base
             .clone()
             .with_dram(DramConfig::default().with_channels(channels));
         for system in [SystemKind::InOrder, SystemKind::Nvr, SystemKind::NvrNsb] {
-            cases.push((format!("dram-{channels}ch"), cfg.clone(), system, None));
+            cases.push((format!("dram-{channels}ch"), system, system.spec(&cfg)));
         }
     }
-    cases.push(("admit-0".into(), base.clone(), SystemKind::NvrNsb, Some(0)));
+    let admit_0 = SystemSpec {
+        prefetcher: PrefetcherSpec::Nvr(NvrConfig {
+            nsb_admit_min_reuse: 0,
+            ..NvrConfig::default()
+        }),
+        ..SystemKind::NvrNsb.spec(&base)
+    };
+    cases.push(("admit-0".into(), SystemKind::NvrNsb, admit_0));
 
     let mut rows = Vec::new();
     for workload in [WorkloadId::Gcn, WorkloadId::H2o] {
         let program = workload.build(&WorkloadSpec::tiny(DataWidth::Fp16, 777));
-        for (label, cfg, system, admit) in &cases {
-            let outcome = run_system_tuned(&program, cfg, *system, *admit);
+        for (label, system, spec) in &cases {
+            let mut prefetcher = spec.prefetcher.build();
+            let result = spec.run_with(&program, prefetcher.as_mut());
+            let outcome = RunOutcome {
+                system: *system,
+                result,
+                base_cycles: spec.base_cycles(&program),
+                timeliness: prefetcher.timeliness(),
+            };
             let mut d = Digest::new();
             for b in format!("{outcome:?}").bytes() {
                 d.word(u64::from(b));

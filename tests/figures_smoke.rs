@@ -6,7 +6,7 @@ use nvr::workloads::{Scale, WorkloadId};
 
 #[test]
 fn fig1b_renders() {
-    let data = figures::fig1b::run(Scale::Tiny, 1);
+    let data = figures::fig1b::run_jobs(Scale::Tiny, 1, 1);
     assert_eq!(data.points.len(), 5);
     let text = data.to_string();
     assert!(text.contains("16x"));
@@ -15,7 +15,7 @@ fn fig1b_renders() {
 
 #[test]
 fn fig6_subset_renders() {
-    let data = figures::fig6::run_with_workloads(Scale::Tiny, 2, &[WorkloadId::H2o]);
+    let data = figures::fig6::run_jobs_with_workloads(Scale::Tiny, 2, 1, &[WorkloadId::H2o]);
     assert_eq!(data.cells.len(), 5); // one workload x five prefetchers
     assert_eq!(data.movement.len(), 3);
     let text = data.to_string();
@@ -35,7 +35,7 @@ fn fig7b_subset_renders() {
 
 #[test]
 fn fig9_subset_renders() {
-    let data = figures::fig9::run_subset(Scale::Tiny, 3, &[4, 16], &[64, 256]);
+    let data = figures::fig9::run_subset_jobs(Scale::Tiny, 3, &[4, 16], &[64, 256], 1);
     assert_eq!(data.cells.len(), 4);
     let text = data.to_string();
     assert!(text.contains("NSB"));
@@ -61,7 +61,7 @@ fn table2_lists_all_workloads() {
 
 #[test]
 fn headline_subset_is_positive() {
-    let h = figures::headline::run_with_workloads(Scale::Tiny, 4, &[WorkloadId::Ds]);
+    let h = figures::headline::run_jobs_with_workloads(Scale::Tiny, 4, 1, &[WorkloadId::Ds]);
     assert!(h.speedup_vs_no_prefetch > 1.0);
     assert!(h.to_string().contains("speedup"));
 }
