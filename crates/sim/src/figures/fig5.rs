@@ -1,8 +1,9 @@
 //! Fig. 5 — normalised wall-clock latency per workload and system.
 //!
-//! Four panels: INT8, FP16, INT32, and INT32 with the NSB enabled. Within a
-//! workload every bar is normalised to the in-order no-prefetch (InO) run of
-//! the same width without NSB; each bar splits into base execution time and
+//! Four panels: INT8, FP16, INT32, and INT32 with the NSB enabled (where
+//! NVR fills the NSB, so its row is the NVR+NSB system). Within a workload
+//! every bar is normalised to the in-order no-prefetch (InO) run of the
+//! same width without NSB; each bar splits into base execution time and
 //! cache-miss stall.
 
 use std::fmt;
@@ -80,15 +81,23 @@ impl Fig5 {
 }
 
 /// Runs one panel as a sweep over `jobs` workers: every system at one
-/// width, over the paper's 16 KB NSB when `nsb` is set.
+/// width, or, over the paper's 16 KB NSB when `nsb` is set, every system
+/// but NVR+NSB — over an NSB-bearing memory it is the same system as NVR.
 fn run_panel(scale: Scale, seed: u64, width: DataWidth, nsb: bool, jobs: usize) -> SweepResults {
-    let mem_cfg = if nsb {
-        MemoryConfig::default().with_nsb(nsb_config(16))
+    let (systems, mem_cfg) = if nsb {
+        (
+            SystemKind::ALL
+                .into_iter()
+                .filter(|&s| s != SystemKind::NvrNsb)
+                .collect(),
+            MemoryConfig::default().with_nsb(nsb_config(16)),
+        )
     } else {
-        MemoryConfig::default()
+        (SystemKind::ALL.to_vec(), MemoryConfig::default())
     };
     run_sweep(
         &SweepSpec {
+            systems,
             scales: vec![scale],
             widths: vec![width],
             seeds: vec![seed],
@@ -196,8 +205,8 @@ mod tests {
     #[test]
     fn int8_panel_shape_holds() {
         let mut bars = Vec::new();
-        let panel = run_panel(Scale::Tiny, 11, DataWidth::Int8, false, 2);
-        push_bars(&mut bars, &panel, &panel, false);
+        let sweep = run_panel(Scale::Tiny, 11, DataWidth::Int8, false, 2);
+        push_bars(&mut bars, &sweep, &sweep, false);
         let fig = Fig5 { bars };
         let panel = fig.panel(DataWidth::Int8, false);
         assert_eq!(panel.len(), 8 * 7);
@@ -222,5 +231,12 @@ mod tests {
         }
         let red = fig.nvr_stall_reduction(DataWidth::Int8, false);
         assert!(red > 0.5, "NVR should remove most stall ({red})");
+        // The NSB panel shows each distinct system once: NVR+NSB over an
+        // NSB-bearing memory is the NVR row.
+        let nsb = run_panel(Scale::Tiny, 11, DataWidth::Int8, true, 2);
+        let mut bars = Vec::new();
+        push_bars(&mut bars, &nsb, &sweep, true);
+        assert_eq!(bars.len(), 8 * 6);
+        assert!(bars.iter().all(|b| b.system != "NVR+NSB"));
     }
 }

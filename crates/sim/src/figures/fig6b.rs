@@ -5,8 +5,8 @@
 //! For every workload it runs three NVR variants — a `lookahead_tiles =
 //! 1` configuration that degenerates to the old one-window-at-a-time
 //! episode loop, the pipelined cross-tile lookahead at the default depth
-//! ([`nvr_core::NvrConfig::lookahead_tiles`]), and the pipelined engine
-//! filling the paper's NSB (the NVR+NSB system) — and reports the
+//! ([`nvr_core::NvrConfig::lookahead_tiles`]), and the NVR+NSB system
+//! (the pipelined engine filling the paper's NSB) — and reports the
 //! measured per-prefetch outcomes from the lifetime log: timely / late /
 //! evicted-unused counts, the issue→first-use slack distribution
 //! (cycles between a prefetch entering the cache and its first demand
@@ -19,7 +19,7 @@
 use std::fmt;
 
 use nvr_common::DataWidth;
-use nvr_core::{nsb_config, NvrConfig};
+use nvr_core::NvrConfig;
 use nvr_mem::MemoryConfig;
 use nvr_prefetch::TimelinessReport;
 use nvr_workloads::{Scale, TileOrder, WorkloadId, WorkloadSpec};
@@ -33,7 +33,7 @@ use crate::sweep::run_batch;
 pub struct TimelinessCell {
     /// Workload short name.
     pub workload: &'static str,
-    /// Variant label ("pipelined" or "single-window").
+    /// Variant label ("single-window", "pipelined" or "NVR+NSB").
     pub variant: &'static str,
     /// Lookahead depth the variant ran with.
     pub depth: usize,
@@ -50,7 +50,7 @@ pub struct TimelinessCell {
 /// The Fig. 6b′ data set.
 #[derive(Debug, Clone, Default)]
 pub struct Fig6b {
-    /// Three cells (single-window, pipelined, pipelined+NSB) per workload.
+    /// Three cells (single-window, pipelined, NVR+NSB) per workload.
     pub cells: Vec<TimelinessCell>,
 }
 
@@ -64,22 +64,15 @@ impl Fig6b {
     }
 }
 
-/// The compared variants as (label, lookahead depth, system, memory): the
+/// The compared variants as (label, lookahead depth, system): the
 /// pre-pipelining single-window episode loop, the pipelined cross-tile
-/// default, and the pipelined engine filling the paper's 16 KB NSB
-/// (§IV-G) — the NVR+NSB system's timeliness bar.
-fn variants() -> [(&'static str, usize, SystemKind, MemoryConfig); 3] {
+/// default, and the NVR+NSB system (§IV-G) — its timeliness bar.
+fn variants() -> [(&'static str, usize, SystemKind); 3] {
     let depth = NvrConfig::default().lookahead_tiles;
-    let plain = MemoryConfig::default();
     [
-        ("single-window", 1, SystemKind::Nvr, plain.clone()),
-        ("pipelined", depth, SystemKind::Nvr, plain.clone()),
-        (
-            "pipelined+NSB",
-            depth,
-            SystemKind::Nvr,
-            plain.with_nsb(nsb_config(16)),
-        ),
+        ("single-window", 1, SystemKind::Nvr),
+        ("pipelined", depth, SystemKind::Nvr),
+        ("NVR+NSB", depth, SystemKind::NvrNsb),
     ]
 }
 
@@ -107,13 +100,11 @@ pub fn run_jobs_with_workloads(
                 order: TileOrder::Natural,
             };
             let program = w.build(&spec);
-            let base = SystemKind::InOrder
-                .spec(&MemoryConfig::default())
-                .run(&program)
-                .total_cycles;
+            let mem = MemoryConfig::default();
+            let base = SystemKind::InOrder.spec(&mem).run(&program).total_cycles;
             variants()
                 .into_iter()
-                .map(|(variant, depth, system, mem)| {
+                .map(|(variant, depth, system)| {
                     // Each variant is its system with the lookahead depth set.
                     let spec = SystemSpec {
                         prefetcher: PrefetcherSpec::Nvr(NvrConfig {

@@ -8,8 +8,6 @@
 use std::fmt;
 
 use nvr_common::{DataWidth, LINE_BYTES};
-use nvr_core::nsb_config;
-use nvr_mem::MemoryConfig;
 use nvr_workloads::{Scale, TileOrder, WorkloadId};
 
 use crate::report::{fmt3, Table};
@@ -19,7 +17,7 @@ use crate::sweep::{run_sweep, SweepResults, SweepSpec};
 /// Byte flows of one configuration, aggregated over workloads.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Flows {
-    /// Configuration label.
+    /// System label.
     pub label: String,
     /// Demand bytes served to the NPU from the hierarchy.
     pub npu_read_bytes: u64,
@@ -62,16 +60,10 @@ impl Fig7 {
     }
 }
 
-/// Aggregates one configuration's byte flows from its sweep cells.
-fn collect(
-    label: &str,
-    results: &SweepResults,
-    system: SystemKind,
-    scale: Scale,
-    seed: u64,
-) -> Flows {
+/// Aggregates one system's byte flows from its sweep cells.
+fn collect(results: &SweepResults, system: SystemKind, scale: Scale, seed: u64) -> Flows {
     let mut fl = Flows {
-        label: label.to_owned(),
+        label: system.label().to_owned(),
         ..Flows::default()
     };
     for w in WorkloadId::ALL {
@@ -95,31 +87,24 @@ fn collect(
     fl
 }
 
-/// Runs the three configurations over all workloads on `jobs` workers.
+/// Runs InO, NVR and NVR+NSB over all workloads on `jobs` workers.
 #[must_use]
 pub fn run_jobs(scale: Scale, seed: u64, jobs: usize) -> Fig7 {
-    let base = SweepSpec {
-        systems: vec![SystemKind::InOrder, SystemKind::Nvr],
-        scales: vec![scale],
-        widths: vec![DataWidth::Fp16],
-        seeds: vec![seed],
-        ..SweepSpec::default()
-    };
-    let plain = run_sweep(&base, jobs);
-    let with_nsb = run_sweep(
+    let systems = [SystemKind::InOrder, SystemKind::Nvr, SystemKind::NvrNsb];
+    let results = run_sweep(
         &SweepSpec {
-            systems: vec![SystemKind::Nvr],
-            mem_cfg: MemoryConfig::default().with_nsb(nsb_config(16)),
-            ..base
+            systems: systems.to_vec(),
+            scales: vec![scale],
+            widths: vec![DataWidth::Fp16],
+            seeds: vec![seed],
+            ..SweepSpec::default()
         },
         jobs,
     );
     Fig7 {
-        flows: vec![
-            collect("InO", &plain, SystemKind::InOrder, scale, seed),
-            collect("NVR", &plain, SystemKind::Nvr, scale, seed),
-            collect("NVR+NSB", &with_nsb, SystemKind::Nvr, scale, seed),
-        ],
+        flows: systems
+            .map(|system| collect(&results, system, scale, seed))
+            .to_vec(),
     }
 }
 

@@ -604,8 +604,8 @@ fn fallback_configurations_match_pinned_digests() {
 #[test]
 fn figure_renditions_match_pinned_digests() {
     const GOLDEN: &[(&str, u64)] = &[
-        ("fig6b", 0xce3aa8d2ff2f9b43),
-        ("fig7", 0xacf9cace378921a9),
+        ("fig6b", 0x9e7f94d29e75d197),
+        ("fig7", 0xc6df3e5b2e6d7e44),
         ("fig9", 0x612edaafa6ba0cd9),
         ("headline", 0x6e8bf8f25fbfb947),
         ("ablations", 0x33178c95ad6785cc),
