@@ -209,8 +209,8 @@ fn run_figures(args: &Args) -> Result<(), String> {
         // nvr-lint: allow(determinism/wall-clock) reason="per-figure timing goes to stderr and --timings CSV only; stdout stays byte-identical"
         let fig_t0 = Instant::now();
         let rendition = if *fig == FigureId::Fig9 {
-            // Keep fig9's retention-policy study for the --csv artifact
-            // instead of running it a second time.
+            // Keep fig9's data: its retention-policy study is also the
+            // --csv artifact.
             let data = fig9::run_jobs(scale, seed, args.jobs);
             policy = data.policy.clone();
             data.to_string()

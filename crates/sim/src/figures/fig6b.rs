@@ -105,7 +105,6 @@ pub fn run_jobs_with_workloads(
             variants()
                 .into_iter()
                 .map(|(variant, depth, system)| {
-                    // Each variant is its system with the lookahead depth set.
                     let spec = SystemSpec {
                         prefetcher: PrefetcherSpec::Nvr(NvrConfig {
                             lookahead_tiles: depth,

@@ -7,22 +7,21 @@
 //! A knob study is a struct update over a label's spec:
 //!
 //! ```
+//! use nvr_common::DataWidth;
 //! use nvr_core::NvrConfig;
 //! use nvr_mem::MemoryConfig;
 //! use nvr_sim::runner::{PrefetcherSpec, SystemKind, SystemSpec};
-//! use nvr_common::DataWidth;
 //! use nvr_workloads::{WorkloadId, WorkloadSpec};
 //!
 //! let program = WorkloadId::Ds.build(&WorkloadSpec::tiny(DataWidth::Int8, 1));
-//! let shallow = SystemSpec {
-//!     prefetcher: PrefetcherSpec::Nvr(NvrConfig {
-//!         lookahead_tiles: 1,
-//!         ..NvrConfig::default()
-//!     }),
-//!     ..SystemKind::Nvr.spec(&MemoryConfig::default())
+//! let mem = MemoryConfig::default();
+//! let cfg = NvrConfig { lookahead_tiles: 1, ..NvrConfig::default() };
+//! let single_window = SystemSpec {
+//!     prefetcher: PrefetcherSpec::Nvr(cfg),
+//!     ..SystemKind::Nvr.spec(&mem)
 //! };
-//! let ino = SystemKind::InOrder.spec(&MemoryConfig::default());
-//! assert!(shallow.run(&program).total_cycles < ino.run(&program).total_cycles);
+//! let ino = SystemKind::InOrder.spec(&mem).run(&program);
+//! assert!(single_window.run(&program).total_cycles < ino.total_cycles);
 //! ```
 
 use nvr_common::Cycle;

@@ -47,7 +47,7 @@ use crate::runner::{run_system, RunOutcome, SystemKind};
 /// Seed the figure drivers and sweeps default to.
 pub const DEFAULT_SEED: u64 = 2025;
 
-/// The cartesian sweep specification: every combination of the six axes
+/// The cartesian sweep specification: every combination of the five axes
 /// becomes one [`SweepJob`].
 #[derive(Debug, Clone)]
 pub struct SweepSpec {
