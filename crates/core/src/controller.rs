@@ -161,9 +161,8 @@ pub struct NvrPrefetcher {
     /// In-flight speculative windows, oldest first (the lookahead
     /// pipeline). Capacity is the throttled effective depth.
     windows: VecDeque<Runahead>,
-    /// Whether the first `advance` has run: it arms the memory system's
-    /// prefetch lifetime log and reads whether the NPU has an NSB.
-    armed: bool,
+    /// Whether the memory system's prefetch lifetime log has been enabled.
+    life_log_on: bool,
     /// Whether prefetches also fill the NSB (§IV-G): set on the first
     /// `advance` to whether the memory system has one.
     fill_nsb: bool,
@@ -195,16 +194,18 @@ impl NvrPrefetcher {
     pub fn new(cfg: NvrConfig) -> Self {
         // nvr-lint: allow(panic/hot-loop) reason="init-time config validation in the constructor, outside the tick loop"
         cfg.validate().expect("nvr config must be valid");
+        let mut vmig = Vmig::new(cfg.vmig_batch_lines);
+        vmig.set_nsb_admit(cfg.nsb_admit_min_reuse);
         NvrPrefetcher {
             sd: StrideDetector::new(cfg.vector_width),
             lbd: LoopBoundDetector::new(cfg.fuzzy_factor),
             scd: SparseChainDetector::new(),
-            vmig: Vmig::new(cfg.vmig_batch_lines),
+            vmig,
             lifetime: LifetimeTracker::new(cfg.throttle_window),
             reuse: ReusePredictor::new(),
             clock: 0,
             windows: VecDeque::with_capacity(cfg.lookahead_tiles),
-            armed: false,
+            life_log_on: false,
             fill_nsb: false,
             current_tile: 0,
             miss_seen_in_tile: false,
@@ -634,15 +635,10 @@ impl Prefetcher for NvrPrefetcher {
         // and fill the NSB if the NPU has one (§IV-G); then fold
         // everything the log recorded since the last window into the
         // tracker — the throttle input and the fig. 6b data.
-        if !self.armed {
+        if !self.life_log_on {
             mem.enable_prefetch_life_log();
             self.fill_nsb = mem.has_nsb();
-            self.vmig.set_nsb_admit(if self.fill_nsb {
-                self.cfg.nsb_admit_min_reuse
-            } else {
-                0
-            });
-            self.armed = true;
+            self.life_log_on = true;
         }
         self.lifetime.drain(mem);
         // Snoop ingestion is free (hardware registers).
