@@ -1,8 +1,9 @@
 //! One driver per table/figure of the paper's evaluation (§V).
 //!
-//! Every driver exposes `run(...) -> Data` returning structured results and
-//! a `Display` implementation printing the paper-style rendition;
-//! `sweep --figure <name>` is the one entry point that regenerates each.
+//! Every driver exposes `run_jobs(..., jobs) -> Data` (the static tables
+//! `run() -> Data`) returning structured results and a `Display`
+//! implementation printing the paper-style rendition; `sweep --figure
+//! <name>` is the one entry point that regenerates each.
 
 pub mod ablations;
 pub mod fig1b;

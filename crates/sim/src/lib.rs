@@ -1,7 +1,8 @@
 //! Top-level simulator harness and per-figure experiment drivers.
 //!
 //! Wires the NPU engine, the memory hierarchy, the baseline prefetchers and
-//! NVR into comparable runs, and regenerates every table and figure of the
+//! NVR into comparable runs — each system one [`SystemSpec`] value, built
+//! by [`SystemKind::spec`] — and regenerates every table and figure of the
 //! paper's evaluation (§V). Each `figures::fig*` module returns structured
 //! data *and* prints a paper-style text rendition, so the same code backs
 //! the `sweep` binary and the integration tests.
@@ -31,5 +32,5 @@ pub mod sweep;
 
 pub use metrics::{coverage, geometric_mean, pollution, timeliness_split};
 pub use report::Table;
-pub use runner::{run_system, RunOutcome, SystemKind};
+pub use runner::{run_system, PrefetcherSpec, RunOutcome, SystemKind, SystemSpec};
 pub use sweep::{run_sweep, SweepJob, SweepResults, SweepSpec};
