@@ -1,10 +1,10 @@
 //! Fig. 5 — normalised wall-clock latency per workload and system.
 //!
-//! Four panels: INT8, FP16, INT32, and INT32 with the NSB enabled (where
-//! NVR fills the NSB, so its row is the NVR+NSB system). Within a workload
-//! every bar is normalised to the in-order no-prefetch (InO) run of the
-//! same width without NSB; each bar splits into base execution time and
-//! cache-miss stall.
+//! Four panels: INT8, FP16, INT32, and INT32 with the NSB enabled. NVR
+//! fills that NSB, so over it NVR+NSB would repeat the NVR run and the
+//! panel has no NVR+NSB row. Within a workload every bar is normalised to
+//! the in-order no-prefetch (InO) run of the same width without NSB; each
+//! bar splits into base execution time and cache-miss stall.
 
 use std::fmt;
 
