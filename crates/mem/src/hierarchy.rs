@@ -46,8 +46,10 @@ pub enum PrefetchOutcome {
 /// The full simulated memory system.
 ///
 /// Construct with [`MemorySystem::new`] for timing-accurate runs or
-/// [`MemorySystem::ideal`] for all-hit baseline runs (used to split wall
-/// clock into base-execution and miss-stall segments as in Fig. 5).
+/// [`MemorySystem::ideal`] for all-hit runs. The all-hit run is the
+/// reference model of the NPU's closed-form ideal-memory base
+/// (`NpuEngine::base_cycles` in `nvr_npu`), which splits wall clock into
+/// base-execution and miss-stall segments as in Fig. 5.
 ///
 /// # Examples
 ///
@@ -95,8 +97,9 @@ impl MemorySystem {
     }
 
     /// Builds an *ideal* hierarchy: every demand access completes at the
-    /// minimum hit latency and prefetches are no-ops. Used to measure the
-    /// NPU base execution time.
+    /// minimum hit latency and prefetches are no-ops. The engine run over
+    /// it is the reference model that tests compare the closed-form NPU
+    /// base execution time (`NpuEngine::base_cycles` in `nvr_npu`) with.
     #[must_use]
     pub fn ideal(cfg: MemoryConfig) -> Self {
         let mut sys = MemorySystem::new(cfg);
@@ -402,17 +405,20 @@ impl MemorySystem {
     /// Earliest cycle strictly after `now` at which the prefetch path can
     /// change state on its own: a speculative fill completes (freeing a
     /// slot of the dedicated MSHR file) or a queued channel request
-    /// reaches the bus (easing per-channel back-pressure). `None` when
-    /// nothing speculative is in motion. Event-driven issuers use this to
-    /// skip dead cycles: between `now` and the returned cycle, an issue
-    /// attempt that found no free slot or a full channel would keep
-    /// finding the same thing.
+    /// reaches the bus (easing per-channel back-pressure). While the MSHR
+    /// file is full only the first of those counts: no prefetch can issue
+    /// until a slot frees, so an earlier queue start changes nothing.
+    /// `None` when nothing speculative is in motion. Event-driven issuers
+    /// use this to skip dead cycles: between `now` and the returned cycle,
+    /// an issue attempt that found no free slot or a full channel would
+    /// keep finding the same thing.
     #[must_use]
     pub fn next_prefetch_wakeup(&self, now: Cycle) -> Option<Cycle> {
-        let mshr = self
-            .pf_inflight
-            .get(completed_by(&self.pf_inflight, now))
-            .copied();
+        let done = completed_by(&self.pf_inflight, now);
+        let mshr = self.pf_inflight.get(done).copied();
+        if self.pf_inflight.len() - done >= self.cfg.prefetch_mshrs {
+            return mshr;
+        }
         let queue = self.dram.next_pf_queue_start(now);
         match (mshr, queue) {
             (Some(a), Some(b)) => Some(a.min(b)),
@@ -643,6 +649,39 @@ mod tests {
             r.ready_at,
             dram.line_transfer_cycles() + dram.latency + dram.line_transfer_cycles()
         );
+    }
+
+    #[test]
+    fn full_mshr_file_wakes_on_a_completion_only() {
+        // Two prefetches at cycle 0 on the one channel: the first takes the
+        // bus, the second queues behind it and starts before the first
+        // fill completes.
+        for prefetch_mshrs in [2, 3] {
+            let mut mem = MemorySystem::new(MemoryConfig {
+                prefetch_mshrs,
+                ..MemoryConfig::default()
+            });
+            let mut first_fill = Cycle::MAX;
+            for i in 1..=2 {
+                match mem.prefetch_line(LineAddr::new(i), 0, false) {
+                    PrefetchOutcome::Issued { fill_done } => first_fill = first_fill.min(fill_done),
+                    other => panic!("expected issue, got {other:?}"),
+                }
+            }
+            let queue_start = mem
+                .dram()
+                .next_pf_queue_start(0)
+                .expect("the second fill waits for the bus");
+            assert!(queue_start < first_fill);
+            if prefetch_mshrs == 2 {
+                // Full: the queue start cannot let anything issue.
+                assert!(!mem.prefetch_ready(0));
+                assert_eq!(mem.next_prefetch_wakeup(0), Some(first_fill));
+            } else {
+                assert!(mem.prefetch_ready(0));
+                assert_eq!(mem.next_prefetch_wakeup(0), Some(queue_start));
+            }
+        }
     }
 
     #[test]

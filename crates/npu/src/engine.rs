@@ -98,6 +98,71 @@ impl NpuEngine {
         }
     }
 
+    /// Total cycles of `program` on this NPU when every demand access
+    /// completes `demand_latency` cycles after it issues and nothing is
+    /// prefetched: the ideal-memory base run (Fig. 5's lower bar segment)
+    /// in closed form. One pass over the tiles, with no memory system, no
+    /// image reads and no gather resolution; it equals [`NpuEngine::run`]
+    /// over [`MemorySystem::ideal`], the reference model, bit for bit.
+    ///
+    /// Under that memory the timed schedule collapses per tile: the index
+    /// lines complete `(lines − 1) / loads_per_cycle + demand_latency`
+    /// after issue, each gather batch takes `demand_latency` (twice that
+    /// when a table probe precedes the element loads), engine-side DMA
+    /// still serialises through the scratchpad, and channel-side DMA and
+    /// stores are free, so the run ends with the last tile's compute.
+    #[must_use]
+    pub fn base_cycles(&self, program: &NpuProgram, demand_latency: Cycle) -> Cycle {
+        let mut spad =
+            nvr_mem::Scratchpad::new(self.cfg.scratchpad_bytes, self.cfg.dma_bytes_per_cycle);
+        let mut load_free: Cycle = 0;
+        let mut compute_free: Cycle = 0;
+        let mut compute_starts: Vec<Cycle> = Vec::with_capacity(program.tiles.len());
+        for (i, tile) in program.tiles.iter().enumerate() {
+            let issue = match self.cfg.exec {
+                ExecMode::InOrder => compute_free,
+                ExecMode::OutOfOrder { rob_tiles } => {
+                    let gate = i.checked_sub(rob_tiles).map_or(0, |j| compute_starts[j]);
+                    load_free.max(gate)
+                }
+            };
+            let dma_done = if tile.dma_bytes > 0 {
+                spad.dma_in(issue, tile.dma_bytes.min(self.cfg.scratchpad_bytes))
+                    .expect("tile DMA sized within scratchpad")
+            } else {
+                issue
+            };
+            let lines = tile.index_region.line_count();
+            let index_ready = if lines == 0 {
+                issue
+            } else {
+                issue + (lines - 1) / self.cfg.loads_per_cycle + demand_latency
+            };
+            let (batches, batch_cycles) = tile.gather.map_or((0, 0), |g| {
+                let batches = tile.index_count().div_ceil(g.batch.max(1)) as u64;
+                let levels = if g.func.is_two_level() { 2 } else { 1 };
+                (batches, levels * demand_latency)
+            });
+            let data_ready = match self.cfg.exec {
+                // Blocking batches run back to back.
+                ExecMode::InOrder => index_ready + batches * batch_cycles,
+                // One batch issues per cycle; the last one completes last.
+                ExecMode::OutOfOrder { .. } => {
+                    load_free = index_ready + batches;
+                    if batches == 0 {
+                        index_ready
+                    } else {
+                        index_ready + batches - 1 + batch_cycles
+                    }
+                }
+            };
+            let compute_start = compute_free.max(data_ready.max(dma_done));
+            compute_starts.push(compute_start);
+            compute_free = compute_start + tile.compute_cycles;
+        }
+        compute_free
+    }
+
     fn snoop_for(
         program: &NpuProgram,
         tile: &TileOp,
@@ -449,7 +514,7 @@ impl NpuEngine {
 mod tests {
     use super::*;
     use nvr_common::{DataWidth, Region};
-    use nvr_mem::MemoryConfig;
+    use nvr_mem::{CacheConfig, MemoryConfig};
     use nvr_prefetch::NullPrefetcher;
     use nvr_trace::{GatherDesc, MemoryImage, SparseFunc};
 
@@ -598,8 +663,8 @@ mod tests {
         assert!(r.element_miss_rate() < 0.3);
     }
 
-    #[test]
-    fn two_level_gathers_probe_and_fetch() {
+    /// One tile gathering 64 rows through a 64-entry slot table.
+    fn two_level_program() -> NpuProgram {
         let mut image = MemoryImage::new();
         let index_base = Addr::new(0x10_0000);
         let table_base = Addr::new(0x20_0000);
@@ -610,7 +675,7 @@ mod tests {
             ia_base: Addr::new(0x1_0000_0000),
             row_bytes: 64,
         };
-        let program = NpuProgram {
+        NpuProgram {
             name: "2lvl".into(),
             width: DataWidth::Int8,
             tiles: vec![TileOp {
@@ -622,13 +687,119 @@ mod tests {
                 store_bytes: 0,
             }],
             image,
-        };
+        }
+    }
+
+    #[test]
+    fn two_level_gathers_probe_and_fetch() {
+        let program = two_level_program();
         let engine = NpuEngine::new(NpuConfig::default());
         let mut mem = MemorySystem::new(MemoryConfig::default());
         let r = engine.run(&program, &mut mem, &mut NullPrefetcher::new());
         // Probes hit the table lines (1 KB), targets hit 64 distinct rows.
         assert_eq!(r.gather_elements, 64);
         assert!(r.total_cycles > 2 * 164, "two serialised memory levels");
+    }
+
+    /// Dense tiles only: DMA (some past the scratchpad's capacity),
+    /// compute and stores, with no index or gather phase.
+    fn dense_program() -> NpuProgram {
+        let tiles = (0..6)
+            .map(|i| TileOp {
+                id: i,
+                index_region: Region::empty(),
+                gather: None,
+                dma_bytes: [0, 4096, 1 << 20, 64, 300_000, 32][i],
+                compute_cycles: [7, 0, 90, 500, 3, 40][i],
+                store_bytes: 128,
+            })
+            .collect();
+        NpuProgram {
+            name: "dense".into(),
+            width: DataWidth::Int8,
+            tiles,
+            image: MemoryImage::new(),
+        }
+    }
+
+    /// Index slices that start mid-line and end mid-batch (37 indices from
+    /// byte 20 of a line, batches of 16), plus a gather tile whose slice is
+    /// empty and a tile that loads indices without gathering.
+    fn unaligned_program() -> NpuProgram {
+        let mut image = MemoryImage::new();
+        let index_base = Addr::new(0x10_0000);
+        image.add_u32_segment(index_base, (0..512).map(|i| (i * 13) % 1000).collect());
+        let gather = Some(GatherDesc {
+            func: SparseFunc::Affine {
+                ia_base: Addr::new(0x1_0000_0000),
+                row_bytes: 96,
+            },
+            batch: 16,
+        });
+        let mut tiles: Vec<TileOp> = (0..9)
+            .map(|i| TileOp {
+                id: i,
+                index_region: Region::new(index_base.offset(20 + i as u64 * 37 * 4), 37 * 4),
+                gather,
+                dma_bytes: 512,
+                compute_cycles: 30 + 40 * (i as u64 % 3),
+                store_bytes: 64,
+            })
+            .collect();
+        tiles[3].index_region = Region::empty();
+        tiles[6].gather = None;
+        NpuProgram {
+            name: "unaligned".into(),
+            width: DataWidth::Int8,
+            tiles,
+            image,
+        }
+    }
+
+    #[test]
+    fn closed_form_base_matches_ideal_memory_run() {
+        let empty = NpuProgram {
+            name: "empty".into(),
+            width: DataWidth::Int8,
+            tiles: vec![],
+            image: MemoryImage::new(),
+        };
+        let programs = [
+            empty,
+            dense_program(),
+            gather_program(16, 64, 50),
+            two_level_program(),
+            unaligned_program(),
+        ];
+        let mems = [
+            MemoryConfig::default(),
+            MemoryConfig::default().with_nsb(CacheConfig::nsb_default()),
+        ];
+        // A two-tile ROB gates most tiles of every multi-tile program.
+        for exec in [ExecMode::InOrder, ExecMode::OutOfOrder { rob_tiles: 2 }] {
+            for loads_per_cycle in [1, 3] {
+                let engine = NpuEngine::new(NpuConfig {
+                    exec,
+                    loads_per_cycle,
+                    ..NpuConfig::default()
+                });
+                for program in &programs {
+                    for mem_cfg in &mems {
+                        let mut ideal = MemorySystem::ideal(mem_cfg.clone());
+                        let reference = engine
+                            .run(program, &mut ideal, &mut NullPrefetcher::new())
+                            .total_cycles;
+                        assert_eq!(
+                            engine.base_cycles(program, mem_cfg.min_demand_latency()),
+                            reference,
+                            "{}: {exec:?}, {loads_per_cycle} loads/cycle, NSB {}",
+                            program.name,
+                            mem_cfg.nsb.is_some()
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -6,9 +6,10 @@ use nvr_mem::MemoryStats;
 /// Timing and miss statistics of one program execution.
 ///
 /// The latency split the paper's Fig. 5 plots — base execution time vs
-/// cache-miss stall — is obtained by running the same program twice: once
-/// against the real memory system and once against
-/// [`nvr_mem::MemorySystem::ideal`]; the difference is the stall segment
+/// cache-miss stall — pairs this timed run with the same program's
+/// ideal-memory base, [`crate::NpuEngine::base_cycles`] (a closed form
+/// whose reference model is the engine run over
+/// [`nvr_mem::MemorySystem::ideal`]); the difference is the stall segment
 /// (see the `nvr-sim` harness).
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunResult {

@@ -293,11 +293,16 @@ impl Prefetcher for DvrPrefetcher {
                 continue;
             }
             if !ep.queue.is_empty() {
-                // Backpressure: hold the queue while the MSHR file is full.
                 if mem.prefetch_ready(self.clock) {
                     self.drain_queue(mem);
+                    self.clock += 1;
+                } else {
+                    // Backpressure: hold the queue while the MSHR file is
+                    // full, which lasts until its next completion.
+                    self.clock = mem
+                        .next_prefetch_wakeup(self.clock)
+                        .map_or(to, |wake| wake.min(to));
                 }
-                self.clock += 1;
                 continue;
             }
             if !self.step(snoop, image, mem) && self.episode.is_none() {

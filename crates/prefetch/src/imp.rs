@@ -8,8 +8,9 @@
 //!
 //! Mechanistic limits reproduced here, which drive its Fig. 5/6 standing:
 //!
-//! * non-affine chains (voxel-hash table lookups) never lock, so point-cloud
-//!   workloads get only the index-stream prefetches;
+//! * non-affine chains (voxel-hash table lookups) rarely lock, and a lock
+//!   they do reach unlocks after `unlock_after` mismatches, so point-cloud
+//!   workloads get little beyond the index-stream prefetches;
 //! * the lead time is bounded by `distance` index elements, far shorter than
 //!   a runahead prefetcher's reach, costing timeliness (coverage);
 //! * a locked mapping is verified against later misses and unlocked on
@@ -17,7 +18,7 @@
 
 use std::collections::VecDeque;
 
-use nvr_common::{Addr, Cycle};
+use nvr_common::{Addr, Cycle, NvrError};
 use nvr_mem::MemorySystem;
 use nvr_trace::{AccessEvent, EventKind, MemoryImage, SnoopState};
 
@@ -40,6 +41,31 @@ pub struct ImpConfig {
     pub stream_degree: u64,
 }
 
+impl ImpConfig {
+    /// Checks the configuration is realisable.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NvrError::Config`] if the candidate table has no entries
+    /// (the first training miss would have nowhere to go) or `max_shift`
+    /// is 64 or more (`value << shift` would overflow).
+    pub fn validate(&self) -> Result<(), NvrError> {
+        if self.candidates == 0 {
+            return Err(NvrError::Config(
+                "IMP candidate table must have at least one entry".into(),
+            ));
+        }
+        if self.max_shift >= u64::BITS {
+            return Err(NvrError::Config(format!(
+                "IMP max shift {} must be below {}",
+                self.max_shift,
+                u64::BITS
+            )));
+        }
+        Ok(())
+    }
+}
+
 impl Default for ImpConfig {
     fn default() -> Self {
         ImpConfig {
@@ -56,12 +82,6 @@ impl Default for ImpConfig {
 struct Mapping {
     base: u64,
     shift: u32,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct Candidate {
-    mapping: Mapping,
-    hits: u32,
 }
 
 /// The IMP prefetcher.
@@ -83,74 +103,30 @@ pub struct ImpPrefetcher {
     /// buffer: one arrives per index load, so evicting the oldest must not
     /// shift the other 31.
     recent_values: VecDeque<u32>,
-    candidates: Vec<Candidate>,
-    locked: Option<Mapping>,
-    mismatches: u32,
+    trainer: Trainer<ShiftTable>,
 }
 
 impl ImpPrefetcher {
     /// Creates an IMP with the given configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration fails [`ImpConfig::validate`].
     #[must_use]
     pub fn new(cfg: ImpConfig) -> Self {
+        cfg.validate().expect("IMP config must be valid");
         ImpPrefetcher {
             cfg,
             index_stride: StrideEntry::new(),
             recent_values: VecDeque::with_capacity(33),
-            candidates: Vec::new(),
-            locked: None,
-            mismatches: 0,
+            trainer: Trainer::new(ShiftTable::new(cfg.candidates, cfg.max_shift)),
         }
     }
 
     /// The learned mapping, if locked (exposed for tests and reporting).
     #[must_use]
     pub fn locked_mapping(&self) -> Option<(u64, u32)> {
-        self.locked.map(|m| (m.base, m.shift))
-    }
-
-    fn learn(&mut self, miss_addr: Addr) {
-        for &v in self.recent_values.iter().rev().take(2) {
-            for shift in 0..=self.cfg.max_shift {
-                let scaled = u64::from(v) << shift;
-                let Some(base) = miss_addr.raw().checked_sub(scaled) else {
-                    continue;
-                };
-                let mapping = Mapping { base, shift };
-                if let Some(c) = self.candidates.iter_mut().find(|c| c.mapping == mapping) {
-                    c.hits += 1;
-                    if c.hits >= 2 && shift > 0 {
-                        self.locked = Some(mapping);
-                        self.mismatches = 0;
-                        return;
-                    }
-                } else {
-                    if self.candidates.len() == self.cfg.candidates {
-                        self.candidates.remove(0);
-                    }
-                    self.candidates.push(Candidate { mapping, hits: 1 });
-                }
-            }
-        }
-    }
-
-    fn verify(&mut self, miss_addr: Addr) {
-        let Some(m) = self.locked else { return };
-        let predicted = self
-            .recent_values
-            .iter()
-            .rev()
-            .take(8)
-            .any(|&v| m.base + (u64::from(v) << m.shift) == miss_addr.raw());
-        if predicted {
-            self.mismatches = 0;
-        } else {
-            self.mismatches += 1;
-            if self.mismatches >= self.cfg.unlock_after {
-                self.locked = None;
-                self.candidates.clear();
-                self.mismatches = 0;
-            }
-        }
+        self.trainer.locked.map(|m| (m.base, m.shift))
     }
 }
 
@@ -187,7 +163,7 @@ impl Prefetcher for ImpPrefetcher {
                 }
                 // Indirect part: prefetch the target `distance` ahead, using
                 // the ahead-value only if its line is already on chip.
-                if let Some(m) = self.locked {
+                if let Some(m) = self.trainer.locked {
                     let stride = self.index_stride.stride();
                     if stride > 0 {
                         let ahead_addr =
@@ -201,11 +177,8 @@ impl Prefetcher for ImpPrefetcher {
                 }
             }
             EventKind::GatherLoad if event.missed => {
-                if self.locked.is_some() {
-                    self.verify(event.addr);
-                } else {
-                    self.learn(event.addr);
-                }
+                self.trainer
+                    .on_miss(&self.cfg, &self.recent_values, event.addr);
             }
             _ => {}
         }
@@ -220,6 +193,129 @@ impl Prefetcher for ImpPrefetcher {
         _mem: &mut MemorySystem,
     ) {
         // IMP is event-driven; no decoupled speculative thread.
+    }
+}
+
+/// A table of unique candidate mappings with hit counts, evicting the
+/// oldest candidate when full.
+trait CandidateTable {
+    /// Counts one more sighting of `mapping`, inserting it (evicting the
+    /// oldest candidate if the table is full) when absent; returns its
+    /// hit count.
+    fn sight(&mut self, mapping: Mapping) -> u32;
+    /// Forgets every candidate.
+    fn clear(&mut self);
+}
+
+/// The candidate table, bucketed by shift so a lookup scans only the
+/// candidates sharing its shift. `order` records every candidate's shift
+/// in insertion order and each bucket is oldest-first, so the oldest
+/// candidate overall is the front of the bucket `order` names first.
+#[derive(Debug, Clone)]
+struct ShiftTable {
+    capacity: usize,
+    /// Each candidate's shift, oldest first.
+    order: VecDeque<u32>,
+    /// Per shift, the `(base, hits)` of its candidates, oldest first.
+    buckets: Vec<VecDeque<(u64, u32)>>,
+}
+
+impl ShiftTable {
+    fn new(capacity: usize, max_shift: u32) -> Self {
+        ShiftTable {
+            capacity,
+            order: VecDeque::with_capacity(capacity),
+            buckets: vec![VecDeque::new(); max_shift as usize + 1],
+        }
+    }
+}
+
+impl CandidateTable for ShiftTable {
+    fn sight(&mut self, mapping: Mapping) -> u32 {
+        let bucket = &mut self.buckets[mapping.shift as usize];
+        if let Some((_, hits)) = bucket.iter_mut().find(|(base, _)| *base == mapping.base) {
+            *hits += 1;
+            return *hits;
+        }
+        if self.order.len() == self.capacity {
+            if let Some(oldest) = self.order.pop_front() {
+                self.buckets[oldest as usize].pop_front();
+            }
+        }
+        self.order.push_back(mapping.shift);
+        self.buckets[mapping.shift as usize].push_back((mapping.base, 1));
+        1
+    }
+
+    fn clear(&mut self) {
+        self.order.clear();
+        self.buckets.iter_mut().for_each(VecDeque::clear);
+    }
+}
+
+/// IMP's mapping trainer: the candidate table, the locked mapping and the
+/// locked mapping's current mismatch streak.
+#[derive(Debug, Clone)]
+struct Trainer<T> {
+    candidates: T,
+    locked: Option<Mapping>,
+    mismatches: u32,
+}
+
+impl<T: CandidateTable> Trainer<T> {
+    fn new(candidates: T) -> Self {
+        Trainer {
+            candidates,
+            locked: None,
+            mismatches: 0,
+        }
+    }
+
+    /// Trains on a gather miss at `miss_addr` while unlocked, or checks the
+    /// locked mapping against it; `recent` holds the index values seen so
+    /// far, newest last.
+    fn on_miss(&mut self, cfg: &ImpConfig, recent: &VecDeque<u32>, miss_addr: Addr) {
+        if self.locked.is_some() {
+            self.verify(cfg, recent, miss_addr);
+        } else {
+            self.learn(cfg, recent, miss_addr);
+        }
+    }
+
+    fn learn(&mut self, cfg: &ImpConfig, recent: &VecDeque<u32>, miss_addr: Addr) {
+        for &v in recent.iter().rev().take(2) {
+            for shift in 0..=cfg.max_shift {
+                let scaled = u64::from(v) << shift;
+                let Some(base) = miss_addr.raw().checked_sub(scaled) else {
+                    continue;
+                };
+                let mapping = Mapping { base, shift };
+                if self.candidates.sight(mapping) >= 2 && shift > 0 {
+                    self.locked = Some(mapping);
+                    self.mismatches = 0;
+                    return;
+                }
+            }
+        }
+    }
+
+    fn verify(&mut self, cfg: &ImpConfig, recent: &VecDeque<u32>, miss_addr: Addr) {
+        let Some(m) = self.locked else { return };
+        let predicted = recent
+            .iter()
+            .rev()
+            .take(8)
+            .any(|&v| m.base + (u64::from(v) << m.shift) == miss_addr.raw());
+        if predicted {
+            self.mismatches = 0;
+        } else {
+            self.mismatches += 1;
+            if self.mismatches >= cfg.unlock_after {
+                self.locked = None;
+                self.candidates.clear();
+                self.mismatches = 0;
+            }
+        }
     }
 }
 
@@ -362,5 +458,139 @@ mod tests {
         // Guard: the test harness above assumes 4-byte index elements.
         let r = Region::new(Addr::new(0x1000), 16);
         assert_eq!(r.bytes() / 4, 4);
+    }
+
+    #[test]
+    fn validate_rejects_empty_candidate_table() {
+        let cfg = ImpConfig {
+            candidates: 0,
+            ..ImpConfig::default()
+        };
+        assert!(cfg.validate().is_err());
+        assert!(ImpConfig::default().validate().is_ok());
+    }
+
+    #[test]
+    fn validate_rejects_overflowing_shift() {
+        let widest = ImpConfig {
+            max_shift: 63,
+            ..ImpConfig::default()
+        };
+        assert!(widest.validate().is_ok());
+        let overflowing = ImpConfig {
+            max_shift: 64,
+            ..ImpConfig::default()
+        };
+        assert!(overflowing.validate().is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "IMP config must be valid")]
+    fn new_rejects_invalid_config() {
+        let _ = ImpPrefetcher::new(ImpConfig {
+            candidates: 0,
+            ..ImpConfig::default()
+        });
+    }
+
+    /// The candidate table as it stood before the per-shift split: one
+    /// linear FIFO, scanned whole on every lookup and shifted down on every
+    /// eviction. The differential oracle for [`ShiftTable`].
+    struct ReferenceTable {
+        capacity: usize,
+        candidates: Vec<(Mapping, u32)>,
+    }
+
+    impl CandidateTable for ReferenceTable {
+        fn sight(&mut self, mapping: Mapping) -> u32 {
+            if let Some((_, hits)) = self.candidates.iter_mut().find(|(m, _)| *m == mapping) {
+                *hits += 1;
+                return *hits;
+            }
+            if self.candidates.len() == self.capacity {
+                self.candidates.remove(0);
+            }
+            self.candidates.push((mapping, 1));
+            1
+        }
+
+        fn clear(&mut self) {
+            self.candidates.clear();
+        }
+    }
+
+    /// Drives IMP and a trainer over the reference table with the same
+    /// seeded event streams — small index values that make mappings
+    /// collide, repeated values, affine misses that lock, and mismatch runs
+    /// that unlock — and checks the locked mapping after every event.
+    #[test]
+    fn shift_table_matches_reference_fifo() {
+        // (candidates, max_shift): the default table, and small tables
+        // that evict constantly (two entries lock only on a repeated value).
+        let tables = [(64, 12), (8, 3), (23, 7), (2, 1)];
+        for (seed, &(candidates, max_shift)) in tables.iter().enumerate() {
+            let cfg = ImpConfig {
+                candidates,
+                max_shift,
+                ..ImpConfig::default()
+            };
+            let mut imp = ImpPrefetcher::new(cfg);
+            let mut reference = Trainer::new(ReferenceTable {
+                capacity: candidates,
+                candidates: Vec::new(),
+            });
+            let mut mem = MemorySystem::new(MemoryConfig::default());
+            let image = MemoryImage::new();
+            let s = snoop();
+            let mut rng = nvr_common::Pcg32::seed_from_u64(0x1a2b + seed as u64);
+            let (mut value, mut next_index, mut mismatch_run) = (0u32, 0u64, 0u32);
+            let (mut locks, mut unlocks) = (0, 0);
+            for event in 0..12_000u64 {
+                let before = imp.locked_mapping();
+                if rng.gen_bool(0.5) {
+                    if !rng.gen_bool(0.3) {
+                        value = rng.next_u32() % 24;
+                    }
+                    let addr = Addr::new(0x1000 + 4 * next_index);
+                    next_index += 1;
+                    let ev = AccessEvent::index_load(event, 0, addr, value, false);
+                    imp.observe(&ev, &s, &image, &mut mem);
+                } else {
+                    if mismatch_run == 0 && rng.gen_bool(0.02) {
+                        mismatch_run = cfg.unlock_after + rng.gen_range(4) as u32;
+                    }
+                    let miss = if mismatch_run > 0 {
+                        mismatch_run -= 1;
+                        0x4000_0000 + rng.gen_range(1 << 24)
+                    } else if rng.gen_bool(0.5) {
+                        // Affine in a recent value, over a few bases.
+                        let back = rng.gen_index(imp.recent_values.len().clamp(1, 3));
+                        let v = imp.recent_values.iter().rev().nth(back).copied();
+                        let shift = rng.gen_range(u64::from(max_shift) + 1);
+                        0x10_0000 * (1 + rng.gen_range(3)) + (u64::from(v.unwrap_or(0)) << shift)
+                    } else {
+                        rng.gen_range(1 << 12)
+                    };
+                    let ev = AccessEvent::gather(event, 0, Addr::new(miss), true);
+                    imp.observe(&ev, &s, &image, &mut mem);
+                    reference.on_miss(&cfg, &imp.recent_values, Addr::new(miss));
+                }
+                let after = imp.locked_mapping();
+                assert_eq!(
+                    after,
+                    reference.locked.map(|m| (m.base, m.shift)),
+                    "table {candidates}x{max_shift}, event {event}"
+                );
+                match (before, after) {
+                    (None, Some(_)) => locks += 1,
+                    (Some(_), None) => unlocks += 1,
+                    _ => {}
+                }
+            }
+            assert!(
+                locks >= 20 && unlocks >= 20,
+                "table {candidates}x{max_shift}: {locks} locks, {unlocks} unlocks"
+            );
+        }
     }
 }

@@ -2,9 +2,10 @@
 //!
 //! Every simulated system is one [`SystemSpec`] value — NPU, memory
 //! hierarchy and prefetcher as plain data. [`SystemKind::spec`] is the one
-//! table from a paper label to its spec, and [`SystemSpec`] owns the two
-//! runs every driver needs: the timed run and the ideal-memory base run.
-//! A knob study is a struct update over a label's spec:
+//! table from a paper label to its spec, and [`SystemSpec`] owns what
+//! every driver needs: the timed run and the ideal-memory base, which
+//! [`NpuEngine::base_cycles`] computes in closed form. A knob study is a
+//! struct update over a label's spec:
 //!
 //! ```
 //! use nvr_common::DataWidth;
@@ -213,14 +214,12 @@ impl SystemSpec {
     }
 
     /// Total cycles of the ideal-memory base run: `program` on this NPU
-    /// against an all-hit memory system, without prefetching (Fig. 5's
-    /// lower bar segment).
+    /// with every demand hitting at this memory's minimum latency, without
+    /// prefetching (Fig. 5's lower bar segment). Computed in closed form by
+    /// [`NpuEngine::base_cycles`]; no memory system is simulated.
     #[must_use]
     pub fn base_cycles(&self, program: &NpuProgram) -> Cycle {
-        let mut ideal = MemorySystem::ideal(self.mem.clone());
-        NpuEngine::new(self.npu.clone())
-            .run(program, &mut ideal, &mut NullPrefetcher::new())
-            .total_cycles
+        NpuEngine::new(self.npu.clone()).base_cycles(program, self.mem.min_demand_latency())
     }
 }
 
@@ -232,7 +231,8 @@ pub struct RunOutcome {
     pub system: SystemKind,
     /// Timed result against the real memory system.
     pub result: RunResult,
-    /// Wall clock against an all-hit memory system.
+    /// Wall clock with every demand hitting at the memory's minimum
+    /// latency ([`SystemSpec::base_cycles`]).
     pub base_cycles: Cycle,
     /// Measured per-prefetch timeliness, for systems that track prefetch
     /// lifetimes (NVR); `None` for the rest.

@@ -3,6 +3,7 @@
 //! prefetchers on the same access stream.
 
 use nvr::prelude::*;
+use nvr::sim::{PrefetcherSpec, SystemSpec};
 use nvr::trace::GatherDesc;
 use nvr::workloads::spec::{INDEX_BASE, TABLE_BASE};
 
@@ -320,6 +321,65 @@ fn tiny_grid_cycle_total_is_pinned() {
     assert_eq!(total, 5_699_443);
 }
 
+/// `SystemSpec::base_cycles` computes the ideal-memory base in closed form
+/// (`NpuEngine::base_cycles`); the engine run over `MemorySystem::ideal`
+/// is its reference model. They must agree on every workload under both
+/// NPU modes, with and without an NSB (whose hit latency is the all-hit
+/// latency), over every order and width at tiny scale and at default
+/// scale.
+#[test]
+fn closed_form_base_matches_ideal_memory_engine() {
+    let mut specs: Vec<WorkloadSpec> = TileOrder::ALL
+        .into_iter()
+        .flat_map(|order| {
+            DataWidth::ALL
+                .into_iter()
+                .map(move |width| WorkloadSpec::tiny(width, 2025).with_order(order))
+        })
+        .collect();
+    specs.push(WorkloadSpec::new(DataWidth::Fp16, 2025));
+    let mems = [
+        MemoryConfig::default(),
+        MemoryConfig::default().with_nsb(nsb_config(16)),
+    ];
+    let mut cells = 0;
+    for spec in &specs {
+        for workload in WorkloadId::ALL {
+            let program = workload.build(spec);
+            for npu in [NpuConfig::default(), NpuConfig::out_of_order()] {
+                let engine = NpuEngine::new(npu.clone());
+                for mem in &mems {
+                    let system = SystemSpec {
+                        npu: npu.clone(),
+                        mem: mem.clone(),
+                        prefetcher: PrefetcherSpec::None,
+                    };
+                    let reference = engine
+                        .run(
+                            &program,
+                            &mut MemorySystem::ideal(mem.clone()),
+                            &mut NullPrefetcher::new(),
+                        )
+                        .total_cycles;
+                    assert_eq!(
+                        system.base_cycles(&program),
+                        reference,
+                        "{} {:?} {:?} {:?}, {:?}, NSB {}",
+                        workload.short(),
+                        spec.scale,
+                        spec.order,
+                        spec.width,
+                        npu.exec,
+                        mem.nsb.is_some()
+                    );
+                    cells += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(cells, 10 * 8 * 2 * 2);
+}
+
 /// FNV-1a over 64-bit words: the program fingerprint's digest.
 struct Digest(u64);
 
@@ -499,7 +559,6 @@ fn builders_match_pinned_program_fingerprints() {
 fn fallback_configurations_match_pinned_digests() {
     use nvr::core::nsb_scored;
     use nvr::mem::RetentionPolicy;
-    use nvr::sim::runner::{PrefetcherSpec, SystemSpec};
 
     const GOLDEN: &[(&str, &str, &str, u64)] = &[
         ("GCN", "l2-192k", "InO", 0x003736dcedca2845),
