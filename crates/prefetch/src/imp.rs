@@ -275,10 +275,9 @@ impl<T: CandidateTable> Trainer<T> {
     /// locked mapping against it; `recent` holds the index values seen so
     /// far, newest last.
     fn on_miss(&mut self, cfg: &ImpConfig, recent: &VecDeque<u32>, miss_addr: Addr) {
-        if self.locked.is_some() {
-            self.verify(cfg, recent, miss_addr);
-        } else {
-            self.learn(cfg, recent, miss_addr);
+        match self.locked {
+            Some(m) => self.verify(m, cfg, recent, miss_addr),
+            None => self.learn(cfg, recent, miss_addr),
         }
     }
 
@@ -299,8 +298,7 @@ impl<T: CandidateTable> Trainer<T> {
         }
     }
 
-    fn verify(&mut self, cfg: &ImpConfig, recent: &VecDeque<u32>, miss_addr: Addr) {
-        let Some(m) = self.locked else { return };
+    fn verify(&mut self, m: Mapping, cfg: &ImpConfig, recent: &VecDeque<u32>, miss_addr: Addr) {
         let predicted = recent
             .iter()
             .rev()
