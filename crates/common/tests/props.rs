@@ -46,17 +46,6 @@ proptest! {
         }
     }
 
-    /// sample_indices returns k strictly increasing distinct values < n.
-    #[test]
-    fn sample_indices_invariants(seed in any::<u64>(), n in 1usize..500, frac in 0usize..100) {
-        let k = (n * frac / 100).min(n);
-        let mut rng = Pcg32::seed_from_u64(seed);
-        let idx = rng.sample_indices(n, k);
-        prop_assert_eq!(idx.len(), k);
-        prop_assert!(idx.windows(2).all(|w| w[0] < w[1]));
-        prop_assert!(idx.iter().all(|&i| i < n));
-    }
-
     /// Zipf samples stay in support and rank-0 is at least as likely as a
     /// deep-tail rank.
     #[test]

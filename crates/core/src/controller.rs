@@ -192,7 +192,10 @@ impl NvrPrefetcher {
     /// Panics if the configuration fails [`NvrConfig::validate`].
     #[must_use]
     pub fn new(cfg: NvrConfig) -> Self {
-        // nvr-lint: allow(panic/hot-loop) reason="init-time config validation in the constructor, outside the tick loop"
+        #[expect(
+            clippy::expect_used,
+            reason = "init-time config validation in the constructor, outside the tick loop"
+        )]
         cfg.validate().expect("nvr config must be valid");
         let mut vmig = Vmig::new(cfg.vmig_batch_lines);
         vmig.set_nsb_admit(cfg.nsb_admit_min_reuse);
@@ -434,7 +437,7 @@ impl NvrPrefetcher {
     ) -> StepOutcome {
         self.windows.retain(|st| match &st.phase {
             Phase::Resolve { window, next_elem } => *next_elem < window.end,
-            _ => true,
+            Phase::FetchIndex { .. } | Phase::ProbeWait { .. } => true,
         });
         // Open the next window only while the VIGU backlog is shallow:
         // resolved lines the memory system has not accepted yet mean the
@@ -514,8 +517,11 @@ impl NvrPrefetcher {
                     probes.clear();
                     let mut ready = self.clock;
                     for &v in &values {
-                        // nvr-lint: allow(panic/hot-loop) reason="guarded by the is_two_level() branch above; probe_addr is total for two-level SCDs"
-                        let probe = self.scd.probe_addr(v).expect("two-level entry");
+                        // `is_two_level()` guarantees a table, so every
+                        // value has a probe address.
+                        let Some(probe) = self.scd.probe_addr(v) else {
+                            continue;
+                        };
                         if let nvr_mem::PrefetchOutcome::Issued { fill_done } =
                             mem.prefetch_line(probe.line(), self.clock, self.bulk_fill_nsb())
                         {
@@ -619,7 +625,7 @@ impl Prefetcher for NvrPrefetcher {
             EventKind::GatherLoad if event.missed => {
                 self.miss_seen_in_tile = true;
             }
-            _ => {}
+            EventKind::GatherLoad | EventKind::TableProbe { .. } | EventKind::Store => {}
         }
     }
 

@@ -46,8 +46,17 @@
 //! assert!(nvr.fills_nsb()); // whenever the memory system has an NSB
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
+// Simulator hot paths: no panicking unwraps, no silently truncating
+// casts, and no wildcard arm that would swallow a new enum variant.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::expect_used,
+        clippy::unwrap_used,
+        clippy::cast_possible_truncation,
+        clippy::wildcard_enum_match_arm
+    )
+)]
 
 pub mod config;
 pub mod controller;

@@ -109,6 +109,10 @@ impl LoopBoundDetector {
     /// The fuzzy-stretched predicted window length, in elements (0 until
     /// the first observation).
     #[must_use]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "window lengths and ends are non-negative element counts far below 2^53"
+    )]
     pub fn predicted_len(&self) -> u64 {
         if self.observed == 0 {
             0
@@ -120,6 +124,10 @@ impl LoopBoundDetector {
     /// Estimated end of the whole index array in elements, extrapolating
     /// the average window length over the remaining snooped trip count.
     #[must_use]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "window lengths and ends are non-negative element counts far below 2^53"
+    )]
     pub fn estimated_end(&self, total_tiles: usize) -> Option<u64> {
         let (anchor_tile, anchor_end) = self.anchor?;
         let remaining = total_tiles.saturating_sub(anchor_tile + 1) as f64;
@@ -133,6 +141,10 @@ impl LoopBoundDetector {
     /// fuzzy factor; chained starts use the unstretched average so
     /// consecutive predictions overlap slightly rather than drift.
     #[must_use]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "window lengths and ends are non-negative element counts far below 2^53"
+    )]
     pub fn predict(&self, tile: usize) -> Option<Window> {
         if let Some(total) = self.total_tiles {
             if tile >= total {

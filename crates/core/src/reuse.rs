@@ -116,6 +116,10 @@ fn decayed(count: u32, stamp: u32, epoch: u32) -> u32 {
 /// Fibonacci hashing, the top bits of the key times 2^64 / φ. One
 /// multiply spreads line-index runs and strides evenly, and keeps the
 /// probe's address off a longer mixing chain.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "the shift keeps log2(slots) bits, so the result is below slots"
+)]
 fn home(key: u64, slots: usize) -> usize {
     (key.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (u64::BITS - slots.trailing_zeros())) as usize
 }

@@ -260,7 +260,10 @@ impl Vmig {
                 kept += 1;
                 continue;
             }
-            // nvr-lint: allow(overflow/lossy-cast) reason="scores map only ever stores u64::from(u32) values"
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "scores map only ever stores u64::from(u32) values"
+            )]
             let score = self.scores.remove(line.index()).map_or(0, |s| s as u32);
             // DARE-style admission: with an active threshold, a line's
             // predicted reuse earns retention priority only once it

@@ -16,9 +16,6 @@
 //! The split keeps this crate simulation-free: the harness measures, this
 //! crate models.
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-
 pub mod layers;
 pub mod model;
 pub mod throughput;

@@ -232,8 +232,15 @@ impl Cache {
     /// Panics if the configuration fails [`CacheConfig::validate`]; callers
     /// configuring from user input should validate first.
     #[must_use]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a geometry whose line count overflows usize could not be allocated"
+    )]
     pub fn new(cfg: CacheConfig) -> Self {
-        // nvr-lint: allow(panic/hot-loop) reason="init-time config validation in the constructor, outside the tick loop"
+        #[expect(
+            clippy::expect_used,
+            reason = "init-time config validation in the constructor, outside the tick loop"
+        )]
         cfg.validate().expect("cache config must be valid");
         let sets = cfg.sets();
         let slots = (sets * cfg.ways) as usize;
@@ -347,6 +354,10 @@ impl Cache {
             (line.index() % self.n_sets, line.index() / self.n_sets)
         };
         debug_assert_ne!(tag, NO_TAG, "{line:?} maps to the never-filled tag");
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "set < n_sets, and n_sets * ways slots are allocated"
+        )]
         let set = set as usize;
         let base = set * self.ways;
         // A line occupies at most one way, so the last match is the only

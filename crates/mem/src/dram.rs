@@ -96,7 +96,10 @@ impl DramBackend {
     /// Panics if the configuration fails [`DramConfig::validate`].
     #[must_use]
     pub fn new(cfg: DramConfig) -> Self {
-        // nvr-lint: allow(panic/hot-loop) reason="init-time config validation in the constructor, outside the tick loop"
+        #[expect(
+            clippy::expect_used,
+            reason = "init-time config validation in the constructor, outside the tick loop"
+        )]
         cfg.validate().expect("dram config must be valid");
         let stats = DramStats {
             channels: vec![Default::default(); cfg.channels],
@@ -129,6 +132,10 @@ impl DramBackend {
 
     /// The channel `line` interleaves onto.
     #[must_use]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the result is below cfg.channels, a usize"
+    )]
     pub fn channel_of(&self, line: LineAddr) -> usize {
         if self.channel_mask != u64::MAX {
             (line.index() & self.channel_mask) as usize

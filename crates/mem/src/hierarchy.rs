@@ -1,6 +1,6 @@
 //! The composed memory system: optional NSB → shared L2 → DRAM.
 
-use nvr_common::{Cycle, LineAddr, Region};
+use nvr_common::{Cycle, LineAddr};
 
 use crate::cache::{completed_by, retire, track_fill, Cache, ProbeResult};
 use crate::config::MemoryConfig;
@@ -84,7 +84,10 @@ impl MemorySystem {
     /// Panics if `cfg` fails [`MemoryConfig::validate`].
     #[must_use]
     pub fn new(cfg: MemoryConfig) -> Self {
-        // nvr-lint: allow(panic/hot-loop) reason="init-time config validation in the constructor, outside the tick loop"
+        #[expect(
+            clippy::expect_used,
+            reason = "init-time config validation in the constructor, outside the tick loop"
+        )]
         cfg.validate().expect("memory config must be valid");
         MemorySystem {
             nsb: cfg.nsb.clone().map(Cache::new),
@@ -236,16 +239,6 @@ impl MemorySystem {
                 )
             }
         }
-    }
-
-    /// A demand load covering every line of `region`; returns the cycle by
-    /// which *all* lines are usable (vector-batch semantics, §II-B).
-    pub fn demand_region(&mut self, region: Region, now: Cycle) -> Cycle {
-        let mut ready = now + self.cfg.min_demand_latency();
-        for line in region.lines() {
-            ready = ready.max(self.demand_line(line, now).ready_at);
-        }
-        ready
     }
 
     /// A prefetch of one line at cycle `now`.
@@ -723,16 +716,6 @@ mod tests {
             assert_eq!(r.ready_at, i + 20);
         }
         assert_eq!(mem.stats().dram.demand_lines.get(), 0);
-    }
-
-    #[test]
-    fn demand_region_batch_semantics() {
-        let mut mem = MemorySystem::new(MemoryConfig::default());
-        let region = Region::new(nvr_common::Addr::new(0), 64 * 8);
-        let ready = mem.demand_region(region, 0);
-        // Eight lines pipeline through DRAM; completion is the last one.
-        let dram = DramConfig::default();
-        assert_eq!(ready, dram.latency + 8 * dram.line_transfer_cycles());
     }
 
     #[test]

@@ -28,7 +28,6 @@ pub struct Scratchpad {
     resident_bytes: u64,
     dma_free: Cycle,
     total_in_bytes: u64,
-    total_out_bytes: u64,
 }
 
 impl Scratchpad {
@@ -48,7 +47,6 @@ impl Scratchpad {
             resident_bytes: 0,
             dma_free: 0,
             total_in_bytes: 0,
-            total_out_bytes: 0,
         }
     }
 
@@ -68,12 +66,6 @@ impl Scratchpad {
     #[must_use]
     pub fn total_in_bytes(&self) -> u64 {
         self.total_in_bytes
-    }
-
-    /// Total bytes DMA'd out over the run.
-    #[must_use]
-    pub fn total_out_bytes(&self) -> u64 {
-        self.total_out_bytes
     }
 
     /// Starts a DMA transfer of `bytes` into the scratchpad at `now`;
@@ -99,16 +91,6 @@ impl Scratchpad {
         self.dma_free = start + cycles;
         self.total_in_bytes += bytes;
         Ok(start + cycles)
-    }
-
-    /// Streams `bytes` out of the scratchpad at `now`; returns the drain
-    /// cycle.
-    pub fn dma_out(&mut self, now: Cycle, bytes: u64) -> Cycle {
-        let start = now.max(self.dma_free);
-        let cycles = nvr_common::div_ceil(bytes, self.dma_bytes_per_cycle);
-        self.dma_free = start + cycles;
-        self.total_out_bytes += bytes;
-        start + cycles
     }
 }
 
@@ -138,14 +120,5 @@ mod tests {
     fn over_capacity_rejected() {
         let mut s = Scratchpad::new(128, 16);
         assert!(s.dma_in(0, 256).is_err());
-    }
-
-    #[test]
-    fn dma_out_shares_engine() {
-        let mut s = Scratchpad::new(1024, 16);
-        s.dma_in(0, 160).expect("fits");
-        let out_done = s.dma_out(0, 32);
-        assert_eq!(out_done, 12);
-        assert_eq!(s.total_out_bytes(), 32);
     }
 }

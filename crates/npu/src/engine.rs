@@ -193,7 +193,10 @@ impl NpuEngine {
 
     /// Demand-loads the tile's index slice, emitting per-element events.
     /// Returns the cycle all index data is ready.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the demand path borrows the tile, memory and prefetcher state separately"
+    )]
     fn load_index(
         &self,
         tile: &TileOp,
@@ -238,7 +241,10 @@ impl NpuEngine {
 
     /// Demand-loads one gather batch (probes first for two-level chains).
     /// Returns (issue cycle of the element loads, batch-complete cycle).
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the demand path borrows the tile, memory and prefetcher state separately"
+    )]
     fn load_batch(
         &self,
         tile: &TileOp,

@@ -15,9 +15,6 @@
 //! The engine drives a [`nvr_prefetch::Prefetcher`] with demand events and
 //! idle windows, which is where NVR (and the baselines) do their work.
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-
 pub mod config;
 pub mod engine;
 pub mod result;

@@ -24,9 +24,6 @@
 //! assert!(nvr.result.total_cycles < baseline.result.total_cycles);
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-
 pub use nvr_common as common;
 pub use nvr_core as core;
 pub use nvr_llm as llm;

@@ -17,9 +17,6 @@
 //! The NVR prefetcher itself lives in the `nvr-core` crate and implements
 //! the same trait.
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-
 pub mod api;
 pub mod dvr;
 pub mod imp;

@@ -203,10 +203,16 @@ fn run_figures(args: &Args) -> Result<(), String> {
     let seed = args.seeds.first().copied().unwrap_or(DEFAULT_SEED);
     let mut timing_csv = String::from("figure,wall_ms\n");
     let mut policy = Vec::new();
-    // nvr-lint: allow(determinism/wall-clock) reason="end-to-end timing goes to stderr and --timings CSV only; stdout stays byte-identical"
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "end-to-end timing goes to stderr and --timings CSV only; stdout stays byte-identical"
+    )]
     let t0 = Instant::now();
     for fig in &figures {
-        // nvr-lint: allow(determinism/wall-clock) reason="per-figure timing goes to stderr and --timings CSV only; stdout stays byte-identical"
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "per-figure timing goes to stderr and --timings CSV only; stdout stays byte-identical"
+        )]
         let fig_t0 = Instant::now();
         let rendition = if *fig == FigureId::Fig9 {
             // Keep fig9's data: its retention-policy study is also the

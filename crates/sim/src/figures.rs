@@ -20,54 +20,40 @@ pub mod table2;
 
 use nvr_workloads::Scale;
 
-/// Identifier of one regenerable evaluation artifact — the uniform handle
-/// the sweep binary and CI fan out over.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FigureId {
-    /// Fig. 1b — motivation sweep.
-    Fig1b,
-    /// Fig. 5 — normalised latency panels.
-    Fig5,
-    /// Fig. 6 — accuracy / coverage / pollution + data movement.
-    Fig6,
-    /// Fig. 6b′ — prefetch timeliness breakdown (issue→use slack).
-    Fig6b,
-    /// Fig. 7 — bandwidth allocation.
-    Fig7,
-    /// Fig. 7b′ — DRAM channel scaling (1/2/4 channels x workloads).
-    Fig7b,
-    /// Fig. 8 — LLM system evaluation.
-    Fig8,
-    /// Fig. 9 — NSB/L2 sizing + point-cloud density sensitivity.
-    Fig9,
-    /// The abstract's headline claims.
-    Headline,
-    /// Table I — hardware overhead.
-    Table1,
-    /// Table II — workload inventory.
-    Table2,
-    /// Ablations of NVR's design choices (not a paper figure).
-    Ablations,
+nvr_common::registry_enum! {
+    /// Identifier of one regenerable evaluation artifact — the uniform handle
+    /// the sweep binary and CI fan out over — declared in the paper's order of
+    /// appearance, then the ablations.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum FigureId {
+        /// Fig. 1b — motivation sweep.
+        Fig1b,
+        /// Fig. 5 — normalised latency panels.
+        Fig5,
+        /// Fig. 6 — accuracy / coverage / pollution + data movement.
+        Fig6,
+        /// Fig. 6b′ — prefetch timeliness breakdown (issue→use slack).
+        Fig6b,
+        /// Fig. 7 — bandwidth allocation.
+        Fig7,
+        /// Fig. 7b′ — DRAM channel scaling (1/2/4 channels x workloads).
+        Fig7b,
+        /// Fig. 8 — LLM system evaluation.
+        Fig8,
+        /// Fig. 9 — NSB/L2 sizing + point-cloud density sensitivity.
+        Fig9,
+        /// The abstract's headline claims.
+        Headline,
+        /// Table I — hardware overhead.
+        Table1,
+        /// Table II — workload inventory.
+        Table2,
+        /// Ablations of NVR's design choices (not a paper figure).
+        Ablations,
+    }
 }
 
 impl FigureId {
-    /// Every artifact, in the paper's order of appearance, then the
-    /// ablations.
-    pub const ALL: [FigureId; 12] = [
-        FigureId::Fig1b,
-        FigureId::Fig5,
-        FigureId::Fig6,
-        FigureId::Fig6b,
-        FigureId::Fig7,
-        FigureId::Fig7b,
-        FigureId::Fig8,
-        FigureId::Fig9,
-        FigureId::Headline,
-        FigureId::Table1,
-        FigureId::Table2,
-        FigureId::Ablations,
-    ];
-
     /// CLI/report name.
     #[must_use]
     pub fn name(self) -> &'static str {

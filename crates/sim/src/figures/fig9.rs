@@ -283,16 +283,22 @@ pub fn policy_sweep_jobs(scale: Scale, seed: u64, jobs: usize) -> Vec<PolicyCell
 /// Renders the policy study as a deterministic CSV (the CI artifact).
 #[must_use]
 pub fn policy_csv(cells: &[PolicyCell]) -> String {
-    let mut out = String::from("workload,order,nsb_kb,policy,admit,cycles,speedup\n");
+    const COLUMNS: [&str; 7] = [
+        "workload", "order", "nsb_kb", "policy", "admit", "cycles", "speedup",
+    ];
+    let mut out = COLUMNS.join(",") + "\n";
     for c in cells {
-        out.push_str(&format!(
-            "GCN,clustered,{},{},{},{},{}\n",
-            c.nsb_kb,
-            c.policy,
-            c.admit,
-            c.cycles,
-            fmt3(c.speedup)
-        ));
+        let row: [String; COLUMNS.len()] = [
+            "GCN".into(),
+            "clustered".into(),
+            c.nsb_kb.to_string(),
+            c.policy.into(),
+            c.admit.to_string(),
+            c.cycles.to_string(),
+            fmt3(c.speedup),
+        ];
+        out.push_str(&row.join(","));
+        out.push('\n');
     }
     out
 }

@@ -21,8 +21,8 @@
 //! assert!(nvr.result.total_cycles <= base.result.total_cycles);
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
+// A new variant of a matched enum must be handled, not swallowed by `_`.
+#![cfg_attr(not(test), deny(clippy::wildcard_enum_match_arm))]
 
 pub mod figures;
 pub mod metrics;

@@ -34,43 +34,34 @@ use nvr_prefetch::{
 };
 use nvr_trace::NpuProgram;
 
-/// The compared systems: the six of Fig. 5 (§V-A "Comparison") plus the
-/// paper's own NSB-backed configuration (§IV-G) as a first-class seventh
-/// system.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SystemKind {
-    /// In-order Gemmini, no prefetching.
-    InOrder,
-    /// Ideal out-of-order Gemmini, no prefetching.
-    OutOfOrder,
-    /// In-order + adaptive stream prefetcher.
-    Stream,
-    /// In-order + Indirect Memory Prefetcher.
-    Imp,
-    /// In-order + Decoupled Vector Runahead.
-    Dvr,
-    /// In-order + NPU Vector Runahead (the paper's contribution). NVR
-    /// fills the NSB whenever the memory configuration has one.
-    Nvr,
-    /// In-order + NVR filling a 16 KB NSB in front of the L2 (§IV-G).
-    /// Self-contained: when the sweep's memory configuration has no NSB,
-    /// this system adds the paper's default one itself, so it rides every
-    /// grid axis unchanged.
-    NvrNsb,
+nvr_common::registry_enum! {
+    /// The compared systems: the six of Fig. 5 (§V-A "Comparison") plus the
+    /// paper's own NSB-backed configuration (§IV-G) as a first-class seventh
+    /// system, declared in the paper's bar order (NVR+NSB appended).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum SystemKind {
+        /// In-order Gemmini, no prefetching.
+        InOrder,
+        /// Ideal out-of-order Gemmini, no prefetching.
+        OutOfOrder,
+        /// In-order + adaptive stream prefetcher.
+        Stream,
+        /// In-order + Indirect Memory Prefetcher.
+        Imp,
+        /// In-order + Decoupled Vector Runahead.
+        Dvr,
+        /// In-order + NPU Vector Runahead (the paper's contribution). NVR
+        /// fills the NSB whenever the memory configuration has one.
+        Nvr,
+        /// In-order + NVR filling a 16 KB NSB in front of the L2 (§IV-G).
+        /// Self-contained: when the sweep's memory configuration has no NSB,
+        /// this system adds the paper's default one itself, so it rides every
+        /// grid axis unchanged.
+        NvrNsb,
+    }
 }
 
 impl SystemKind {
-    /// All systems in the paper's bar order (NVR+NSB appended).
-    pub const ALL: [SystemKind; 7] = [
-        SystemKind::InOrder,
-        SystemKind::OutOfOrder,
-        SystemKind::Stream,
-        SystemKind::Imp,
-        SystemKind::Dvr,
-        SystemKind::Nvr,
-        SystemKind::NvrNsb,
-    ];
-
     /// The prefetcher-bearing systems of Fig. 6.
     pub const PREFETCHERS: [SystemKind; 5] = [
         SystemKind::Stream,

@@ -288,14 +288,35 @@ impl SweepResults {
     ///   CI across the seed axis (the half-width is 0 for one seed).
     #[must_use]
     pub fn to_csv(&self) -> String {
-        let mut out = String::from(
-            "workload,system,scale,order,width,seed,cycles,base_cycles,\
-             l2_demand_misses,l2_demand_hits,dram_demand_lines,\
-             prefetch_issued,prefetch_useful,prefetch_late,\
-             pf_timely,pf_late,pf_evicted_unused,pf_slack_mean,\
-             pf_qd_p50,pf_qd_p95,channels,ch_util_mean,ch_util_max,\
-             speedup,speedup_mean,speedup_ci95\n",
-        );
+        const COLUMNS: [&str; 26] = [
+            "workload",
+            "system",
+            "scale",
+            "order",
+            "width",
+            "seed",
+            "cycles",
+            "base_cycles",
+            "l2_demand_misses",
+            "l2_demand_hits",
+            "dram_demand_lines",
+            "prefetch_issued",
+            "prefetch_useful",
+            "prefetch_late",
+            "pf_timely",
+            "pf_late",
+            "pf_evicted_unused",
+            "pf_slack_mean",
+            "pf_qd_p50",
+            "pf_qd_p95",
+            "channels",
+            "ch_util_mean",
+            "ch_util_max",
+            "speedup",
+            "speedup_mean",
+            "speedup_ci95",
+        ];
+        let mut out = COLUMNS.join(",") + "\n";
         for c in &self.cells {
             let m = &c.outcome.result.mem;
             let t = c.outcome.timeliness.clone().unwrap_or_default();
@@ -310,35 +331,36 @@ impl SweepResults {
                 || ("-".into(), "-".into()),
                 |(m, ci)| (format!("{m:.3}"), format!("{ci:.3}")),
             );
-            out.push_str(&format!(
-                "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{:.3},{},{},{},{:.3},{:.3},{},{},{}\n",
-                c.job.workload.short(),
-                c.job.system.label(),
-                c.job.scale,
-                c.job.order,
-                c.job.width,
-                c.job.seed,
-                c.outcome.result.total_cycles,
-                c.outcome.base_cycles,
-                m.l2.demand_misses.get(),
-                m.l2.demand_hits.get(),
-                m.dram.demand_lines.get(),
-                m.l2.prefetch_issued.get(),
-                m.l2.prefetch_useful.get(),
-                m.l2.prefetch_late.get(),
-                t.timely,
-                t.late,
-                t.evicted_unused,
-                t.slack.mean(),
-                qd.percentile(0.5),
-                qd.percentile(0.95),
-                util.len(),
-                util_mean,
-                util_max,
+            let row: [String; COLUMNS.len()] = [
+                c.job.workload.short().into(),
+                c.job.system.label().into(),
+                c.job.scale.to_string(),
+                c.job.order.to_string(),
+                c.job.width.to_string(),
+                c.job.seed.to_string(),
+                c.outcome.result.total_cycles.to_string(),
+                c.outcome.base_cycles.to_string(),
+                m.l2.demand_misses.get().to_string(),
+                m.l2.demand_hits.get().to_string(),
+                m.dram.demand_lines.get().to_string(),
+                m.l2.prefetch_issued.get().to_string(),
+                m.l2.prefetch_useful.get().to_string(),
+                m.l2.prefetch_late.get().to_string(),
+                t.timely.to_string(),
+                t.late.to_string(),
+                t.evicted_unused.to_string(),
+                format!("{:.3}", t.slack.mean()),
+                qd.percentile(0.5).to_string(),
+                qd.percentile(0.95).to_string(),
+                util.len().to_string(),
+                format!("{util_mean:.3}"),
+                format!("{util_max:.3}"),
                 speedup,
                 sp_mean,
                 sp_ci,
-            ));
+            ];
+            out.push_str(&row.join(","));
+            out.push('\n');
         }
         out
     }
@@ -370,11 +392,14 @@ impl SweepResults {
             },
             rev
         );
-        out.push_str("key,wall_us\n");
-        for c in &self.cells {
-            out.push_str(&format!("{},{}\n", c.job.key(), c.wall.as_micros()));
+        const COLUMNS: [&str; 2] = ["key", "wall_us"];
+        out.push_str(&(COLUMNS.join(",") + "\n"));
+        let rows = self.cells.iter().map(|c| (c.job.key(), c.wall));
+        for (key, wall) in rows.chain([("total".into(), self.wall)]) {
+            let row: [String; COLUMNS.len()] = [key, wall.as_micros().to_string()];
+            out.push_str(&row.join(","));
+            out.push('\n');
         }
-        out.push_str(&format!("total,{}\n", self.wall.as_micros()));
         out
     }
 }
@@ -466,7 +491,10 @@ impl fmt::Display for SweepResults {
 /// full seven-system grid it removes six of every seven builds.
 #[must_use]
 pub fn run_sweep(spec: &SweepSpec, jobs: usize) -> SweepResults {
-    // nvr-lint: allow(determinism/wall-clock) reason="sweep-level wall clock feeds only timing_csv, never a simulation result"
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "sweep-level wall clock feeds only timing_csv, never a simulation result"
+    )]
     let t0 = Instant::now();
     let grid = spec.jobs();
     // Map every job to its unique program point, in first-encounter order.
@@ -500,7 +528,10 @@ pub fn run_sweep(spec: &SweepSpec, jobs: usize) -> SweepResults {
         .map(|(job, idx)| {
             let program = Arc::clone(&programs[idx]);
             move || {
-                // nvr-lint: allow(determinism/wall-clock) reason="per-cell wall clock lands in SweepCell::wall, excluded from deterministic CSVs"
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "per-cell wall clock lands in SweepCell::wall, excluded from deterministic CSVs"
+                )]
                 let cell_t0 = Instant::now();
                 let outcome = job.run_with_program(&program);
                 SweepCell {

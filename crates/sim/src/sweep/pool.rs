@@ -52,7 +52,7 @@ where
                     let mut slot = slots[i].lock().expect("pool slot poisoned");
                     match std::mem::replace(&mut *slot, Slot::Empty) {
                         Slot::Task(f) => f,
-                        _ => unreachable!("slot {i} claimed twice"),
+                        Slot::Empty | Slot::Done(_) => unreachable!("slot {i} claimed twice"),
                     }
                 };
                 let result = task();
@@ -65,7 +65,7 @@ where
         .map(
             |slot| match slot.into_inner().expect("pool slot poisoned") {
                 Slot::Done(t) => t,
-                _ => unreachable!("task not run"),
+                Slot::Empty | Slot::Task(_) => unreachable!("task not run"),
             },
         )
         .collect()

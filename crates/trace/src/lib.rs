@@ -23,9 +23,6 @@
 //! assert_eq!(resolved.target.start().raw(), 0x10_0000 + 4 * 64);
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-
 pub mod event;
 pub mod image;
 pub mod program;

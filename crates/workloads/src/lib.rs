@@ -29,8 +29,8 @@
 //! assert!(program.stats().gather_elems > 0);
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
+// A new variant of a matched enum must be handled, not swallowed by `_`.
+#![cfg_attr(not(test), deny(clippy::wildcard_enum_match_arm))]
 
 pub mod double_sparsity;
 pub mod gat;
@@ -49,40 +49,31 @@ pub use spec::{Scale, TileOrder, WorkloadSpec};
 
 use nvr_trace::NpuProgram;
 
-/// Identifier of one evaluated workload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum WorkloadId {
-    /// Double Sparsity (LLM sparse attention).
-    Ds,
-    /// Graph Attention Networks.
-    Gat,
-    /// Graph Convolutional Networks.
-    Gcn,
-    /// Graph Sparse Attention (block + global).
-    Gsabt,
-    /// Heavy-Hitter Oracle.
-    H2o,
-    /// MinkowskiNet (point cloud).
-    Mk,
-    /// SparseConvNet (point cloud).
-    Scn,
-    /// Switch Transformer (mixture of experts).
-    St,
+nvr_common::registry_enum! {
+    /// Identifier of one evaluated workload, declared in the paper's
+    /// reporting order.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum WorkloadId {
+        /// Double Sparsity (LLM sparse attention).
+        Ds,
+        /// Graph Attention Networks.
+        Gat,
+        /// Graph Convolutional Networks.
+        Gcn,
+        /// Graph Sparse Attention (block + global).
+        Gsabt,
+        /// Heavy-Hitter Oracle.
+        H2o,
+        /// MinkowskiNet (point cloud).
+        Mk,
+        /// SparseConvNet (point cloud).
+        Scn,
+        /// Switch Transformer (mixture of experts).
+        St,
+    }
 }
 
 impl WorkloadId {
-    /// All workloads in the paper's reporting order.
-    pub const ALL: [WorkloadId; 8] = [
-        WorkloadId::Ds,
-        WorkloadId::Gat,
-        WorkloadId::Gcn,
-        WorkloadId::Gsabt,
-        WorkloadId::H2o,
-        WorkloadId::Mk,
-        WorkloadId::Scn,
-        WorkloadId::St,
-    ];
-
     /// The paper's short name.
     #[must_use]
     pub fn short(self) -> &'static str {
