@@ -394,12 +394,10 @@ impl SweepResults {
         );
         const COLUMNS: [&str; 2] = ["key", "wall_us"];
         out.push_str(&(COLUMNS.join(",") + "\n"));
-        let rows = self.cells.iter().map(|c| (c.job.key(), c.wall));
-        for (key, wall) in rows.chain([("total".into(), self.wall)]) {
-            let row: [String; COLUMNS.len()] = [key, wall.as_micros().to_string()];
-            out.push_str(&row.join(","));
-            out.push('\n');
+        for c in &self.cells {
+            out.push_str(&format!("{},{}\n", c.job.key(), c.wall.as_micros()));
         }
+        out.push_str(&format!("total,{}\n", self.wall.as_micros()));
         out
     }
 }
