@@ -5,10 +5,9 @@
 //! `fixtures/` directory, which holds deliberately-bad lint inputs).
 //! Pass 1 analyzes each file ([`crate::rules::analyze_source`]); pass 2
 //! stitches the per-file models into a [`WorkspaceModel`] and runs the
-//! cross-file semantic rules ([`crate::semantic`]) over it plus the two
-//! documentation files. Suppressions resolve *after* both passes, so an
-//! `allow(...)` comment covers semantic findings exactly like token
-//! findings.
+//! cross-file semantic rule ([`crate::semantic`]) over it. Suppressions
+//! resolve *after* both passes, so an `allow(...)` comment covers
+//! semantic findings exactly like token findings.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -24,11 +23,6 @@ const SKIP_DIRS: [&str; 4] = ["target", "vendor", "fixtures", ".git"];
 
 /// Top-level directories scanned under the workspace root.
 const SCAN_ROOTS: [&str; 3] = ["crates", "tests", "examples"];
-
-/// Documentation files the `csv/cross-file-schema` rule reads, relative
-/// to the workspace root. Missing files are simply skipped (fixture
-/// trees usually have none).
-const DOC_FILES: [&str; 2] = ["README.md", "docs/ARCHITECTURE.md"];
 
 /// Knobs for a workspace lint run.
 #[derive(Debug, Clone, Default)]
@@ -88,7 +82,7 @@ pub fn lint_workspace_with(root: &Path, opts: &LintOptions) -> Result<Report, St
         ..Report::default()
     };
 
-    // Pass 2: the cross-file rules over the stitched model + docs.
+    // Pass 2: the cross-file rule over the stitched model.
     let model = WorkspaceModel {
         files: analyses
             .values_mut()
@@ -96,15 +90,7 @@ pub fn lint_workspace_with(root: &Path, opts: &LintOptions) -> Result<Report, St
             .collect(),
     };
     report.model_stats = model.stats();
-    let docs: Vec<(String, String)> = DOC_FILES
-        .iter()
-        .filter_map(|rel| {
-            fs::read_to_string(root.join(rel))
-                .ok()
-                .map(|text| ((*rel).to_string(), text))
-        })
-        .collect();
-    let mut semantic_diags = semantic::run(&model, &docs);
+    let mut semantic_diags = semantic::run(&model);
 
     // Suppression resolution, per file, over token + semantic findings.
     for (rel, a) in analyses {
@@ -121,8 +107,6 @@ pub fn lint_workspace_with(root: &Path, opts: &LintOptions) -> Result<Report, St
             .diagnostics
             .extend(resolve_file(&rel, findings, &a.allows, a.malformed));
     }
-    // What remains targets the doc files, which carry no allow comments.
-    report.diagnostics.append(&mut semantic_diags);
     report
         .diagnostics
         .sort_by(|a, b| (&a.file, a.line, a.rule.name()).cmp(&(&b.file, b.line, b.rule.name())));

@@ -5,14 +5,11 @@
 //! cargo run -p nvr_lint -- --format json    # machine-readable report on stdout
 //! cargo run -p nvr_lint -- --out lint.json  # also write the JSON report to a file
 //! cargo run -p nvr_lint -- --list-rules     # print the rule catalogue
-//! cargo run -p nvr_lint -- --rule registry/wildcard-arm   # one rule only
-//! cargo run -p nvr_lint -- --explain config/dead-knob     # rule rationale
+//! cargo run -p nvr_lint -- --rule units/suffix-mix       # one rule only
+//! cargo run -p nvr_lint -- --explain perf/hot-loop-alloc  # rule rationale
 //! ```
 //!
 //! Exit codes: 0 clean, 1 violations found, 2 usage or I/O error.
-
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -68,7 +65,7 @@ fn parse_args() -> Result<Args, String> {
             "--list-rules" => args.list_rules = true,
             "-h" | "--help" => {
                 println!(
-                    "nvr-lint: workspace determinism & invariant checks\n\n\
+                    "nvr-lint: the workspace checks rustc and clippy cannot make\n\n\
                      USAGE: nvr-lint [--format text|json] [--out PATH] [--root PATH]\n\
                      \x20               [--rule NAME] [--explain NAME] [--list-rules]\n\n\
                      Exit codes: 0 clean, 1 violations, 2 usage/I/O error."

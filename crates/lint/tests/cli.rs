@@ -1,6 +1,6 @@
 //! End-to-end tests of the `nvr-lint` binary: exit codes, JSON output,
-//! and the CI failure mode (a `HashMap` deliberately seeded into a fake
-//! `crates/core` must fail the run) — the contract the CI job relies on.
+//! and the failure mode (a per-iteration allocation deliberately seeded
+//! into a hot loop of a fake `crates/core` must fail the run).
 
 use std::fs;
 use std::path::PathBuf;
@@ -31,14 +31,11 @@ fn run(root: &PathBuf, extra: &[&str]) -> Output {
 }
 
 const CLEAN_LIB: &str = "//! A clean crate root.\n\n\
-    #![forbid(unsafe_code)]\n#![deny(missing_docs)]\n\n\
     /// Documented.\npub fn ok() {}\n";
 
-const SEEDED_LIB: &str = "//! A crate root seeded with a determinism hazard.\n\n\
-    #![forbid(unsafe_code)]\n#![deny(missing_docs)]\n\n\
-    use std::collections::HashMap;\n\n\
-    /// Documented, but unordered.\npub fn bad() -> HashMap<u64, u64> {\n    \
-    HashMap::new()\n}\n";
+const SEEDED_LIB: &str = "//! A crate root seeded with a hot-loop allocation.\n\n\
+    /// Allocates once per simulated cycle.\npub fn tick(cycles: u64) {\n    \
+    for _ in 0..cycles {\n        let _scratch: Vec<u64> = Vec::new();\n    }\n}\n";
 
 #[test]
 fn clean_workspace_exits_zero() {
@@ -50,19 +47,6 @@ fn clean_workspace_exits_zero() {
 }
 
 #[test]
-fn seeded_hashmap_in_core_fails_with_exit_one() {
-    let root = fake_workspace("seeded", SEEDED_LIB);
-    let out = run(&root, &[]);
-    assert_eq!(out.status.code(), Some(1), "{out:?}");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        stdout.contains("determinism/ordered-containers"),
-        "{stdout}"
-    );
-    assert!(stdout.contains("crates/core/src/lib.rs"), "{stdout}");
-}
-
-#[test]
 fn json_format_reports_machine_readable_violations() {
     let root = fake_workspace("json", SEEDED_LIB);
     let out = run(&root, &["--format", "json"]);
@@ -70,9 +54,10 @@ fn json_format_reports_machine_readable_violations() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("\"tool\": \"nvr-lint\""), "{stdout}");
     assert!(
-        stdout.contains("\"rule\": \"determinism/ordered-containers\""),
+        stdout.contains("\"rule\": \"perf/hot-loop-alloc\""),
         "{stdout}"
     );
+    assert!(stdout.contains("crates/core/src/lib.rs"), "{stdout}");
     assert!(stdout.contains("\"line\": "), "{stdout}");
 }
 
@@ -83,7 +68,7 @@ fn out_flag_writes_json_report_alongside_text() {
     let out = run(&root, &["--out", report_path.to_str().expect("utf8 path")]);
     assert_eq!(out.status.code(), Some(1), "{out:?}");
     let json = fs::read_to_string(&report_path).expect("report written");
-    assert!(json.contains("determinism/ordered-containers"), "{json}");
+    assert!(json.contains("perf/hot-loop-alloc"), "{json}");
 }
 
 #[test]
@@ -108,14 +93,9 @@ fn list_rules_prints_catalogue_and_exits_zero() {
     assert_eq!(out.status.code(), Some(0), "{out:?}");
     let stdout = String::from_utf8_lossy(&out.stdout);
     for rule in [
-        "determinism/ordered-containers",
-        "determinism/wall-clock",
-        "csv/schema-sync",
-        "registry/variant-drift",
-        "registry/wildcard-arm",
-        "config/dead-knob",
-        "csv/cross-file-schema",
+        "perf/hot-loop-alloc",
         "units/suffix-mix",
+        "lint/malformed-allow",
         "lint/unused-allow",
     ] {
         assert!(stdout.contains(rule), "missing {rule} in:\n{stdout}");
@@ -125,13 +105,13 @@ fn list_rules_prints_catalogue_and_exits_zero() {
 #[test]
 fn explain_prints_rationale_and_exits_zero() {
     let out = bin()
-        .args(["--explain", "config/dead-knob"])
+        .args(["--explain", "units/suffix-mix"])
         .output()
         .expect("spawn nvr-lint");
     assert_eq!(out.status.code(), Some(0), "{out:?}");
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("config/dead-knob"), "{stdout}");
-    assert!(stdout.contains("knob wired to nothing"), "{stdout}");
+    assert!(stdout.contains("units/suffix-mix"), "{stdout}");
+    assert!(stdout.contains("dimensional bug"), "{stdout}");
 }
 
 #[test]
@@ -148,17 +128,14 @@ fn explain_unknown_rule_exits_two() {
 #[test]
 fn rule_filter_gates_the_exit_code() {
     let root = fake_workspace("rule-filter", SEEDED_LIB);
-    // The seeded violation is ordered-containers; filtering on an
-    // unrelated rule leaves a clean report.
-    let out = run(&root, &["--rule", "determinism/wall-clock"]);
+    // The seeded violation is hot-loop-alloc; filtering on an unrelated
+    // rule leaves a clean report.
+    let out = run(&root, &["--rule", "units/suffix-mix"]);
     assert_eq!(out.status.code(), Some(0), "{out:?}");
-    let out = run(&root, &["--rule", "determinism/ordered-containers"]);
+    let out = run(&root, &["--rule", "perf/hot-loop-alloc"]);
     assert_eq!(out.status.code(), Some(1), "{out:?}");
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        stdout.contains("determinism/ordered-containers"),
-        "{stdout}"
-    );
+    assert!(stdout.contains("perf/hot-loop-alloc"), "{stdout}");
     // Unknown rule names are a usage error.
     let out = run(&root, &["--rule", "nonsense/rule"]);
     assert_eq!(out.status.code(), Some(2), "{out:?}");

@@ -1,7 +1,7 @@
 //! Bad: allows without reasons or with unknown rules.
 pub fn f() -> u64 {
-    // nvr-lint: allow(determinism/wall-clock)
+    // nvr-lint: allow(perf/hot-loop-alloc)
     // nvr-lint: allow(no/such-rule) reason="nope"
-    // nvr-lint: allow(panic/hot-loop) reason=""
+    // nvr-lint: allow(units/suffix-mix) reason=""
     0
 }
