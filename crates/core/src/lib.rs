@@ -31,7 +31,8 @@
 //!   to see *where* runahead stopped:
 //!
 //!   ```sh
-//!   cargo run -p nvr_sim --bin diag --features nvr_core/nvr-debug
+//!   cargo run -p nvr_sim --bin sweep --features nvr_core/nvr-debug -- \
+//!       --grid --jobs 1 --scale tiny --workload GCN --system NVR
 //!   cargo test -p nvr_core --features nvr-debug -- --nocapture
 //!   ```
 //!

@@ -58,7 +58,8 @@ OPTIONS:
   --timings PATH  write wall-clock CSV (figures: per figure; grid: per cell)
   --help          this text
 
-Numeric output is identical for every --jobs value; timings go to stderr.";
+A repeatable flag takes each value once. Numeric output is identical for
+every --jobs value; timings go to stderr.";
 
 struct Args {
     jobs: usize,
@@ -75,7 +76,24 @@ struct Args {
     timings: Option<String>,
 }
 
-fn parse_args() -> Result<Args, String> {
+/// Appends `value` (given as `raw`) to a repeatable flag's list. A value
+/// given twice is an error: the sweep would run its cells twice and count
+/// both runs in the seed aggregate.
+fn push_once<T: PartialEq>(
+    list: &mut Vec<T>,
+    value: T,
+    flag: &str,
+    raw: &str,
+) -> Result<(), String> {
+    if list.contains(&value) {
+        return Err(format!("{flag} `{raw}` given twice"));
+    }
+    list.push(value);
+    Ok(())
+}
+
+/// Parses the command line, `argv` without the program name.
+fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut args = Args {
         jobs: pool::default_workers(),
         grid: false,
@@ -90,7 +108,7 @@ fn parse_args() -> Result<Args, String> {
         csv: None,
         timings: None,
     };
-    let mut it = std::env::args().skip(1);
+    let mut it = argv.into_iter();
     while let Some(arg) = it.next() {
         let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} needs a value"));
         match arg.as_str() {
@@ -103,36 +121,40 @@ fn parse_args() -> Result<Args, String> {
             }
             "--figure" => {
                 let v = value("--figure")?;
-                args.figures
-                    .push(FigureId::from_name(&v).ok_or_else(|| format!("unknown figure `{v}`"))?);
+                let id = FigureId::from_name(&v).ok_or_else(|| format!("unknown figure `{v}`"))?;
+                push_once(&mut args.figures, id, "--figure", &v)?;
             }
             "--workload" => {
                 let v = value("--workload")?;
-                args.workloads.push(
-                    WorkloadId::from_short(&v).ok_or_else(|| format!("unknown workload `{v}`"))?,
-                );
+                let id =
+                    WorkloadId::from_short(&v).ok_or_else(|| format!("unknown workload `{v}`"))?;
+                push_once(&mut args.workloads, id, "--workload", &v)?;
             }
             "--system" => {
                 let v = value("--system")?;
-                args.systems.push(
-                    SystemKind::from_label(&v).ok_or_else(|| format!("unknown system `{v}`"))?,
-                );
+                let kind =
+                    SystemKind::from_label(&v).ok_or_else(|| format!("unknown system `{v}`"))?;
+                push_once(&mut args.systems, kind, "--system", &v)?;
             }
-            "--scale" => args
-                .scales
-                .push(value("--scale")?.parse().map_err(|e| format!("{e}"))?),
-            "--order" => args
-                .orders
-                .push(value("--order")?.parse().map_err(|e| format!("{e}"))?),
-            "--width" => args
-                .widths
-                .push(value("--width")?.parse().map_err(|e| format!("{e}"))?),
+            "--scale" => {
+                let v = value("--scale")?;
+                let scale = v.parse().map_err(|e| format!("{e}"))?;
+                push_once(&mut args.scales, scale, "--scale", &v)?;
+            }
+            "--order" => {
+                let v = value("--order")?;
+                let order = v.parse().map_err(|e| format!("{e}"))?;
+                push_once(&mut args.orders, order, "--order", &v)?;
+            }
+            "--width" => {
+                let v = value("--width")?;
+                let width = v.parse().map_err(|e| format!("{e}"))?;
+                push_once(&mut args.widths, width, "--width", &v)?;
+            }
             "--seed" => {
-                args.seeds.push(
-                    value("--seed")?
-                        .parse()
-                        .map_err(|e| format!("--seed: {e}"))?,
-                );
+                let v = value("--seed")?;
+                let seed = v.parse().map_err(|e| format!("--seed: {e}"))?;
+                push_once(&mut args.seeds, seed, "--seed", &v)?;
             }
             "--channels" => {
                 let n: usize = value("--channels")?
@@ -299,7 +321,7 @@ fn run_grid(args: &Args) -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
+    let args = match parse_args(std::env::args().skip(1)) {
         Ok(args) => args,
         Err(msg) => {
             let mut err = std::io::stderr().lock();
@@ -322,5 +344,38 @@ fn main() -> ExitCode {
             eprintln!("error: {msg}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(argv: &[&str]) -> Result<Args, String> {
+        parse_args(argv.iter().map(|a| (*a).to_owned()))
+    }
+
+    #[test]
+    fn repeated_axis_values_are_rejected() {
+        for (flag, value, grid) in [
+            ("--figure", "fig5", false),
+            ("--workload", "GCN", true),
+            ("--system", "NVR", true),
+            ("--scale", "tiny", true),
+            ("--order", "natural", true),
+            ("--width", "fp16", true),
+            ("--seed", "1", true),
+        ] {
+            let mut argv = if grid { vec!["--grid"] } else { Vec::new() };
+            argv.extend([flag, value, flag, value]);
+            let err = parse(&argv).err().unwrap_or_default();
+            assert_eq!(err, format!("{flag} `{value}` given twice"), "{argv:?}");
+        }
+        // Values compare parsed: the same seed spelled two ways repeats.
+        let err = parse(&["--grid", "--seed", "1", "--seed", "01"]).err();
+        assert_eq!(err.as_deref(), Some("--seed `01` given twice"));
+        let args =
+            parse(&["--grid", "--seed", "2", "--seed", "1"]).unwrap_or_else(|e| panic!("{e}"));
+        assert_eq!(args.seeds, [2, 1]);
     }
 }

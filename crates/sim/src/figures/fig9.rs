@@ -472,14 +472,17 @@ mod tests {
     fn scored_nsb_at_admit_zero_degenerates_to_lru() {
         // System-level LRU-equivalence invariant: a scored NSB with the
         // admission knob at 0 must reproduce the plain-LRU buffer's run
-        // cycle for cycle (the policy only diverges once scores flow).
+        // end to end, every counter included, on every workload (the
+        // policy only diverges once scores flow).
         let spec = WorkloadSpec::tiny(DataWidth::Fp16, 4);
-        let program = WorkloadId::Gcn.build(&spec);
         let lru_cfg = MemoryConfig::default().with_nsb(nsb_config(16));
         let scored_cfg = MemoryConfig::default().with_nsb(nsb_scored(16));
-        let lru = admit_spec(&lru_cfg, 0).run(&program);
-        let scored = admit_spec(&scored_cfg, 0).run(&program);
-        assert_eq!(lru.total_cycles, scored.total_cycles);
+        for w in WorkloadId::ALL {
+            let program = w.build(&spec);
+            let lru = admit_spec(&lru_cfg, 0).run(&program);
+            let scored = admit_spec(&scored_cfg, 0).run(&program);
+            assert_eq!(lru, scored, "{}", w.short());
+        }
     }
 
     #[test]

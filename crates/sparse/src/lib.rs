@@ -1,11 +1,10 @@
-//! Voxel hash tables and top-k selection for the NVR workloads.
+//! Voxel hash tables for the NVR point-cloud workloads.
 //!
 //! MinkowskiNet and SparseConvNet (Table II) locate a voxel's neighbours
 //! by probing a hash table keyed on quantised 3-D coordinates, so their
 //! gather addresses depend on a memory lookup. This crate implements that
 //! table from scratch, together with the deterministic random generator
-//! the workloads synthesise scenes with, and the top-k index selection
-//! sparse attention gathers by.
+//! the workloads synthesise scenes with.
 //!
 //! # Examples
 //!
@@ -20,8 +19,6 @@
 //! assert_eq!(table.probe_path(keys[5]).last(), Some(&bucket));
 //! ```
 
-pub mod topk;
 pub mod voxel_hash;
 
-pub use topk::top_k_indices;
 pub use voxel_hash::{VoxelHashTable, VoxelKey};

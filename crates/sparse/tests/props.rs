@@ -1,24 +1,11 @@
-//! Property-based tests of the voxel hash table and top-k selection.
+//! Property-based tests of the voxel hash table.
 
 use proptest::prelude::*;
 
 use nvr_common::Pcg32;
-use nvr_sparse::{top_k_indices, VoxelHashTable, VoxelKey};
+use nvr_sparse::{VoxelHashTable, VoxelKey};
 
 proptest! {
-    /// top_k agrees with a full sort for arbitrary inputs.
-    #[test]
-    fn topk_matches_sort(scores in prop::collection::vec(0.0f32..1.0, 1..200), frac in 0usize..=100) {
-        let k = scores.len() * frac / 100;
-        let got = top_k_indices(&scores, k);
-        let mut want: Vec<u32> = (0..scores.len() as u32).collect();
-        want.sort_by(|&a, &b| {
-            scores[b as usize].partial_cmp(&scores[a as usize]).unwrap().then(a.cmp(&b))
-        });
-        want.truncate(k);
-        prop_assert_eq!(got, want);
-    }
-
     /// Voxel tables resolve every inserted key to its slot, and miss keys
     /// that were never inserted.
     #[test]
