@@ -49,7 +49,7 @@ pub mod prelude {
     pub use nvr_sim::figures::FigureId;
     pub use nvr_sim::sweep::pool;
     pub use nvr_sim::{
-        coverage, pollution, run_sweep, run_system, timeliness_split, RunOutcome, SweepJob,
+        coverage, pollution, run_sweep, run_system, timeliness_split, Lab, RunOutcome, SweepJob,
         SweepResults, SweepSpec, SystemKind,
     };
     pub use nvr_trace::{MemoryImage, NpuProgram, SnoopState, SparseFunc, TileOp};

@@ -28,7 +28,7 @@ use std::time::Instant;
 use nvr_common::DataWidth;
 use nvr_sim::figures::{fig9, FigureId};
 use nvr_sim::sweep::{pool, run_sweep, SweepSpec, DEFAULT_SEED};
-use nvr_sim::SystemKind;
+use nvr_sim::{Lab, SystemKind};
 use nvr_workloads::{Scale, TileOrder, WorkloadId};
 
 const USAGE: &str = "\
@@ -58,8 +58,8 @@ OPTIONS:
   --timings PATH  write wall-clock CSV (figures: per figure; grid: per cell)
   --help          this text
 
-A repeatable flag takes each value once. Numeric output is identical for
-every --jobs value; timings go to stderr.";
+A repeatable flag takes each value once, and any other flag at most once.
+Numeric output is identical for every --jobs value; timings go to stderr.";
 
 struct Args {
     jobs: usize,
@@ -92,10 +92,18 @@ fn push_once<T: PartialEq>(
     Ok(())
 }
 
+/// Sets a single-valued flag. A second value is an error rather than
+/// silently replacing the first.
+fn set_once<T>(slot: &mut Option<T>, value: T, flag: &str) -> Result<(), String> {
+    let old = slot.replace(value);
+    old.map_or(Ok(()), |_| Err(format!("{flag} given twice")))
+}
+
 /// Parses the command line, `argv` without the program name.
 fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
+    let mut jobs = None;
     let mut args = Args {
-        jobs: pool::default_workers(),
+        jobs: 0,
         grid: false,
         figures: Vec::new(),
         workloads: Vec::new(),
@@ -115,9 +123,10 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
             "--help" | "-h" => return Err(String::new()),
             "--grid" => args.grid = true,
             "--jobs" => {
-                args.jobs = value("--jobs")?
+                let n = value("--jobs")?
                     .parse()
                     .map_err(|e| format!("--jobs: {e}"))?;
+                set_once(&mut jobs, n, "--jobs")?;
             }
             "--figure" => {
                 let v = value("--figure")?;
@@ -163,13 +172,14 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
                 if n == 0 {
                     return Err("--channels must be at least 1".into());
                 }
-                args.channels = Some(n);
+                set_once(&mut args.channels, n, "--channels")?;
             }
-            "--csv" => args.csv = Some(value("--csv")?),
-            "--timings" => args.timings = Some(value("--timings")?),
+            "--csv" => set_once(&mut args.csv, value("--csv")?, "--csv")?,
+            "--timings" => set_once(&mut args.timings, value("--timings")?, "--timings")?,
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
+    args.jobs = jobs.unwrap_or_else(pool::default_workers);
     if args.jobs == 0 {
         return Err("--jobs must be at least 1".into());
     }
@@ -224,7 +234,7 @@ fn run_figures(args: &Args) -> Result<(), String> {
     let scale = args.scales.first().copied().unwrap_or_default();
     let seed = args.seeds.first().copied().unwrap_or(DEFAULT_SEED);
     let mut timing_csv = String::from("figure,wall_ms\n");
-    let mut policy = Vec::new();
+    let mut lab = Lab::new(args.jobs);
     #[expect(
         clippy::disallowed_methods,
         reason = "end-to-end timing goes to stderr and --timings CSV only; stdout stays byte-identical"
@@ -236,15 +246,7 @@ fn run_figures(args: &Args) -> Result<(), String> {
             reason = "per-figure timing goes to stderr and --timings CSV only; stdout stays byte-identical"
         )]
         let fig_t0 = Instant::now();
-        let rendition = if *fig == FigureId::Fig9 {
-            // Keep fig9's data: its retention-policy study is also the
-            // --csv artifact.
-            let data = fig9::run_jobs(scale, seed, args.jobs);
-            policy = data.policy.clone();
-            data.to_string()
-        } else {
-            fig.regenerate(scale, seed, args.jobs)
-        };
+        let rendition = fig.regenerate(&mut lab, scale, seed);
         let wall = fig_t0.elapsed();
         println!("{rendition}");
         eprintln!(
@@ -267,8 +269,8 @@ fn run_figures(args: &Args) -> Result<(), String> {
     }
     if let Some(path) = &args.csv {
         // The fig9 retention-policy study printed above, as a
-        // deterministic CSV (the CI artifact).
-        let csv = fig9::policy_csv(&policy);
+        // deterministic CSV (the CI artifact); its cells are in the lab.
+        let csv = fig9::policy_csv(&fig9::policy_sweep(&mut lab, scale, seed));
         match path.as_str() {
             "-" => print!("{csv}"),
             _ => write_file(path, &csv)?,
@@ -377,5 +379,18 @@ mod tests {
         let args =
             parse(&["--grid", "--seed", "2", "--seed", "1"]).unwrap_or_else(|e| panic!("{e}"));
         assert_eq!(args.seeds, [2, 1]);
+    }
+
+    #[test]
+    fn repeated_single_valued_flags_are_rejected() {
+        for (flag, first, second) in [
+            ("--jobs", "1", "2"),
+            ("--channels", "2", "4"),
+            ("--csv", "-", "out.csv"),
+            ("--timings", "a.csv", "a.csv"),
+        ] {
+            let err = parse(&["--grid", flag, first, flag, second]).err();
+            assert_eq!(err, Some(format!("{flag} given twice")), "{flag}");
+        }
     }
 }

@@ -1,8 +1,9 @@
 //! One driver per table/figure of the paper's evaluation (§V).
 //!
-//! Every driver exposes `run_jobs(..., jobs) -> Data` (the static tables
-//! `run() -> Data`) returning structured results and a `Display`
-//! implementation printing the paper-style rendition; `sweep --figure
+//! Every driver exposes `run(lab, scale, seed[, workloads]) -> Data` (the
+//! static tables `run() -> Data`): it runs its cells through the caller's
+//! [`Lab`], so a cell several figures share is simulated once, and its
+//! data's `Display` prints the paper-style rendition. `sweep --figure
 //! <name>` is the one entry point that regenerates each.
 
 pub mod ablations;
@@ -18,7 +19,9 @@ pub mod headline;
 pub mod table1;
 pub mod table2;
 
-use nvr_workloads::Scale;
+use nvr_workloads::{Scale, WorkloadId};
+
+use crate::lab::Lab;
 
 nvr_common::registry_enum! {
     /// Identifier of one regenerable evaluation artifact — the uniform handle
@@ -81,24 +84,25 @@ impl FigureId {
             .find(|f| f.name().eq_ignore_ascii_case(s))
     }
 
-    /// Regenerates the artifact's data on `jobs` workers and returns the
+    /// Regenerates the artifact's data through `lab` and returns the
     /// paper-style text rendition. Deterministic in (scale, seed) — the
-    /// worker count never changes the bytes.
+    /// lab's worker count and its earlier runs never change the bytes.
     #[must_use]
-    pub fn regenerate(self, scale: Scale, seed: u64, jobs: usize) -> String {
+    pub fn regenerate(self, lab: &mut Lab, scale: Scale, seed: u64) -> String {
+        let all = &WorkloadId::ALL;
         match self {
-            FigureId::Fig1b => fig1b::run_jobs(scale, seed, jobs).to_string(),
-            FigureId::Fig5 => fig5::run_jobs(scale, seed, jobs).to_string(),
-            FigureId::Fig6 => fig6::run_jobs(scale, seed, jobs).to_string(),
-            FigureId::Fig6b => fig6b::run_jobs(scale, seed, jobs).to_string(),
-            FigureId::Fig7 => fig7::run_jobs(scale, seed, jobs).to_string(),
-            FigureId::Fig7b => fig7b::run_jobs(scale, seed, jobs).to_string(),
-            FigureId::Fig8 => fig8::run_jobs(seed, scale == Scale::Tiny, jobs).to_string(),
-            FigureId::Fig9 => fig9::run_jobs(scale, seed, jobs).to_string(),
-            FigureId::Headline => headline::run_jobs(scale, seed, jobs).to_string(),
+            FigureId::Fig1b => fig1b::run(lab, scale, seed).to_string(),
+            FigureId::Fig5 => fig5::run(lab, scale, seed).to_string(),
+            FigureId::Fig6 => fig6::run(lab, scale, seed, all).to_string(),
+            FigureId::Fig6b => fig6b::run(lab, scale, seed, all).to_string(),
+            FigureId::Fig7 => fig7::run(lab, scale, seed).to_string(),
+            FigureId::Fig7b => fig7b::run(lab, scale, seed, all).to_string(),
+            FigureId::Fig8 => fig8::run(lab, scale, seed).to_string(),
+            FigureId::Fig9 => fig9::run(lab, scale, seed).to_string(),
+            FigureId::Headline => headline::run(lab, scale, seed, all).to_string(),
             FigureId::Table1 => table1::run().to_string(),
             FigureId::Table2 => table2::run().to_string(),
-            FigureId::Ablations => ablations::run_jobs(scale, seed, jobs).to_string(),
+            FigureId::Ablations => ablations::run(lab, scale, seed).to_string(),
         }
     }
 }
@@ -118,9 +122,9 @@ mod tests {
 
     #[test]
     fn static_tables_regenerate_instantly() {
-        let t1 = FigureId::Table1.regenerate(Scale::Tiny, 0, 1);
+        let t1 = FigureId::Table1.regenerate(&mut Lab::new(1), Scale::Tiny, 0);
         assert!(t1.contains("Table I"));
-        let t2 = FigureId::Table2.regenerate(Scale::Tiny, 0, 4);
+        let t2 = FigureId::Table2.regenerate(&mut Lab::new(4), Scale::Tiny, 0);
         assert!(t2.contains("Table II"));
     }
 }

@@ -7,11 +7,12 @@ use std::fmt;
 
 use nvr_common::DataWidth;
 use nvr_core::{nsb_scored, NvrConfig, NvrPrefetcher, TriggerPolicy};
-use nvr_mem::{CacheConfig, MemoryConfig};
-use nvr_workloads::{Scale, TileOrder, WorkloadId, WorkloadSpec};
+use nvr_mem::MemoryConfig;
+use nvr_workloads::{Scale, WorkloadId, WorkloadSpec};
 
+use crate::lab::{Cell, Lab, ProgramSpec};
 use crate::runner::SystemKind;
-use crate::sweep::run_batch;
+use crate::sweep::pool;
 
 /// One NSB associativity point: a 16 KB scored NSB under NVR+NSB on H2O.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -100,47 +101,40 @@ fn variants() -> [(&'static str, NvrConfig); 9] {
     ]
 }
 
-/// Runs both ablation studies on `jobs` workers: one task per NSB
-/// associativity point and one per workload (its baseline plus every
-/// variant).
+/// Runs both ablation studies: the NSB associativity cells and each
+/// workload's in-order baseline through `lab`, and the NVR variants on
+/// the lab's workers, one task per workload. A variant reads its own
+/// prefetcher's VMIG after the run, so it is not a lab cell.
 #[must_use]
-pub fn run_jobs(scale: Scale, seed: u64, jobs: usize) -> Ablations {
-    let spec = WorkloadSpec {
-        width: DataWidth::Fp16,
-        seed,
-        scale,
-        order: TileOrder::Natural,
-    };
-    let assoc_tasks: Vec<_> = NSB_WAYS
+pub fn run(lab: &mut Lab, scale: Scale, seed: u64) -> Ablations {
+    let spec = WorkloadSpec::new(DataWidth::Fp16, seed).with_scale(scale);
+    let h2o = ProgramSpec::Workload(WorkloadId::H2o, spec);
+    let assoc_cells = NSB_WAYS.map(|ways| {
+        let mem = MemoryConfig::default().with_nsb(nsb_scored(16).with_ways(ways));
+        Cell::new(h2o, SystemKind::NvrNsb, &mem)
+    });
+    let assoc = NSB_WAYS
         .into_iter()
-        .map(|ways| {
-            move || {
-                let program = WorkloadId::H2o.build(&spec);
-                let nsb = CacheConfig {
-                    ways,
-                    ..nsb_scored(16)
-                };
-                let r = SystemKind::NvrNsb
-                    .spec(&MemoryConfig::default().with_nsb(nsb))
-                    .run(&program);
-                let nsb_stats = r.mem.nsb.as_ref().expect("NSB configured");
-                AssocCell {
-                    ways,
-                    cycles: r.total_cycles,
-                    nsb_hit_rate: 1.0 - nsb_stats.miss_rate(),
-                    nsb_evictions: nsb_stats.evictions.get(),
-                }
+        .zip(lab.run(&assoc_cells))
+        .map(|(ways, o)| {
+            let nsb_stats = o.result.mem.nsb.as_ref().expect("NSB configured");
+            AssocCell {
+                ways,
+                cycles: o.result.total_cycles,
+                nsb_hit_rate: 1.0 - nsb_stats.miss_rate(),
+                nsb_evictions: nsb_stats.evictions.get(),
             }
         })
         .collect();
+    let mem_cfg = MemoryConfig::default();
+    let base_cells = Cell::grid(&WORKLOADS, &[SystemKind::InOrder], spec, &mem_cfg);
     let variant_tasks: Vec<_> = WORKLOADS
         .into_iter()
-        .map(|w| {
+        .zip(lab.run(&base_cells))
+        .map(|(w, base)| {
+            let nvr_spec = SystemKind::Nvr.spec(&mem_cfg);
             move || {
                 let program = w.build(&spec);
-                let mem_cfg = MemoryConfig::default();
-                let base = SystemKind::InOrder.spec(&mem_cfg).run(&program);
-                let nvr_spec = SystemKind::Nvr.spec(&mem_cfg);
                 variants()
                     .into_iter()
                     .map(|(label, cfg)| {
@@ -151,7 +145,7 @@ pub fn run_jobs(scale: Scale, seed: u64, jobs: usize) -> Ablations {
                             label,
                             workload: w.short(),
                             cycles: r.total_cycles,
-                            speedup: base.total_cycles as f64 / r.total_cycles as f64,
+                            speedup: base.result.total_cycles as f64 / r.total_cycles as f64,
                             accuracy: r.mem.prefetch_accuracy(),
                             pack: nvr.vmig().mean_pack_width(),
                         }
@@ -161,8 +155,8 @@ pub fn run_jobs(scale: Scale, seed: u64, jobs: usize) -> Ablations {
         })
         .collect();
     Ablations {
-        assoc: run_batch(assoc_tasks, jobs),
-        variants: run_batch(variant_tasks, jobs)
+        assoc,
+        variants: pool::run_ordered(variant_tasks, lab.workers())
             .into_iter()
             .flatten()
             .collect(),

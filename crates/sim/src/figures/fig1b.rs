@@ -7,13 +7,13 @@
 
 use std::fmt;
 
+use nvr_common::DataWidth;
 use nvr_mem::MemoryConfig;
-use nvr_workloads::double_sparsity;
-use nvr_workloads::{Scale, TileOrder, WorkloadSpec};
+use nvr_workloads::{Scale, WorkloadSpec};
 
+use crate::lab::{Cell, Lab, ProgramSpec};
 use crate::report::{fmt3, Table};
 use crate::runner::SystemKind;
-use crate::sweep::run_batch;
 
 /// One sweep point.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -46,40 +46,26 @@ impl Fig1b {
     }
 }
 
-/// Runs the ratio sweep at the given scale and seed on `jobs` workers.
-/// Each ratio is one independent sweep job (its own program build + run).
+/// Runs the ratio sweep at the given scale and seed through `lab`: one
+/// in-order cell per keep ratio.
 #[must_use]
-pub fn run_jobs(scale: Scale, seed: u64, jobs: usize) -> Fig1b {
+pub fn run(lab: &mut Lab, scale: Scale, seed: u64) -> Fig1b {
     let ratios = [1usize, 2, 4, 8, 16];
-    let tasks: Vec<_> = ratios
-        .iter()
-        .map(|&ratio| {
-            move || {
-                let spec = WorkloadSpec {
-                    width: nvr_common::DataWidth::Fp16,
-                    seed,
-                    scale,
-                    order: TileOrder::Natural,
-                };
-                let program = double_sparsity::build_with_ratio(&spec, ratio);
-                SystemKind::InOrder
-                    .spec(&MemoryConfig::default())
-                    .run(&program)
-            }
-        })
-        .collect();
-    let outcomes = run_batch(tasks, jobs);
-    let dense = outcomes[0].total_cycles;
+    let spec = WorkloadSpec::new(DataWidth::Fp16, seed).with_scale(scale);
+    let mem = MemoryConfig::default();
+    let cells = ratios.map(|r| Cell::new(ProgramSpec::DsRatio(spec, r), SystemKind::InOrder, &mem));
+    let outcomes = lab.run(&cells);
+    let dense = outcomes[0].result.total_cycles;
     let points = ratios
         .iter()
         .zip(&outcomes)
-        .map(|(&ratio, result)| {
-            let cycles = result.total_cycles;
+        .map(|(&ratio, o)| {
+            let cycles = o.result.total_cycles;
             Point {
                 ratio,
                 cycles,
                 speedup: dense as f64 / cycles.max(1) as f64,
-                offchip_lines: result.mem.demand_offchip_lines(),
+                offchip_lines: o.result.mem.demand_offchip_lines(),
             }
         })
         .collect();
@@ -116,7 +102,7 @@ mod tests {
 
     #[test]
     fn speedup_saturates_below_reduction() {
-        let data = run_jobs(Scale::Tiny, 3, 1);
+        let data = run(&mut Lab::new(1), Scale::Tiny, 3);
         assert_eq!(data.points.len(), 5);
         let p16 = data.speedup_at_16x();
         assert!(p16 > 1.5, "sparsity should speed things up ({p16})");

@@ -11,11 +11,11 @@ use std::fmt;
 use nvr_common::DataWidth;
 use nvr_core::nsb_config;
 use nvr_mem::MemoryConfig;
-use nvr_workloads::{Scale, WorkloadId};
+use nvr_workloads::{Scale, WorkloadId, WorkloadSpec};
 
+use crate::lab::{Cell, Lab};
 use crate::report::{fmt3, Table};
 use crate::runner::SystemKind;
-use crate::sweep::{run_sweep, SweepResults, SweepSpec};
 
 /// One bar of one panel.
 #[derive(Debug, Clone, PartialEq)]
@@ -80,76 +80,48 @@ impl Fig5 {
     }
 }
 
-/// Runs one panel as a sweep over `jobs` workers: every system at one
-/// width, or, over the paper's 16 KB NSB when `nsb` is set, every system
-/// but NVR+NSB — over an NSB-bearing memory it is the same system as NVR.
-fn run_panel(scale: Scale, seed: u64, width: DataWidth, nsb: bool, jobs: usize) -> SweepResults {
-    let (systems, mem_cfg) = if nsb {
-        (
-            SystemKind::ALL
-                .into_iter()
-                .filter(|&s| s != SystemKind::NvrNsb)
-                .collect(),
-            MemoryConfig::default().with_nsb(nsb_config(16)),
-        )
-    } else {
-        (SystemKind::ALL.to_vec(), MemoryConfig::default())
-    };
-    run_sweep(
-        &SweepSpec {
-            systems,
-            scales: vec![scale],
-            widths: vec![width],
-            seeds: vec![seed],
-            mem_cfg,
-            ..SweepSpec::default()
-        },
-        jobs,
-    )
-}
-
-/// Appends one bar per cell of `panel`, normalised to the InO cell of the
-/// same workload in `denom` (InO, same width, no NSB).
-fn push_bars(bars: &mut Vec<Bar>, panel: &SweepResults, denom: &SweepResults, nsb: bool) {
-    for cell in &panel.cells {
-        let j = &cell.job;
-        let denom = denom
-            .get(
-                j.workload,
-                SystemKind::InOrder,
-                j.scale,
-                j.order,
-                j.width,
-                j.seed,
-            )
-            .expect("InO baseline in sweep")
-            .outcome
-            .result
-            .total_cycles;
-        let o = &cell.outcome;
-        bars.push(Bar {
-            workload: j.workload.short(),
-            system: j.system.label(),
-            width: j.width,
-            nsb,
-            norm_total: o.normalised_total(denom),
-            norm_base: o.base_cycles as f64 / denom.max(1) as f64,
-            norm_stall: o.normalised_stall(denom),
-        });
+/// One panel's bars through `lab`: every system at one width, or, over
+/// the paper's 16 KB NSB when `nsb` is set, every system but NVR+NSB —
+/// over an NSB-bearing memory it is the same system as NVR. Each bar is
+/// normalised to its workload's InO cell at this width without NSB.
+fn run_panel(lab: &mut Lab, scale: Scale, seed: u64, width: DataWidth, nsb: bool) -> Vec<Bar> {
+    let mut systems = SystemKind::ALL.to_vec();
+    let mut mem = MemoryConfig::default();
+    if nsb {
+        systems.retain(|&s| s != SystemKind::NvrNsb);
+        mem = mem.with_nsb(nsb_config(16));
     }
+    let spec = WorkloadSpec::new(width, seed).with_scale(scale);
+    let outcomes = lab.run(&Cell::grid(&WorkloadId::ALL, &systems, spec, &mem));
+    let plain = MemoryConfig::default();
+    let ino = Cell::grid(&WorkloadId::ALL, &[SystemKind::InOrder], spec, &plain);
+    let panels = outcomes.chunks(systems.len()).zip(lab.run(&ino));
+    let mut bars = Vec::new();
+    for (w, (runs, denom)) in WorkloadId::ALL.iter().zip(panels) {
+        let denom = denom.result.total_cycles;
+        for o in runs {
+            bars.push(Bar {
+                workload: w.short(),
+                system: o.system.label(),
+                width,
+                nsb,
+                norm_total: o.normalised_total(denom),
+                norm_base: o.base_cycles as f64 / denom.max(1) as f64,
+                norm_stall: o.normalised_stall(denom),
+            });
+        }
+    }
+    bars
 }
 
-/// Runs all four panels on `jobs` workers.
+/// Runs all four panels through `lab`.
 #[must_use]
-pub fn run_jobs(scale: Scale, seed: u64, jobs: usize) -> Fig5 {
+pub fn run(lab: &mut Lab, scale: Scale, seed: u64) -> Fig5 {
     let mut bars = Vec::new();
     for width in DataWidth::ALL {
-        let panel = run_panel(scale, seed, width, false, jobs);
-        push_bars(&mut bars, &panel, &panel, false);
+        bars.extend(run_panel(lab, scale, seed, width, false));
         if width == DataWidth::Int32 {
-            // The NSB panel normalises to this panel's InO cells.
-            let nsb = run_panel(scale, seed, width, true, jobs);
-            push_bars(&mut bars, &nsb, &panel, true);
+            bars.extend(run_panel(lab, scale, seed, width, true));
         }
     }
     Fig5 { bars }
@@ -204,9 +176,8 @@ mod tests {
     /// `sweep --figure fig5`).
     #[test]
     fn int8_panel_shape_holds() {
-        let mut bars = Vec::new();
-        let sweep = run_panel(Scale::Tiny, 11, DataWidth::Int8, false, 2);
-        push_bars(&mut bars, &sweep, &sweep, false);
+        let mut lab = Lab::new(2);
+        let bars = run_panel(&mut lab, Scale::Tiny, 11, DataWidth::Int8, false);
         let fig = Fig5 { bars };
         let panel = fig.panel(DataWidth::Int8, false);
         assert_eq!(panel.len(), 8 * 7);
@@ -233,9 +204,7 @@ mod tests {
         assert!(red > 0.5, "NVR should remove most stall ({red})");
         // The NSB panel shows each distinct system once: NVR+NSB over an
         // NSB-bearing memory is the NVR row.
-        let nsb = run_panel(Scale::Tiny, 11, DataWidth::Int8, true, 2);
-        let mut bars = Vec::new();
-        push_bars(&mut bars, &nsb, &sweep, true);
+        let bars = run_panel(&mut lab, Scale::Tiny, 11, DataWidth::Int8, true);
         assert_eq!(bars.len(), 8 * 6);
         assert!(bars.iter().all(|b| b.system != "NVR+NSB"));
     }

@@ -1,19 +1,20 @@
 //! Fig. 6 — prefetcher accuracy (a), coverage (b) and data-movement
 //! optimisation (c).
 //!
-//! Accuracy and coverage per workload for the four prefetchers; panel (c)
+//! Accuracy and coverage per workload for the five prefetchers; panel (c)
 //! reports off-chip demand traffic during actual load execution for InO,
 //! NVR and NVR+NSB (the paper's 30x / further 5x reductions).
 
 use std::fmt;
 
 use nvr_common::DataWidth;
-use nvr_workloads::{Scale, TileOrder, WorkloadId};
+use nvr_mem::MemoryConfig;
+use nvr_workloads::{Scale, WorkloadId, WorkloadSpec};
 
+use crate::lab::{Cell, Lab};
 use crate::metrics::{coverage, pollution};
 use crate::report::{fmt3, Table};
 use crate::runner::SystemKind;
-use crate::sweep::{run_sweep, SweepSpec};
 
 /// Accuracy/coverage of one (workload, prefetcher) pair.
 #[derive(Debug, Clone, PartialEq)]
@@ -60,137 +61,75 @@ pub struct Fig6 {
 }
 
 impl Fig6 {
-    /// Average accuracy of one prefetcher across workloads.
-    #[must_use]
-    pub fn avg_accuracy(&self, system: &str) -> f64 {
+    /// Mean of `field` over one prefetcher's cells (0 when it has none).
+    fn avg(&self, system: &str, field: fn(&AccCov) -> f64) -> f64 {
         let vals: Vec<f64> = self
             .cells
             .iter()
             .filter(|c| c.system == system)
-            .map(|c| c.accuracy)
+            .map(field)
             .collect();
-        if vals.is_empty() {
-            0.0
-        } else {
-            vals.iter().sum::<f64>() / vals.len() as f64
-        }
+        nvr_common::mean(&vals)
+    }
+
+    /// Average accuracy of one prefetcher across workloads.
+    #[must_use]
+    pub fn avg_accuracy(&self, system: &str) -> f64 {
+        self.avg(system, |c| c.accuracy)
     }
 
     /// Average coverage of one prefetcher across workloads.
     #[must_use]
     pub fn avg_coverage(&self, system: &str) -> f64 {
-        let vals: Vec<f64> = self
-            .cells
-            .iter()
-            .filter(|c| c.system == system)
-            .map(|c| c.coverage)
-            .collect();
-        if vals.is_empty() {
-            0.0
-        } else {
-            vals.iter().sum::<f64>() / vals.len() as f64
-        }
+        self.avg(system, |c| c.coverage)
     }
 
     /// Average busiest-channel utilisation of one prefetcher across
     /// workloads.
     #[must_use]
     pub fn avg_channel_util(&self, system: &str) -> f64 {
-        let vals: Vec<f64> = self
-            .cells
-            .iter()
-            .filter(|c| c.system == system)
-            .map(|c| c.channel_util)
-            .collect();
-        nvr_common::mean(&vals)
+        self.avg(system, |c| c.channel_util)
+    }
+
+    /// Panel (c)'s off-chip lines of one system (0 when absent).
+    fn offchip(&self, system: &str) -> u64 {
+        let m = self.movement.iter().find(|m| m.system == system);
+        m.map_or(0, |m| m.offchip_lines)
     }
 
     /// Off-chip reduction factor of NVR vs InO (panel c).
     #[must_use]
     pub fn nvr_offchip_reduction(&self) -> f64 {
-        let find = |name: &str| {
-            self.movement
-                .iter()
-                .find(|m| m.system == name)
-                .map_or(0, |m| m.offchip_lines)
-        };
-        let ino = find("InO");
-        let nvr = find("NVR").max(1);
-        ino as f64 / nvr as f64
+        self.offchip("InO") as f64 / self.offchip("NVR").max(1) as f64
     }
 
     /// Additional off-chip reduction of the NSB on top of NVR (panel c).
     #[must_use]
     pub fn nsb_extra_reduction(&self) -> f64 {
-        let find = |name: &str| {
-            self.movement
-                .iter()
-                .find(|m| m.system == name)
-                .map_or(0, |m| m.offchip_lines)
-        };
-        let nvr = find("NVR");
-        let nsb = find("NVR+NSB").max(1);
-        nvr as f64 / nsb as f64
+        self.offchip("NVR") as f64 / self.offchip("NVR+NSB").max(1) as f64
     }
 }
 
-/// Runs accuracy/coverage for every workload and prefetcher, plus the
-/// movement panel on the DS workload, over `jobs` workers.
+/// Runs accuracy/coverage for every workload of `workloads` (the figure
+/// uses all eight) and prefetcher, plus the movement panel on the DS
+/// workload, through `lab`.
 #[must_use]
-pub fn run_jobs(scale: Scale, seed: u64, jobs: usize) -> Fig6 {
-    run_jobs_with_workloads(scale, seed, jobs, &WorkloadId::ALL)
-}
-
-/// Runs with a workload subset (tests use fewer) on `jobs` workers.
-#[must_use]
-pub fn run_jobs_with_workloads(
-    scale: Scale,
-    seed: u64,
-    jobs: usize,
-    workloads: &[WorkloadId],
-) -> Fig6 {
-    let width = DataWidth::Fp16;
+pub fn run(lab: &mut Lab, scale: Scale, seed: u64, workloads: &[WorkloadId]) -> Fig6 {
+    let spec = WorkloadSpec::new(DataWidth::Fp16, seed).with_scale(scale);
+    let mem = MemoryConfig::default();
     // Panels (a)/(b): the workloads x (InO + prefetchers) grid.
-    let grid = run_sweep(
-        &SweepSpec {
-            workloads: workloads.to_vec(),
-            systems: std::iter::once(SystemKind::InOrder)
-                .chain(SystemKind::PREFETCHERS)
-                .collect(),
-            scales: vec![scale],
-            widths: vec![width],
-            seeds: vec![seed],
-            ..SweepSpec::default()
-        },
-        jobs,
-    );
+    let systems: Vec<SystemKind> = std::iter::once(SystemKind::InOrder)
+        .chain(SystemKind::PREFETCHERS)
+        .collect();
+    let outcomes = lab.run(&Cell::grid(workloads, &systems, spec, &mem));
     let mut cells = Vec::new();
-    for &w in workloads {
-        let base_misses = grid
-            .get(
-                w,
-                SystemKind::InOrder,
-                scale,
-                TileOrder::Natural,
-                width,
-                seed,
-            )
-            .expect("InO baseline in sweep")
-            .outcome
-            .result
-            .mem
-            .l2
-            .demand_misses
-            .get();
-        for system in SystemKind::PREFETCHERS {
-            let o = &grid
-                .get(w, system, scale, TileOrder::Natural, width, seed)
-                .expect("sweep covers the full grid")
-                .outcome;
+    for (w, runs) in workloads.iter().zip(outcomes.chunks(systems.len())) {
+        let base_misses = runs[0].result.mem.l2.demand_misses.get();
+        for o in &runs[1..] {
             let misses = o.result.mem.l2.demand_misses.get();
             cells.push(AccCov {
                 workload: w.short(),
-                system: system.label(),
+                system: o.system.label(),
                 accuracy: o.result.mem.prefetch_accuracy(),
                 coverage: coverage(base_misses, misses),
                 pollution: pollution(base_misses, misses),
@@ -200,47 +139,20 @@ pub fn run_jobs_with_workloads(
         }
     }
 
-    // Panel (c): DS-class data movement, InO vs NVR vs NVR+NSB. A full
-    // run already has every DS cell in `grid` (NVR+NSB is a first-class
-    // system); only subset runs (tests) need the mini-sweep.
-    let mini;
-    let plain = if workloads.contains(&WorkloadId::Ds) {
-        &grid
-    } else {
-        mini = run_sweep(
-            &SweepSpec {
-                workloads: vec![WorkloadId::Ds],
-                systems: vec![SystemKind::InOrder, SystemKind::Nvr, SystemKind::NvrNsb],
-                scales: vec![scale],
-                widths: vec![width],
-                seeds: vec![seed],
-                ..SweepSpec::default()
-            },
-            jobs,
-        );
-        &mini
-    };
-    let mut movement = Vec::new();
-    for system in [SystemKind::InOrder, SystemKind::Nvr, SystemKind::NvrNsb] {
-        let o = &plain
-            .get(
-                WorkloadId::Ds,
-                system,
-                scale,
-                TileOrder::Natural,
-                width,
-                seed,
-            )
-            .expect("cell present")
-            .outcome;
-        let nsb_hits = o.result.mem.nsb.as_ref().map_or(0, |s| s.demand_hits.get());
-        movement.push(Movement {
-            system: system.label().into(),
-            offchip_lines: o.result.mem.demand_offchip_lines(),
-            onchip_hits: o.result.mem.l2.demand_hits.get() + nsb_hits,
-        });
-    }
-
+    // Panel (c): DS-class data movement, InO vs NVR vs NVR+NSB.
+    let systems = [SystemKind::InOrder, SystemKind::Nvr, SystemKind::NvrNsb];
+    let movement = lab
+        .run(&Cell::grid(&[WorkloadId::Ds], &systems, spec, &mem))
+        .into_iter()
+        .map(|o| {
+            let nsb_hits = o.result.mem.nsb.as_ref().map_or(0, |s| s.demand_hits.get());
+            Movement {
+                system: o.system.label().into(),
+                offchip_lines: o.result.mem.demand_offchip_lines(),
+                onchip_hits: o.result.mem.l2.demand_hits.get() + nsb_hits,
+            }
+        })
+        .collect();
     Fig6 { cells, movement }
 }
 
@@ -325,7 +237,12 @@ mod tests {
     fn nvr_leads_accuracy_and_coverage() {
         // Two contrasting workloads keep the test fast: affine DS and
         // two-level MK.
-        let fig = run_jobs_with_workloads(Scale::Tiny, 5, 1, &[WorkloadId::Ds, WorkloadId::Mk]);
+        let fig = run(
+            &mut Lab::new(1),
+            Scale::Tiny,
+            5,
+            &[WorkloadId::Ds, WorkloadId::Mk],
+        );
         let nvr_cov = fig.avg_coverage("NVR");
         for s in ["Stream", "IMP", "DVR"] {
             assert!(
@@ -344,7 +261,12 @@ mod tests {
 
     #[test]
     fn pollution_is_the_unclamped_coverage() {
-        let fig = run_jobs_with_workloads(Scale::Tiny, 5, 1, &[WorkloadId::Ds, WorkloadId::Mk]);
+        let fig = run(
+            &mut Lab::new(1),
+            Scale::Tiny,
+            5,
+            &[WorkloadId::Ds, WorkloadId::Mk],
+        );
         for c in &fig.cells {
             // coverage == clamp(-pollution, 0, 1) by construction; a
             // positive pollution must coincide with zero coverage.
@@ -364,7 +286,7 @@ mod tests {
 
     #[test]
     fn movement_panel_shows_offchip_collapse() {
-        let fig = run_jobs_with_workloads(Scale::Tiny, 6, 1, &[WorkloadId::Ds]);
+        let fig = run(&mut Lab::new(1), Scale::Tiny, 6, &[WorkloadId::Ds]);
         assert_eq!(fig.movement.len(), 3);
         assert!(
             fig.nvr_offchip_reduction() > 3.0,

@@ -22,11 +22,11 @@ use nvr_common::DataWidth;
 use nvr_core::NvrConfig;
 use nvr_mem::MemoryConfig;
 use nvr_prefetch::TimelinessReport;
-use nvr_workloads::{Scale, TileOrder, WorkloadId, WorkloadSpec};
+use nvr_workloads::{Scale, WorkloadId, WorkloadSpec};
 
+use crate::lab::{Cell, Lab, ProgramSpec};
 use crate::report::{fmt3, Table};
 use crate::runner::{PrefetcherSpec, SystemKind, SystemSpec};
-use crate::sweep::run_batch;
 
 /// Timeliness of one (workload, lookahead-variant) pair.
 #[derive(Debug, Clone, PartialEq)]
@@ -76,60 +76,50 @@ fn variants() -> [(&'static str, usize, SystemKind); 3] {
     ]
 }
 
-/// Runs the timeliness comparison over every workload on `jobs` workers.
+/// Runs the timeliness comparison over every workload of `workloads` (the
+/// figure uses all eight) through `lab`.
 #[must_use]
-pub fn run_jobs(scale: Scale, seed: u64, jobs: usize) -> Fig6b {
-    run_jobs_with_workloads(scale, seed, jobs, &WorkloadId::ALL)
-}
-
-/// Runs with a workload subset (tests use fewer) on `jobs` workers.
-#[must_use]
-pub fn run_jobs_with_workloads(
-    scale: Scale,
-    seed: u64,
-    jobs: usize,
-    workloads: &[WorkloadId],
-) -> Fig6b {
-    let mut tasks: Vec<Box<dyn FnOnce() -> Vec<TimelinessCell> + Send>> = Vec::new();
+pub fn run(lab: &mut Lab, scale: Scale, seed: u64, workloads: &[WorkloadId]) -> Fig6b {
+    let mem = MemoryConfig::default();
+    let spec = WorkloadSpec::new(DataWidth::Fp16, seed).with_scale(scale);
+    let mut cells = Vec::new();
     for &w in workloads {
-        tasks.push(Box::new(move || {
-            let spec = WorkloadSpec {
-                width: DataWidth::Fp16,
-                seed,
-                scale,
-                order: TileOrder::Natural,
+        let program = ProgramSpec::Workload(w, spec);
+        cells.push(Cell::new(program, SystemKind::InOrder, &mem));
+        cells.extend(variants().map(|(_, depth, system)| {
+            let cfg = NvrConfig {
+                lookahead_tiles: depth,
+                ..NvrConfig::default()
             };
-            let program = w.build(&spec);
-            let mem = MemoryConfig::default();
-            let base = SystemKind::InOrder.spec(&mem).run(&program).total_cycles;
-            variants()
-                .into_iter()
-                .map(|(variant, depth, system)| {
-                    let spec = SystemSpec {
-                        prefetcher: PrefetcherSpec::Nvr(NvrConfig {
-                            lookahead_tiles: depth,
-                            ..NvrConfig::default()
-                        }),
-                        ..system.spec(&mem)
-                    };
-                    let mut nvr = spec.prefetcher.build();
-                    let r = spec.run_with(&program, nvr.as_mut());
-                    TimelinessCell {
-                        workload: w.short(),
-                        variant,
-                        depth,
-                        cycles: r.total_cycles,
-                        speedup: base as f64 / r.total_cycles.max(1) as f64,
-                        prefetch_late: r.mem.l2.prefetch_late.get(),
-                        timeliness: nvr.timeliness().unwrap_or_default(),
-                    }
-                })
-                .collect()
+            let spec = SystemSpec {
+                prefetcher: PrefetcherSpec::Nvr(cfg),
+                ..system.spec(&mem)
+            };
+            Cell {
+                program,
+                system,
+                spec,
+            }
         }));
     }
-    Fig6b {
-        cells: run_batch(tasks, jobs).into_iter().flatten().collect(),
+    let outcomes = lab.run(&cells);
+    let mut cells = Vec::new();
+    for (&w, runs) in workloads.iter().zip(outcomes.chunks(1 + variants().len())) {
+        let base = runs[0].result.total_cycles;
+        for ((variant, depth, _), o) in variants().into_iter().zip(&runs[1..]) {
+            let r = &o.result;
+            cells.push(TimelinessCell {
+                workload: w.short(),
+                variant,
+                depth,
+                cycles: r.total_cycles,
+                speedup: base as f64 / r.total_cycles.max(1) as f64,
+                prefetch_late: r.mem.l2.prefetch_late.get(),
+                timeliness: o.timeliness.clone().unwrap_or_default(),
+            });
+        }
     }
+    Fig6b { cells }
 }
 
 impl fmt::Display for Fig6b {
@@ -184,7 +174,7 @@ mod tests {
 
     #[test]
     fn timeliness_cells_have_measured_outcomes() {
-        let fig = run_jobs_with_workloads(Scale::Tiny, 3, 1, &[WorkloadId::Ds]);
+        let fig = run(&mut Lab::new(1), Scale::Tiny, 3, &[WorkloadId::Ds]);
         assert_eq!(fig.cells.len(), 3);
         for c in &fig.cells {
             assert!(
@@ -199,7 +189,7 @@ mod tests {
 
     #[test]
     fn rendition_includes_slack_histogram() {
-        let fig = run_jobs_with_workloads(Scale::Tiny, 3, 2, &[WorkloadId::Ds]);
+        let fig = run(&mut Lab::new(2), Scale::Tiny, 3, &[WorkloadId::Ds]);
         let text = fig.to_string();
         assert!(text.contains("slack"));
         assert!(text.contains("pipelined"));

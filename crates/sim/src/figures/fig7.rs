@@ -8,11 +8,12 @@
 use std::fmt;
 
 use nvr_common::{DataWidth, LINE_BYTES};
-use nvr_workloads::{Scale, TileOrder, WorkloadId};
+use nvr_mem::MemoryConfig;
+use nvr_workloads::{Scale, WorkloadId, WorkloadSpec};
 
+use crate::lab::{Cell, Lab};
 use crate::report::{fmt3, Table};
-use crate::runner::SystemKind;
-use crate::sweep::{run_sweep, SweepResults, SweepSpec};
+use crate::runner::{RunOutcome, SystemKind};
 
 /// Byte flows of one configuration, aggregated over workloads.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -60,26 +61,17 @@ impl Fig7 {
     }
 }
 
-/// Aggregates one system's byte flows from its sweep cells.
-fn collect(results: &SweepResults, system: SystemKind, scale: Scale, seed: u64) -> Flows {
+/// Aggregates one system's byte flows from its outcomes.
+fn collect(outcomes: &[RunOutcome], system: SystemKind) -> Flows {
     let mut fl = Flows {
         label: system.label().to_owned(),
         ..Flows::default()
     };
-    for w in WorkloadId::ALL {
-        let o = &results
-            .get(w, system, scale, TileOrder::Natural, DataWidth::Fp16, seed)
-            .expect("sweep covers the full grid")
-            .outcome;
+    for o in outcomes.iter().filter(|o| o.system == system) {
         let m = &o.result.mem;
-        fl.npu_read_bytes += m.l2.demand_accesses() * LINE_BYTES
-            + m.nsb
-                .as_ref()
-                .map_or(0, |n| n.demand_hits.get() * LINE_BYTES);
-        fl.nsb_served_bytes += m
-            .nsb
-            .as_ref()
-            .map_or(0, |n| n.demand_hits.get() * LINE_BYTES);
+        let nsb_bytes = m.nsb.as_ref().map_or(0, |n| n.demand_hits.get()) * LINE_BYTES;
+        fl.npu_read_bytes += m.l2.demand_accesses() * LINE_BYTES + nsb_bytes;
+        fl.nsb_served_bytes += nsb_bytes;
         fl.offchip_demand_bytes += m.dram.demand_lines.get() * LINE_BYTES;
         fl.offchip_prefetch_bytes += m.dram.prefetch_lines.get() * LINE_BYTES;
         fl.offchip_stream_bytes += m.dram.dma_bytes.get() + m.dram.write_bytes.get();
@@ -87,24 +79,15 @@ fn collect(results: &SweepResults, system: SystemKind, scale: Scale, seed: u64) 
     fl
 }
 
-/// Runs InO, NVR and NVR+NSB over all workloads on `jobs` workers.
+/// Runs InO, NVR and NVR+NSB over all workloads through `lab`.
 #[must_use]
-pub fn run_jobs(scale: Scale, seed: u64, jobs: usize) -> Fig7 {
+pub fn run(lab: &mut Lab, scale: Scale, seed: u64) -> Fig7 {
     let systems = [SystemKind::InOrder, SystemKind::Nvr, SystemKind::NvrNsb];
-    let results = run_sweep(
-        &SweepSpec {
-            systems: systems.to_vec(),
-            scales: vec![scale],
-            widths: vec![DataWidth::Fp16],
-            seeds: vec![seed],
-            ..SweepSpec::default()
-        },
-        jobs,
-    );
+    let spec = WorkloadSpec::new(DataWidth::Fp16, seed).with_scale(scale);
+    let mem = MemoryConfig::default();
+    let outcomes = lab.run(&Cell::grid(&WorkloadId::ALL, &systems, spec, &mem));
     Fig7 {
-        flows: systems
-            .map(|system| collect(&results, system, scale, seed))
-            .to_vec(),
+        flows: systems.map(|system| collect(&outcomes, system)).to_vec(),
     }
 }
 
@@ -147,7 +130,7 @@ mod tests {
 
     #[test]
     fn nvr_shifts_traffic_from_demand_to_prefetch() {
-        let fig = run_jobs(Scale::Tiny, 7, 2);
+        let fig = run(&mut Lab::new(2), Scale::Tiny, 7);
         let find = |label: &str| {
             fig.flows
                 .iter()

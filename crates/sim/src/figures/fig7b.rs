@@ -17,12 +17,12 @@ use std::fmt;
 
 use nvr_common::DataWidth;
 use nvr_mem::{DramConfig, MemoryConfig};
-use nvr_workloads::{Scale, TileOrder, WorkloadId};
+use nvr_workloads::{Scale, WorkloadId, WorkloadSpec};
 
+use crate::lab::{Cell, Lab};
 use crate::metrics::geometric_mean;
 use crate::report::{fmt3, Table};
 use crate::runner::SystemKind;
-use crate::sweep::{run_sweep, SweepSpec};
 
 /// The swept channel counts.
 pub const CHANNELS: [usize; 3] = [1, 2, 4];
@@ -80,49 +80,31 @@ impl Fig7b {
     }
 }
 
-/// The compared systems, in bar order.
+/// The compared systems, in bar order (InO, each cell's baseline, first).
 const SYSTEMS: [SystemKind; 3] = [SystemKind::InOrder, SystemKind::Nvr, SystemKind::NvrNsb];
 
-/// Runs the channel-scaling sweep over a workload subset on `jobs`
-/// workers.
+/// Runs the channel-scaling sweep over `workloads` (the figure uses all
+/// eight) through `lab`.
 #[must_use]
-pub fn run_jobs_with_workloads(
-    scale: Scale,
-    seed: u64,
-    jobs: usize,
-    workloads: &[WorkloadId],
-) -> Fig7b {
-    let width = DataWidth::Fp16;
+pub fn run(lab: &mut Lab, scale: Scale, seed: u64, workloads: &[WorkloadId]) -> Fig7b {
+    let spec = WorkloadSpec::new(DataWidth::Fp16, seed).with_scale(scale);
     let mut cells = Vec::new();
     for channels in CHANNELS {
-        let results = run_sweep(
-            &SweepSpec {
-                workloads: workloads.to_vec(),
-                systems: SYSTEMS.to_vec(),
-                scales: vec![scale],
-                widths: vec![width],
-                seeds: vec![seed],
-                mem_cfg: MemoryConfig {
-                    dram: DramConfig::default().with_channels(channels),
-                    ..MemoryConfig::default()
-                },
-                ..SweepSpec::default()
-            },
-            jobs,
-        );
-        for &w in workloads {
-            for system in SYSTEMS {
-                let cell = results
-                    .get(w, system, scale, TileOrder::Natural, width, seed)
-                    .expect("sweep covers the full grid");
-                let o = &cell.outcome;
+        let mem = MemoryConfig {
+            dram: DramConfig::default().with_channels(channels),
+            ..MemoryConfig::default()
+        };
+        let outcomes = lab.run(&Cell::grid(workloads, &SYSTEMS, spec, &mem));
+        for (w, runs) in workloads.iter().zip(outcomes.chunks(SYSTEMS.len())) {
+            let ino = runs[0].result.total_cycles;
+            for o in runs {
                 let util = o.channel_utilisation();
                 cells.push(ChannelCell {
                     channels,
                     workload: w.short(),
-                    system: system.label(),
+                    system: o.system.label(),
                     cycles: o.result.total_cycles,
-                    speedup: results.speedup_vs_inorder(cell).unwrap_or(0.0),
+                    speedup: ino as f64 / o.result.total_cycles.max(1) as f64,
                     channel_util_max: o.result.max_channel_utilisation(),
                     channel_util_mean: nvr_common::mean(util),
                     qd_p50: o.queue_delay_percentile(0.5),
@@ -132,12 +114,6 @@ pub fn run_jobs_with_workloads(
         }
     }
     Fig7b { cells }
-}
-
-/// Runs the full sweep (all workloads) on `jobs` workers.
-#[must_use]
-pub fn run_jobs(scale: Scale, seed: u64, jobs: usize) -> Fig7b {
-    run_jobs_with_workloads(scale, seed, jobs, &WorkloadId::ALL)
 }
 
 impl fmt::Display for Fig7b {
@@ -192,7 +168,7 @@ mod tests {
 
     #[test]
     fn channel_scaling_shape_holds() {
-        let fig = run_jobs_with_workloads(Scale::Tiny, 7, 2, &[WorkloadId::Gcn]);
+        let fig = run(&mut Lab::new(2), Scale::Tiny, 7, &[WorkloadId::Gcn]);
         assert_eq!(fig.cells.len(), CHANNELS.len() * SYSTEMS.len());
         for channels in CHANNELS {
             let ino = fig.get(channels, "GCN", "InO").expect("InO cell");

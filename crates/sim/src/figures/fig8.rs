@@ -10,14 +10,13 @@
 
 use std::fmt;
 
-use nvr_llm::{
-    av_program, decode_throughput, prefill_throughput, qkt_program, qkv_program, LlmConfig,
-};
+use nvr_llm::{decode_throughput, prefill_throughput, LlmConfig};
 use nvr_mem::{DramConfig, MemoryConfig};
+use nvr_workloads::Scale;
 
+use crate::lab::{Cell, Lab, LlmLayer, ProgramSpec};
 use crate::report::{fmt3, Table};
 use crate::runner::SystemKind;
-use crate::sweep::run_batch;
 
 /// Panel (a): one layer's miss rates under one system.
 #[derive(Debug, Clone, PartialEq)]
@@ -82,34 +81,6 @@ impl Fig8 {
     }
 }
 
-/// Measures the sparse-attention gather cycles of one decode step at one
-/// bandwidth, for baseline or NVR.
-fn sparse_step_cycles(
-    cfg: &LlmConfig,
-    l: usize,
-    bytes_per_cycle: u64,
-    nvr: bool,
-    seed: u64,
-) -> f64 {
-    let mem_cfg = MemoryConfig::default().with_dram(DramConfig {
-        bytes_per_cycle,
-        ..DramConfig::default()
-    });
-    let system = if nvr {
-        SystemKind::Nvr
-    } else {
-        SystemKind::InOrder
-    };
-    let spec = system.spec(&mem_cfg);
-    let qkt = spec.run(&qkt_program(cfg, l, seed));
-    let av = spec.run(&av_program(cfg, l, seed));
-    // The programs simulate 48 decode steps of one head; scale to the
-    // whole stack (heads x layers serialise through the gather unit).
-    let sim_steps = 48.0;
-    let per_step = (qkt.total_cycles + av.total_cycles) as f64 / sim_steps;
-    per_step * cfg.heads as f64 * cfg.layers as f64
-}
-
 /// Bandwidth sweep points (bytes/cycle ~ GB/s at 1 GHz).
 const BANDWIDTHS: [u64; 6] = [4, 8, 16, 32, 64, 128];
 
@@ -120,81 +91,94 @@ enum PanelKind {
     Decode,
 }
 
-/// Runs all three panels on `jobs` workers. `fast` trims the sweep for
-/// tests. Every (layer, system) cell and every (panel, length, system,
-/// bandwidth) point is one independent sweep job.
+/// Runs all three panels through `lab`. The LLM programs do not scale
+/// with `scale`; at [`Scale::Tiny`] the curves are trimmed to three
+/// bandwidths and one length per panel.
 #[must_use]
-pub fn run_jobs(seed: u64, fast: bool, jobs: usize) -> Fig8 {
+pub fn run(lab: &mut Lab, scale: Scale, seed: u64) -> Fig8 {
+    let fast = scale == Scale::Tiny;
     let cfg = LlmConfig::default();
     let mut fig = Fig8::default();
 
     // Panel (a): layer miss rates at l = 2048.
-    let l = 2048;
-    let layer_tasks: Vec<_> = ["QKV", "QKT", "AV"]
-        .into_iter()
-        .flat_map(|layer| {
-            [SystemKind::InOrder, SystemKind::Nvr].map(|system| {
-                move || {
-                    let program = match layer {
-                        "QKV" => qkv_program(&cfg, l),
-                        "QKT" => qkt_program(&cfg, l, seed),
-                        _ => av_program(&cfg, l, seed),
-                    };
-                    let r = system.spec(&MemoryConfig::default()).run(&program);
-                    LayerMiss {
-                        layer,
-                        system: system.label(),
-                        batch_miss_rate: r.batch_miss_rate(),
-                        element_miss_rate: r.element_miss_rate(),
-                    }
-                }
-            })
+    let layers = [
+        (LlmLayer::Qkv, "QKV"),
+        (LlmLayer::Qkt, "QKT"),
+        (LlmLayer::Av, "AV"),
+    ];
+    let systems = [SystemKind::InOrder, SystemKind::Nvr];
+    let mem = MemoryConfig::default();
+    let cells: Vec<Cell> = layers
+        .iter()
+        .flat_map(|&(layer, _)| {
+            systems.map(|s| Cell::new(ProgramSpec::Llm(layer, 2048, seed), s, &mem))
         })
         .collect();
-    fig.layer_misses = run_batch(layer_tasks, jobs);
+    fig.layer_misses = layers
+        .iter()
+        .flat_map(|&(_, name)| systems.map(|_| name))
+        .zip(lab.run(&cells))
+        .map(|(layer, o)| LayerMiss {
+            layer,
+            system: o.system.label(),
+            batch_miss_rate: o.result.batch_miss_rate(),
+            element_miss_rate: o.result.element_miss_rate(),
+        })
+        .collect();
 
     let bandwidths: &[u64] = if fast { &BANDWIDTHS[..3] } else { &BANDWIDTHS };
     let prefill_lens: &[usize] = if fast { &[1024] } else { &[1024, 2048, 4096] };
     let decode_lens: &[usize] = if fast { &[512] } else { &[512, 1024, 2048] };
 
-    // Panels (b)/(c): one job per curve point, flattened so the pool
-    // load-balances across the whole grid at once.
+    // Panels (b)/(c): one decode step — its QKᵀ and AV gathers at one
+    // bandwidth, baseline or NVR — per curve point, all in one batch so
+    // the pool load-balances across the whole grid at once.
     let mut meta = Vec::new();
     for (kind, lens) in [
         (PanelKind::Prefill, prefill_lens),
         (PanelKind::Decode, decode_lens),
     ] {
         for &l in lens {
-            for nvr in [false, true] {
+            for system in systems {
                 for &b in bandwidths {
-                    meta.push((kind, l, nvr, b));
+                    meta.push((kind, l, system, b));
                 }
             }
         }
     }
-    let point_tasks: Vec<_> = meta
+    let cells: Vec<Cell> = meta
         .iter()
-        .map(|&(kind, l, nvr, b)| {
-            move || match kind {
-                PanelKind::Prefill => {
-                    // Prefill processes queries in blocks sharing gathers;
-                    // the sparse share is ~1/64 of a per-token decode pass.
-                    let sparse = sparse_step_cycles(&cfg, l, b, nvr, seed) * l as f64 / 64.0;
-                    prefill_throughput(&cfg, l, b, sparse).tokens_per_mcycle
-                }
-                PanelKind::Decode => {
-                    let sparse = sparse_step_cycles(&cfg, l, b, nvr, seed);
-                    decode_throughput(&cfg, l, b, sparse).tokens_per_mcycle
-                }
-            }
+        .flat_map(|&(_, l, system, bytes_per_cycle)| {
+            let dram = DramConfig {
+                bytes_per_cycle,
+                ..DramConfig::default()
+            };
+            let mem = MemoryConfig::default().with_dram(dram);
+            [LlmLayer::Qkt, LlmLayer::Av]
+                .map(|layer| Cell::new(ProgramSpec::Llm(layer, l, seed), system, &mem))
         })
         .collect();
-    let throughputs = run_batch(point_tasks, jobs);
+    let outcomes = lab.run(&cells);
 
-    for ((kind, l, nvr, b), tput) in meta.into_iter().zip(throughputs) {
-        let curves = match kind {
-            PanelKind::Prefill => &mut fig.prefill,
-            PanelKind::Decode => &mut fig.decode,
+    for ((kind, l, system, b), step) in meta.into_iter().zip(outcomes.chunks(2)) {
+        let nvr = system == SystemKind::Nvr;
+        // The programs simulate 48 decode steps of one head; scale to the
+        // whole stack (heads x layers serialise through the gather unit).
+        let sim_steps = 48.0;
+        let per_step =
+            (step[0].result.total_cycles + step[1].result.total_cycles) as f64 / sim_steps;
+        let sparse = per_step * cfg.heads as f64 * cfg.layers as f64;
+        let (curves, tput) = match kind {
+            // Prefill processes queries in blocks sharing gathers; the
+            // sparse share is ~1/64 of a per-token decode pass.
+            PanelKind::Prefill => (
+                &mut fig.prefill,
+                prefill_throughput(&cfg, l, b, sparse * l as f64 / 64.0).tokens_per_mcycle,
+            ),
+            PanelKind::Decode => (
+                &mut fig.decode,
+                decode_throughput(&cfg, l, b, sparse).tokens_per_mcycle,
+            ),
         };
         match curves.iter_mut().find(|c| c.seq_len == l && c.nvr == nvr) {
             Some(curve) => curve.points.push((b, tput)),
@@ -269,7 +253,7 @@ mod tests {
 
     #[test]
     fn nvr_improves_decode_and_batch_misses() {
-        let fig = run_jobs(3, true, 1);
+        let fig = run(&mut Lab::new(1), Scale::Tiny, 3);
         // Panel (a): NVR shrinks both miss metrics on the gather layers;
         // batch misses stay >= element misses.
         for layer in ["QKT", "AV"] {

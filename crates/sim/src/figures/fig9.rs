@@ -21,12 +21,12 @@ use std::fmt;
 use nvr_common::{DataWidth, LINE_BYTES};
 use nvr_core::{nsb_config, nsb_scored, NvrConfig};
 use nvr_mem::{CacheConfig, MemoryConfig, RetentionPolicy};
-use nvr_workloads::minkowski::{self, PointcloudParams, VoxelOrder};
+use nvr_workloads::minkowski::{PointcloudParams, VoxelOrder};
 use nvr_workloads::{Scale, TileOrder, WorkloadId, WorkloadSpec};
 
+use crate::lab::{self, Lab, ProgramSpec};
 use crate::report::{fmt3, Table};
-use crate::runner::{PrefetcherSpec, SystemKind, SystemSpec};
-use crate::sweep::run_batch;
+use crate::runner::{PrefetcherSpec, RunOutcome, SystemKind, SystemSpec};
 
 /// One cell of the sensitivity grid.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -110,118 +110,125 @@ impl Fig9 {
     }
 }
 
-/// Runs the sizing grid (optionally restricted for tests) on `jobs`
-/// workers — each (NSB, L2) cell is one independent sweep job.
+/// Runs the sizing grid (restricted to the given sizes in tests) through
+/// `lab`: one H2O cell per (NSB, L2) point.
 #[must_use]
-pub fn run_subset_jobs(
+pub fn run_subset(
+    lab: &mut Lab,
     scale: Scale,
     seed: u64,
     nsb_sizes: &[u64],
     l2_sizes: &[u64],
-    jobs: usize,
 ) -> Fig9 {
+    let spec = WorkloadSpec::new(DataWidth::Fp16, seed).with_scale(scale);
+    let program = ProgramSpec::Workload(WorkloadId::H2o, spec);
     let mut grid = Vec::with_capacity(nsb_sizes.len() * l2_sizes.len());
+    let mut cells = Vec::with_capacity(grid.capacity());
     for &nsb_kb in nsb_sizes {
         for &l2_kb in l2_sizes {
+            let mem_cfg = MemoryConfig::default()
+                .with_l2(CacheConfig::l2_default().with_size(l2_kb * 1024))
+                .with_nsb(nsb_config(nsb_kb));
+            // Co-design: the NSB is the speculative buffer, so it bounds
+            // how much speculative state NVR may keep in flight (§IV-G) —
+            // half its lines, leaving the rest for resident reuse. The
+            // grid runs the plain-LRU NSB with admission scoring off.
+            let lookahead = ((nsb_kb * 1024 / LINE_BYTES) / 2).max(16) as usize;
+            let spec = SystemSpec {
+                prefetcher: PrefetcherSpec::Nvr(NvrConfig {
+                    lookahead_lines: lookahead,
+                    nsb_admit_min_reuse: 0,
+                    ..NvrConfig::default()
+                }),
+                ..SystemKind::NvrNsb.spec(&mem_cfg)
+            };
             grid.push((nsb_kb, l2_kb));
+            cells.push(lab::Cell {
+                program,
+                system: SystemKind::NvrNsb,
+                spec,
+            });
         }
     }
-    let tasks: Vec<_> = grid
+    let cells = grid
         .into_iter()
-        .map(|(nsb_kb, l2_kb)| {
-            move || {
-                let spec = WorkloadSpec {
-                    width: DataWidth::Fp16,
-                    seed,
-                    scale,
-                    order: TileOrder::Natural,
-                };
-                let program = WorkloadId::H2o.build(&spec);
-                let mem_cfg = MemoryConfig::default()
-                    .with_l2(CacheConfig::l2_default().with_size(l2_kb * 1024))
-                    .with_nsb(nsb_config(nsb_kb));
-                // Co-design: the NSB is the speculative buffer, so it bounds
-                // how much speculative state NVR may keep in flight (§IV-G) —
-                // half its lines, leaving the rest for resident reuse. The
-                // grid runs the plain-LRU NSB with admission scoring off.
-                let lookahead = ((nsb_kb * 1024 / LINE_BYTES) / 2).max(16) as usize;
-                let result = SystemSpec {
-                    prefetcher: PrefetcherSpec::Nvr(NvrConfig {
-                        lookahead_lines: lookahead,
-                        nsb_admit_min_reuse: 0,
-                        ..NvrConfig::default()
-                    }),
-                    ..SystemKind::NvrNsb.spec(&mem_cfg)
-                }
-                .run(&program);
-                let area_kb = (nsb_kb + l2_kb) as f64;
-                Cell {
-                    nsb_kb,
-                    l2_kb,
-                    cycles: result.total_cycles,
-                    perf: 1.0e9 / (result.total_cycles as f64 * area_kb),
-                }
+        .zip(lab.run(&cells))
+        .map(|((nsb_kb, l2_kb), o)| {
+            let area_kb = (nsb_kb + l2_kb) as f64;
+            Cell {
+                nsb_kb,
+                l2_kb,
+                cycles: o.result.total_cycles,
+                perf: 1.0e9 / (o.result.total_cycles as f64 * area_kb),
             }
         })
         .collect();
     Fig9 {
-        cells: run_batch(tasks, jobs),
+        cells,
         density: Vec::new(),
         policy: Vec::new(),
     }
 }
 
+/// Speedups of every second outcome over the one before it: the
+/// (InO, system) pairs of a batch.
+fn pair_speedups(outcomes: &[RunOutcome]) -> impl Iterator<Item = (u64, f64)> + '_ {
+    outcomes.chunks(2).map(|pair| {
+        let (ino, sys) = (pair[0].result.total_cycles, pair[1].result.total_cycles);
+        (sys, ino as f64 / sys.max(1) as f64)
+    })
+}
+
 /// Density sweep points (occupied voxels of the MK-shaped scene).
 pub const DENSITY_POINTS: [usize; 3] = [2048, 8192, 16384];
 
-/// Runs the point-cloud density/order companion sweep: the workload-side
-/// sensitivity the [`PointcloudParams`] knobs open. Each (density, order)
-/// scene runs InO and NVR; the cell reports NVR's speedup.
+/// Runs the point-cloud density/order companion sweep through `lab`: the
+/// workload-side sensitivity the [`PointcloudParams`] knobs open. Each
+/// (density, order) scene runs InO and NVR; the cell reports NVR's
+/// speedup.
 #[must_use]
-pub fn density_sweep_jobs(scale: Scale, seed: u64, jobs: usize) -> Vec<DensityCell> {
+pub fn density_sweep(lab: &mut Lab, scale: Scale, seed: u64) -> Vec<DensityCell> {
     let mut axes = Vec::new();
+    let mut cells = Vec::new();
+    let mem = MemoryConfig::default();
+    let spec = WorkloadSpec::new(DataWidth::Fp16, seed).with_scale(scale);
     for &points in &DENSITY_POINTS {
         for order in [VoxelOrder::Random, VoxelOrder::Sorted] {
+            let params = PointcloudParams::mk_default()
+                .with_points(points)
+                .with_order(order);
+            let program = ProgramSpec::Pointcloud(spec, params);
             axes.push((points, order));
+            cells.extend(
+                [SystemKind::InOrder, SystemKind::Nvr].map(|s| lab::Cell::new(program, s, &mem)),
+            );
         }
     }
-    let tasks: Vec<_> = axes
-        .into_iter()
-        .map(|(points, order)| {
-            move || {
-                let spec = WorkloadSpec {
-                    width: DataWidth::Fp16,
-                    seed,
-                    scale,
-                    order: TileOrder::Natural,
-                };
-                let params = PointcloudParams::mk_default()
-                    .with_points(points)
-                    .with_order(order);
-                let program = minkowski::build_with_params(&spec, &params);
-                let mem_cfg = MemoryConfig::default();
-                let ino = SystemKind::InOrder.spec(&mem_cfg).run(&program);
-                let nvr = SystemKind::Nvr.spec(&mem_cfg).run(&program);
-                DensityCell {
-                    points,
-                    order,
-                    nvr_cycles: nvr.total_cycles,
-                    speedup: ino.total_cycles as f64 / nvr.total_cycles.max(1) as f64,
-                }
-            }
+    axes.into_iter()
+        .zip(pair_speedups(&lab.run(&cells)))
+        .map(|((points, order), (nvr_cycles, speedup))| DensityCell {
+            points,
+            order,
+            nvr_cycles,
+            speedup,
         })
-        .collect();
-    run_batch(tasks, jobs)
+        .collect()
 }
 
-/// NVR+NSB over `mem_cfg` with NSB admission threshold `admit`.
-fn admit_spec(mem_cfg: &MemoryConfig, admit: u32) -> SystemSpec {
-    SystemSpec {
+/// `program` under NVR+NSB over `mem_cfg` with NSB admission threshold
+/// `admit`.
+fn admit_cell(program: ProgramSpec, mem_cfg: &MemoryConfig, admit: u32) -> lab::Cell {
+    let spec = SystemSpec {
         prefetcher: PrefetcherSpec::Nvr(NvrConfig {
             nsb_admit_min_reuse: admit,
             ..NvrConfig::default()
         }),
         ..SystemKind::NvrNsb.spec(mem_cfg)
+    };
+    lab::Cell {
+        program,
+        system: SystemKind::NvrNsb,
+        spec,
     }
 }
 
@@ -230,54 +237,49 @@ pub const POLICY_NSB_SIZES: [u64; 3] = [8, 16, 32];
 /// Admission thresholds swept for the scored rows of the policy study.
 pub const POLICY_ADMITS: [u32; 3] = [2, 4, 8];
 
-/// Runs the NSB retention-policy study: GCN under the clustered tile
-/// order, NVR+NSB, over NSB capacity x {pure-LRU, scored fill/shrink} x
-/// admission threshold. The `lru` rows run the plain-LRU buffer exactly
-/// as the pre-policy seed did; the `scored` rows run the shipped
-/// configuration — scored NSB plus score-weighted-eviction L2
+/// Runs the NSB retention-policy study through `lab`: GCN under the
+/// clustered tile order, NVR+NSB, over NSB capacity x {pure-LRU, scored
+/// fill/shrink} x admission threshold. The `lru` rows run the plain-LRU
+/// buffer exactly as the pre-policy seed did; the `scored` rows run the
+/// shipped configuration — scored NSB plus score-weighted-eviction L2
 /// ([`RetentionPolicy::ScoredEvict`]) — at each threshold, so the study
 /// reads as "what did the policy buy at this capacity, and how sharp is
 /// the admission knob".
 #[must_use]
-pub fn policy_sweep_jobs(scale: Scale, seed: u64, jobs: usize) -> Vec<PolicyCell> {
+pub fn policy_sweep(lab: &mut Lab, scale: Scale, seed: u64) -> Vec<PolicyCell> {
+    let program = ProgramSpec::Workload(
+        WorkloadId::Gcn,
+        WorkloadSpec::new(DataWidth::Fp16, seed)
+            .with_scale(scale)
+            .with_order(TileOrder::Clustered),
+    );
     let mut axes: Vec<(u64, &'static str, u32)> = Vec::new();
+    let mut cells = Vec::new();
     for &nsb_kb in &POLICY_NSB_SIZES {
-        axes.push((nsb_kb, "lru", 0));
-        for &admit in &POLICY_ADMITS {
-            axes.push((nsb_kb, "scored", admit));
+        let lru = MemoryConfig::default().with_nsb(nsb_config(nsb_kb));
+        let mut scored = MemoryConfig::default().with_nsb(nsb_scored(nsb_kb));
+        scored.l2.policy = RetentionPolicy::ScoredEvict;
+        let points = std::iter::once(("lru", 0, &lru)).chain(
+            POLICY_ADMITS
+                .iter()
+                .map(|&admit| ("scored", admit, &scored)),
+        );
+        for (policy, admit, mem_cfg) in points {
+            axes.push((nsb_kb, policy, admit));
+            cells.push(lab::Cell::new(program, SystemKind::InOrder, mem_cfg));
+            cells.push(admit_cell(program, mem_cfg, admit));
         }
     }
-    let tasks: Vec<_> = axes
-        .into_iter()
-        .map(|(nsb_kb, policy, admit)| {
-            move || {
-                let spec = WorkloadSpec {
-                    width: DataWidth::Fp16,
-                    seed,
-                    scale,
-                    order: TileOrder::Clustered,
-                };
-                let program = WorkloadId::Gcn.build(&spec);
-                let mem_cfg = if policy == "lru" {
-                    MemoryConfig::default().with_nsb(nsb_config(nsb_kb))
-                } else {
-                    let mut cfg = MemoryConfig::default().with_nsb(nsb_scored(nsb_kb));
-                    cfg.l2.policy = RetentionPolicy::ScoredEvict;
-                    cfg
-                };
-                let ino = SystemKind::InOrder.spec(&mem_cfg).run(&program);
-                let nsb = admit_spec(&mem_cfg, admit).run(&program);
-                PolicyCell {
-                    nsb_kb,
-                    policy,
-                    admit,
-                    cycles: nsb.total_cycles,
-                    speedup: ino.total_cycles as f64 / nsb.total_cycles.max(1) as f64,
-                }
-            }
+    axes.into_iter()
+        .zip(pair_speedups(&lab.run(&cells)))
+        .map(|((nsb_kb, policy, admit), (cycles, speedup))| PolicyCell {
+            nsb_kb,
+            policy,
+            admit,
+            cycles,
+            speedup,
         })
-        .collect();
-    run_batch(tasks, jobs)
+        .collect()
 }
 
 /// Renders the policy study as a deterministic CSV (the CI artifact).
@@ -304,12 +306,12 @@ pub fn policy_csv(cells: &[PolicyCell]) -> String {
 }
 
 /// Runs the full paper grid plus the density/order and retention-policy
-/// companion sweeps on `jobs` workers.
+/// companion sweeps through `lab`.
 #[must_use]
-pub fn run_jobs(scale: Scale, seed: u64, jobs: usize) -> Fig9 {
-    let mut fig = run_subset_jobs(scale, seed, &NSB_SIZES, &L2_SIZES, jobs);
-    fig.density = density_sweep_jobs(scale, seed, jobs);
-    fig.policy = policy_sweep_jobs(scale, seed, jobs);
+pub fn run(lab: &mut Lab, scale: Scale, seed: u64) -> Fig9 {
+    let mut fig = run_subset(lab, scale, seed, &NSB_SIZES, &L2_SIZES);
+    fig.density = density_sweep(lab, scale, seed);
+    fig.policy = policy_sweep(lab, scale, seed);
     fig
 }
 
@@ -420,7 +422,7 @@ mod tests {
 
     #[test]
     fn bigger_caches_do_not_hurt_latency() {
-        let fig = run_subset_jobs(Scale::Tiny, 4, &[4, 16], &[64, 256], 1);
+        let fig = run_subset(&mut Lab::new(1), Scale::Tiny, 4, &[4, 16], &[64, 256]);
         assert_eq!(fig.cells.len(), 4);
         let small = fig.cell(4, 64).expect("cell").cycles;
         let big = fig.cell(16, 256).expect("cell").cycles;
@@ -431,7 +433,7 @@ mod tests {
     fn nsb_growth_beats_area_penalty_at_large_l2() {
         // The paper's Fig. 9 claim in shape: at a 256 KB L2, quadrupling
         // the (tiny) NSB raises perf/area.
-        let fig = run_subset_jobs(Scale::Tiny, 4, &[4, 16], &[256], 1);
+        let fig = run_subset(&mut Lab::new(1), Scale::Tiny, 4, &[4, 16], &[256]);
         let small = fig.cell(4, 256).expect("cell").perf;
         let big = fig.cell(16, 256).expect("cell").perf;
         assert!(big > small, "NSB 16 KB {big} should beat 4 KB {small}");
@@ -439,7 +441,7 @@ mod tests {
 
     #[test]
     fn density_sweep_speedups_positive() {
-        let cells = density_sweep_jobs(Scale::Tiny, 4, 2);
+        let cells = density_sweep(&mut Lab::new(2), Scale::Tiny, 4);
         assert_eq!(cells.len(), DENSITY_POINTS.len() * 2);
         for c in &cells {
             assert!(
@@ -454,7 +456,7 @@ mod tests {
 
     #[test]
     fn policy_study_covers_axes_and_exports_csv() {
-        let cells = policy_sweep_jobs(Scale::Tiny, 4, 2);
+        let cells = policy_sweep(&mut Lab::new(2), Scale::Tiny, 4);
         assert_eq!(
             cells.len(),
             POLICY_NSB_SIZES.len() * (1 + POLICY_ADMITS.len())
@@ -477,17 +479,18 @@ mod tests {
         let spec = WorkloadSpec::tiny(DataWidth::Fp16, 4);
         let lru_cfg = MemoryConfig::default().with_nsb(nsb_config(16));
         let scored_cfg = MemoryConfig::default().with_nsb(nsb_scored(16));
+        let mut lab = Lab::new(2);
         for w in WorkloadId::ALL {
-            let program = w.build(&spec);
-            let lru = admit_spec(&lru_cfg, 0).run(&program);
-            let scored = admit_spec(&scored_cfg, 0).run(&program);
-            assert_eq!(lru, scored, "{}", w.short());
+            let program = ProgramSpec::Workload(w, spec);
+            let cells = [&lru_cfg, &scored_cfg].map(|cfg| admit_cell(program, cfg, 0));
+            let out = lab.run(&cells);
+            assert_eq!(out[0].result, out[1].result, "{}", w.short());
         }
     }
 
     #[test]
     fn perf_metric_penalises_area() {
-        let fig = run_subset_jobs(Scale::Tiny, 4, &[4], &[64, 1024], 1);
+        let fig = run_subset(&mut Lab::new(1), Scale::Tiny, 4, &[4], &[64, 1024]);
         let small = fig.cell(4, 64).expect("cell");
         let big = fig.cell(4, 1024).expect("cell");
         // Unless the big L2 is dramatically faster, its perf/area is lower.

@@ -13,12 +13,12 @@
 use std::fmt;
 
 use nvr_common::{mean, DataWidth};
-use nvr_mem::MemoryConfig;
-use nvr_workloads::{Scale, TileOrder, WorkloadId};
+use nvr_mem::{DramConfig, MemoryConfig};
+use nvr_workloads::{Scale, WorkloadId, WorkloadSpec};
 
+use crate::lab::{Cell, Lab};
 use crate::metrics::geometric_mean;
-use crate::runner::SystemKind;
-use crate::sweep::{run_sweep, SweepSpec};
+use crate::runner::{RunOutcome, SystemKind};
 
 /// One evaluated headline configuration.
 #[derive(Debug, Clone, Default)]
@@ -58,100 +58,68 @@ impl Headline {
     }
 }
 
-/// Recomputes the claims over a workload set, fanning the grids out over
-/// `jobs` workers.
+/// Recomputes the claims over `workloads` (the abstract's numbers use all
+/// eight) through `lab`.
 #[must_use]
-pub fn run_jobs_with_workloads(
-    scale: Scale,
-    seed: u64,
-    jobs: usize,
-    workloads: &[WorkloadId],
-) -> Headline {
-    let spec = SweepSpec {
-        workloads: workloads.to_vec(),
-        systems: vec![
-            SystemKind::InOrder,
-            SystemKind::Stream,
-            SystemKind::Imp,
-            SystemKind::Nvr,
-            SystemKind::NvrNsb,
-        ],
-        scales: vec![scale],
-        widths: vec![DataWidth::Fp16],
-        seeds: vec![seed],
-        ..SweepSpec::default()
+pub fn run(lab: &mut Lab, scale: Scale, seed: u64, workloads: &[WorkloadId]) -> Headline {
+    let spec = WorkloadSpec::new(DataWidth::Fp16, seed).with_scale(scale);
+    let systems = [
+        SystemKind::InOrder,
+        SystemKind::Stream,
+        SystemKind::Imp,
+        SystemKind::Nvr,
+        SystemKind::NvrNsb,
+    ];
+    let one_ch = lab.run(&Cell::grid(
+        workloads,
+        &systems,
+        spec,
+        &MemoryConfig::default(),
+    ));
+    // The best-configuration search: NVR and NVR+NSB on one channel come
+    // from the primary grid; the two-channel row pairs InO and NVR+NSB on
+    // the same two-channel memory system (fair comparison).
+    let two_ch_mem = MemoryConfig {
+        dram: DramConfig::default().with_channels(2),
+        ..MemoryConfig::default()
     };
-    let results = run_sweep(&spec, jobs);
-    let cell = |w, s| {
-        &results
-            .get(w, s, scale, TileOrder::Natural, DataWidth::Fp16, seed)
-            .expect("sweep covers the full grid")
-            .outcome
+    let pair = [SystemKind::InOrder, SystemKind::NvrNsb];
+    let two_ch = lab.run(&Cell::grid(workloads, &pair, spec, &two_ch_mem));
+    let speedup = |ino: &RunOutcome, o: &RunOutcome| {
+        ino.result.total_cycles as f64 / o.result.total_cycles.max(1) as f64
     };
+    let misses = |o: &RunOutcome| o.result.mem.l2.demand_misses.get();
 
     let mut miss_reductions = Vec::new();
     let mut offchip_reductions = Vec::new();
-    for &w in workloads {
-        let ino = cell(w, SystemKind::InOrder);
-        let stream = cell(w, SystemKind::Stream);
-        let imp = cell(w, SystemKind::Imp);
-        let nvr = cell(w, SystemKind::Nvr);
-
-        let best_gpp = stream
-            .result
-            .mem
-            .l2
-            .demand_misses
-            .get()
-            .min(imp.result.mem.l2.demand_misses.get());
+    let mut rows: [Vec<(&'static str, f64)>; 3] = Default::default();
+    let runs = one_ch.chunks(systems.len()).zip(two_ch.chunks(pair.len()));
+    for (w, (one, two)) in workloads.iter().zip(runs) {
+        let [ino, stream, imp, nvr, nsb] = one else {
+            unreachable!("one outcome per system")
+        };
+        let best_gpp = misses(stream).min(misses(imp));
         if best_gpp > 0 {
-            miss_reductions
-                .push(1.0 - nvr.result.mem.l2.demand_misses.get() as f64 / best_gpp as f64);
+            miss_reductions.push(1.0 - misses(nvr) as f64 / best_gpp as f64);
         }
         let ino_off = ino.result.mem.demand_offchip_lines();
         if ino_off > 0 {
             offchip_reductions
                 .push(1.0 - nvr.result.mem.demand_offchip_lines() as f64 / ino_off as f64);
         }
+        rows[0].push((w.short(), speedup(ino, nvr)));
+        rows[1].push((w.short(), speedup(ino, nsb)));
+        rows[2].push((w.short(), speedup(&two[0], &two[1])));
     }
-    // The best-configuration search: NVR and NVR+NSB on one channel come
-    // from the primary grid; the two-channel row pairs InO and NVR+NSB on
-    // the same two-channel memory system (fair comparison).
-    let two_ch = run_sweep(
-        &SweepSpec {
-            systems: vec![SystemKind::InOrder, SystemKind::NvrNsb],
-            mem_cfg: MemoryConfig {
-                dram: nvr_mem::DramConfig::default().with_channels(2),
-                ..MemoryConfig::default()
-            },
-            ..spec.clone()
-        },
-        jobs,
-    );
-    let mut configs = Vec::new();
-    for (label, sweep, system) in [
-        ("NVR", &results, SystemKind::Nvr),
-        ("NVR+NSB", &results, SystemKind::NvrNsb),
-        ("NVR+NSB 2ch", &two_ch, SystemKind::NvrNsb),
-    ] {
-        let speedups: Vec<(&'static str, f64)> = workloads
-            .iter()
-            .map(|&w| {
-                let cell = sweep
-                    .get(w, system, scale, TileOrder::Natural, DataWidth::Fp16, seed)
-                    .expect("system cell in sweep");
-                let speedup = sweep
-                    .speedup_vs_inorder(cell)
-                    .expect("InO baseline in sweep");
-                (w.short(), speedup)
-            })
-            .collect();
-        configs.push(HeadlineConfig {
+    let configs: Vec<HeadlineConfig> = ["NVR", "NVR+NSB", "NVR+NSB 2ch"]
+        .into_iter()
+        .zip(rows)
+        .map(|(label, speedups)| HeadlineConfig {
             label,
             geomean: geometric_mean(&speedups.iter().map(|(_, s)| *s).collect::<Vec<_>>()),
             speedups,
-        });
-    }
+        })
+        .collect();
 
     let speedups = configs[0].speedups.clone();
     Headline {
@@ -161,12 +129,6 @@ pub fn run_jobs_with_workloads(
         speedups,
         configs,
     }
-}
-
-/// Recomputes the claims over all eight workloads on `jobs` workers.
-#[must_use]
-pub fn run_jobs(scale: Scale, seed: u64, jobs: usize) -> Headline {
-    run_jobs_with_workloads(scale, seed, jobs, &WorkloadId::ALL)
 }
 
 impl fmt::Display for Headline {
@@ -213,7 +175,12 @@ mod tests {
 
     #[test]
     fn claims_hold_in_shape_on_subset() {
-        let h = run_jobs_with_workloads(Scale::Tiny, 9, 1, &[WorkloadId::Ds, WorkloadId::Gcn]);
+        let h = run(
+            &mut Lab::new(1),
+            Scale::Tiny,
+            9,
+            &[WorkloadId::Ds, WorkloadId::Gcn],
+        );
         assert!(
             h.speedup_vs_no_prefetch > 1.5,
             "speedup {}",

@@ -3,9 +3,11 @@
 //! Wires the NPU engine, the memory hierarchy, the baseline prefetchers and
 //! NVR into comparable runs — each system one [`SystemSpec`] value, built
 //! by [`SystemKind::spec`] — and regenerates every table and figure of the
-//! paper's evaluation (§V). Each `figures::fig*` module returns structured
-//! data *and* prints a paper-style text rendition, so the same code backs
-//! the `sweep` binary and the integration tests.
+//! paper's evaluation (§V). Every simulation goes through one [`Lab`],
+//! which runs each distinct (program, system) cell once. Each
+//! `figures::fig*` module returns structured data *and* prints a
+//! paper-style text rendition, so the same code backs the `sweep` binary
+//! and the integration tests.
 //!
 //! # Examples
 //!
@@ -25,11 +27,13 @@
 #![cfg_attr(not(test), deny(clippy::wildcard_enum_match_arm))]
 
 pub mod figures;
+pub mod lab;
 pub mod metrics;
 pub mod report;
 pub mod runner;
 pub mod sweep;
 
+pub use lab::Lab;
 pub use metrics::{coverage, geometric_mean, pollution, timeliness_split};
 pub use report::Table;
 pub use runner::{run_system, PrefetcherSpec, RunOutcome, SystemKind, SystemSpec};

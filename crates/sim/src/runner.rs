@@ -3,26 +3,31 @@
 //! Every simulated system is one [`SystemSpec`] value — NPU, memory
 //! hierarchy and prefetcher as plain data. [`SystemKind::spec`] is the one
 //! table from a paper label to its spec, and [`SystemSpec`] owns what
-//! every driver needs: the timed run and the ideal-memory base, which
+//! every run needs: the timed run and the ideal-memory base, which
 //! [`NpuEngine::base_cycles`] computes in closed form. A knob study is a
-//! struct update over a label's spec:
+//! struct update over a label's spec, run as a [`crate::lab::Cell`]:
 //!
 //! ```
 //! use nvr_common::DataWidth;
 //! use nvr_core::NvrConfig;
 //! use nvr_mem::MemoryConfig;
+//! use nvr_sim::lab::{Cell, Lab, ProgramSpec};
 //! use nvr_sim::runner::{PrefetcherSpec, SystemKind, SystemSpec};
 //! use nvr_workloads::{WorkloadId, WorkloadSpec};
 //!
-//! let program = WorkloadId::Ds.build(&WorkloadSpec::tiny(DataWidth::Int8, 1));
+//! let program = ProgramSpec::Workload(WorkloadId::Ds, WorkloadSpec::tiny(DataWidth::Int8, 1));
 //! let mem = MemoryConfig::default();
 //! let cfg = NvrConfig { lookahead_tiles: 1, ..NvrConfig::default() };
 //! let single_window = SystemSpec {
 //!     prefetcher: PrefetcherSpec::Nvr(cfg),
 //!     ..SystemKind::Nvr.spec(&mem)
 //! };
-//! let ino = SystemKind::InOrder.spec(&mem).run(&program);
-//! assert!(single_window.run(&program).total_cycles < ino.total_cycles);
+//! let [ino, nvr] = [
+//!     Cell::new(program, SystemKind::InOrder, &mem),
+//!     Cell { program, system: SystemKind::Nvr, spec: single_window },
+//! ];
+//! let out = Lab::new(1).run(&[ino, nvr]);
+//! assert!(out[1].result.total_cycles < out[0].result.total_cycles);
 //! ```
 
 use nvr_common::Cycle;
@@ -185,13 +190,6 @@ pub struct SystemSpec {
 }
 
 impl SystemSpec {
-    /// The timed run with a fresh prefetcher built from
-    /// [`SystemSpec::prefetcher`].
-    #[must_use]
-    pub fn run(&self, program: &NpuProgram) -> RunResult {
-        self.run_with(program, self.prefetcher.build().as_mut())
-    }
-
     /// The timed run driven by the caller's `prefetcher` instead of
     /// [`SystemSpec::prefetcher`], so the caller can read it afterwards
     /// (timeliness, VMIG statistics): `program` on this NPU against a fresh
@@ -211,6 +209,20 @@ impl SystemSpec {
     #[must_use]
     pub fn base_cycles(&self, program: &NpuProgram) -> Cycle {
         NpuEngine::new(self.npu.clone()).base_cycles(program, self.mem.min_demand_latency())
+    }
+
+    /// The outcome of `program` on this system, labelled `system`: the
+    /// timed run with a fresh prefetcher, its ideal-memory base and the
+    /// prefetcher's measured timeliness.
+    pub(crate) fn outcome(&self, program: &NpuProgram, system: SystemKind) -> RunOutcome {
+        let mut prefetcher = self.prefetcher.build();
+        let result = self.run_with(program, prefetcher.as_mut());
+        RunOutcome {
+            system,
+            result,
+            base_cycles: self.base_cycles(program),
+            timeliness: prefetcher.timeliness(),
+        }
     }
 }
 
@@ -268,15 +280,7 @@ impl RunOutcome {
 /// for the base/stall split.
 #[must_use]
 pub fn run_system(program: &NpuProgram, mem_cfg: &MemoryConfig, system: SystemKind) -> RunOutcome {
-    let spec = system.spec(mem_cfg);
-    let mut prefetcher = spec.prefetcher.build();
-    let result = spec.run_with(program, prefetcher.as_mut());
-    RunOutcome {
-        system,
-        result,
-        base_cycles: spec.base_cycles(program),
-        timeliness: prefetcher.timeliness(),
-    }
+    system.spec(mem_cfg).outcome(program, system)
 }
 
 #[cfg(test)]

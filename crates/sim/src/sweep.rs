@@ -1,17 +1,12 @@
-//! Batched, parallel sweep running.
+//! Cartesian sweeps over the evaluation grid.
 //!
-//! The figure harnesses all reduce to the same shape of work: a grid of
-//! independent `run_system` calls over workloads x systems x scales x
-//! widths x seeds. This module names that shape ([`SweepSpec`] /
-//! [`SweepJob`]), fans it out over a fixed std-only thread pool
-//! ([`pool`]), and collects the outcomes into a keyed, timed
-//! [`SweepResults`] table. Jobs are fully self-contained (each builds its
-//! own program from the seed), so a sweep at `jobs = N` is bit-identical
-//! to `jobs = 1` — the precondition for trusting parallel regeneration.
-//!
-//! Figure drivers whose runs are not plain grid cells (custom programs,
-//! per-cell prefetcher configs) fan out through [`run_batch`] instead,
-//! which is the same ordered pool under arbitrary closures.
+//! Most figure cells lie on one grid: workloads x systems x scales x
+//! orders x widths x seeds over one memory system. This module names that
+//! shape ([`SweepSpec`] / [`SweepJob`]), runs it as cells through a
+//! [`Lab`] on a fixed std-only thread pool ([`pool`]), and collects the
+//! outcomes into a keyed, timed [`SweepResults`] table. Every cell is a
+//! pure function of its job, so a sweep at `jobs = N` is bit-identical to
+//! `jobs = 1` — the precondition for trusting parallel regeneration.
 //!
 //! # Examples
 //!
@@ -33,16 +28,15 @@
 pub mod pool;
 
 use std::fmt;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use nvr_common::DataWidth;
 use nvr_mem::MemoryConfig;
-use nvr_trace::NpuProgram;
 use nvr_workloads::{Scale, TileOrder, WorkloadId, WorkloadSpec};
 
+use crate::lab::{Cell, Lab, ProgramSpec};
 use crate::report::{fmt3, Table};
-use crate::runner::{run_system, RunOutcome, SystemKind};
+use crate::runner::{RunOutcome, SystemKind};
 
 /// Seed the figure drivers and sweeps default to.
 pub const DEFAULT_SEED: u64 = 2025;
@@ -156,26 +150,11 @@ impl SweepJob {
         )
     }
 
-    /// Runs the cell: builds the program from the seed and simulates it.
-    #[must_use]
-    pub fn run(&self) -> RunOutcome {
-        let spec = WorkloadSpec {
-            width: self.width,
-            seed: self.seed,
-            scale: self.scale,
-            order: self.order,
-        };
-        let program = self.workload.build(&spec);
-        self.run_with_program(&program)
-    }
-
-    /// Runs the cell against a pre-built `program` (which must be the
-    /// job's own (workload, scale, order, width, seed) build). The sweep
-    /// uses this to build each unique program once and share it across the
-    /// system axis instead of regenerating it per cell.
-    #[must_use]
-    pub fn run_with_program(&self, program: &NpuProgram) -> RunOutcome {
-        run_system(program, &self.mem_cfg, self.system)
+    /// The job as a lab cell: its workload build under its system.
+    fn cell(&self) -> Cell {
+        let spec = WorkloadSpec::new(self.width, self.seed).with_scale(self.scale);
+        let program = ProgramSpec::Workload(self.workload, spec.with_order(self.order));
+        Cell::new(program, self.system, &self.mem_cfg)
     }
 }
 
@@ -275,9 +254,11 @@ impl SweepResults {
     }
 
     /// Deterministic CSV of the numeric results (no wall-clock columns, so
-    /// `jobs = 1` and `jobs = N` emit identical bytes). The trailing
-    /// column groups:
+    /// `jobs = 1` and `jobs = N` emit identical bytes). The column groups:
     ///
+    /// * `prefetch_issued..prefetch_late` — the L2's counters. A prefetch
+    ///   first used in the NSB counts only there, so NVR's accuracy is
+    ///   `(pf_timely + pf_late) / prefetch_issued`, with or without NSB;
     /// * `pf_timely..pf_qd_p95` — measured per-prefetch outcomes (zero
     ///   for systems without lifetime tracking) plus the DRAM channel
     ///   queue-delay p50/p95 of all accepted speculative fills;
@@ -481,12 +462,8 @@ impl fmt::Display for SweepResults {
     }
 }
 
-/// Runs every cell of `spec` over `jobs` workers.
-///
-/// Program construction is deduplicated: the system axis reuses one build
-/// per (workload, scale, order, width, seed) point — builds are pure
-/// functions of those axes, so sharing is output-invariant, and on the
-/// full seven-system grid it removes six of every seven builds.
+/// Runs every cell of `spec` over `jobs` workers, through a fresh [`Lab`]:
+/// each distinct program is built once and shared across the system axis.
 #[must_use]
 pub fn run_sweep(spec: &SweepSpec, jobs: usize) -> SweepResults {
     #[expect(
@@ -495,69 +472,15 @@ pub fn run_sweep(spec: &SweepSpec, jobs: usize) -> SweepResults {
     )]
     let t0 = Instant::now();
     let grid = spec.jobs();
-    // Map every job to its unique program point, in first-encounter order.
-    let mut unique: Vec<(WorkloadId, Scale, TileOrder, DataWidth, u64)> = Vec::new();
-    let mut prog_idx = Vec::with_capacity(grid.len());
-    for job in &grid {
-        let key = (job.workload, job.scale, job.order, job.width, job.seed);
-        let idx = unique.iter().position(|&k| k == key).unwrap_or_else(|| {
-            unique.push(key);
-            unique.len() - 1
-        });
-        prog_idx.push(idx);
-    }
-    let builders: Vec<_> = unique
-        .into_iter()
-        .map(|(workload, scale, order, width, seed)| {
-            move || {
-                Arc::new(workload.build(&WorkloadSpec {
-                    width,
-                    seed,
-                    scale,
-                    order,
-                }))
-            }
-        })
+    let cells: Vec<Cell> = grid.iter().map(SweepJob::cell).collect();
+    let cells = (grid.into_iter().zip(Lab::new(jobs).run_timed(&cells)))
+        .map(|(job, (outcome, wall))| SweepCell { job, outcome, wall })
         .collect();
-    let programs = pool::run_ordered(builders, jobs);
-    let tasks: Vec<_> = grid
-        .into_iter()
-        .zip(prog_idx)
-        .map(|(job, idx)| {
-            let program = Arc::clone(&programs[idx]);
-            move || {
-                #[expect(
-                    clippy::disallowed_methods,
-                    reason = "per-cell wall clock lands in SweepCell::wall, excluded from deterministic CSVs"
-                )]
-                let cell_t0 = Instant::now();
-                let outcome = job.run_with_program(&program);
-                SweepCell {
-                    job,
-                    outcome,
-                    wall: cell_t0.elapsed(),
-                }
-            }
-        })
-        .collect();
-    let cells = pool::run_ordered(tasks, jobs);
     SweepResults {
         cells,
         jobs,
         wall: t0.elapsed(),
     }
-}
-
-/// Fans arbitrary independent simulation closures out over the pool,
-/// preserving submission order — the entry point for figure drivers whose
-/// runs are not plain grid cells.
-#[must_use]
-pub fn run_batch<T, F>(tasks: Vec<F>, jobs: usize) -> Vec<T>
-where
-    T: Send,
-    F: FnOnce() -> T + Send,
-{
-    pool::run_ordered(tasks, jobs)
 }
 
 #[cfg(test)]

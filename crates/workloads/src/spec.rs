@@ -176,6 +176,13 @@ impl WorkloadSpec {
         self
     }
 
+    /// This spec at a different problem size.
+    #[must_use]
+    pub fn with_scale(mut self, scale: Scale) -> Self {
+        self.scale = scale;
+        self
+    }
+
     /// The systolic array the compute budgets assume.
     #[must_use]
     pub fn systolic(&self) -> SystolicArray {

@@ -31,7 +31,7 @@ fn every_row_has_one_field_per_column() {
         ..SweepSpec::default()
     };
     let results = run_sweep(&spec, 2);
-    let policy = fig9::policy_sweep_jobs(Scale::Tiny, 2025, 2);
+    let policy = fig9::policy_sweep(&mut Lab::new(2), Scale::Tiny, 2025);
     for (writer, csv) in writers(&results, &policy) {
         let (header, rows) = header_and_rows(&csv);
         assert!(!rows.is_empty(), "{writer} wrote no rows");

@@ -655,11 +655,11 @@ fn fallback_configurations_match_pinned_digests() {
 }
 
 /// Pinned digests of the figure renditions whose drivers build their own
-/// systems: `FigureId::regenerate(Scale::Tiny, 2025, 2)` for fig6b, fig7,
-/// fig9, headline and the ablations, plus fig9's policy-study CSV. Each
-/// digest is FNV-1a over the rendition's bytes, so a driver refactor that
-/// moves any printed digit fails here. On a mismatch the test prints the
-/// computed table.
+/// systems: `FigureId::regenerate` at `Scale::Tiny`, seed 2025, through
+/// one two-worker `Lab`, for fig6b, fig7, fig9, headline and the
+/// ablations, plus fig9's policy-study CSV. Each digest is FNV-1a over
+/// the rendition's bytes, so a driver refactor that moves any printed
+/// digit fails here. On a mismatch the test prints the computed table.
 #[test]
 fn figure_renditions_match_pinned_digests() {
     const GOLDEN: &[(&str, u64)] = &[
@@ -677,6 +677,7 @@ fn figure_renditions_match_pinned_digests() {
         }
         d.0
     };
+    let mut lab = Lab::new(2);
     let mut got: Vec<(&str, u64)> = [
         FigureId::Fig6b,
         FigureId::Fig7,
@@ -685,9 +686,14 @@ fn figure_renditions_match_pinned_digests() {
         FigureId::Ablations,
     ]
     .into_iter()
-    .map(|fig| (fig.name(), digest(&fig.regenerate(Scale::Tiny, 2025, 2))))
+    .map(|fig| {
+        (
+            fig.name(),
+            digest(&fig.regenerate(&mut lab, Scale::Tiny, 2025)),
+        )
+    })
     .collect();
-    let policy = nvr::sim::figures::fig9::policy_sweep_jobs(Scale::Tiny, 2025, 2);
+    let policy = nvr::sim::figures::fig9::policy_sweep(&mut lab, Scale::Tiny, 2025);
     got.push((
         "fig9-policy-csv",
         digest(&nvr::sim::figures::fig9::policy_csv(&policy)),
@@ -698,4 +704,36 @@ fn figure_renditions_match_pinned_digests() {
         }
         panic!("figure digests deviate from the pinned table (computed table above)");
     }
+}
+
+/// All twelve figures regenerated through one `Lab`, as `sweep` does: a
+/// cell that several figures share is simulated once, under the first
+/// figure that needs it, and served to the others. The five renditions
+/// pinned by `figure_renditions_match_pinned_digests` keep their digests
+/// here too, and the lab's count of distinct simulated cells is pinned,
+/// so a driver that stops sharing its cells, or a cell key that merges two
+/// different cells, fails here.
+#[test]
+fn one_lab_regenerates_every_figure_bit_for_bit() {
+    const PINNED: [(&str, u64); 5] = [
+        ("fig6b", 0x9e7f94d29e75d197),
+        ("fig7", 0xc6df3e5b2e6d7e44),
+        ("fig9", 0x612edaafa6ba0cd9),
+        ("headline", 0x6e8bf8f25fbfb947),
+        ("ablations", 0x33178c95ad6785cc),
+    ];
+    let mut lab = Lab::new(2);
+    let mut got = Vec::new();
+    for fig in FigureId::ALL {
+        let text = fig.regenerate(&mut lab, Scale::Tiny, 2025);
+        if PINNED.iter().any(|(name, _)| *name == fig.name()) {
+            let mut d = Digest::new();
+            for b in text.bytes() {
+                d.word(u64::from(b));
+            }
+            got.push((fig.name(), d.0));
+        }
+    }
+    assert_eq!(got, PINNED);
+    assert_eq!(lab.simulated(), 370, "distinct cells of the twelve figures");
 }

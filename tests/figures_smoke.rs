@@ -2,11 +2,12 @@
 //! the right shape and renders without panicking.
 
 use nvr::sim::figures::{self, FigureId};
+use nvr::sim::Lab;
 use nvr::workloads::{Scale, WorkloadId};
 
 #[test]
 fn fig1b_renders() {
-    let data = figures::fig1b::run_jobs(Scale::Tiny, 1, 1);
+    let data = figures::fig1b::run(&mut Lab::new(1), Scale::Tiny, 1);
     assert_eq!(data.points.len(), 5);
     let text = data.to_string();
     assert!(text.contains("16x"));
@@ -15,7 +16,7 @@ fn fig1b_renders() {
 
 #[test]
 fn fig6_subset_renders() {
-    let data = figures::fig6::run_jobs_with_workloads(Scale::Tiny, 2, 1, &[WorkloadId::H2o]);
+    let data = figures::fig6::run(&mut Lab::new(1), Scale::Tiny, 2, &[WorkloadId::H2o]);
     assert_eq!(data.cells.len(), 5); // one workload x five prefetchers
     assert_eq!(data.movement.len(), 3);
     let text = data.to_string();
@@ -26,7 +27,7 @@ fn fig6_subset_renders() {
 
 #[test]
 fn fig7b_subset_renders() {
-    let data = figures::fig7b::run_jobs_with_workloads(Scale::Tiny, 2, 2, &[WorkloadId::Ds]);
+    let data = figures::fig7b::run(&mut Lab::new(2), Scale::Tiny, 2, &[WorkloadId::Ds]);
     assert_eq!(data.cells.len(), 9); // 3 channel counts x 3 systems
     let text = data.to_string();
     assert!(text.contains("channel scaling"));
@@ -35,7 +36,7 @@ fn fig7b_subset_renders() {
 
 #[test]
 fn fig9_subset_renders() {
-    let data = figures::fig9::run_subset_jobs(Scale::Tiny, 3, &[4, 16], &[64, 256], 1);
+    let data = figures::fig9::run_subset(&mut Lab::new(1), Scale::Tiny, 3, &[4, 16], &[64, 256]);
     assert_eq!(data.cells.len(), 4);
     let text = data.to_string();
     assert!(text.contains("NSB"));
@@ -61,15 +62,15 @@ fn table2_lists_all_workloads() {
 
 #[test]
 fn headline_subset_is_positive() {
-    let h = figures::headline::run_jobs_with_workloads(Scale::Tiny, 4, 1, &[WorkloadId::Ds]);
+    let h = figures::headline::run(&mut Lab::new(1), Scale::Tiny, 4, &[WorkloadId::Ds]);
     assert!(h.speedup_vs_no_prefetch > 1.0);
     assert!(h.to_string().contains("speedup"));
 }
 
 #[test]
 fn ablations_renders() {
-    use figures::ablations::{run_jobs, NSB_WAYS, WORKLOADS};
-    let data = run_jobs(Scale::Tiny, 6, 1);
+    use figures::ablations::{run, NSB_WAYS, WORKLOADS};
+    let data = run(&mut Lab::new(1), Scale::Tiny, 6);
     assert_eq!(data.assoc.len(), NSB_WAYS.len());
     assert_eq!(data.variants.len(), 9 * WORKLOADS.len());
     let text = data.to_string();
@@ -80,7 +81,7 @@ fn ablations_renders() {
     assert_eq!(rows(" cycles, speedup "), data.variants.len(), "{text}");
     assert_eq!(
         text,
-        FigureId::Ablations.regenerate(Scale::Tiny, 6, 4),
+        FigureId::Ablations.regenerate(&mut Lab::new(4), Scale::Tiny, 6),
         "worker count changed the rendition"
     );
 }
