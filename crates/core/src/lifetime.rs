@@ -53,29 +53,17 @@ pub struct LifetimeTracker {
     pending: FlatMap,
     /// Accumulated outcome counts and the slack histogram.
     report: TimelinessReport,
-    /// Outcomes of the most recent resolved prefetches.
-    recent: VecDeque<Outcome>,
-    /// Wasted (evicted-unused) entries currently in `recent`.
+    /// Whether each of the most recent resolved prefetches was wasted
+    /// (evicted unused), oldest first.
+    recent: VecDeque<bool>,
+    /// Wasted entries currently in `recent`.
     recent_wasted: usize,
-    /// Late entries currently in `recent`.
-    recent_late: usize,
     /// Capacity of the rolling window.
     window: usize,
     /// Reusable drain buffer, exchanged with the memory system's event log
     /// each [`LifetimeTracker::drain`] so the steady state recycles two
     /// allocations instead of allocating a fresh log per drain.
     scratch: Vec<PrefetchLifeEvent>,
-}
-
-/// Resolved outcome of one prefetch, for the rolling window.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Outcome {
-    /// Fill complete before first use.
-    Timely,
-    /// Demanded mid-fill.
-    Late,
-    /// Evicted unused.
-    Wasted,
 }
 
 impl LifetimeTracker {
@@ -88,7 +76,6 @@ impl LifetimeTracker {
             report: TimelinessReport::default(),
             recent: VecDeque::with_capacity(window.max(1)),
             recent_wasted: 0,
-            recent_late: 0,
             window: window.max(1),
             scratch: Vec::new(),
         }
@@ -123,36 +110,27 @@ impl LifetimeTracker {
                     self.report.slack.record(at.saturating_sub(issued));
                     if late {
                         self.report.late += 1;
-                        self.push_outcome(Outcome::Late);
                     } else {
                         self.report.timely += 1;
-                        self.push_outcome(Outcome::Timely);
                     }
+                    self.push_outcome(false);
                 }
             }
             PrefetchLifeEvent::EvictedUnused { line, at: _ } => {
                 if self.pending.remove(line.index()).is_some() {
                     self.report.evicted_unused += 1;
-                    self.push_outcome(Outcome::Wasted);
+                    self.push_outcome(true);
                 }
             }
         }
     }
 
-    fn push_outcome(&mut self, outcome: Outcome) {
-        if self.recent.len() == self.window {
-            match self.recent.pop_front() {
-                Some(Outcome::Wasted) => self.recent_wasted -= 1,
-                Some(Outcome::Late) => self.recent_late -= 1,
-                _ => {}
-            }
+    fn push_outcome(&mut self, wasted: bool) {
+        if self.recent.len() == self.window && self.recent.pop_front() == Some(true) {
+            self.recent_wasted -= 1;
         }
-        self.recent.push_back(outcome);
-        match outcome {
-            Outcome::Wasted => self.recent_wasted += 1,
-            Outcome::Late => self.recent_late += 1,
-            Outcome::Timely => {}
-        }
+        self.recent.push_back(wasted);
+        self.recent_wasted += usize::from(wasted);
     }
 
     /// Fraction of the rolling window's resolved prefetches that were
@@ -163,19 +141,6 @@ impl LifetimeTracker {
             0.0
         } else {
             self.recent_wasted as f64 / self.recent.len() as f64
-        }
-    }
-
-    /// Fraction of the rolling window's resolved prefetches whose first
-    /// demand arrived mid-fill (late); 0 until anything resolves. A high
-    /// late ratio means the prefetch stream is correct but not early
-    /// enough — the signal that deeper lookahead would pay.
-    #[must_use]
-    pub fn rolling_late_ratio(&self) -> f64 {
-        if self.recent.is_empty() {
-            0.0
-        } else {
-            self.recent_late as f64 / self.recent.len() as f64
         }
     }
 

@@ -192,7 +192,8 @@ impl NpuEngine {
     }
 
     /// Demand-loads the tile's index slice, emitting per-element events.
-    /// Returns the cycle all index data is ready.
+    /// Returns the cycle all index data is ready and the index values,
+    /// which the gather phase resolves without reading the image again.
     #[expect(
         clippy::too_many_arguments,
         reason = "the demand path borrows the tile, memory and prefetcher state separately"
@@ -206,10 +207,10 @@ impl NpuEngine {
         prefetcher: &mut dyn Prefetcher,
         issue_at: Cycle,
         counters: &mut Counters,
-    ) -> Cycle {
+    ) -> (Cycle, Vec<u32>) {
         let mut ready = issue_at;
         if tile.index_region.is_empty() {
-            return ready;
+            return (ready, Vec::new());
         }
         let values = tile.index_values(&program.image);
         let first_line = tile.index_region.start().line();
@@ -236,7 +237,7 @@ impl NpuEngine {
             );
             prefetcher.observe(&ev, snoop, &program.image, mem);
         }
-        ready
+        (ready, values)
     }
 
     /// Demand-loads one gather batch (probes first for two-level chains).
@@ -363,14 +364,14 @@ impl NpuEngine {
             };
 
             // Index loads.
-            let index_ready =
+            let (index_ready, indices) =
                 self.load_index(tile, program, &snoop, mem, prefetcher, cycle, &mut counters);
             prefetcher.advance(cycle, index_ready, &snoop, &program.image, mem);
 
             // Gather batches: strictly serialised (in-order blocking loads).
             let mut t = index_ready;
             if let Some(g) = tile.gather {
-                let resolved = tile.resolved_gathers(&program.image);
+                let resolved = g.func.element_regions(&indices, &program.image);
                 let mut consumed = 0u64;
                 for batch in resolved.chunks(g.batch.max(1)) {
                     consumed += batch.len() as u64;
@@ -465,7 +466,7 @@ impl NpuEngine {
                 issue_base
             };
 
-            let index_ready = self.load_index(
+            let (index_ready, indices) = self.load_index(
                 tile,
                 program,
                 &snoop,
@@ -481,7 +482,7 @@ impl NpuEngine {
             let mut data_ready = index_ready;
             let mut issue = index_ready;
             if let Some(g) = tile.gather {
-                let resolved = tile.resolved_gathers(&program.image);
+                let resolved = g.func.element_regions(&indices, &program.image);
                 for batch in resolved.chunks(g.batch.max(1)) {
                     let (_elem_issue, ready) = self.load_batch(
                         tile,

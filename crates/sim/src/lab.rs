@@ -2,12 +2,13 @@
 //!
 //! A figure is data: the [`Cell`]s it needs — a program named by a
 //! [`ProgramSpec`], run on one [`SystemSpec`] — and a projection of their
-//! outcomes into rows. A [`Lab`] simulates each distinct (program, spec)
-//! pair once and keeps its outcome, so a cell that several figures share
-//! (Fig. 5's FP16 panel holds every cell of Figs. 6 and 7) costs one run
-//! per lab. An outcome is a pure function of that pair, so a repeat served
-//! from the lab is bit for bit the run it replaces, and the worker count
-//! never changes a byte. The [`crate::runner`] example runs two cells.
+//! outcomes into rows. A [`Lab`] builds each distinct program once and
+//! simulates each distinct (program, spec) pair once, keeping both the
+//! program and the outcome, so a cell that several figures share (Fig. 5's
+//! FP16 panel holds every cell of Figs. 6 and 7) costs one run per lab.
+//! An outcome is a pure function of that pair, so a repeat served from the
+//! lab is bit for bit the run it replaces, and the worker count never
+//! changes a byte. The [`crate::runner`] example runs two cells.
 
 use std::time::{Duration, Instant};
 
@@ -117,11 +118,13 @@ struct Run {
     wall: Duration,
 }
 
-/// Runs batches of cells on a fixed worker pool, simulating each distinct
-/// (program, spec) pair once and keeping every outcome.
+/// Runs batches of cells on a fixed worker pool, building each distinct
+/// program once and simulating each distinct (program, spec) pair once,
+/// and keeping every program and outcome for the lab's lifetime.
 #[derive(Debug)]
 pub struct Lab {
     workers: usize,
+    programs: Vec<(ProgramSpec, NpuProgram)>,
     runs: Vec<Run>,
 }
 
@@ -131,6 +134,7 @@ impl Lab {
     pub fn new(workers: usize) -> Lab {
         Lab {
             workers,
+            programs: Vec::new(),
             runs: Vec::new(),
         }
     }
@@ -148,8 +152,8 @@ impl Lab {
     }
 
     /// Each cell's outcome, in order, labelled with the cell's `system`.
-    /// Builds each distinct program of the batch once on the pool and
-    /// simulates only the pairs this lab has not run before.
+    /// Builds, on the pool, only the programs this lab has not built
+    /// before, and simulates only the pairs it has not run before.
     pub fn run(&mut self, cells: &[Cell]) -> Vec<RunOutcome> {
         self.run_timed(cells).into_iter().map(|(o, _)| o).collect()
     }
@@ -157,23 +161,26 @@ impl Lab {
     /// [`Lab::run`] plus the host time of the simulation behind each
     /// outcome, in whichever batch it ran.
     pub(crate) fn run_timed(&mut self, cells: &[Cell]) -> Vec<(RunOutcome, Duration)> {
-        // The batch's new pairs, each once, and the programs they need.
+        // The batch's new pairs, each once, and the new programs they need.
         let mut fresh: Vec<&Cell> = Vec::new();
         let mut points: Vec<ProgramSpec> = Vec::new();
         for cell in cells {
             if !self.runs.iter().any(|r| r.cell.same(cell)) && !fresh.iter().any(|c| c.same(cell)) {
                 fresh.push(cell);
-                if !points.contains(&cell.program) {
+                if !self.programs.iter().any(|(p, _)| *p == cell.program)
+                    && !points.contains(&cell.program)
+                {
                     points.push(cell.program);
                 }
             }
         }
         let builds = points.into_iter().map(|p| move || (p, p.build())).collect();
-        let programs = pool::run_ordered(builds, self.workers);
+        self.programs
+            .extend(pool::run_ordered(builds, self.workers));
         let tasks: Vec<_> = fresh
             .iter()
             .map(|cell| {
-                let built = programs.iter().find(|(p, _)| *p == cell.program);
+                let built = self.programs.iter().find(|(p, _)| *p == cell.program);
                 let program = &built.expect("built above").1;
                 move || {
                     #[expect(
@@ -241,6 +248,23 @@ mod tests {
         assert_eq!(dbg(&first[0]), dbg(&first[2]), "a repeat within a batch");
         assert_eq!(dbg(&first[0]), dbg(&later[1]), "a repeat in a later batch");
         assert_eq!(dbg(&first[1]), dbg(&later[0]));
+    }
+
+    #[test]
+    fn two_batches_that_share_a_program_build_it_once() {
+        let mem = MemoryConfig::default();
+        let mut lab = Lab::new(2);
+        lab.run(&[Cell::new(ds(), SystemKind::InOrder, &mem)]);
+        assert_eq!(lab.programs.len(), 1);
+        let gcn = ProgramSpec::Workload(WorkloadId::Gcn, WorkloadSpec::tiny(DataWidth::Int8, 2));
+        let later = lab.run(&[
+            Cell::new(ds(), SystemKind::Nvr, &mem),
+            Cell::new(gcn, SystemKind::Nvr, &mem),
+        ]);
+        assert_eq!(lab.simulated(), 3);
+        assert_eq!(lab.programs.len(), 2, "DS is built by the first batch only");
+        let want = run_system(&ds().build(), &mem, SystemKind::Nvr);
+        assert_eq!(format!("{:?}", later[0]), format!("{want:?}"));
     }
 
     #[test]

@@ -70,6 +70,15 @@ impl SparseFunc {
         }
     }
 
+    /// Resolves the gather region of each of `indices`, in order.
+    #[must_use]
+    pub fn element_regions(&self, indices: &[u32], image: &MemoryImage) -> Vec<ResolvedGather> {
+        indices
+            .iter()
+            .map(|&idx| self.element_region(idx, image))
+            .collect()
+    }
+
     /// Bytes per gathered row.
     #[must_use]
     pub fn row_bytes(&self) -> u64 {
@@ -154,11 +163,7 @@ impl TileOp {
     pub fn resolved_gathers(&self, image: &MemoryImage) -> Vec<ResolvedGather> {
         match &self.gather {
             None => Vec::new(),
-            Some(g) => self
-                .index_values(image)
-                .into_iter()
-                .map(|idx| g.func.element_region(idx, image))
-                .collect(),
+            Some(g) => g.func.element_regions(&self.index_values(image), image),
         }
     }
 }

@@ -256,8 +256,8 @@ pub struct TileSketch {
 ///
 /// The per-tile index lists are flattened into one contiguous index array
 /// at [`INDEX_BASE`] (the CSR `col_indices` layout the engine's snoopers
-/// assume); `extra_segments` installs auxiliary structures such as hash
-/// bucket tables.
+/// assume), allocated once at its final length; `extra_segments` installs
+/// auxiliary structures such as hash bucket tables.
 ///
 /// # Panics
 ///
@@ -274,7 +274,7 @@ pub fn assemble(
 ) -> NpuProgram {
     assert!(!sketches.is_empty(), "workload must produce tiles");
     let mut image = MemoryImage::new();
-    let mut flat: Vec<u32> = Vec::new();
+    let mut flat: Vec<u32> = Vec::with_capacity(sketches.iter().map(|s| s.indices.len()).sum());
     let mut tiles = Vec::with_capacity(sketches.len());
     for (id, sk) in sketches.into_iter().enumerate() {
         let start = INDEX_BASE.offset(flat.len() as u64 * 4);
