@@ -59,9 +59,10 @@
 //! footprint stays inside what the L2 demonstrably holds until use.
 //!
 //! All work is paced by an internal clock that only moves inside the
-//! `[from, to)` windows the engine grants — idle periods of the sparse
-//! unit — so NVR's speculation consumes exactly the slack resources the
-//! paper claims (§III Q&A3).
+//! `[from, to)` windows the engine grants — the NPU's index and gather
+//! waits and the compute phase after the sparse unit's alignment — so
+//! NVR's speculation consumes exactly the slack resources the paper
+//! claims (§III Q&A1, Q&A3).
 
 use std::collections::VecDeque;
 
@@ -625,7 +626,7 @@ impl Prefetcher for NvrPrefetcher {
             EventKind::GatherLoad if event.missed => {
                 self.miss_seen_in_tile = true;
             }
-            EventKind::GatherLoad | EventKind::TableProbe { .. } | EventKind::Store => {}
+            EventKind::GatherLoad | EventKind::TableProbe { .. } => {}
         }
     }
 
@@ -675,11 +676,6 @@ impl Prefetcher for NvrPrefetcher {
             }
         }
         self.clock = self.clock.max(from);
-        if !snoop.sparse_unit_idle {
-            // The sparse unit is busy with real work; NVR waits (§III).
-            self.clock = self.clock.max(to);
-            return;
-        }
         if self.cfg.trigger == TriggerPolicy::OnStall && !self.miss_seen_in_tile {
             return;
         }

@@ -145,12 +145,6 @@ impl MemorySystem {
         self.dram.channel_of(line)
     }
 
-    /// Number of independent DRAM channels.
-    #[must_use]
-    pub fn channel_count(&self) -> usize {
-        self.cfg.dram.channels
-    }
-
     /// A demand load of one cache line at cycle `now`.
     pub fn demand_line(&mut self, line: LineAddr, now: Cycle) -> AccessResult {
         if self.ideal {

@@ -1,10 +1,10 @@
 //! The cycle-stepped NPU execution engine.
 
 use nvr_common::{Addr, Cycle};
-use nvr_mem::{AccessOutcome, MemorySystem};
+use nvr_mem::{AccessOutcome, MemorySystem, Scratchpad};
 use nvr_prefetch::Prefetcher;
 use nvr_trace::event::PC_TABLE_PROBE;
-use nvr_trace::{AccessEvent, EventKind, NpuProgram, SnoopState, TileOp};
+use nvr_trace::{AccessEvent, EventKind, NpuProgram, ResolvedGather, SnoopState, TileOp};
 
 use crate::config::{ExecMode, NpuConfig};
 use crate::result::RunResult;
@@ -40,7 +40,7 @@ pub struct NpuEngine {
     systolic: SystolicArray,
 }
 
-/// Mutable per-run accounting shared by the execution modes.
+/// Mutable per-run accounting.
 #[derive(Debug, Default)]
 struct Counters {
     compute_cycles: u64,
@@ -60,6 +60,10 @@ impl NpuEngine {
     /// Panics if the configuration fails [`NpuConfig::validate`].
     #[must_use]
     pub fn new(cfg: NpuConfig) -> Self {
+        #[expect(
+            clippy::expect_used,
+            reason = "init-time config validation in the constructor, outside the tick loop"
+        )]
         cfg.validate().expect("npu config must be valid");
         NpuEngine {
             cfg,
@@ -82,438 +86,351 @@ impl NpuEngine {
 
     /// Executes `program` to completion; returns timing and miss counts.
     ///
-    /// The prefetcher observes every demand access and receives
-    /// [`Prefetcher::advance`] windows covering stall and compute phases.
+    /// Both execution modes walk each tile through the same phases: dense
+    /// DMA, index lines, each gather batch's table probes and element
+    /// loads, compute, store. Only the schedule differs. In order, a
+    /// tile's loads issue at the previous tile's compute end and each
+    /// batch once the one before it completes; out of order, a tile's
+    /// loads issue once the load port is free and the tile `rob_tiles`
+    /// back has started compute, and one batch issues per cycle.
+    ///
+    /// The prefetcher [observes](Prefetcher::observe) every demand access,
+    /// and each tile grants it the same [`Prefetcher::advance`] windows in
+    /// both modes:
+    /// 1. the index wait, from the tile's issue until its index lines
+    ///    arrive, with the snooped progress pointer at the tile's start;
+    /// 2. each batch's wait, from its element loads' issue until the batch
+    ///    completes, with the pointer past that batch;
+    /// 3. the compute phase once the sparse unit has aligned the tile's
+    ///    indices, with the pointer at the tile's end.
+    ///
+    /// Out of order, the windows of batches in flight together overlap,
+    /// and a tile's windows may open before the previous tile's compute
+    /// window closes. A prefetcher's clock only moves forward, so a window
+    /// that opens behind it grants only the cycles past it.
     pub fn run(
         &self,
         program: &NpuProgram,
         mem: &mut MemorySystem,
         prefetcher: &mut dyn Prefetcher,
     ) -> RunResult {
-        match self.cfg.exec {
-            ExecMode::InOrder => self.run_in_order(program, mem, prefetcher),
-            ExecMode::OutOfOrder { rob_tiles } => {
-                self.run_out_of_order(program, mem, prefetcher, rob_tiles)
+        let index_base = program
+            .tiles
+            .first()
+            .map_or(Addr::new(0), |t| t.index_region.start());
+        let mut walk = Walk {
+            program,
+            mem,
+            prefetcher,
+            loads_per_cycle: self.cfg.loads_per_cycle,
+            index_base,
+            counters: Counters::default(),
+        };
+        let mut sched = Schedule::new(&self.cfg, program.tiles.len());
+        let mut sparse_unit = SparseUnit::new(self.cfg.vector_width);
+        let mut last_drain: Cycle = 0;
+        for tile in &program.tiles {
+            let issue = sched.tile_issue();
+            // Dense operand DMA: engine-side and channel-side in parallel.
+            let mut dma_done = sched.dma_in(issue, tile.dma_bytes);
+            if tile.dma_bytes > 0 {
+                dma_done = dma_done.max(walk.mem.dma_read_bytes(issue, tile.dma_bytes));
+            }
+            let snoop = walk.snoop(tile, 0);
+            let (index_ready, indices) = walk.load_index(tile, &snoop, issue);
+            walk.advance(issue, index_ready, &snoop);
+            // Gather batches; the snooped progress pointer passes each
+            // batch as it issues.
+            let (mut next, mut data_ready) = (index_ready, index_ready);
+            if let Some(g) = tile.gather {
+                let resolved = g.func.element_regions(&indices, &program.image);
+                let mut consumed = 0u64;
+                for batch in resolved.chunks(g.batch.max(1)) {
+                    consumed += batch.len() as u64;
+                    let snoop = walk.snoop(tile, consumed);
+                    let (elem_issue, ready) = walk.load_batch(tile, &snoop, batch, next);
+                    walk.advance(elem_issue, ready, &snoop);
+                    data_ready = data_ready.max(ready);
+                    next = sched.next_batch(next, ready);
+                }
+            }
+            // Compute: the sparse unit aligns the indices, then the array runs.
+            let (compute_start, compute_end) =
+                sched.compute(next, data_ready.max(dma_done), tile.compute_cycles);
+            let sparse_done = sparse_unit.process(compute_start, tile.index_count());
+            walk.counters.compute_cycles += tile.compute_cycles;
+            let snoop = walk.snoop(tile, tile.index_count() as u64);
+            walk.advance(sparse_done.min(compute_end), compute_end, &snoop);
+            // Store: the write buffer drains in the background.
+            if tile.store_bytes > 0 {
+                last_drain = last_drain.max(walk.mem.store_bytes(compute_end, tile.store_bytes));
             }
         }
+        walk.finish(sched.compute_free.max(last_drain))
     }
 
     /// Total cycles of `program` on this NPU when every demand access
     /// completes `demand_latency` cycles after it issues and nothing is
-    /// prefetched: the ideal-memory base run (Fig. 5's lower bar segment)
-    /// in closed form. One pass over the tiles, with no memory system, no
-    /// image reads and no gather resolution; it equals [`NpuEngine::run`]
-    /// over [`MemorySystem::ideal`], the reference model, bit for bit.
+    /// prefetched: the ideal-memory base run (Fig. 5's lower bar segment).
+    /// It walks the tiles on [`NpuEngine::run`]'s schedule with no memory
+    /// system, no image reads and no gather resolution, and equals
+    /// [`NpuEngine::run`] over [`MemorySystem::ideal`], the reference
+    /// model, bit for bit.
     ///
-    /// Under that memory the timed schedule collapses per tile: the index
-    /// lines complete `(lines − 1) / loads_per_cycle + demand_latency`
-    /// after issue, each gather batch takes `demand_latency` (twice that
-    /// when a table probe precedes the element loads), engine-side DMA
-    /// still serialises through the scratchpad, and channel-side DMA and
-    /// stores are free, so the run ends with the last tile's compute.
+    /// Under that memory the index lines complete
+    /// `(lines − 1) / loads_per_cycle + demand_latency` after issue, each
+    /// gather batch takes `demand_latency` (twice that when a table probe
+    /// precedes the element loads), engine-side DMA still serialises
+    /// through the scratchpad, and channel-side DMA and stores are free,
+    /// so the run ends with the last tile's compute.
     #[must_use]
     pub fn base_cycles(&self, program: &NpuProgram, demand_latency: Cycle) -> Cycle {
-        let mut spad =
-            nvr_mem::Scratchpad::new(self.cfg.scratchpad_bytes, self.cfg.dma_bytes_per_cycle);
-        let mut load_free: Cycle = 0;
-        let mut compute_free: Cycle = 0;
-        let mut compute_starts: Vec<Cycle> = Vec::with_capacity(program.tiles.len());
-        for (i, tile) in program.tiles.iter().enumerate() {
-            let issue = match self.cfg.exec {
-                ExecMode::InOrder => compute_free,
-                ExecMode::OutOfOrder { rob_tiles } => {
-                    let gate = i.checked_sub(rob_tiles).map_or(0, |j| compute_starts[j]);
-                    load_free.max(gate)
-                }
-            };
-            let dma_done = if tile.dma_bytes > 0 {
-                spad.dma_in(issue, tile.dma_bytes.min(self.cfg.scratchpad_bytes))
-                    .expect("tile DMA sized within scratchpad")
-            } else {
-                issue
-            };
+        let mut sched = Schedule::new(&self.cfg, program.tiles.len());
+        for tile in &program.tiles {
+            let issue = sched.tile_issue();
+            let dma_done = sched.dma_in(issue, tile.dma_bytes);
             let lines = tile.index_region.line_count();
             let index_ready = if lines == 0 {
                 issue
             } else {
                 issue + (lines - 1) / self.cfg.loads_per_cycle + demand_latency
             };
-            let (batches, batch_cycles) = tile.gather.map_or((0, 0), |g| {
-                let batches = tile.index_count().div_ceil(g.batch.max(1)) as u64;
-                let levels = if g.func.is_two_level() { 2 } else { 1 };
-                (batches, levels * demand_latency)
-            });
-            let data_ready = match self.cfg.exec {
-                // Blocking batches run back to back.
-                ExecMode::InOrder => index_ready + batches * batch_cycles,
-                // One batch issues per cycle; the last one completes last.
-                ExecMode::OutOfOrder { .. } => {
-                    load_free = index_ready + batches;
-                    if batches == 0 {
-                        index_ready
-                    } else {
-                        index_ready + batches - 1 + batch_cycles
-                    }
-                }
-            };
-            let compute_start = compute_free.max(data_ready.max(dma_done));
-            compute_starts.push(compute_start);
-            compute_free = compute_start + tile.compute_cycles;
+            let batches = tile
+                .gather
+                .map_or(0, |g| tile.index_count().div_ceil(g.batch.max(1)));
+            let two_level = tile.gather.is_some_and(|g| g.func.is_two_level());
+            let batch_cycles = demand_latency * (1 + u64::from(two_level));
+            let (mut next, mut data_ready) = (index_ready, index_ready);
+            for _ in 0..batches {
+                data_ready = next + batch_cycles;
+                next = sched.next_batch(next, data_ready);
+            }
+            sched.compute(next, data_ready.max(dma_done), tile.compute_cycles);
         }
-        compute_free
+        sched.compute_free
+    }
+}
+
+/// The tile schedule of one run, the only part of it that depends on the
+/// [`ExecMode`]: when each tile's loads issue and when each gather batch
+/// issues after the one before it. In both modes engine-side DMA
+/// serialises through the scratchpad and compute through the array.
+#[derive(Debug)]
+struct Schedule {
+    exec: ExecMode,
+    spad: Scratchpad,
+    /// The load port's next free cycle.
+    load_free: Cycle,
+    /// The previous tile's compute end.
+    compute_free: Cycle,
+    /// Every earlier tile's compute start: the out-of-order ROB gate.
+    compute_starts: Vec<Cycle>,
+}
+
+impl Schedule {
+    fn new(cfg: &NpuConfig, tiles: usize) -> Self {
+        Schedule {
+            exec: cfg.exec,
+            spad: Scratchpad::new(cfg.scratchpad_bytes, cfg.dma_bytes_per_cycle),
+            load_free: 0,
+            compute_free: 0,
+            compute_starts: Vec::with_capacity(tiles),
+        }
     }
 
-    fn snoop_for(
-        program: &NpuProgram,
-        tile: &TileOp,
-        index_base: Addr,
-        consumed_in_tile: u64,
-        load_in_flight: bool,
-        sparse_idle: bool,
-    ) -> SnoopState {
-        let elem_start = tile
-            .index_region
-            .start()
-            .raw()
-            .saturating_sub(index_base.raw())
-            / 4;
+    /// When the next tile's loads issue: in order, at the previous tile's
+    /// compute end; out of order, once the load port is free and the tile
+    /// `rob_tiles` back has started compute.
+    fn tile_issue(&self) -> Cycle {
+        match self.exec {
+            ExecMode::InOrder => self.compute_free,
+            ExecMode::OutOfOrder { rob_tiles } => {
+                let back = self.compute_starts.len().checked_sub(rob_tiles);
+                let gate = back.map_or(0, |j| self.compute_starts[j]);
+                self.load_free.max(gate)
+            }
+        }
+    }
+
+    /// When the gather batch after one that issued at `issue` and
+    /// completes at `ready` issues: in order, once it completes (blocking
+    /// vector loads); out of order, the next cycle.
+    fn next_batch(&self, issue: Cycle, ready: Cycle) -> Cycle {
+        match self.exec {
+            ExecMode::InOrder => ready,
+            ExecMode::OutOfOrder { .. } => issue + 1,
+        }
+    }
+
+    /// The completion cycle of a tile's engine-side DMA of `bytes` dense
+    /// operands issued at `at`; `at` itself when it has none.
+    #[expect(
+        clippy::expect_used,
+        reason = "the transfer is clamped to the scratchpad's capacity, so it always fits"
+    )]
+    fn dma_in(&mut self, at: Cycle, bytes: u64) -> Cycle {
+        if bytes == 0 {
+            return at;
+        }
+        let bytes = bytes.min(self.spad.capacity_bytes());
+        self.spad
+            .dma_in(at, bytes)
+            .expect("tile DMA clamped to the scratchpad")
+    }
+
+    /// Starts a tile's compute once its operands are `ready` and the
+    /// array is free, and frees the load port at `load_end`; returns the
+    /// compute start and end.
+    fn compute(&mut self, load_end: Cycle, ready: Cycle, cycles: Cycle) -> (Cycle, Cycle) {
+        self.load_free = load_end;
+        let start = self.compute_free.max(ready);
+        self.compute_starts.push(start);
+        self.compute_free = start + cycles;
+        (start, self.compute_free)
+    }
+}
+
+/// One timed run: the program, the memory system and prefetcher it
+/// drives, and the counters it reports.
+struct Walk<'a> {
+    program: &'a NpuProgram,
+    mem: &'a mut MemorySystem,
+    prefetcher: &'a mut dyn Prefetcher,
+    loads_per_cycle: u64,
+    /// The first tile's index address: the snooped index array's base.
+    index_base: Addr,
+    counters: Counters,
+}
+
+impl Walk<'_> {
+    /// The snoopable state while `tile` executes with `consumed` of its
+    /// indices demand-loaded.
+    fn snoop(&self, tile: &TileOp, consumed: u64) -> SnoopState {
+        let start = tile.index_region.start().raw();
+        let elem_start = start.saturating_sub(self.index_base.raw()) / 4;
         let elem_end = elem_start + tile.index_count() as u64;
         SnoopState {
             tile: tile.id,
-            total_tiles: program.tiles.len(),
-            index_base,
+            total_tiles: self.program.tiles.len(),
+            index_base: self.index_base,
             elem_start,
             elem_end,
-            elem_consumed: (elem_start + consumed_in_tile).min(elem_end),
+            elem_consumed: (elem_start + consumed).min(elem_end),
             gather: tile.gather,
-            npu_load_in_flight: load_in_flight,
-            sparse_unit_idle: sparse_idle,
         }
+    }
+
+    /// Grants the prefetcher the window `[from, to)`.
+    fn advance(&mut self, from: Cycle, to: Cycle, snoop: &SnoopState) {
+        let image = &self.program.image;
+        self.prefetcher.advance(from, to, snoop, image, self.mem);
     }
 
     /// Demand-loads the tile's index slice, emitting per-element events.
     /// Returns the cycle all index data is ready and the index values,
     /// which the gather phase resolves without reading the image again.
-    #[expect(
-        clippy::too_many_arguments,
-        reason = "the demand path borrows the tile, memory and prefetcher state separately"
-    )]
     fn load_index(
-        &self,
+        &mut self,
         tile: &TileOp,
-        program: &NpuProgram,
         snoop: &SnoopState,
-        mem: &mut MemorySystem,
-        prefetcher: &mut dyn Prefetcher,
         issue_at: Cycle,
-        counters: &mut Counters,
     ) -> (Cycle, Vec<u32>) {
         let mut ready = issue_at;
         if tile.index_region.is_empty() {
             return (ready, Vec::new());
         }
-        let values = tile.index_values(&program.image);
-        let first_line = tile.index_region.start().line();
+        let values = tile.index_values(&self.program.image);
         let mut line_missed = Vec::new();
         for (k, line) in tile.index_region.lines().enumerate() {
-            let t = issue_at + (k as u64) / self.cfg.loads_per_cycle;
-            let r = mem.demand_line(line, t);
+            let t = issue_at + (k as u64) / self.loads_per_cycle;
+            let r = self.mem.demand_line(line, t);
             ready = ready.max(r.ready_at);
-            counters.index_lines += 1;
-            if r.outcome == AccessOutcome::Miss {
-                counters.index_line_misses += 1;
-            }
-            line_missed.push(r.outcome == AccessOutcome::Miss);
+            let missed = r.outcome == AccessOutcome::Miss;
+            self.counters.index_lines += 1;
+            self.counters.index_line_misses += u64::from(missed);
+            line_missed.push(missed);
         }
+        let start = tile.index_region.start();
         for (p, &v) in values.iter().enumerate() {
-            let addr = tile.index_region.start().offset(p as u64 * 4);
-            let line_idx = (addr.line().index() - first_line.index()) as usize;
-            let ev = AccessEvent::index_load(
-                issue_at,
-                tile.id,
-                addr,
-                v,
-                line_missed.get(line_idx).copied().unwrap_or(false),
-            );
-            prefetcher.observe(&ev, snoop, &program.image, mem);
+            let addr = start.offset(p as u64 * 4);
+            let line = usize::try_from(addr.line().index() - start.line().index());
+            let missed = line.ok().and_then(|l| line_missed.get(l));
+            let ev = AccessEvent::index_load(issue_at, tile.id, addr, v, missed == Some(&true));
+            self.prefetcher
+                .observe(&ev, snoop, &self.program.image, self.mem);
         }
         (ready, values)
     }
 
-    /// Demand-loads one gather batch (probes first for two-level chains).
-    /// Returns (issue cycle of the element loads, batch-complete cycle).
-    #[expect(
-        clippy::too_many_arguments,
-        reason = "the demand path borrows the tile, memory and prefetcher state separately"
-    )]
+    /// Demand-loads one gather batch: its table probes first, for
+    /// two-level chains, then its element loads. Returns the issue cycle
+    /// of the element loads and the cycle the batch completes.
     fn load_batch(
-        &self,
+        &mut self,
         tile: &TileOp,
-        program: &NpuProgram,
         snoop: &SnoopState,
-        mem: &mut MemorySystem,
-        prefetcher: &mut dyn Prefetcher,
-        batch: &[nvr_trace::ResolvedGather],
+        batch: &[ResolvedGather],
         issue_at: Cycle,
-        counters: &mut Counters,
     ) -> (Cycle, Cycle) {
-        // Phase 1: table probes (dependency: targets need slot values).
+        // The element loads need the probed slot values.
         let mut elem_issue = issue_at;
-        let two_level = batch.iter().any(|rg| rg.probe.is_some());
-        if two_level {
-            let mut probe_ready = issue_at;
-            for rg in batch {
-                if let Some(probe) = rg.probe {
-                    let r = mem.demand_line(probe.line(), issue_at);
-                    probe_ready = probe_ready.max(r.ready_at);
-                    let ev = AccessEvent {
-                        cycle: issue_at,
-                        tile: tile.id,
-                        pc: PC_TABLE_PROBE,
-                        addr: probe,
-                        kind: EventKind::TableProbe {
-                            value: program.image.read_u32(probe),
-                        },
-                        missed: r.outcome == AccessOutcome::Miss,
-                    };
-                    prefetcher.observe(&ev, snoop, &program.image, mem);
-                }
-            }
-            elem_issue = probe_ready;
+        for probe in batch.iter().filter_map(|rg| rg.probe) {
+            let r = self.mem.demand_line(probe.line(), issue_at);
+            elem_issue = elem_issue.max(r.ready_at);
+            let ev = AccessEvent {
+                cycle: issue_at,
+                tile: tile.id,
+                pc: PC_TABLE_PROBE,
+                addr: probe,
+                kind: EventKind::TableProbe {
+                    value: self.program.image.read_u32(probe),
+                },
+                missed: r.outcome == AccessOutcome::Miss,
+            };
+            self.prefetcher
+                .observe(&ev, snoop, &self.program.image, self.mem);
         }
-        // Phase 2: the element loads; the batch retires when all arrive.
-        let mut batch_ready = elem_issue + mem.config().min_demand_latency();
+        // The batch completes when its last element arrives.
+        let mut batch_ready = elem_issue + self.mem.config().min_demand_latency();
         let mut any_missed = false;
         for rg in batch {
             let mut elem_missed = false;
             for line in rg.target.lines() {
-                let r = mem.demand_line(line, elem_issue);
+                let r = self.mem.demand_line(line, elem_issue);
                 batch_ready = batch_ready.max(r.ready_at);
-                if r.outcome == AccessOutcome::Miss {
-                    elem_missed = true;
-                }
+                elem_missed |= r.outcome == AccessOutcome::Miss;
             }
-            counters.gather_elements += 1;
-            if elem_missed {
-                counters.gather_element_misses += 1;
-                any_missed = true;
-            }
+            self.counters.gather_elements += 1;
+            self.counters.gather_element_misses += u64::from(elem_missed);
+            any_missed |= elem_missed;
             let ev = AccessEvent::gather(elem_issue, tile.id, rg.target.start(), elem_missed);
-            prefetcher.observe(&ev, snoop, &program.image, mem);
+            self.prefetcher
+                .observe(&ev, snoop, &self.program.image, self.mem);
         }
-        counters.gather_batches += 1;
-        if any_missed {
-            counters.gather_batch_misses += 1;
-        }
+        self.counters.gather_batches += 1;
+        self.counters.gather_batch_misses += u64::from(any_missed);
         (elem_issue, batch_ready)
     }
 
-    fn finish(
-        program: &NpuProgram,
-        prefetcher: &dyn Prefetcher,
-        mem: &mut MemorySystem,
-        total_cycles: Cycle,
-        counters: Counters,
-    ) -> RunResult {
-        mem.finalize();
+    /// Ends the run at `total_cycles` and reports it.
+    fn finish(self, total_cycles: Cycle) -> RunResult {
+        self.mem.finalize();
+        let c = self.counters;
         RunResult {
-            name: program.name.clone(),
-            prefetcher: prefetcher.name(),
+            name: self.program.name.clone(),
+            prefetcher: self.prefetcher.name(),
             total_cycles,
-            compute_cycles: counters.compute_cycles,
-            gather_batches: counters.gather_batches,
-            gather_batch_misses: counters.gather_batch_misses,
-            gather_elements: counters.gather_elements,
-            gather_element_misses: counters.gather_element_misses,
-            index_lines: counters.index_lines,
-            index_line_misses: counters.index_line_misses,
-            mem: mem.stats(),
-            dram_utilisation: mem.dram().utilisation(total_cycles.max(1)),
-            channel_utilisation: mem.dram().channel_utilisation(total_cycles.max(1)),
+            compute_cycles: c.compute_cycles,
+            gather_batches: c.gather_batches,
+            gather_batch_misses: c.gather_batch_misses,
+            gather_elements: c.gather_elements,
+            gather_element_misses: c.gather_element_misses,
+            index_lines: c.index_lines,
+            index_line_misses: c.index_line_misses,
+            mem: self.mem.stats(),
+            dram_utilisation: self.mem.dram().utilisation(total_cycles.max(1)),
+            channel_utilisation: self.mem.dram().channel_utilisation(total_cycles.max(1)),
         }
-    }
-
-    fn run_in_order(
-        &self,
-        program: &NpuProgram,
-        mem: &mut MemorySystem,
-        prefetcher: &mut dyn Prefetcher,
-    ) -> RunResult {
-        let mut counters = Counters::default();
-        let mut spad =
-            nvr_mem::Scratchpad::new(self.cfg.scratchpad_bytes, self.cfg.dma_bytes_per_cycle);
-        let mut sparse_unit = SparseUnit::new(self.cfg.vector_width);
-        let index_base = program
-            .tiles
-            .first()
-            .map_or(Addr::new(0), |t| t.index_region.start());
-        let mut cycle: Cycle = 0;
-        let mut last_drain: Cycle = 0;
-
-        for tile in &program.tiles {
-            let snoop = Self::snoop_for(program, tile, index_base, 0, true, true);
-            // Dense operand DMA: engine-side and channel-side in parallel.
-            let dma_done = if tile.dma_bytes > 0 {
-                let engine_side = spad
-                    .dma_in(cycle, tile.dma_bytes.min(self.cfg.scratchpad_bytes))
-                    .expect("tile DMA sized within scratchpad");
-                let channel_side = mem.dma_read_bytes(cycle, tile.dma_bytes);
-                engine_side.max(channel_side)
-            } else {
-                cycle
-            };
-
-            // Index loads.
-            let (index_ready, indices) =
-                self.load_index(tile, program, &snoop, mem, prefetcher, cycle, &mut counters);
-            prefetcher.advance(cycle, index_ready, &snoop, &program.image, mem);
-
-            // Gather batches: strictly serialised (in-order blocking loads).
-            let mut t = index_ready;
-            if let Some(g) = tile.gather {
-                let resolved = g.func.element_regions(&indices, &program.image);
-                let mut consumed = 0u64;
-                for batch in resolved.chunks(g.batch.max(1)) {
-                    consumed += batch.len() as u64;
-                    // The snooped progress pointer advances with each
-                    // issued vector load.
-                    let snoop = Self::snoop_for(program, tile, index_base, consumed, true, true);
-                    let (issue, ready) = self.load_batch(
-                        tile,
-                        program,
-                        &snoop,
-                        mem,
-                        prefetcher,
-                        batch,
-                        t,
-                        &mut counters,
-                    );
-                    // The stall window is runahead opportunity.
-                    prefetcher.advance(issue, ready, &snoop, &program.image, mem);
-                    t = ready;
-                }
-            }
-
-            // Compute: sparse unit aligns indices first, then the array runs.
-            let compute_start = t.max(dma_done);
-            let sparse_done = sparse_unit.process(compute_start, tile.index_count());
-            let compute_end = compute_start + tile.compute_cycles;
-            counters.compute_cycles += tile.compute_cycles;
-            let idle_snoop = Self::snoop_for(
-                program,
-                tile,
-                index_base,
-                tile.index_count() as u64,
-                false,
-                true,
-            );
-            prefetcher.advance(
-                sparse_done.min(compute_end),
-                compute_end,
-                &idle_snoop,
-                &program.image,
-                mem,
-            );
-
-            // Store: write buffer drains in the background.
-            if tile.store_bytes > 0 {
-                last_drain = last_drain.max(mem.store_bytes(compute_end, tile.store_bytes));
-            }
-            cycle = compute_end;
-        }
-        let total = cycle.max(last_drain);
-        Self::finish(program, prefetcher, mem, total, counters)
-    }
-
-    fn run_out_of_order(
-        &self,
-        program: &NpuProgram,
-        mem: &mut MemorySystem,
-        prefetcher: &mut dyn Prefetcher,
-        rob_tiles: usize,
-    ) -> RunResult {
-        let mut counters = Counters::default();
-        let mut spad =
-            nvr_mem::Scratchpad::new(self.cfg.scratchpad_bytes, self.cfg.dma_bytes_per_cycle);
-        let mut sparse_unit = SparseUnit::new(self.cfg.vector_width);
-        let index_base = program
-            .tiles
-            .first()
-            .map_or(Addr::new(0), |t| t.index_region.start());
-
-        let mut load_free: Cycle = 0;
-        let mut compute_free: Cycle = 0;
-        let mut compute_starts: Vec<Cycle> = Vec::with_capacity(program.tiles.len());
-        let mut last_drain: Cycle = 0;
-
-        for (i, tile) in program.tiles.iter().enumerate() {
-            let snoop = Self::snoop_for(program, tile, index_base, 0, true, true);
-            // ROB gating: tile i's loads wait for tile i-rob_tiles to start.
-            let gate = if i >= rob_tiles {
-                compute_starts[i - rob_tiles]
-            } else {
-                0
-            };
-            let issue_base = load_free.max(gate);
-
-            let dma_done = if tile.dma_bytes > 0 {
-                let engine_side = spad
-                    .dma_in(issue_base, tile.dma_bytes.min(self.cfg.scratchpad_bytes))
-                    .expect("tile DMA sized within scratchpad");
-                let channel_side = mem.dma_read_bytes(issue_base, tile.dma_bytes);
-                engine_side.max(channel_side)
-            } else {
-                issue_base
-            };
-
-            let (index_ready, indices) = self.load_index(
-                tile,
-                program,
-                &snoop,
-                mem,
-                prefetcher,
-                issue_base,
-                &mut counters,
-            );
-            prefetcher.advance(issue_base, index_ready, &snoop, &program.image, mem);
-
-            // Gathers: batches issue back-to-back without waiting for the
-            // previous batch to complete (non-blocking vector loads).
-            let mut data_ready = index_ready;
-            let mut issue = index_ready;
-            if let Some(g) = tile.gather {
-                let resolved = g.func.element_regions(&indices, &program.image);
-                for batch in resolved.chunks(g.batch.max(1)) {
-                    let (_elem_issue, ready) = self.load_batch(
-                        tile,
-                        program,
-                        &snoop,
-                        mem,
-                        prefetcher,
-                        batch,
-                        issue,
-                        &mut counters,
-                    );
-                    data_ready = data_ready.max(ready);
-                    issue += 1; // one vector load per cycle
-                }
-            }
-            load_free = issue.max(issue_base);
-
-            let ready = data_ready.max(dma_done);
-            let compute_start = compute_free.max(ready);
-            compute_starts.push(compute_start);
-            let _sparse_done = sparse_unit.process(compute_start, tile.index_count());
-            let compute_end = compute_start + tile.compute_cycles;
-            counters.compute_cycles += tile.compute_cycles;
-            compute_free = compute_end;
-
-            if tile.store_bytes > 0 {
-                last_drain = last_drain.max(mem.store_bytes(compute_end, tile.store_bytes));
-            }
-        }
-        let total = compute_free.max(last_drain);
-        Self::finish(program, prefetcher, mem, total, counters)
     }
 }
 
@@ -806,6 +723,76 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// Records the snooped state of every window (`true`) and demand
+    /// access (`false`) the engine shows it.
+    #[derive(Default)]
+    struct Recorder(Vec<(bool, SnoopState)>);
+
+    impl Prefetcher for Recorder {
+        fn name(&self) -> &'static str {
+            "Recorder"
+        }
+
+        fn observe(
+            &mut self,
+            _: &AccessEvent,
+            s: &SnoopState,
+            _: &MemoryImage,
+            _: &mut MemorySystem,
+        ) {
+            self.0.push((false, *s));
+        }
+
+        fn advance(
+            &mut self,
+            _: Cycle,
+            _: Cycle,
+            s: &SnoopState,
+            _: &MemoryImage,
+            _: &mut MemorySystem,
+        ) {
+            self.0.push((true, *s));
+        }
+    }
+
+    /// Each tile's window and demand-access counts over one run of
+    /// `program`, once its windows are checked: the index wait, one per
+    /// batch and the compute phase, with the snooped progress pointer
+    /// never falling and at the tile's end by the compute phase.
+    fn tile_windows(program: &NpuProgram, cfg: NpuConfig) -> Vec<(usize, usize)> {
+        let mut rec = Recorder::default();
+        let mut mem = MemorySystem::new(MemoryConfig::default());
+        NpuEngine::new(cfg).run(program, &mut mem, &mut rec);
+        let mut counts = Vec::new();
+        for tile in &program.tiles {
+            let at = format!("{} tile {}", program.name, tile.id);
+            let of_tile = rec.0.iter().filter(|(_, s)| s.tile == tile.id);
+            let (windows, observed): (Vec<_>, Vec<_>) = of_tile.partition(|(w, _)| *w);
+            let batches = tile
+                .gather
+                .map_or(0, |g| tile.index_count().div_ceil(g.batch));
+            assert_eq!(windows.len(), batches + 2, "{at}");
+            let progress: Vec<u64> = windows.iter().map(|(_, s)| s.elem_consumed).collect();
+            assert!(progress.is_sorted(), "{at}: {progress:?}");
+            assert_eq!(progress.last(), Some(&windows[0].1.elem_end), "{at}");
+            counts.push((windows.len(), observed.len()));
+        }
+        counts
+    }
+
+    #[test]
+    fn both_modes_grant_each_tile_the_same_windows() {
+        for program in [
+            gather_program(6, 40, 50),
+            two_level_program(),
+            unaligned_program(),
+        ] {
+            let in_order = tile_windows(&program, NpuConfig::default());
+            let out_of_order = tile_windows(&program, NpuConfig::out_of_order());
+            assert_eq!(in_order, out_of_order, "{}", program.name);
         }
     }
 

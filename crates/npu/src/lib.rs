@@ -12,8 +12,23 @@
 //!   tiles compute, bounded by a ROB-like tile window; the paper's
 //!   "ideal OoO Gemmini" that still underperforms on IO-bound workloads.
 //!
-//! The engine drives a [`nvr_prefetch::Prefetcher`] with demand events and
-//! idle windows, which is where NVR (and the baselines) do their work.
+//! One tile walker runs both modes; the mode only sets when a tile's loads
+//! and its gather batches issue. The walker drives a
+//! [`nvr_prefetch::Prefetcher`] with demand events and the same idle
+//! windows in both modes, which is where NVR (and the baselines) do their
+//! work.
+
+// Simulator hot paths: no panicking unwraps, no silently truncating
+// casts, and no wildcard arm that would swallow a new enum variant.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::expect_used,
+        clippy::unwrap_used,
+        clippy::cast_possible_truncation,
+        clippy::wildcard_enum_match_arm
+    )
+)]
 
 pub mod config;
 pub mod engine;

@@ -18,14 +18,13 @@ use nvr_common::Cycle;
 /// let mut su = SparseUnit::new(16);
 /// let done = su.process(100, 64); // 64 indices at 16 lanes -> 4 cycles
 /// assert_eq!(done, 104);
-/// assert!(!su.is_idle(102));
-/// assert!(su.is_idle(104));
+/// assert_eq!(su.process(102, 0), 104); // busy at 102
+/// assert_eq!(su.process(104, 0), 104); // idle from 104
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SparseUnit {
     lanes: usize,
     busy_until: Cycle,
-    total_busy: u64,
 }
 
 impl SparseUnit {
@@ -40,7 +39,6 @@ impl SparseUnit {
         SparseUnit {
             lanes,
             busy_until: 0,
-            total_busy: 0,
         }
     }
 
@@ -50,26 +48,7 @@ impl SparseUnit {
         let cycles = (n_indices as u64).div_ceil(self.lanes as u64);
         let begin = start.max(self.busy_until);
         self.busy_until = begin + cycles;
-        self.total_busy += cycles;
         self.busy_until
-    }
-
-    /// Whether the unit is idle at `cycle` (available for runahead).
-    #[must_use]
-    pub fn is_idle(&self, cycle: Cycle) -> bool {
-        cycle >= self.busy_until
-    }
-
-    /// Cycle at which the unit next becomes idle.
-    #[must_use]
-    pub fn idle_at(&self) -> Cycle {
-        self.busy_until
-    }
-
-    /// Total cycles the unit has been busy over the run.
-    #[must_use]
-    pub fn total_busy_cycles(&self) -> u64 {
-        self.total_busy
     }
 }
 
@@ -90,23 +69,22 @@ mod tests {
         let mut su = SparseUnit::new(16);
         assert_eq!(su.process(0, 32), 2);
         assert_eq!(su.process(0, 32), 4); // queued behind the first
-        assert_eq!(su.total_busy_cycles(), 4);
+        assert_eq!(su.process(0, 0), 4, "busy for both, 4 cycles");
     }
 
     #[test]
     fn idle_tracking() {
         let mut su = SparseUnit::new(16);
-        assert!(su.is_idle(0));
+        assert_eq!(su.process(0, 0), 0, "idle at 0");
         su.process(10, 160); // busy 10..20 (reserved from now on)
-        assert!(!su.is_idle(15));
-        assert!(su.is_idle(20));
-        assert_eq!(su.idle_at(), 20);
+        assert_eq!(su.process(15, 0), 20, "busy at 15, idle at 20");
+        assert_eq!(su.process(20, 0), 20, "idle at 20");
     }
 
     #[test]
     fn zero_indices_is_free() {
         let mut su = SparseUnit::new(16);
         assert_eq!(su.process(7, 0), 7);
-        assert!(su.is_idle(7));
+        assert_eq!(su.process(7, 0), 7, "still idle at 7");
     }
 }

@@ -39,18 +39,6 @@ impl SystolicArray {
         SystolicArray::new(16, 16)
     }
 
-    /// Rows of MAC units.
-    #[must_use]
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Columns of MAC units.
-    #[must_use]
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
     /// Cycles for an `m × k × n` dense GEMM (output-stationary schedule):
     /// each `rows × cols` output tile streams `k` partial sums plus array
     /// fill/drain.

@@ -46,18 +46,6 @@ impl TimelinessReport {
         self.timely + self.late
     }
 
-    /// Fraction of *resolved* prefetches (used or evicted) that were
-    /// timely; 0 when nothing resolved.
-    #[must_use]
-    pub fn timely_fraction(&self) -> f64 {
-        let resolved = self.used() + self.evicted_unused;
-        if resolved == 0 {
-            0.0
-        } else {
-            self.timely as f64 / resolved as f64
-        }
-    }
-
     /// Fraction of used prefetches the demand had to wait on; 0 when
     /// nothing was used.
     #[must_use]
@@ -203,8 +191,6 @@ mod tests {
             elem_end: 0,
             elem_consumed: 0,
             gather: None,
-            npu_load_in_flight: false,
-            sparse_unit_idle: true,
         };
         let ev = AccessEvent::gather(0, 0, Addr::new(0x40), true);
         p.observe(&ev, &snoop, &MemoryImage::new(), &mut mem);

@@ -328,8 +328,6 @@ mod tests {
             elem_end: 64,
             elem_consumed: 0,
             gather: Some(GatherDesc { func, batch: 16 }),
-            npu_load_in_flight: true,
-            sparse_unit_idle: true,
         }
     }
 

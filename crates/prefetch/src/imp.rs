@@ -333,8 +333,6 @@ mod tests {
             elem_end: 64,
             elem_consumed: 0,
             gather: None,
-            npu_load_in_flight: true,
-            sparse_unit_idle: true,
         }
     }
 

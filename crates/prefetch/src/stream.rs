@@ -173,8 +173,6 @@ mod tests {
             elem_end: 0,
             elem_consumed: 0,
             gather: None,
-            npu_load_in_flight: false,
-            sparse_unit_idle: true,
         }
     }
 

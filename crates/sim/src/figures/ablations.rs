@@ -103,8 +103,9 @@ fn variants() -> [(&'static str, NvrConfig); 9] {
 
 /// Runs both ablation studies: the NSB associativity cells and each
 /// workload's in-order baseline through `lab`, and the NVR variants on
-/// the lab's workers, one task per workload. A variant reads its own
-/// prefetcher's VMIG after the run, so it is not a lab cell.
+/// the lab's workers, one task per workload, over the programs the lab
+/// built for the baselines. A variant reads its own prefetcher's VMIG
+/// after the run, so it is not a lab cell.
 #[must_use]
 pub fn run(lab: &mut Lab, scale: Scale, seed: u64) -> Ablations {
     let spec = WorkloadSpec::new(DataWidth::Fp16, seed).with_scale(scale);
@@ -133,14 +134,14 @@ pub fn run(lab: &mut Lab, scale: Scale, seed: u64) -> Ablations {
         .zip(lab.run(&base_cells))
         .map(|(w, base)| {
             let nvr_spec = SystemKind::Nvr.spec(&mem_cfg);
+            let program = lab.program(&ProgramSpec::Workload(w, spec));
             move || {
-                let program = w.build(&spec);
                 variants()
                     .into_iter()
                     .map(|(label, cfg)| {
                         // Our own prefetcher, so its VMIG can be read after.
                         let mut nvr = NvrPrefetcher::new(cfg);
-                        let r = nvr_spec.run_with(&program, &mut nvr);
+                        let r = nvr_spec.run_with(program, &mut nvr);
                         VariantCell {
                             label,
                             workload: w.short(),

@@ -151,6 +151,13 @@ impl Lab {
         self.runs.len()
     }
 
+    /// The program `spec` names, as an earlier batch of this lab built it;
+    /// panics if none did.
+    pub(crate) fn program(&self, spec: &ProgramSpec) -> &NpuProgram {
+        let built = self.programs.iter().find(|(p, _)| p == spec);
+        &built.expect("an earlier batch built the program").1
+    }
+
     /// Each cell's outcome, in order, labelled with the cell's `system`.
     /// Builds, on the pool, only the programs this lab has not built
     /// before, and simulates only the pairs it has not run before.
@@ -180,8 +187,7 @@ impl Lab {
         let tasks: Vec<_> = fresh
             .iter()
             .map(|cell| {
-                let built = self.programs.iter().find(|(p, _)| *p == cell.program);
-                let program = &built.expect("built above").1;
+                let program = self.program(&cell.program);
                 move || {
                     #[expect(
                         clippy::disallowed_methods,

@@ -13,8 +13,6 @@ pub const PC_INDEX_LOAD: u64 = 0x8000_1000;
 pub const PC_GATHER: u64 = 0x8000_2000;
 /// Synthetic PC of table-probe loads (two-level sparse functions).
 pub const PC_TABLE_PROBE: u64 = 0x8000_3000;
-/// Synthetic PC of output stores.
-pub const PC_STORE: u64 = 0x8000_4000;
 
 /// What kind of access an event describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,8 +30,6 @@ pub enum EventKind {
     },
     /// An indirect gather of one element row.
     GatherLoad,
-    /// An output store.
-    Store,
 }
 
 /// One demand access, as visible on the memory request bus.

@@ -40,7 +40,8 @@ impl MemoryImage {
     }
 
     /// Installs a `u32` array at `base`. Addresses are byte addresses; the
-    /// segment occupies `4 * data.len()` bytes.
+    /// segment occupies `4 * data.len()` bytes, so an empty one covers no
+    /// word and installs nothing.
     ///
     /// # Panics
     ///
@@ -51,6 +52,9 @@ impl MemoryImage {
             base.raw().is_multiple_of(4),
             "segment base must be 4-byte aligned"
         );
+        if data.is_empty() {
+            return;
+        }
         let bytes = data.len() as u64 * 4;
         assert!(
             !self.overlaps(Region::new(base, bytes)),
@@ -240,6 +244,17 @@ mod tests {
     }
 
     #[test]
+    fn empty_segment_inside_another_installs_nothing() {
+        let mut img = MemoryImage::new();
+        img.add_u32_segment(Addr::new(0x1000), vec![1, 2, 3, 4]);
+        img.add_u32_segment(Addr::new(0x1008), Vec::new());
+        assert_eq!(img.read_u32(Addr::new(0x100c)), 4);
+        assert_eq!(img.read_u32_slice(Addr::new(0x1000), 4), [1, 2, 3, 4]);
+        // A later segment over those words is still rejected.
+        assert!(img.overlaps(Region::new(Addr::new(0x100c), 4)));
+    }
+
+    #[test]
     fn adjacent_segments_do_not_overlap() {
         let mut img = MemoryImage::new();
         img.add_u32_segment(Addr::new(0x1000), vec![1, 2]);
@@ -250,8 +265,8 @@ mod tests {
     /// A random image and one read from it: up to six segments in
     /// ascending order, each after a gap of 0–3 words (0: adjacent to the
     /// previous one) and 0–5 words long; in half the cases one more, empty
-    /// segment at any word, which the image accepts even inside another
-    /// segment; a start anywhere in or around them, word-aligned or not;
+    /// segment at any word, even inside another segment, which installs
+    /// nothing; a start anywhere in or around them, word-aligned or not;
     /// and a length of up to 24 words, so runs cross segment ends, gaps and
     /// the image's edges.
     struct SliceCases;

@@ -1,11 +1,12 @@
 //! The architectural state visible to NVR's snoopers (§IV-C).
 //!
-//! The snoopers are read-only probes over three signal groups: CPU branch
-//! instructions (loop context), NPU load-instruction occupancy (runahead
-//! trigger timing), and the NPU sparse-unit registers (index window bounds,
-//! base addresses, the active `sparse_func`). This struct is the honest
-//! boundary between the NVR prefetcher and the machine: NVR sees exactly
-//! these fields — never the program's future tiles.
+//! The snoopers are read-only probes over two signal groups: CPU branch
+//! instructions (loop context) and the NPU sparse-unit registers (index
+//! window bounds, base addresses, the active `sparse_func`). When runahead
+//! may run is not snooped: the engine grants it as `advance` windows. This
+//! struct is the honest boundary between the NVR prefetcher and the
+//! machine: NVR sees exactly these fields — never the program's future
+//! tiles.
 
 use nvr_common::Addr;
 
@@ -36,12 +37,6 @@ pub struct SnoopState {
     pub elem_consumed: u64,
     /// The active gather descriptor registers, if the tile gathers.
     pub gather: Option<GatherDesc>,
-    /// Whether an NPU load instruction is currently in execution in the ROB
-    /// (the runahead entry condition of §III Q&A1).
-    pub npu_load_in_flight: bool,
-    /// Whether the sparse-operators unit is idle (speculative work may
-    /// borrow it; §III Q&A3).
-    pub sparse_unit_idle: bool,
 }
 
 impl SnoopState {
@@ -71,8 +66,6 @@ mod tests {
             elem_end: 130,
             elem_consumed: 100,
             gather: None,
-            npu_load_in_flight: true,
-            sparse_unit_idle: true,
         }
     }
 

@@ -4,6 +4,7 @@
 use proptest::prelude::*;
 
 use nvr::prelude::*;
+use nvr::sim::runner::SystemSpec;
 use nvr::trace::GatherDesc;
 
 /// Builds a random affine-gather program from proptest-chosen parameters.
@@ -39,6 +40,41 @@ fn random_program(tiles: usize, per_tile: usize, row_bytes: u64, seed: u64) -> N
     };
     program.assert_valid();
     program
+}
+
+/// A prefetcher changes when data arrives, never what is demanded. On
+/// every tiny workload, under both engines and with and without an NSB,
+/// each prefetcher's run demands the same gather elements, batches and
+/// index lines as the no-prefetch run, and the level closest to the NPU
+/// (the NSB when there is one, else the L2) serves as many demand
+/// accesses.
+#[test]
+fn prefetchers_never_change_the_demand_stream() {
+    let spec = WorkloadSpec::tiny(DataWidth::Fp16, 2025);
+    let nsb = MemoryConfig::default().with_nsb(nsb_config(16));
+    for w in WorkloadId::ALL {
+        let program = w.build(&spec);
+        for npu in [NpuConfig::default(), NpuConfig::out_of_order()] {
+            for mem in [MemoryConfig::default(), nsb.clone()] {
+                let demand = |kind: SystemKind| {
+                    let system = SystemSpec {
+                        npu: npu.clone(),
+                        ..kind.spec(&mem)
+                    };
+                    let r = system.run_with(&program, system.prefetcher.build().as_mut());
+                    let closest = r.mem.nsb.as_ref().unwrap_or(&r.mem.l2);
+                    let accesses = closest.demand_accesses();
+                    (r.gather_elements, r.gather_batches, r.index_lines, accesses)
+                };
+                let want = demand(SystemKind::InOrder);
+                // NVR+NSB aside: it changes the memory, too.
+                for kind in &SystemKind::PREFETCHERS[..4] {
+                    let at = format!("{} {:?} NSB {}", w.short(), npu.exec, mem.nsb.is_some());
+                    assert_eq!(demand(*kind), want, "{kind:?} on {at}");
+                }
+            }
+        }
+    }
 }
 
 proptest! {
