@@ -100,12 +100,6 @@ impl LoopBoundDetector {
         }
     }
 
-    /// Number of exact windows observed so far.
-    #[must_use]
-    pub fn observations(&self) -> u64 {
-        self.observed
-    }
-
     /// The fuzzy-stretched predicted window length, in elements (0 until
     /// the first observation).
     #[must_use]

@@ -126,12 +126,6 @@ impl VoxelHashTable {
         self.len == 0
     }
 
-    /// Load factor `len / buckets`.
-    #[must_use]
-    pub fn load_factor(&self) -> f64 {
-        self.len as f64 / self.buckets.len() as f64
-    }
-
     /// Inserts `key -> slot`; returns the previous slot if the key existed.
     ///
     /// # Panics

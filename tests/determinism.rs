@@ -1,11 +1,55 @@
 //! Bit-level determinism: identical seeds must produce identical programs
 //! and identical simulation results — the precondition for comparing
 //! prefetchers on the same access stream.
+//!
+//! Every exact pin lives in `tests/golden/`, one plain-text file per pin
+//! set, holding exactly the text its test renders. On a mismatch the test
+//! writes the computed file to `target/tmp/golden/` and panics naming the
+//! first differing line and the `cp` that re-pins it.
+
+use std::path::Path;
 
 use nvr::prelude::*;
+use nvr::sim::figures::fig9;
 use nvr::sim::{PrefetcherSpec, SystemSpec};
 use nvr::trace::GatherDesc;
 use nvr::workloads::spec::{INDEX_BASE, TABLE_BASE};
+
+/// Checks the text a test rendered against its pinned file
+/// `tests/golden/<file>`.
+macro_rules! assert_golden {
+    ($file:literal, $got:expr) => {
+        check_golden($file, include_str!(concat!("golden/", $file)), $got)
+    };
+}
+
+/// Returns if `got` equals `pinned`; otherwise writes `got` to
+/// `target/tmp/golden/<file>` and panics with the first differing line and
+/// the command that re-pins the file. A match removes a computed file an
+/// earlier run left, so the directory holds only files that can be copied.
+fn check_golden(file: &str, pinned: &str, got: &str) {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("golden");
+    let computed = dir.join(file);
+    if got == pinned {
+        // Usually there is nothing to remove.
+        let _ = std::fs::remove_file(&computed);
+        return;
+    }
+    std::fs::create_dir_all(&dir).expect("create the computed golden directory");
+    std::fs::write(&computed, got).expect("write the computed golden file");
+    let line = pinned
+        .lines()
+        .zip(got.lines())
+        .take_while(|(p, g)| p == g)
+        .count();
+    let [want, have] = [pinned, got].map(|text| text.lines().nth(line).unwrap_or("<end of file>"));
+    panic!(
+        "tests/golden/{file} line {}: pinned `{want}`, computed `{have}`.\n\
+         If the change means to alter results, re-pin with\n    cp {} tests/golden/{file}",
+        line + 1,
+        computed.display()
+    );
+}
 
 #[test]
 fn identical_seeds_identical_results() {
@@ -157,12 +201,12 @@ fn parallel_sweep_matches_serial_bit_for_bit() {
 }
 
 /// Pinned result fingerprints for every system on one graph workload and
-/// one attention workload.
+/// one attention workload (`tests/golden/hot_paths.txt`).
 ///
 /// The simulator's hot paths are data-layout- and scheduling-optimised
 /// (SoA cache metadata, sorted MSHR files, event-driven issue skipping,
 /// open-addressed bookkeeping maps); none of that may move a single
-/// counter. This table is the seed behaviour, captured before those
+/// counter. The pinned rows are the seed behaviour, captured before those
 /// rewrites: cycles, hit/miss splits, DRAM traffic, prefetch usefulness
 /// and the full timeliness outcome, per system. A mismatch means a
 /// "performance" change altered simulation semantics — exactly the
@@ -171,89 +215,11 @@ fn parallel_sweep_matches_serial_bit_for_bit() {
 /// per-counter decomposition.)
 #[test]
 fn optimised_hot_paths_match_seed_fingerprints() {
-    // Columns: workload, system, total_cycles, base_cycles,
-    // l2_demand_misses, l2_demand_hits, dram_demand_lines,
-    // l2_prefetch_issued, l2_prefetch_useful, timely, late,
-    // evicted_unused, slack_sum.
-    const GOLDEN: &[(&str, &str, [u64; 11])] = &[
-        (
-            "GCN",
-            "InO",
-            [331088, 50435, 18542, 3009, 18542, 0, 0, 0, 0, 0, 0],
-        ),
-        (
-            "GCN",
-            "OoO",
-            [244120, 42440, 18546, 3001, 18546, 0, 0, 0, 0, 0, 0],
-        ),
-        (
-            "GCN",
-            "Stream",
-            [327376, 50435, 18197, 3160, 18197, 523, 364, 0, 0, 0, 0],
-        ),
-        (
-            "GCN",
-            "IMP",
-            [324648, 50435, 17812, 3714, 17812, 1288, 812, 0, 0, 0, 0],
-        ),
-        (
-            "GCN",
-            "DVR",
-            [269000, 50435, 11578, 9967, 11578, 7771, 7096, 0, 0, 0, 0],
-        ),
-        (
-            "GCN",
-            "NVR",
-            [
-                190193, 50435, 5789, 8578, 5789, 12862, 12814, 5630, 7184, 47, 10622041,
-            ],
-        ),
-        (
-            "GCN",
-            "NVR+NSB",
-            [
-                189670, 45448, 5585, 3376, 5585, 12872, 4546, 5693, 7018, 160, 10439650,
-            ],
-        ),
-        (
-            "H2O",
-            "InO",
-            [71816, 16928, 2168, 4168, 2168, 0, 0, 0, 0, 0, 0],
-        ),
-        (
-            "H2O",
-            "OoO",
-            [49949, 12338, 2168, 4168, 2168, 0, 0, 0, 0, 0, 0],
-        ),
-        (
-            "H2O",
-            "Stream",
-            [71280, 16928, 2012, 4232, 2012, 157, 156, 0, 0, 0, 0],
-        ),
-        (
-            "H2O",
-            "IMP",
-            [67504, 16928, 1629, 4706, 1629, 735, 540, 0, 0, 0, 0],
-        ),
-        (
-            "H2O",
-            "DVR",
-            [68000, 16928, 1744, 4264, 1744, 498, 424, 0, 0, 0, 0],
-        ),
-        (
-            "H2O",
-            "NVR",
-            [
-                25167, 16928, 40, 5902, 40, 2135, 2128, 1734, 394, 0, 1837241,
-            ],
-        ),
-        (
-            "H2O",
-            "NVR+NSB",
-            [25241, 12896, 40, 253, 40, 2135, 281, 1454, 674, 0, 1630986],
-        ),
-    ];
-    let mut idx = 0;
+    let mut got = String::from(
+        "# workload system total_cycles base_cycles l2_demand_misses l2_demand_hits \
+         dram_demand_lines l2_prefetch_issued l2_prefetch_useful timely late \
+         evicted_unused slack_sum\n",
+    );
     for workload in [WorkloadId::Gcn, WorkloadId::H2o] {
         let spec = WorkloadSpec {
             width: DataWidth::Fp16,
@@ -266,40 +232,36 @@ fn optimised_hot_paths_match_seed_fingerprints() {
             let o = run_system(&program, &MemoryConfig::default(), system);
             let m = &o.result.mem;
             let t = o.timeliness.clone().unwrap_or_default();
-            let got = (
+            let values = [
+                o.result.total_cycles,
+                o.base_cycles,
+                m.l2.demand_misses.get(),
+                m.l2.demand_hits.get(),
+                m.dram.demand_lines.get(),
+                m.l2.prefetch_issued.get(),
+                m.l2.prefetch_useful.get(),
+                t.timely,
+                t.late,
+                t.evicted_unused,
+                t.slack.sum(),
+            ]
+            .map(|v| v.to_string());
+            got += &format!(
+                "{} {} {}\n",
                 workload.short(),
                 system.label(),
-                [
-                    o.result.total_cycles,
-                    o.base_cycles,
-                    m.l2.demand_misses.get(),
-                    m.l2.demand_hits.get(),
-                    m.dram.demand_lines.get(),
-                    m.l2.prefetch_issued.get(),
-                    m.l2.prefetch_useful.get(),
-                    t.timely,
-                    t.late,
-                    t.evicted_unused,
-                    t.slack.sum(),
-                ],
+                values.join(" ")
             );
-            assert_eq!(
-                got,
-                GOLDEN[idx],
-                "{} / {} deviates from the seed fingerprint",
-                workload.short(),
-                system.label()
-            );
-            idx += 1;
         }
     }
-    assert_eq!(idx, GOLDEN.len(), "every golden row must be exercised");
+    assert_golden!("hot_paths.txt", &got);
 }
 
-/// The summed `total_cycles` of the pinned tiny grid: every workload under
-/// every system, natural order, FP16, seed 2025 (56 cells). The total is
-/// bit-exact on any host, so a change that moves any cell's timing fails
-/// here even when it leaves the fingerprinted workloads above untouched.
+/// The tiny grid — every workload under every system, natural order,
+/// FP16, seed 2025 — and its summed `total_cycles`
+/// (`tests/golden/tiny_grid.txt`). The total is bit-exact on any host, so
+/// a change that moves any cell's timing fails here even when it leaves
+/// the fingerprinted workloads above untouched.
 #[test]
 fn tiny_grid_cycle_total_is_pinned() {
     let spec = SweepSpec {
@@ -312,13 +274,13 @@ fn tiny_grid_cycle_total_is_pinned() {
         mem_cfg: MemoryConfig::default(),
     };
     let results = run_sweep(&spec, 2);
-    assert_eq!(results.cells.len(), 56);
     let total: u64 = results
         .cells
         .iter()
         .map(|c| c.outcome.result.total_cycles)
         .sum();
-    assert_eq!(total, 5_699_443);
+    let got = format!("cells {}\ntotal_cycles {total}\n", results.cells.len());
+    assert_golden!("tiny_grid.txt", &got);
 }
 
 /// `SystemSpec::base_cycles` computes the ideal-memory base in closed form
@@ -391,6 +353,15 @@ impl Digest {
     fn word(&mut self, w: u64) {
         self.0 = (self.0 ^ w).wrapping_mul(0x0000_0100_0000_01b3);
     }
+
+    /// The digest of `text`, one word per byte.
+    fn of_text(text: &str) -> u64 {
+        let mut d = Digest::new();
+        for b in text.bytes() {
+            d.word(u64::from(b));
+        }
+        d.0
+    }
 }
 
 /// Content hash of a built program: its name and width, every tile's
@@ -460,67 +431,16 @@ fn program_fingerprint(p: &NpuProgram) -> u64 {
 }
 
 /// Pinned content hashes of every workload's program at every scale, in
-/// natural and clustered order (FP16, seed 2025).
+/// natural and clustered order (FP16, seed 2025;
+/// `tests/golden/programs.txt`).
 ///
 /// This is the byte-identity contract of the program builders: a faster
 /// generator (R-MAT, voxel probing, top-k sampling) must reproduce every
 /// tile, index and table word exactly, because those words are the
-/// simulated addresses. On a mismatch the test prints the full table as
-/// computed; a change that means to alter programs replaces `GOLDEN`
-/// with it and says so.
+/// simulated addresses.
 #[test]
 fn builders_match_pinned_program_fingerprints() {
-    const GOLDEN: &[(&str, &str, &str, u64)] = &[
-        ("DS", "tiny", "natural", 0x6914ff42e9fc1a6c),
-        ("DS", "tiny", "clustered", 0x6914ff42e9fc1a6c),
-        ("DS", "default", "natural", 0xfd0efe2e9cc8d568),
-        ("DS", "default", "clustered", 0xfd0efe2e9cc8d568),
-        ("DS", "large", "natural", 0x3f0923aa8c89ee02),
-        ("DS", "large", "clustered", 0x3f0923aa8c89ee02),
-        ("GAT", "tiny", "natural", 0xdb3a47f143df2744),
-        ("GAT", "tiny", "clustered", 0x5cdc065d3d1b26f9),
-        ("GAT", "default", "natural", 0xe40f3c5c817c6db7),
-        ("GAT", "default", "clustered", 0x30d31eefa123fb26),
-        ("GAT", "large", "natural", 0x119c84e6d62963b2),
-        ("GAT", "large", "clustered", 0x6a72596f65303476),
-        ("GCN", "tiny", "natural", 0x72de3d1429b53ddb),
-        ("GCN", "tiny", "clustered", 0x3b7d25a40ceccba8),
-        ("GCN", "default", "natural", 0xef078f86e0c82beb),
-        ("GCN", "default", "clustered", 0x8dc333e46bf29f6f),
-        ("GCN", "large", "natural", 0x81e345106e1d5b1c),
-        ("GCN", "large", "clustered", 0xdad1bb22fe4b98ce),
-        ("GSABT", "tiny", "natural", 0x150e81af0994bb36),
-        ("GSABT", "tiny", "clustered", 0x150e81af0994bb36),
-        ("GSABT", "default", "natural", 0x87bcdf87a6e71296),
-        ("GSABT", "default", "clustered", 0x87bcdf87a6e71296),
-        ("GSABT", "large", "natural", 0x3a480bae6f4f94d6),
-        ("GSABT", "large", "clustered", 0x3a480bae6f4f94d6),
-        ("H2O", "tiny", "natural", 0x5697f70854b0f082),
-        ("H2O", "tiny", "clustered", 0x5697f70854b0f082),
-        ("H2O", "default", "natural", 0xc6069214a39bbfb2),
-        ("H2O", "default", "clustered", 0xc6069214a39bbfb2),
-        ("H2O", "large", "natural", 0x28056286c9e834ba),
-        ("H2O", "large", "clustered", 0x28056286c9e834ba),
-        ("MK", "tiny", "natural", 0x4871735330f7e763),
-        ("MK", "tiny", "clustered", 0x4871735330f7e763),
-        ("MK", "default", "natural", 0x7ee70d890384678d),
-        ("MK", "default", "clustered", 0x7ee70d890384678d),
-        ("MK", "large", "natural", 0xc0c0fb6f830bdbea),
-        ("MK", "large", "clustered", 0xc0c0fb6f830bdbea),
-        ("SCN", "tiny", "natural", 0xd1efcbfbb70c7d6b),
-        ("SCN", "tiny", "clustered", 0xd1efcbfbb70c7d6b),
-        ("SCN", "default", "natural", 0x459cfeb6b7a4cdf8),
-        ("SCN", "default", "clustered", 0x459cfeb6b7a4cdf8),
-        ("SCN", "large", "natural", 0x92681337e712011f),
-        ("SCN", "large", "clustered", 0x92681337e712011f),
-        ("ST", "tiny", "natural", 0x3a797bed1641be60),
-        ("ST", "tiny", "clustered", 0x3a797bed1641be60),
-        ("ST", "default", "natural", 0x53c4e873337ce1a0),
-        ("ST", "default", "clustered", 0x53c4e873337ce1a0),
-        ("ST", "large", "natural", 0xf9a99282d1db89a0),
-        ("ST", "large", "clustered", 0xf9a99282d1db89a0),
-    ];
-    let mut rows = Vec::new();
+    let mut got = String::from("# workload scale order fingerprint\n");
     for workload in WorkloadId::ALL {
         for scale in Scale::ALL {
             for order in [TileOrder::Natural, TileOrder::Clustered] {
@@ -531,65 +451,26 @@ fn builders_match_pinned_program_fingerprints() {
                     order,
                 };
                 let fp = program_fingerprint(&workload.build(&spec));
-                rows.push((workload.short(), scale.to_string(), order.to_string(), fp));
+                got += &format!("{} {scale} {order} 0x{fp:016x}\n", workload.short());
             }
         }
     }
-    let got: Vec<(&str, &str, &str, u64)> = rows
-        .iter()
-        .map(|(w, s, o, fp)| (*w, s.as_str(), o.as_str(), *fp))
-        .collect();
-    if got != GOLDEN {
-        for (w, s, o, fp) in &got {
-            println!("        ({w:?}, {s:?}, {o:?}, 0x{fp:016x}),");
-        }
-        panic!("program fingerprints deviate from the pinned table (computed table above)");
-    }
+    assert_golden!("programs.txt", &got);
 }
 
 /// Pinned result digests for the configurations the default grid never
-/// reaches: a 192 KB L2 (384 sets, so set indexing takes the division
-/// path), scored NSBs of 1, 2, 4 and 8 ways in front of a score-evicting
-/// L2, 2 and 3 DRAM channels (the masked and the modulo channel maps),
-/// and NVR+NSB with admission scoring off. Tiny GCN and H2O, FP16, seed
-/// 777. Each digest is FNV-1a over the cell's full `RunOutcome` `Debug`
-/// rendering, so every counter, histogram bucket and timeliness field is
-/// covered. On a mismatch the test prints the computed table.
+/// reaches (`tests/golden/fallbacks.txt`): a 192 KB L2 (384 sets, so set
+/// indexing takes the division path), scored NSBs of 1, 2, 4 and 8 ways in
+/// front of a score-evicting L2, 2 and 3 DRAM channels (the masked and the
+/// modulo channel maps), and NVR+NSB with admission scoring off. Tiny GCN
+/// and H2O, FP16, seed 777. Each digest is FNV-1a over the cell's full
+/// `RunOutcome` `Debug` rendering, so every counter, histogram bucket and
+/// timeliness field is covered.
 #[test]
 fn fallback_configurations_match_pinned_digests() {
     use nvr::core::nsb_scored;
     use nvr::mem::RetentionPolicy;
 
-    const GOLDEN: &[(&str, &str, &str, u64)] = &[
-        ("GCN", "l2-192k", "InO", 0x003736dcedca2845),
-        ("GCN", "l2-192k", "NVR", 0x392999e79e452b1b),
-        ("GCN", "l2-192k", "NVR+NSB", 0xcd67fc66af530f72),
-        ("GCN", "nsb-1way", "NVR+NSB", 0xc3e7c0ad795c41be),
-        ("GCN", "nsb-2way", "NVR+NSB", 0xd183d3e2d808c0ea),
-        ("GCN", "nsb-4way", "NVR+NSB", 0x1851701cfee87834),
-        ("GCN", "nsb-8way", "NVR+NSB", 0x44d85f217c0f51b0),
-        ("GCN", "dram-2ch", "InO", 0x104d994abd44a9dd),
-        ("GCN", "dram-2ch", "NVR", 0x3a0fbd0747150b56),
-        ("GCN", "dram-2ch", "NVR+NSB", 0x9d481f58f31a150c),
-        ("GCN", "dram-3ch", "InO", 0x83433fc46dcefd3a),
-        ("GCN", "dram-3ch", "NVR", 0xcfdee60c65b1acbc),
-        ("GCN", "dram-3ch", "NVR+NSB", 0xd6362e2d4302fbf6),
-        ("GCN", "admit-0", "NVR+NSB", 0x11449661792e074e),
-        ("H2O", "l2-192k", "InO", 0x45883ff6d3bf858b),
-        ("H2O", "l2-192k", "NVR", 0x1b218f067000e3b0),
-        ("H2O", "l2-192k", "NVR+NSB", 0x5371dcae7b69fa6c),
-        ("H2O", "nsb-1way", "NVR+NSB", 0x6604bc9f689b93b1),
-        ("H2O", "nsb-2way", "NVR+NSB", 0xf078cd4147f5172d),
-        ("H2O", "nsb-4way", "NVR+NSB", 0x1319ce4a3f91cca0),
-        ("H2O", "nsb-8way", "NVR+NSB", 0x82d9cd9c13c5fd31),
-        ("H2O", "dram-2ch", "InO", 0x7364f48a8310a4fb),
-        ("H2O", "dram-2ch", "NVR", 0x3648c4e1e4147552),
-        ("H2O", "dram-2ch", "NVR+NSB", 0x189edaeec69a4ed7),
-        ("H2O", "dram-3ch", "InO", 0xf2dc5e873b3d82df),
-        ("H2O", "dram-3ch", "NVR", 0x972866951f1753f3),
-        ("H2O", "dram-3ch", "NVR+NSB", 0xcb0c0377fe1d8d37),
-        ("H2O", "admit-0", "NVR+NSB", 0xa8df705eddcb30d8),
-    ];
     let base = MemoryConfig::default();
     let mut cases: Vec<(String, SystemKind, SystemSpec)> = Vec::new();
     let l2_192k = base
@@ -621,7 +502,7 @@ fn fallback_configurations_match_pinned_digests() {
     };
     cases.push(("admit-0".into(), SystemKind::NvrNsb, admit_0));
 
-    let mut rows = Vec::new();
+    let mut got = String::from("# workload config system digest\n");
     for workload in [WorkloadId::Gcn, WorkloadId::H2o] {
         let program = workload.build(&WorkloadSpec::tiny(DataWidth::Fp16, 777));
         for (label, system, spec) in &cases {
@@ -633,107 +514,66 @@ fn fallback_configurations_match_pinned_digests() {
                 base_cycles: spec.base_cycles(&program),
                 timeliness: prefetcher.timeliness(),
             };
-            let mut d = Digest::new();
-            for b in format!("{outcome:?}").bytes() {
-                d.word(u64::from(b));
-            }
-            rows.push((workload.short(), label.clone(), system.label(), d.0));
+            let digest = Digest::of_text(&format!("{outcome:?}"));
+            got += &format!(
+                "{} {label} {} 0x{digest:016x}\n",
+                workload.short(),
+                system.label()
+            );
         }
     }
-    let got: Vec<(&str, &str, &str, u64)> = rows
-        .iter()
-        .map(|(w, c, s, fp)| (*w, c.as_str(), *s, *fp))
-        .collect();
-    if got != GOLDEN {
-        for (w, c, s, fp) in &got {
-            println!("        ({w:?}, {c:?}, {s:?}, 0x{fp:016x}),");
-        }
-        panic!(
-            "fallback-configuration digests deviate from the pinned table (computed table above)"
-        );
-    }
+    assert_golden!("fallbacks.txt", &got);
 }
 
-/// Pinned digests of the figure renditions whose drivers build their own
-/// systems: `FigureId::regenerate` at `Scale::Tiny`, seed 2025, through
-/// one two-worker `Lab`, for fig6b, fig7, fig9, headline and the
-/// ablations, plus fig9's policy-study CSV. Each digest is FNV-1a over
-/// the rendition's bytes, so a driver refactor that moves any printed
-/// digit fails here. On a mismatch the test prints the computed table.
+/// Every figure's tiny-scale, seed-2025 rendition regenerated through one
+/// two-worker `Lab`, `first` before the others (which follow in registry
+/// order), rendered as `tests/golden/figures.txt`: the FNV-1a digest of
+/// each rendition's bytes, of fig9's policy-study CSV, and the lab's count
+/// of distinct simulated cells.
+fn render_figures(first: &[FigureId]) -> String {
+    let mut lab = Lab::new(2);
+    let order = first
+        .iter()
+        .chain(FigureId::ALL.iter().filter(|fig| !first.contains(fig)));
+    let mut texts: Vec<(FigureId, String)> = order
+        .map(|&fig| (fig, fig.regenerate(&mut lab, Scale::Tiny, 2025)))
+        .collect();
+    texts.sort_by_key(|(fig, _)| FigureId::ALL.iter().position(|f| f == fig));
+    let policy = fig9::policy_csv(&fig9::policy_sweep(&mut lab, Scale::Tiny, 2025));
+    let mut got = String::from("# rendition digest\n");
+    for (fig, text) in &texts {
+        got += &format!("{} 0x{:016x}\n", fig.name(), Digest::of_text(text));
+    }
+    got += &format!("fig9-policy-csv 0x{:016x}\n", Digest::of_text(&policy));
+    got += &format!("distinct-cells {}\n", lab.simulated());
+    got
+}
+
+/// The figure renditions whose drivers build their own systems — fig6b,
+/// fig7, fig9, headline and the ablations — regenerated first through a
+/// fresh lab, so fig7 and the headline simulate the cells that fig5 and
+/// fig7b run for them in registry order; then every other figure. A
+/// driver refactor that moves any printed digit fails here.
 #[test]
 fn figure_renditions_match_pinned_digests() {
-    const GOLDEN: &[(&str, u64)] = &[
-        ("fig6b", 0x9e7f94d29e75d197),
-        ("fig7", 0xc6df3e5b2e6d7e44),
-        ("fig9", 0x612edaafa6ba0cd9),
-        ("headline", 0x6e8bf8f25fbfb947),
-        ("ablations", 0x33178c95ad6785cc),
-        ("fig9-policy-csv", 0xa04a7e6bad076e70),
-    ];
-    let digest = |text: &str| {
-        let mut d = Digest::new();
-        for b in text.bytes() {
-            d.word(u64::from(b));
-        }
-        d.0
-    };
-    let mut lab = Lab::new(2);
-    let mut got: Vec<(&str, u64)> = [
+    let got = render_figures(&[
         FigureId::Fig6b,
         FigureId::Fig7,
         FigureId::Fig9,
         FigureId::Headline,
         FigureId::Ablations,
-    ]
-    .into_iter()
-    .map(|fig| {
-        (
-            fig.name(),
-            digest(&fig.regenerate(&mut lab, Scale::Tiny, 2025)),
-        )
-    })
-    .collect();
-    let policy = nvr::sim::figures::fig9::policy_sweep(&mut lab, Scale::Tiny, 2025);
-    got.push((
-        "fig9-policy-csv",
-        digest(&nvr::sim::figures::fig9::policy_csv(&policy)),
-    ));
-    if got != GOLDEN {
-        for (name, fp) in &got {
-            println!("        ({name:?}, 0x{fp:016x}),");
-        }
-        panic!("figure digests deviate from the pinned table (computed table above)");
-    }
+    ]);
+    assert_golden!("figures.txt", &got);
 }
 
-/// All twelve figures regenerated through one `Lab`, as `sweep` does: a
-/// cell that several figures share is simulated once, under the first
-/// figure that needs it, and served to the others. The five renditions
-/// pinned by `figure_renditions_match_pinned_digests` keep their digests
-/// here too, and the lab's count of distinct simulated cells is pinned,
-/// so a driver that stops sharing its cells, or a cell key that merges two
-/// different cells, fails here.
+/// All twelve figures regenerated through one `Lab` in registry order, as
+/// `sweep` does: a cell that several figures share is simulated once,
+/// under the first figure that needs it, and served to the others. Every
+/// rendition keeps the digest it has when fig6b, fig7, fig9, headline and
+/// the ablations run first, and the lab's count of distinct simulated
+/// cells is pinned, so a driver that stops sharing its cells, or a cell
+/// key that merges two different cells, fails here.
 #[test]
 fn one_lab_regenerates_every_figure_bit_for_bit() {
-    const PINNED: [(&str, u64); 5] = [
-        ("fig6b", 0x9e7f94d29e75d197),
-        ("fig7", 0xc6df3e5b2e6d7e44),
-        ("fig9", 0x612edaafa6ba0cd9),
-        ("headline", 0x6e8bf8f25fbfb947),
-        ("ablations", 0x33178c95ad6785cc),
-    ];
-    let mut lab = Lab::new(2);
-    let mut got = Vec::new();
-    for fig in FigureId::ALL {
-        let text = fig.regenerate(&mut lab, Scale::Tiny, 2025);
-        if PINNED.iter().any(|(name, _)| *name == fig.name()) {
-            let mut d = Digest::new();
-            for b in text.bytes() {
-                d.word(u64::from(b));
-            }
-            got.push((fig.name(), d.0));
-        }
-    }
-    assert_eq!(got, PINNED);
-    assert_eq!(lab.simulated(), 370, "distinct cells of the twelve figures");
+    assert_golden!("figures.txt", &render_figures(&[]));
 }

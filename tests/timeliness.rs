@@ -110,29 +110,59 @@ fn issue_nsb(mem: &mut MemorySystem, line: LineAddr) -> Cycle {
 
 #[test]
 fn nvr_run_report_is_consistent_with_l2_counters() {
-    // On a real NVR run, the tracker's measured outcomes must agree with
-    // the L2's aggregate prefetch counters: every used prefetch the
-    // tracker saw was counted useful, and late is bounded by the L2's
-    // prefetch_late (the L2 also counts lives begun before the log could
-    // resolve them).
-    let spec = WorkloadSpec::tiny(DataWidth::Fp16, 11);
-    let program = WorkloadId::Gcn.build(&spec);
-    let outcome = run_system(&program, &MemoryConfig::default(), SystemKind::Nvr);
-    let t = outcome.timeliness.expect("NVR reports timeliness");
-    let l2 = &outcome.result.mem.l2;
-    assert!(t.used() > 0, "GCN runahead must land used prefetches");
-    assert!(
-        t.used() <= l2.prefetch_useful.get(),
-        "tracker used {} exceeds L2 useful {}",
-        t.used(),
-        l2.prefetch_useful.get()
-    );
-    assert!(
-        t.late <= l2.prefetch_late.get(),
-        "tracker late {} exceeds L2 late {}",
-        t.late,
-        l2.prefetch_late.get()
-    );
-    assert_eq!(t.slack.count(), t.used());
-    assert!(t.slack.mean() > 0.0);
+    // On every tiny workload under NVR and NVR+NSB, at one and two DRAM
+    // channels, the tracker's measured outcomes must agree with the
+    // hierarchy's aggregate prefetch counters. Every prefetch the L2
+    // issued ends exactly one way: timely, late, evicted unused, or still
+    // unresolved when the run ends. Every used prefetch the tracker saw
+    // was counted useful by the level its first demand touched (the NSB
+    // when there is one, else the L2). Without an NSB, late is bounded by
+    // the L2's prefetch_late (the L2 also counts lives begun before the
+    // log could resolve them); with one, the tracker judges lateness by
+    // the L2 copy's fill and neither level's count bounds it.
+    for channels in [1, 2] {
+        let mem = MemoryConfig::default().with_dram(DramConfig::default().with_channels(channels));
+        for seed in [11, 2025] {
+            for workload in WorkloadId::ALL {
+                let program = workload.build(&WorkloadSpec::tiny(DataWidth::Fp16, seed));
+                for system in [SystemKind::Nvr, SystemKind::NvrNsb] {
+                    let cell = format!(
+                        "{} {} seed {seed}, {channels} ch",
+                        workload.short(),
+                        system.label()
+                    );
+                    let outcome = run_system(&program, &mem, system);
+                    let t = outcome.timeliness.expect("NVR reports timeliness");
+                    let stats = &outcome.result.mem;
+                    let l2 = &stats.l2;
+                    let nsb_useful = stats
+                        .nsb
+                        .as_ref()
+                        .map_or(0, |nsb| nsb.prefetch_useful.get());
+                    assert_eq!(
+                        t.timely + t.late + t.evicted_unused + t.unresolved,
+                        l2.prefetch_issued.get(),
+                        "{cell}: outcomes {t:?} do not add up to the L2's issued prefetches"
+                    );
+                    assert!(t.used() > 0, "{cell}: runahead must land used prefetches");
+                    assert!(
+                        t.used() <= l2.prefetch_useful.get() + nsb_useful,
+                        "{cell}: tracker used {} exceeds L2 useful {} + NSB useful {nsb_useful}",
+                        t.used(),
+                        l2.prefetch_useful.get()
+                    );
+                    if stats.nsb.is_none() {
+                        assert!(
+                            t.late <= l2.prefetch_late.get(),
+                            "{cell}: tracker late {} exceeds L2 late {}",
+                            t.late,
+                            l2.prefetch_late.get()
+                        );
+                    }
+                    assert_eq!(t.slack.count(), t.used(), "{cell}");
+                    assert!(t.slack.mean() > 0.0, "{cell}");
+                }
+            }
+        }
+    }
 }
