@@ -71,7 +71,7 @@ pub struct NvrConfig {
     pub lookahead_tiles: usize,
     /// DARE-style usefulness throttle: when the rolling ratio of
     /// evicted-unused prefetches (measured by [`crate::LifetimeTracker`]
-    /// over the last [`NvrConfig::throttle_window`] resolved prefetches)
+    /// over the last [`NvrConfig::throttle_window`] ended prefetches)
     /// crosses this threshold, the effective lookahead depth collapses
     /// back to 1, recovering as the ratio drops. Filters lookahead by
     /// *observed* usefulness rather than window extent — deep lookahead
@@ -81,7 +81,7 @@ pub struct NvrConfig {
     /// is churning the L2 (GCN-class turnover) and pipelined opens stop
     /// paying for themselves.
     pub throttle_evicted_ratio: f64,
-    /// Resolved-prefetch capacity of the throttle's rolling window.
+    /// Ended-prefetch capacity of the throttle's rolling window.
     /// Smaller reacts faster but jitters; larger smooths phase changes
     /// away. Default 128 = half the default line budget, so a fully
     /// wasted window is noticed within one lookahead depth's worth of

@@ -50,8 +50,8 @@
 //! (`prefetch_late`) on bandwidth-hungry workloads like GCN and GSA-BT.
 //!
 //! The lookahead is kept honest by a DARE-style usefulness throttle fed
-//! by measured per-prefetch lifetimes (issue, first use, unused eviction
-//! — see [`crate::lifetime`]): when the rolling evicted-unused ratio
+//! by how each prefetch's L2 life ended (first use or unused eviction —
+//! see [`crate::lifetime`]): when the rolling evicted-unused ratio
 //! crosses [`NvrConfig::throttle_evicted_ratio`], the effective depth
 //! collapses to a single window until the speculation is being consumed
 //! again, and once *any* waste has been observed, oversized window
@@ -153,6 +153,8 @@ pub struct NvrPrefetcher {
     scd: SparseChainDetector,
     vmig: Vmig,
     lifetime: LifetimeTracker,
+    /// The run's timeliness, measured by [`Prefetcher::finalize_run`].
+    timeliness: TimelinessReport,
     /// Per-line reuse scoring over resolved targets, feeding the NSB's
     /// DARE-style admission (active only when
     /// [`NvrConfig::nsb_admit_min_reuse`] is non-zero and the memory
@@ -162,9 +164,7 @@ pub struct NvrPrefetcher {
     /// In-flight speculative windows, oldest first (the lookahead
     /// pipeline). Capacity is the throttled effective depth.
     windows: VecDeque<Runahead>,
-    /// Whether the memory system's prefetch lifetime log has been enabled.
-    life_log_on: bool,
-    /// Whether prefetches also fill the NSB (§IV-G): set on the first
+    /// Whether prefetches also fill the NSB (§IV-G): set on each
     /// `advance` to whether the memory system has one.
     fill_nsb: bool,
     current_tile: usize,
@@ -206,10 +206,10 @@ impl NvrPrefetcher {
             scd: SparseChainDetector::new(),
             vmig,
             lifetime: LifetimeTracker::new(cfg.throttle_window),
+            timeliness: TimelinessReport::default(),
             reuse: ReusePredictor::new(),
             clock: 0,
             windows: VecDeque::with_capacity(cfg.lookahead_tiles),
-            life_log_on: false,
             fill_nsb: false,
             current_tile: 0,
             miss_seen_in_tile: false,
@@ -313,7 +313,7 @@ impl NvrPrefetcher {
             );
             return false;
         }
-        // Adaptive chunking: once the lifetime log has seen *any* of our
+        // Adaptive chunking: once the tracker has seen *any* of our
         // speculation evicted unused, oversized predictions are cut down
         // to the reach budget, so the pipeline (small windows overlapping
         // index fetch and resolution) is the unit of lookahead and the
@@ -603,13 +603,11 @@ impl Prefetcher for NvrPrefetcher {
     }
 
     fn finalize_run(&mut self, mem: &mut MemorySystem) {
-        // Fold in anything the memory system recorded after the last
-        // advance window (tail demand touches, end-of-run evictions).
-        self.lifetime.drain(mem);
+        self.timeliness = TimelinessReport::measure(mem);
     }
 
     fn timeliness(&self) -> Option<TimelinessReport> {
-        Some(self.lifetime.report())
+        Some(self.timeliness.clone())
     }
 
     fn observe(
@@ -638,15 +636,12 @@ impl Prefetcher for NvrPrefetcher {
         image: &MemoryImage,
         mem: &mut MemorySystem,
     ) {
-        // On first entry, arm the memory system's prefetch lifetime log
-        // and fill the NSB if the NPU has one (§IV-G); then fold
-        // everything the log recorded since the last window into the
-        // tracker — the throttle input and the fig. 6b data.
-        if !self.life_log_on {
-            mem.enable_prefetch_life_log();
-            self.fill_nsb = mem.has_nsb();
-            self.life_log_on = true;
-        }
+        // Ask the memory system to keep its prefetch outcomes (a no-op
+        // after the first window) and fill the NSB if the NPU has one
+        // (§IV-G); then fold every outcome kept since the last window into
+        // the tracker — the throttle input.
+        mem.record_prefetch_outcomes();
+        self.fill_nsb = mem.has_nsb();
         self.lifetime.drain(mem);
         // Snoop ingestion is free (hardware registers).
         self.lbd.set_total_tiles(snoop.total_tiles);
@@ -828,7 +823,7 @@ mod tests {
         let mut mem = MemorySystem::new(MemoryConfig::default());
         let mut nvr = NvrPrefetcher::new(NvrConfig::default());
         let _ = engine.run(&program, &mut mem, &mut nvr);
-        let acc = mem.prefetch_accuracy();
+        let acc = mem.stats().prefetch_accuracy();
         assert!(acc > 0.85, "accuracy {acc} should exceed 0.85");
     }
 
@@ -863,10 +858,10 @@ mod tests {
         let _ = engine.run(&program, &mut mem_no, &mut without);
 
         assert!(
-            mem_lbd.prefetch_accuracy() >= mem_no.prefetch_accuracy(),
+            mem_lbd.stats().prefetch_accuracy() >= mem_no.stats().prefetch_accuracy(),
             "LBD {} vs no-LBD {}",
-            mem_lbd.prefetch_accuracy(),
-            mem_no.prefetch_accuracy()
+            mem_lbd.stats().prefetch_accuracy(),
+            mem_no.stats().prefetch_accuracy()
         );
     }
 

@@ -2,55 +2,10 @@
 
 use std::hint::select_unpredictable;
 
-use nvr_common::{Cycle, LineAddr};
+use nvr_common::{Cycle, Histogram, LineAddr};
 
 use crate::config::{CacheConfig, RetentionPolicy};
 use crate::stats::CacheStats;
-
-/// One observed transition in a prefetched line's life, recorded by the
-/// cache when its lifetime log is enabled (see [`Cache::enable_life_log`]).
-///
-/// These are the raw mem-side facts a timeliness model needs: when a
-/// speculative fill was accepted, when its data arrived, when a demand
-/// first touched it (and whether that demand had to wait mid-fill), and
-/// when an untouched prefetched line was evicted. The consumer — NVR's
-/// `lifetime` module in `nvr_core` — folds them into an issue→use slack
-/// histogram and a usefulness throttle; the cache itself only reports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PrefetchLifeEvent {
-    /// A prefetch was accepted for `line` at cycle `at`; its data arrives
-    /// at `fill_done`.
-    Issued {
-        /// The prefetched line.
-        line: LineAddr,
-        /// Cycle the prefetch entered the cache.
-        at: Cycle,
-        /// Cycle its fill completes.
-        fill_done: Cycle,
-        /// Cycles the fill waited in its DRAM channel's request queue
-        /// before getting a bus slot (0 for fills that started
-        /// immediately, e.g. promotions from a lower level).
-        queue_delay: Cycle,
-    },
-    /// The first demand access touched the prefetched `line` at cycle `at`.
-    FirstUse {
-        /// The prefetched line.
-        line: LineAddr,
-        /// Cycle of the first demand touch.
-        at: Cycle,
-        /// Whether the demand arrived before the fill completed (a *late*
-        /// prefetch: useful, but the NPU still waited).
-        late: bool,
-    },
-    /// A prefetched line was evicted at cycle `at` without ever being
-    /// demanded (wasted speculation — cache pollution).
-    EvictedUnused {
-        /// The evicted line.
-        line: LineAddr,
-        /// Cycle of the eviction.
-        at: Cycle,
-    },
-}
 
 /// Result of probing a cache for a line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,8 +20,6 @@ pub enum ProbeResult {
     InFlight {
         /// Cycle at which the pending fill completes.
         ready_at: Cycle,
-        /// Whether the pending fill was initiated by a prefetch.
-        fill_was_prefetch: bool,
     },
     /// The line is absent; the caller must fetch it from the next level.
     Miss,
@@ -93,7 +46,6 @@ const F_DEMANDED: u8 = 1 << 1;
 /// lookup and its uses inside one hierarchy call.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Slot {
-    line: LineAddr,
     set: usize,
     tag: u64,
     /// SoA index of the line's way, if resident or in flight.
@@ -166,10 +118,26 @@ fn weaker(way: (u64, u64, usize), best: (u64, u64, usize)) -> (u64, u64, usize) 
 /// # Layout
 ///
 /// Way metadata lives in dense structure-of-arrays form: parallel vectors
-/// (`tags`, `fill_done`, `last_use`, `reuse`, `flags`), each indexed by
-/// `set * ways + way`. Never-filled ways hold a sentinel tag no line maps
-/// to, so a lookup scans the `tags` lane alone — one tightly packed array,
-/// with no per-set `Vec` indirection on the hot path.
+/// (`tags`, `fill_done`, `issued_at`, `last_use`, `reuse`, `flags`), each
+/// indexed by `set * ways + way`. Never-filled ways hold a sentinel tag no
+/// line maps to, so a lookup scans the `tags` lane alone — one tightly
+/// packed array, with no per-set `Vec` indirection on the hot path.
+///
+/// # Prefetch lives
+///
+/// A prefetched line's way records its one life, which begins when the
+/// fill is installed and ends exactly once: **used** at its first demand
+/// (here, or at a level above through [`MemorySystem`]'s NSB path; late
+/// when the serving copy was still filling), **evicted unused**, or
+/// **resident unused** at [`Cache::finalize_stats`]. The four
+/// `prefetch_useful` / `prefetch_late` / `prefetch_evicted_unused` /
+/// `prefetch_resident_unused` counters are those ends, the slack
+/// histogram holds each used life's issue→use cycles, and the ordered
+/// used/wasted outcomes are kept once
+/// [`MemorySystem::record_prefetch_outcomes`] asks.
+///
+/// [`MemorySystem`]: crate::MemorySystem
+/// [`MemorySystem::record_prefetch_outcomes`]: crate::MemorySystem::record_prefetch_outcomes
 ///
 /// # Examples
 ///
@@ -200,6 +168,8 @@ pub struct Cache {
     tags: Vec<u64>,
     /// Cycle at which each way's fill completes; `<= now` means filled.
     fill_done: Vec<Cycle>,
+    /// Cycle each way's fill was installed: a prefetch life's issue cycle.
+    issued_at: Vec<Cycle>,
     /// LRU timestamps.
     last_use: Vec<Cycle>,
     /// Predicted-reuse scores under [`RetentionPolicy::ScoredReuse`]: how
@@ -213,9 +183,11 @@ pub struct Cache {
     /// ascending order so occupancy questions are binary searches.
     inflight: Vec<Cycle>,
     stats: CacheStats,
-    /// Per-prefetch lifetime events, recorded only when a consumer enabled
-    /// the log (`None` costs nothing on the demand path).
-    life_log: Option<Vec<PrefetchLifeEvent>>,
+    /// Issue→use slack, in cycles, of every prefetch life that ended used.
+    slack: Histogram,
+    /// How prefetch lives ended, oldest first (`true`: evicted unused),
+    /// kept only once a consumer asked (`None` costs nothing).
+    outcomes: Option<Vec<bool>>,
     /// Lines placed into a way so far. Lines become resident only here,
     /// so a line absent while this count holds stays absent.
     fills: u64,
@@ -256,12 +228,14 @@ impl Cache {
             set_shift,
             tags: vec![NO_TAG; slots],
             fill_done: vec![0; slots],
+            issued_at: vec![0; slots],
             last_use: vec![0; slots],
             reuse: vec![0; slots],
             flags: vec![0; slots],
             inflight: Vec::with_capacity(cfg.mshr_entries),
             stats: CacheStats::new(cfg.name),
-            life_log: None,
+            slack: Histogram::new(),
+            outcomes: None,
             fills: 0,
             #[cfg(test)]
             lookups: std::cell::Cell::new(0),
@@ -269,55 +243,52 @@ impl Cache {
         }
     }
 
-    /// Starts recording [`PrefetchLifeEvent`]s. Idempotent; events
-    /// accumulate until drained with [`Cache::swap_life_events`], so only
-    /// consumers that drain regularly (e.g. a runahead controller's
-    /// `advance` loop) should enable it.
-    pub fn enable_life_log(&mut self) {
-        if self.life_log.is_none() {
-            self.life_log = Some(Vec::new());
+    /// Starts keeping the order in which prefetch lives end. Idempotent;
+    /// outcomes accumulate until drained with [`Cache::drain_outcomes`],
+    /// so only a consumer that drains regularly (NVR's usefulness
+    /// throttle, once per `advance`) should ask.
+    pub(crate) fn record_outcomes(&mut self) {
+        self.outcomes.get_or_insert_with(Vec::new);
+    }
+
+    /// The prefetch outcomes kept since the last drain, oldest first:
+    /// `false` for a life that ended used, `true` for one evicted unused.
+    /// Empty until [`Cache::record_outcomes`].
+    pub(crate) fn drain_outcomes(&mut self) -> impl Iterator<Item = bool> + '_ {
+        self.outcomes.iter_mut().flat_map(|log| log.drain(..))
+    }
+
+    /// Issue→first-use slack, in cycles, of every prefetch life that ended
+    /// used.
+    pub(crate) fn prefetch_slack(&self) -> &Histogram {
+        &self.slack
+    }
+
+    /// Whether way `i` holds a prefetched line whose life has not ended.
+    fn undemanded_prefetch(&self, i: usize) -> bool {
+        self.flags[i] & (F_PREFETCH | F_DEMANDED) == F_PREFETCH
+    }
+
+    /// Ends way `i`'s prefetch life as used by a demand at `now`, late when
+    /// the copy that served the demand was still filling.
+    fn prefetch_used(&mut self, i: usize, now: Cycle, late: bool) {
+        self.flags[i] |= F_DEMANDED;
+        self.stats.prefetch_useful.inc();
+        self.stats.prefetch_late.add(u64::from(late));
+        self.slack.record(now.saturating_sub(self.issued_at[i]));
+        if let Some(log) = &mut self.outcomes {
+            log.push(false);
         }
     }
 
-    /// Exchanges the recorded lifetime events (in occurrence order) with
-    /// `buf`, which the caller keeps cleared between drains, so a
-    /// steady-state drain cycle reuses two allocations forever. No-op when
-    /// the log was never enabled.
-    pub fn swap_life_events(&mut self, buf: &mut Vec<PrefetchLifeEvent>) {
-        if let Some(log) = &mut self.life_log {
-            std::mem::swap(log, buf);
-        }
-    }
-
-    /// Reconstructs the line address of the way at (`set`, tag) — the
-    /// inverse of the set/tag split in [`Cache::lookup`], needed to name
-    /// evicted lines in the lifetime log.
-    fn line_of(&self, set: usize, tag: u64) -> LineAddr {
-        LineAddr::new(tag * self.n_sets + set as u64)
-    }
-
-    /// Records a [`PrefetchLifeEvent::FirstUse`] for `line` when a demand
-    /// was satisfied by a level *above* this cache (the NSB) and never
-    /// probed it. Touches only the lifetime log — LRU state and the
-    /// aggregate statistics keep their level-local semantics — so the
-    /// lifetime consumer sees the consumption a pure-L2 view would
-    /// misread as an unused eviction later. Duplicate calls for the same
-    /// line are harmless: the tracker ignores a `FirstUse` with no
-    /// pending issue.
-    pub fn log_external_use(&mut self, line: LineAddr, now: Cycle) {
-        if self.life_log.is_none() {
-            return;
-        }
+    /// Ends the prefetch life of `line`'s copy, if it is still undemanded,
+    /// as used by a demand that a level above this cache served at `now`
+    /// (late when that level's copy was still filling). The copy's LRU
+    /// stamp, score and fill time stay as they are.
+    pub(crate) fn used_above(&mut self, line: LineAddr, now: Cycle, late: bool) {
         if let Some(i) = self.lookup(line).way {
-            if self.flags[i] & (F_PREFETCH | F_DEMANDED) == F_PREFETCH {
-                let late = self.fill_done[i] > now;
-                if let Some(log) = &mut self.life_log {
-                    log.push(PrefetchLifeEvent::FirstUse {
-                        line,
-                        at: now,
-                        late,
-                    });
-                }
+            if self.undemanded_prefetch(i) {
+                self.prefetch_used(i, now, late);
             }
         }
     }
@@ -369,12 +340,7 @@ impl Cache {
                 way = Some(base + w);
             }
         }
-        Slot {
-            line,
-            set,
-            tag,
-            way,
-        }
+        Slot { set, tag, way }
     }
 
     /// Tag lookups so far.
@@ -401,47 +367,29 @@ impl Cache {
         };
         self.last_use[i] = now;
         let filled = self.fill_done[i] <= now;
-        let first_demand_of_prefetch =
-            is_demand && self.flags[i] & (F_PREFETCH | F_DEMANDED) == F_PREFETCH;
         if is_demand {
+            if self.undemanded_prefetch(i) {
+                self.prefetch_used(i, now, !filled);
+            }
             self.flags[i] |= F_DEMANDED;
             // Each consumption spends one unit of predicted reuse, so a
             // line whose forecast is exhausted becomes evictable again
             // (no-op under LRU, where scores are always 0).
             self.reuse[i] = self.reuse[i].saturating_sub(1);
         }
-        if first_demand_of_prefetch {
-            if let Some(log) = &mut self.life_log {
-                log.push(PrefetchLifeEvent::FirstUse {
-                    line: slot.line,
-                    at: now,
-                    late: !filled,
-                });
-            }
-        }
         if filled {
             if is_demand {
                 self.stats.demand_hits.inc();
-                if first_demand_of_prefetch {
-                    self.stats.prefetch_useful.inc();
-                }
             }
             ProbeResult::Hit {
                 ready_at: now + hit_latency,
             }
         } else {
-            let ready_at = self.fill_done[i].max(now + hit_latency);
-            let fill_was_prefetch = self.flags[i] & F_PREFETCH != 0;
             if is_demand {
                 self.stats.mshr_merges.inc();
-                if first_demand_of_prefetch {
-                    self.stats.prefetch_useful.inc();
-                    self.stats.prefetch_late.inc();
-                }
             }
             ProbeResult::InFlight {
-                ready_at,
-                fill_was_prefetch,
+                ready_at: self.fill_done[i].max(now + hit_latency),
             }
         }
     }
@@ -509,15 +457,12 @@ impl Cache {
     /// for demand fills.
     pub fn install(&mut self, line: LineAddr, fill_done: Cycle, from_prefetch: bool, now: Cycle) {
         let slot = self.lookup(line);
-        self.install_at(slot, fill_done, from_prefetch, now, 0, 0);
+        self.install_at(slot, fill_done, from_prefetch, now, 0);
     }
 
     /// [`Cache::install`] for a speculative fill that carries a
     /// predicted-reuse score for [`RetentionPolicy::ScoredReuse`] victim
-    /// selection and was delayed `queue_delay` cycles in its DRAM channel
-    /// queue (the delay rides the lifetime log's `Issued` event, so
-    /// timeliness reports can attribute lateness to arbitration rather
-    /// than prediction). Returns whether the fill was accepted: a scored
+    /// selection. Returns whether the fill was accepted: a scored
     /// cache *shrinks* instead of evicting when every resident line's
     /// score is at least the incoming one, and the rejected fill never
     /// becomes resident (counted in `retention_rejected`). Always accepted
@@ -527,11 +472,10 @@ impl Cache {
         line: LineAddr,
         fill_done: Cycle,
         now: Cycle,
-        queue_delay: Cycle,
         reuse: u32,
     ) -> bool {
         let slot = self.lookup(line);
-        self.install_at(slot, fill_done, true, now, queue_delay, reuse)
+        self.install_at(slot, fill_done, true, now, reuse)
     }
 
     /// Installs the line of an already resolved `slot` — the body of every
@@ -543,7 +487,6 @@ impl Cache {
         fill_done: Cycle,
         from_prefetch: bool,
         now: Cycle,
-        queue_delay: Cycle,
         reuse: u32,
     ) -> bool {
         if let Some(i) = slot.way {
@@ -558,7 +501,7 @@ impl Cache {
         }
 
         // Victim selection happens *before* any bookkeeping so a rejected
-        // scored fill leaves the cache (MSHRs, lifetime log, stats other
+        // scored fill leaves the cache (MSHRs, prefetch lives, stats other
         // than the rejection counter) untouched.
         let base = slot.set * self.ways;
         let victim = match self.cfg.policy {
@@ -582,35 +525,22 @@ impl Cache {
             RetentionPolicy::ScoredEvict => self.pick_victim_weakest(base, now),
         };
 
-        if from_prefetch {
-            if let Some(log) = &mut self.life_log {
-                log.push(PrefetchLifeEvent::Issued {
-                    line: slot.line,
-                    at: now,
-                    fill_done,
-                    queue_delay,
-                });
-            }
-        } else {
+        if !from_prefetch {
             track_fill(&mut self.inflight, fill_done, now);
         }
-        let victim_tag = self.tags[victim];
-        if victim_tag != NO_TAG {
+        if self.tags[victim] != NO_TAG {
             self.stats.evictions.inc();
-            if self.flags[victim] & (F_PREFETCH | F_DEMANDED) == F_PREFETCH {
+            if self.undemanded_prefetch(victim) {
                 self.stats.prefetch_evicted_unused.inc();
-                let evicted = self.line_of(slot.set, victim_tag);
-                if let Some(log) = &mut self.life_log {
-                    log.push(PrefetchLifeEvent::EvictedUnused {
-                        line: evicted,
-                        at: now,
-                    });
+                if let Some(log) = &mut self.outcomes {
+                    log.push(true);
                 }
             }
         }
         self.fills += 1;
         self.tags[victim] = slot.tag;
         self.fill_done[victim] = fill_done;
+        self.issued_at[victim] = now;
         self.last_use[victim] = now;
         self.reuse[victim] = reuse;
         self.flags[victim] = if from_prefetch { F_PREFETCH } else { 0 };
@@ -770,10 +700,8 @@ impl Cache {
     /// include prefetches that were still resident (and unused) at the end.
     pub fn finalize_stats(&mut self) {
         // Never-filled ways carry no flags, so they never match.
-        let unused = self
-            .flags
-            .iter()
-            .filter(|&&f| f & (F_PREFETCH | F_DEMANDED) == F_PREFETCH)
+        let unused = (0..self.flags.len())
+            .filter(|&i| self.undemanded_prefetch(i))
             .count() as u64;
         self.stats.prefetch_resident_unused.add(unused);
     }
@@ -843,7 +771,7 @@ mod tests {
         c.probe(line, 0, true);
         c.install(line, 100, false, 0);
         match c.probe(line, 10, true) {
-            ProbeResult::InFlight { ready_at, .. } => assert_eq!(ready_at, 100),
+            ProbeResult::InFlight { ready_at } => assert_eq!(ready_at, 100),
             other => panic!("expected in-flight, got {other:?}"),
         }
         assert_eq!(c.stats().mshr_merges.get(), 1);
@@ -866,16 +794,10 @@ mod tests {
         let mut c = tiny_cache(2, 4);
         let line = LineAddr::new(0x20);
         c.install(line, 100, true, 0);
-        match c.probe(line, 10, true) {
-            ProbeResult::InFlight {
-                ready_at,
-                fill_was_prefetch,
-            } => {
-                assert_eq!(ready_at, 100);
-                assert!(fill_was_prefetch);
-            }
-            other => panic!("expected in-flight, got {other:?}"),
-        }
+        assert_eq!(
+            c.probe(line, 10, true),
+            ProbeResult::InFlight { ready_at: 100 }
+        );
         assert_eq!(c.stats().prefetch_useful.get(), 1);
         assert_eq!(c.stats().prefetch_late.get(), 1);
     }
@@ -1003,24 +925,24 @@ mod tests {
     fn scored_rejects_fill_that_does_not_beat_residents() {
         let mut c = tiny_scored(1, 1);
         let hot = LineAddr::new(1);
-        assert!(c.install_speculative_scored(hot, 0, 0, 0, 3));
+        assert!(c.install_speculative_scored(hot, 0, 0, 3));
         // Equal score does not displace the resident: reject + shrink.
-        assert!(!c.install_speculative_scored(LineAddr::new(2), 0, 1, 0, 3));
+        assert!(!c.install_speculative_scored(LineAddr::new(2), 0, 1, 3));
         assert!(c.contains(hot));
         assert!(!c.contains(LineAddr::new(2)));
         assert_eq!(c.stats().retention_rejected.get(), 1);
-        // The rejected fill never entered the lifetime accounting.
+        // The rejected fill never began a prefetch life.
         assert_eq!(c.stats().evictions.get(), 0);
     }
 
     #[test]
     fn scored_evicts_strictly_weaker_resident() {
         let mut c = tiny_scored(1, 1);
-        c.install_speculative_scored(LineAddr::new(1), 0, 0, 0, 2);
+        c.install_speculative_scored(LineAddr::new(1), 0, 0, 2);
         // Spend the resident's active-window protection: once demanded it
         // competes on score alone (2 -> 1 after the hit).
         c.probe(LineAddr::new(1), 5, true);
-        assert!(c.install_speculative_scored(LineAddr::new(2), 0, 6, 0, 5));
+        assert!(c.install_speculative_scored(LineAddr::new(2), 0, 6, 5));
         assert!(!c.contains(LineAddr::new(1)));
         assert!(c.contains(LineAddr::new(2)));
         assert_eq!(c.stats().retention_rejected.get(), 0);
@@ -1032,8 +954,8 @@ mod tests {
         // remaining — is rejected against rather than evicted, no matter
         // how strong the incoming fill is.
         let mut c = tiny_scored(1, 1);
-        c.install_speculative_scored(LineAddr::new(1), 0, 0, 0, 1);
-        assert!(!c.install_speculative_scored(LineAddr::new(2), 0, 1, 0, 100));
+        c.install_speculative_scored(LineAddr::new(1), 0, 0, 1);
+        assert!(!c.install_speculative_scored(LineAddr::new(2), 0, 1, 100));
         assert!(c.contains(LineAddr::new(1)));
         assert_eq!(c.stats().retention_rejected.get(), 1);
     }
@@ -1041,13 +963,13 @@ mod tests {
     #[test]
     fn rejections_age_the_weakest_resident_until_it_drains() {
         let mut c = tiny_scored(1, 1);
-        c.install_speculative_scored(LineAddr::new(1), 0, 0, 0, 2);
+        c.install_speculative_scored(LineAddr::new(1), 0, 0, 2);
         let probe = LineAddr::new(2);
         // Two rejections age the resident 2 -> 1 -> 0; the third fill then
         // takes the exhausted-score LRU path and lands.
-        assert!(!c.install_speculative_scored(probe, 0, 1, 0, 0));
-        assert!(!c.install_speculative_scored(probe, 0, 2, 0, 0));
-        assert!(c.install_speculative_scored(probe, 0, 3, 0, 0));
+        assert!(!c.install_speculative_scored(probe, 0, 1, 0));
+        assert!(!c.install_speculative_scored(probe, 0, 2, 0));
+        assert!(c.install_speculative_scored(probe, 0, 3, 0));
         assert!(c.contains(probe));
         assert_eq!(c.stats().retention_rejected.get(), 2);
     }
@@ -1055,12 +977,12 @@ mod tests {
     #[test]
     fn demand_hits_decay_the_score() {
         let mut c = tiny_scored(1, 1);
-        c.install_speculative_scored(LineAddr::new(1), 0, 0, 0, 2);
+        c.install_speculative_scored(LineAddr::new(1), 0, 0, 2);
         // Each demand touch spends one predicted use.
         c.probe(LineAddr::new(1), 5, true);
         c.probe(LineAddr::new(1), 6, true);
         // Score exhausted: a zero-score fill now evicts it LRU-style.
-        assert!(c.install_speculative_scored(LineAddr::new(2), 0, 7, 0, 0));
+        assert!(c.install_speculative_scored(LineAddr::new(2), 0, 7, 0));
         assert!(c.contains(LineAddr::new(2)));
         assert_eq!(c.stats().retention_rejected.get(), 0);
     }
@@ -1094,11 +1016,11 @@ mod tests {
     #[test]
     fn scored_never_clobbers_midfill_line_when_filled_victim_exists() {
         let mut c = tiny_scored(2, 1);
-        c.install_speculative_scored(LineAddr::new(1), 100, 0, 0, 4); // mid-fill until 100
-        c.install_speculative_scored(LineAddr::new(2), 0, 1, 0, 0); // filled, score 0
-                                                                    // Incoming fill must pick the exhausted filled way, not the
-                                                                    // high-score in-flight one.
-        assert!(c.install_speculative_scored(LineAddr::new(3), 0, 10, 0, 1));
+        c.install_speculative_scored(LineAddr::new(1), 100, 0, 4); // mid-fill until 100
+        c.install_speculative_scored(LineAddr::new(2), 0, 1, 0); // filled, score 0
+                                                                 // Incoming fill must pick the exhausted filled way, not the
+                                                                 // high-score in-flight one.
+        assert!(c.install_speculative_scored(LineAddr::new(3), 0, 10, 1));
         assert!(c.contains(LineAddr::new(1)));
         assert!(!c.contains(LineAddr::new(2)));
     }
@@ -1114,24 +1036,21 @@ mod tests {
     }
 
     #[test]
-    fn swap_life_events_recycles_buffers() {
-        let mut c = tiny_cache(2, 2);
-        c.enable_life_log();
+    fn outcomes_are_kept_in_order_once_asked() {
+        let mut c = tiny_cache(1, 1);
+        // Before the ask, a wasted life leaves no outcome behind.
         c.install(LineAddr::new(1), 10, true, 0);
-        let mut buf = Vec::new();
-        c.swap_life_events(&mut buf);
-        assert_eq!(buf.len(), 1, "issued event drained");
-        buf.clear();
-        c.swap_life_events(&mut buf);
-        assert!(buf.is_empty(), "second drain is empty");
-        // Without the log enabled the swap is a no-op.
-        let mut off = tiny_cache(2, 2);
-        let mut keep = vec![PrefetchLifeEvent::EvictedUnused {
-            line: LineAddr::new(9),
-            at: 1,
-        }];
-        off.swap_life_events(&mut keep);
-        assert_eq!(keep.len(), 1);
+        c.install(LineAddr::new(2), 10, true, 20);
+        assert_eq!(c.drain_outcomes().count(), 0);
+        c.record_outcomes();
+        // Line 2 is used, line 3 evicts line 4 unused.
+        c.probe(LineAddr::new(2), 30, true);
+        c.install(LineAddr::new(4), 40, true, 40);
+        c.install(LineAddr::new(3), 50, false, 50);
+        assert_eq!(c.drain_outcomes().collect::<Vec<_>>(), [false, true]);
+        assert_eq!(c.drain_outcomes().count(), 0, "a drain empties the record");
+        assert_eq!(c.stats().prefetch_evicted_unused.get(), 2);
+        assert_eq!(c.prefetch_slack().sum(), 30 - 20);
     }
 
     /// `pick_victim` as it stood before the single-pass rewrite (never-filled

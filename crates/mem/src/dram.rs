@@ -18,8 +18,8 @@
 //!   have already *started* (it cannot preempt data mid-flight), jumping
 //!   every queued speculative transfer, which restack behind it;
 //! * a **prefetch** is scheduled behind all traffic, and the cycles
-//!   between its arrival and its scheduled slot are reported as *queue
-//!   delay* (the lifetime log carries them to the timeliness report);
+//!   between its arrival and its scheduled slot are recorded as its
+//!   channel's *queue delay* ([`crate::ChannelStats::queue_delay`]);
 //! * a prefetch arriving at a **full queue** is rejected — the hierarchy
 //!   counts it dropped, and queue-aware issuers (the VIGU) read
 //!   [`DramBackend::prefetch_ready`] to back-pressure instead.
@@ -57,8 +57,6 @@ pub enum ChannelPrefetch {
     Scheduled {
         /// Fill-completion cycle.
         fill_done: Cycle,
-        /// Cycles between arrival and the scheduled bus slot.
-        queue_delay: Cycle,
     },
     /// Rejected: the channel's speculative queue is full.
     QueueFull,
@@ -194,7 +192,8 @@ impl DramBackend {
     /// Schedules one speculative line fill at cycle `now`.
     ///
     /// The transfer queues behind everything already scheduled on the
-    /// line's channel; the reported queue delay is `slot_start - now`.
+    /// line's channel; the channel records `slot_start - now` as its
+    /// queue delay.
     /// Returns [`ChannelPrefetch::QueueFull`] when the channel's bounded
     /// prefetch queue has no room.
     pub fn prefetch_fetch(&mut self, line: LineAddr, now: Cycle) -> ChannelPrefetch {
@@ -214,16 +213,14 @@ impl DramBackend {
         } else {
             lane.pf_queue.push(start);
         }
-        let queue_delay = start - now;
         self.stats.busy_cycles.add(t);
         self.stats.prefetch_lines.inc();
         let cstats = &mut self.stats.channels[ch];
         cstats.busy_cycles.add(t);
         cstats.prefetch_lines.inc();
-        cstats.queue_delay.record(queue_delay);
+        cstats.queue_delay.record(start - now);
         ChannelPrefetch::Scheduled {
             fill_done: start + t + self.cfg.latency,
-            queue_delay,
         }
     }
 
@@ -458,24 +455,18 @@ mod tests {
     #[test]
     fn prefetch_reports_queue_delay() {
         let mut d = DramBackend::new(DramConfig::default());
-        // First prefetch starts immediately: zero delay.
-        match d.prefetch_fetch(LineAddr::new(1), 0) {
-            ChannelPrefetch::Scheduled { queue_delay, .. } => assert_eq!(queue_delay, 0),
-            other => panic!("{other:?}"),
-        }
-        // Second queues behind the first transfer.
-        match d.prefetch_fetch(LineAddr::new(2), 0) {
+        // The first prefetch starts immediately; the second queues behind
+        // its transfer.
+        d.prefetch_fetch(LineAddr::new(1), 0);
+        assert_eq!(
+            d.prefetch_fetch(LineAddr::new(2), 0),
             ChannelPrefetch::Scheduled {
-                fill_done,
-                queue_delay,
-            } => {
-                assert_eq!(queue_delay, transfer());
-                assert_eq!(fill_done, transfer() + once());
+                fill_done: transfer() + once()
             }
-            other => panic!("{other:?}"),
-        }
-        assert_eq!(d.stats().channels[0].queue_delay.count(), 2);
-        assert_eq!(d.stats().channels[0].queue_delay.sum(), transfer());
+        );
+        let delays = &d.stats().channels[0].queue_delay;
+        assert_eq!((delays.count(), delays.sum()), (2, transfer()));
+        assert_eq!(delays.max(), transfer());
     }
 
     #[test]
@@ -486,12 +477,8 @@ mod tests {
         d.prefetch_fetch(LineAddr::new(2), 0);
         d.demand_fetch(LineAddr::new(3), 0);
         // A third prefetch now queues behind prefetch#2 *and* the demand.
-        match d.prefetch_fetch(LineAddr::new(4), 0) {
-            ChannelPrefetch::Scheduled { queue_delay, .. } => {
-                assert_eq!(queue_delay, 3 * transfer());
-            }
-            other => panic!("{other:?}"),
-        }
+        d.prefetch_fetch(LineAddr::new(4), 0);
+        assert_eq!(d.stats().channels[0].queue_delay.max(), 3 * transfer());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The composed memory system: optional NSB → shared L2 → DRAM.
 
-use nvr_common::{Cycle, LineAddr};
+use nvr_common::{Cycle, Histogram, LineAddr};
 
 use crate::cache::{completed_by, retire, track_fill, Cache, ProbeResult};
 use crate::config::MemoryConfig;
@@ -162,18 +162,18 @@ impl MemorySystem {
         };
         let slot = nsb.lookup(line);
         match nsb.probe_slot(slot, now, true) {
+            // The demand never reaches the L2, but it may be the first use
+            // of the L2 copy's prefetch life: that life ends here, late
+            // when the NSB's copy was still filling.
             ProbeResult::Hit { ready_at } => {
-                // The demand never reaches the L2, but the lifetime log
-                // lives there: record the consumption so the prefetched
-                // L2 copy is not misread as unused.
-                self.l2.log_external_use(line, now);
+                self.l2.used_above(line, now, false);
                 AccessResult {
                     ready_at,
                     outcome: AccessOutcome::NsbHit,
                 }
             }
-            ProbeResult::InFlight { ready_at, .. } => {
-                self.l2.log_external_use(line, now);
+            ProbeResult::InFlight { ready_at } => {
+                self.l2.used_above(line, now, true);
                 AccessResult {
                     ready_at,
                     outcome: AccessOutcome::InFlight,
@@ -187,7 +187,7 @@ impl MemorySystem {
                 // the NPU (demand fills allocate in both levels). The L2
                 // access touched neither the NSB nor its slot.
                 if nsb.mshr_available(now) {
-                    nsb.install_at(slot, fill_done, false, now, 0, 0);
+                    nsb.install_at(slot, fill_done, false, now, 0);
                 }
                 result
             }
@@ -212,7 +212,7 @@ impl MemorySystem {
                 },
                 ready_at,
             ),
-            ProbeResult::InFlight { ready_at, .. } => (
+            ProbeResult::InFlight { ready_at } => (
                 AccessResult {
                     ready_at,
                     outcome: AccessOutcome::InFlight,
@@ -223,7 +223,7 @@ impl MemorySystem {
                 // A full MSHR file stalls the demand until a slot frees.
                 let issue_at = l2.mshr_free_at(now);
                 let fill_done = dram.demand_fetch(line, issue_at);
-                l2.install_at(slot, fill_done, false, now, 0, 0);
+                l2.install_at(slot, fill_done, false, now, 0);
                 (
                     AccessResult {
                         ready_at: fill_done,
@@ -283,7 +283,7 @@ impl MemorySystem {
                         nsb.refresh_reuse_at(nsb_slot, nsb_reuse);
                     } else if nsb.mshr_available(now) {
                         if let Some(ready) = self.l2.ready_at(l2_slot, now) {
-                            if nsb.install_at(nsb_slot, ready, true, now, 0, nsb_reuse) {
+                            if nsb.install_at(nsb_slot, ready, true, now, nsb_reuse) {
                                 nsb.note_prefetch_issued();
                                 return PrefetchOutcome::Issued { fill_done: ready };
                             }
@@ -304,11 +304,8 @@ impl MemorySystem {
         // Channel-level arbitration: a full per-channel request queue
         // rejects the speculative fill (demands are never gated here —
         // they preempt the queue inside the backend).
-        let (fill_done, queue_delay) = match self.dram.prefetch_fetch(line, now) {
-            ChannelPrefetch::Scheduled {
-                fill_done,
-                queue_delay,
-            } => (fill_done, queue_delay),
+        let fill_done = match self.dram.prefetch_fetch(line, now) {
+            ChannelPrefetch::Scheduled { fill_done } => fill_done,
             ChannelPrefetch::QueueFull => {
                 self.l2.note_prefetch_dropped();
                 return PrefetchOutcome::Dropped;
@@ -318,15 +315,15 @@ impl MemorySystem {
         // A scored L2 may shrink (reject the fill) to keep a hotter
         // resident; the DRAM fetch is already in flight either way, so
         // the issue is counted against the level regardless and the
-        // rejection shows up in `retention_rejected`.
-        self.l2
-            .install_at(l2_slot, fill_done, true, now, queue_delay, reuse);
+        // rejection shows up in `retention_rejected`. An accepted fill
+        // begins a prefetch life.
+        self.l2.install_at(l2_slot, fill_done, true, now, reuse);
         self.l2.note_prefetch_issued();
         if fill_nsb {
             if let Some(nsb) = &mut self.nsb {
                 if nsb.mshr_available(now) {
                     let nsb_slot = nsb.lookup(line);
-                    if nsb.install_at(nsb_slot, fill_done, true, now, 0, nsb_reuse) {
+                    if nsb.install_at(nsb_slot, fill_done, true, now, nsb_reuse) {
                         nsb.note_prefetch_issued();
                     }
                 }
@@ -371,22 +368,26 @@ impl MemorySystem {
         self.cfg.prefetch_mshrs.saturating_sub(pending)
     }
 
-    /// Starts recording per-prefetch lifetime events at the L2 (the level
-    /// NVR fills): issue, fill, first demand use, and unused eviction. Off
-    /// by default — non-runahead prefetchers never pay for it. Idempotent;
-    /// the consumer must drain with
-    /// [`MemorySystem::swap_prefetch_life_events`] regularly or the log
-    /// grows for the rest of the run.
-    pub fn enable_prefetch_life_log(&mut self) {
-        self.l2.enable_life_log();
+    /// Starts keeping the order in which the L2's prefetch lives end (see
+    /// [`Cache`]'s "Prefetch lives"). Off by default, so prefetchers that
+    /// never drain it never pay for it. Idempotent; the consumer must
+    /// drain with [`MemorySystem::drain_prefetch_outcomes`] regularly or
+    /// the record grows for the rest of the run.
+    pub fn record_prefetch_outcomes(&mut self) {
+        self.l2.record_outcomes();
     }
 
-    /// Exchanges the L2's recorded [`crate::cache::PrefetchLifeEvent`]s,
-    /// in occurrence order, with the caller's (cleared) buffer — an
-    /// allocation-free drain for once-per-advance use. Leaves `buf` as it
-    /// was when the log was never enabled.
-    pub fn swap_prefetch_life_events(&mut self, buf: &mut Vec<crate::cache::PrefetchLifeEvent>) {
-        self.l2.swap_life_events(buf);
+    /// The L2 prefetch outcomes kept since the last drain, oldest first:
+    /// `false` for a life that ended used, `true` for one evicted unused.
+    pub fn drain_prefetch_outcomes(&mut self) -> impl Iterator<Item = bool> + '_ {
+        self.l2.drain_outcomes()
+    }
+
+    /// Issue→first-use slack, in cycles, of every L2 prefetch life that
+    /// ended used.
+    #[must_use]
+    pub fn prefetch_slack(&self) -> &Histogram {
+        self.l2.prefetch_slack()
     }
 
     /// Earliest cycle strictly after `now` at which the prefetch path can
@@ -460,32 +461,29 @@ impl MemorySystem {
     }
 
     /// Folds end-of-run state (resident unused prefetches) into the stats.
+    ///
+    /// In debug builds, checks that every L2 prefetch life ended exactly
+    /// one way: used, evicted unused or resident unused. A
+    /// [`crate::RetentionPolicy::ScoredReuse`] L2 may refuse a speculative
+    /// fill whose DRAM fetch was already counted issued; that fill begins
+    /// no life and is counted in `retention_rejected` (with any refused
+    /// demand fill), so there the issued count may exceed the lives by at
+    /// most the rejections. No other policy refuses a fill, so elsewhere
+    /// the identity is exact.
     pub fn finalize(&mut self) {
         if let Some(nsb) = &mut self.nsb {
             nsb.finalize_stats();
         }
         self.l2.finalize_stats();
-    }
-
-    /// Combined prefetch accuracy across levels: useful / (useful + unused).
-    ///
-    /// With an NSB the NPU's demands are satisfied there, so usefulness is
-    /// observed wherever the demand first touches the prefetched line.
-    #[must_use]
-    pub fn prefetch_accuracy(&self) -> f64 {
-        let mut useful = self.l2.stats().prefetch_useful.get();
-        let mut unused = self.l2.stats().prefetch_evicted_unused.get()
-            + self.l2.stats().prefetch_resident_unused.get();
-        if let Some(nsb) = &self.nsb {
-            useful += nsb.stats().prefetch_useful.get();
-            unused += nsb.stats().prefetch_evicted_unused.get()
-                + nsb.stats().prefetch_resident_unused.get();
-        }
-        if useful + unused == 0 {
-            0.0
-        } else {
-            useful as f64 / (useful + unused) as f64
-        }
+        let l2 = self.l2.stats();
+        let issued = l2.prefetch_issued.get();
+        let lives = l2.prefetch_useful.get()
+            + l2.prefetch_evicted_unused.get()
+            + l2.prefetch_resident_unused.get();
+        debug_assert!(
+            lives <= issued && issued - lives <= l2.retention_rejected.get(),
+            "{issued} issued L2 prefetches against {lives} lives: {l2:?}"
+        );
     }
 }
 
@@ -714,17 +712,24 @@ mod tests {
 
     #[test]
     fn accuracy_combines_levels() {
+        // A prefetch used at the NSB ends its L2 life there: counted once,
+        // at the L2, beside one never used.
         let mut mem = MemorySystem::new(cfg_with_nsb());
         let line = LineAddr::new(11);
         let fill = match mem.prefetch_line(line, 0, true) {
             PrefetchOutcome::Issued { fill_done } => fill_done,
             other => panic!("{other:?}"),
         };
-        mem.demand_line(line, fill + 1); // NSB hit marks usefulness there
+        assert_eq!(
+            mem.demand_line(line, fill + 1).outcome,
+            AccessOutcome::NsbHit
+        );
         mem.prefetch_line(LineAddr::new(12), 0, true); // never used
         mem.finalize();
-        let acc = mem.prefetch_accuracy();
-        assert!(acc > 0.0 && acc < 1.0, "accuracy {acc} should be partial");
+        let s = mem.stats();
+        assert_eq!(s.l2.prefetch_useful.get(), 1);
+        assert_eq!(s.l2.prefetch_resident_unused.get(), 1);
+        assert_eq!(s.prefetch_accuracy(), 0.5);
     }
 
     /// Tag lookups so far at (L2, NSB).
@@ -755,7 +760,7 @@ mod tests {
         let mut rng = Pcg32::seed_from_u64(0x100c);
         for cfg in configs {
             let mut mem = MemorySystem::new(cfg);
-            mem.enable_prefetch_life_log();
+            mem.record_prefetch_outcomes();
             let mut now = 0;
             for op in 0..20_000 {
                 now += rng.gen_range(40);
@@ -783,9 +788,10 @@ mod tests {
                     "op {op}: {call} looked up (L2, NSB) {:?} times",
                     (after.0 - before.0, after.1 - before.1)
                 );
-                // Keep the lifetime log from growing without bound.
-                mem.swap_prefetch_life_events(&mut Vec::new());
+                // Keep the outcome record from growing without bound.
+                mem.drain_prefetch_outcomes().for_each(drop);
             }
+            mem.finalize(); // checks that every L2 prefetch life ended once
             let s = mem.stats();
             assert!(s.l2.evictions.get() > 0 && s.l2.prefetch_redundant.get() > 0);
         }

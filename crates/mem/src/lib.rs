@@ -48,7 +48,7 @@ pub mod hierarchy;
 pub mod scratchpad;
 pub mod stats;
 
-pub use cache::{Cache, PrefetchLifeEvent, ProbeResult};
+pub use cache::{Cache, ProbeResult};
 pub use config::{CacheConfig, DramConfig, MemoryConfig, RetentionPolicy};
 pub use dram::{ChannelPrefetch, DramBackend};
 pub use hierarchy::{AccessOutcome, AccessResult, MemorySystem, PrefetchOutcome};

@@ -226,23 +226,11 @@ impl MemoryStats {
         self.dram.demand_lines.get()
     }
 
-    /// Combined prefetch accuracy across levels: useful / (useful + unused).
-    /// Usefulness is observed wherever a demand first touches a prefetched
-    /// line (NSB when present, else L2).
+    /// Prefetch accuracy, useful / (useful + unused), of the L2's prefetch
+    /// lives: each prefetch counts once, at its first demand at any level.
     #[must_use]
     pub fn prefetch_accuracy(&self) -> f64 {
-        let mut useful = self.l2.prefetch_useful.get();
-        let mut unused =
-            self.l2.prefetch_evicted_unused.get() + self.l2.prefetch_resident_unused.get();
-        if let Some(nsb) = &self.nsb {
-            useful += nsb.prefetch_useful.get();
-            unused += nsb.prefetch_evicted_unused.get() + nsb.prefetch_resident_unused.get();
-        }
-        if useful + unused == 0 {
-            0.0
-        } else {
-            useful as f64 / (useful + unused) as f64
-        }
+        self.l2.prefetch_accuracy()
     }
 }
 

@@ -40,7 +40,7 @@ pub mod prelude {
     pub use nvr_common::{Addr, Cycle, DataWidth, LineAddr, Pcg32, Region};
     pub use nvr_core::{nsb_config, overhead_report, LifetimeTracker, NvrConfig, NvrPrefetcher};
     pub use nvr_llm::LlmConfig;
-    pub use nvr_mem::{CacheConfig, DramConfig, MemoryConfig, MemorySystem, PrefetchLifeEvent};
+    pub use nvr_mem::{CacheConfig, DramConfig, MemoryConfig, MemorySystem};
     pub use nvr_npu::{ExecMode, NpuConfig, NpuEngine, RunResult};
     pub use nvr_prefetch::{
         DvrPrefetcher, ImpPrefetcher, NullPrefetcher, Prefetcher, StreamPrefetcher,

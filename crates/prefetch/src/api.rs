@@ -7,27 +7,31 @@ use nvr_trace::{AccessEvent, MemoryImage, SnoopState};
 /// Measured per-prefetch timeliness of one run: how the speculative fills
 /// a prefetcher issued actually fared against the demand stream.
 ///
-/// Populated by prefetchers that track prefetch lifetimes (NVR's
-/// `lifetime` module in `nvr_core`); [`Prefetcher::timeliness`] returns
-/// `None` for the rest. Every count is a *measured* outcome from the
-/// memory system's lifetime log, not an inference from aggregate
-/// counters:
+/// Reported by prefetchers that read it (NVR, in `nvr_core`), through
+/// [`TimelinessReport::measure`]; [`Prefetcher::timeliness`] returns
+/// `None` for the rest. Each count is one way an L2 prefetch life ends,
+/// recorded once by the L2 (see [`nvr_mem::Cache`]), so the four add up
+/// to the L2's `prefetch_issued` (less any speculative fill a
+/// [`nvr_mem::RetentionPolicy::ScoredReuse`] L2 refused):
 ///
-/// * **timely** — first demand touch found the fill complete;
-/// * **late** — first demand touch merged into the still-pending fill
-///   (the NPU waited part of the latency: coverage without full benefit);
-/// * **evicted unused** — the line left the cache untouched (pollution);
-/// * **unresolved** — issued but neither demanded nor evicted by the end
-///   of the run (in-flight or resident-unused at finalisation).
+/// * **timely** — the first demand, at any level, found the serving
+///   copy's fill complete;
+/// * **late** — the first demand merged into the serving copy's
+///   still-pending fill (the NPU waited part of the latency: coverage
+///   without full benefit);
+/// * **evicted unused** — the L2 evicted the line untouched (pollution),
+///   even if the NSB still held a copy;
+/// * **unresolved** — neither demanded nor evicted by the end of the run
+///   (in flight or resident unused at finalisation).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct TimelinessReport {
     /// Issue→first-use slack distribution, in cycles, over all used
     /// prefetches (timely and late).
     pub slack: Histogram,
     /// DRAM-channel queue delay (arrival → scheduled bus slot) of every
-    /// issued prefetch, in cycles — how much of a late fill was
-    /// arbitration (demand preemption, bus backlog) rather than
-    /// prediction distance.
+    /// speculative fill the channels accepted, in cycles — how much of a
+    /// late fill was arbitration (demand preemption, bus backlog) rather
+    /// than prediction distance.
     pub queue_delay: Histogram,
     /// Prefetches whose fill completed before the first demand touch.
     pub timely: u64,
@@ -40,6 +44,23 @@ pub struct TimelinessReport {
 }
 
 impl TimelinessReport {
+    /// The report of the run `mem` simulated, read after
+    /// [`MemorySystem::finalize`]: the L2's four prefetch-life counters
+    /// and slack histogram, and the DRAM channels' merged queue delays.
+    #[must_use]
+    pub fn measure(mem: &MemorySystem) -> Self {
+        let stats = mem.stats();
+        let l2 = &stats.l2;
+        TimelinessReport {
+            slack: mem.prefetch_slack().clone(),
+            queue_delay: stats.dram.queue_delay_merged(),
+            timely: l2.prefetch_useful.get() - l2.prefetch_late.get(),
+            late: l2.prefetch_late.get(),
+            evicted_unused: l2.prefetch_evicted_unused.get(),
+            unresolved: l2.prefetch_resident_unused.get(),
+        }
+    }
+
     /// Prefetches with a demand touch (timely + late).
     #[must_use]
     pub fn used(&self) -> u64 {
@@ -118,15 +139,15 @@ pub trait Prefetcher {
         false
     }
 
-    /// Called once after the program's last cycle, before results are
-    /// read: lifetime-tracking prefetchers drain the memory system's
-    /// remaining lifetime events here so [`Prefetcher::timeliness`]
-    /// reflects the whole run. No-op by default.
+    /// Called once after the program's last cycle, after the engine's
+    /// [`MemorySystem::finalize`] and before results are read: a
+    /// prefetcher that reports timeliness takes its
+    /// [`TimelinessReport::measure`] here. No-op by default.
     fn finalize_run(&mut self, _mem: &mut MemorySystem) {}
 
-    /// The measured per-prefetch timeliness of the run so far, for
-    /// prefetchers that track prefetch lifetimes; `None` (the default)
-    /// for those that do not.
+    /// The measured per-prefetch timeliness of the finished run (taken by
+    /// [`Prefetcher::finalize_run`]), for prefetchers that report it;
+    /// `None` (the default) for those that do not.
     fn timeliness(&self) -> Option<TimelinessReport> {
         None
     }

@@ -31,9 +31,9 @@ pub struct AccCov {
     /// *added* misses (see [`pollution`]) — the case the clamped coverage
     /// column cannot distinguish from "did nothing".
     pub pollution: f64,
-    /// Measured late fraction of used prefetches (issue→use slack ran past
-    /// the fill), for systems that track prefetch lifetimes (NVR). The
-    /// full slack distribution is the fig. 6b′ driver's subject.
+    /// Measured late fraction of used prefetches (the first demand merged
+    /// into a still-pending fill), for systems that report timeliness
+    /// (NVR). The full slack distribution is the fig. 6b′ driver's subject.
     pub late_fraction: Option<f64>,
     /// Busiest DRAM channel's utilisation of the run — the saturation
     /// signal behind the residual-gap analysis (GCN runs near 0.9).

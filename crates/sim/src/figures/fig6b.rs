@@ -7,14 +7,14 @@
 //! episode loop, the pipelined cross-tile lookahead at the default depth
 //! ([`nvr_core::NvrConfig::lookahead_tiles`]), and the NVR+NSB system
 //! (the pipelined engine filling the paper's NSB) — and reports the
-//! measured per-prefetch outcomes from the lifetime log: timely / late /
-//! evicted-unused counts, the issue→first-use slack distribution
-//! (cycles between a prefetch entering the cache and its first demand
-//! touch), and the mean DRAM-channel queue delay (how much of the
-//! lateness is arbitration rather than prediction distance). "Late"
-//! prefetches are the paper's residual-stall culprit on GCN/GSA-BT-class
-//! workloads: the line was predicted correctly but the demand arrived
-//! mid-fill.
+//! measured per-prefetch outcomes the L2 records once per prefetch life:
+//! timely / late / evicted-unused counts, the issue→first-use slack
+//! distribution (cycles between a prefetch entering the L2 and its first
+//! demand touch at any level), and the mean DRAM-channel queue delay (how
+//! much of the lateness is arbitration rather than prediction distance).
+//! "Late" prefetches are the paper's residual-stall culprit on
+//! GCN/GSA-BT-class workloads: the line was predicted correctly but the
+//! demand arrived mid-fill.
 
 use std::fmt;
 
@@ -41,8 +41,6 @@ pub struct TimelinessCell {
     pub cycles: u64,
     /// Speedup over the no-prefetch in-order baseline.
     pub speedup: f64,
-    /// L2 `prefetch_late` counter (aggregate view of the same events).
-    pub prefetch_late: u64,
     /// Measured per-prefetch outcomes.
     pub timeliness: TimelinessReport,
 }
@@ -114,7 +112,6 @@ pub fn run(lab: &mut Lab, scale: Scale, seed: u64, workloads: &[WorkloadId]) -> 
                 depth,
                 cycles: r.total_cycles,
                 speedup: base as f64 / r.total_cycles.max(1) as f64,
-                prefetch_late: r.mem.l2.prefetch_late.get(),
                 timeliness: o.timeliness.clone().unwrap_or_default(),
             });
         }

@@ -237,8 +237,8 @@ pub struct RunOutcome {
     /// Wall clock with every demand hitting at the memory's minimum
     /// latency ([`SystemSpec::base_cycles`]).
     pub base_cycles: Cycle,
-    /// Measured per-prefetch timeliness, for systems that track prefetch
-    /// lifetimes (NVR); `None` for the rest.
+    /// Measured per-prefetch timeliness, for systems that report it
+    /// (NVR); `None` for the rest.
     pub timeliness: Option<TimelinessReport>,
 }
 
@@ -379,7 +379,7 @@ mod tests {
         let p = program();
         let cfg = MemoryConfig::default();
         let nvr = run_system(&p, &cfg, SystemKind::Nvr);
-        let t = nvr.timeliness.expect("NVR tracks prefetch lifetimes");
+        let t = nvr.timeliness.expect("NVR reports timeliness");
         assert!(t.used() > 0, "NVR prefetches should be used");
         assert_eq!(t.slack.count(), t.used(), "one slack sample per use");
         assert!(

@@ -256,12 +256,14 @@ impl SweepResults {
     /// Deterministic CSV of the numeric results (no wall-clock columns, so
     /// `jobs = 1` and `jobs = N` emit identical bytes). The column groups:
     ///
-    /// * `prefetch_issued..prefetch_late` — the L2's counters. A prefetch
-    ///   first used in the NSB counts only there, so NVR's accuracy is
-    ///   `(pf_timely + pf_late) / prefetch_issued`, with or without NSB;
-    /// * `pf_timely..pf_qd_p95` — measured per-prefetch outcomes (zero
-    ///   for systems without lifetime tracking) plus the DRAM channel
-    ///   queue-delay p50/p95 of all accepted speculative fills;
+    /// * `prefetch_issued..prefetch_late` — the L2's counters, which
+    ///   record each prefetch's life once: a prefetch first used in the
+    ///   NSB counts as useful here too, so NVR's accuracy is
+    ///   `prefetch_useful / prefetch_issued`, with or without NSB;
+    /// * `pf_timely..pf_qd_p95` — the timeliness report (zero for systems
+    ///   that do not report one; for NVR, `pf_timely + pf_late` is
+    ///   `prefetch_useful` and `pf_late` is `prefetch_late`) plus the DRAM
+    ///   channel queue-delay p50/p95 of all accepted speculative fills;
     /// * `channels,ch_util_mean,ch_util_max` — DRAM channel count and
     ///   per-channel utilisation summary of the timed run;
     /// * `speedup,speedup_mean,speedup_ci95` — speedup vs the in-order

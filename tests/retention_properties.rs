@@ -88,7 +88,7 @@ proptest! {
             let now = now as Cycle;
             match *op {
                 Op::Fill { line, score } => {
-                    cache.install_speculative_scored(LineAddr::new(line), now, now, 0, score);
+                    cache.install_speculative_scored(LineAddr::new(line), now, now, score);
                     touched.insert(line);
                 }
                 Op::Probe { line } => {
@@ -121,7 +121,7 @@ proptest! {
             for cache in [&mut lru, &mut scored] {
                 match *op {
                     Op::Fill { line, .. } => {
-                        cache.install_speculative_scored(LineAddr::new(line), now, now, 0, 0);
+                        cache.install_speculative_scored(LineAddr::new(line), now, now, 0);
                     }
                     Op::Probe { line } => {
                         cache.probe(LineAddr::new(line), now, true);
@@ -175,7 +175,7 @@ proptest! {
                     // reinstalled fresh (and protected) by this fill.
                     demanded.retain(|&l| cache.contains(LineAddr::new(l)));
                     let accepted =
-                        cache.install_speculative_scored(LineAddr::new(line), now, now, 0, score);
+                        cache.install_speculative_scored(LineAddr::new(line), now, now, score);
                     let rejects = cache.stats().retention_rejected.get();
                     if accepted && score >= 1 && !demanded.contains(&line) {
                         // A refresh of a resident line maxes the scores, so
