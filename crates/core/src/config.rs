@@ -40,13 +40,6 @@ pub struct NvrConfig {
     /// the depth bound falls back to this granularity, so it is the quantum
     /// of all speculative progress. Default 16 = the paper's N.
     pub vector_width: usize,
-    /// Line capacity of one VIGU vector operation (§IV-F). Each of the N
-    /// PIE lanes resolves one gather target per cycle, and a target row may
-    /// straddle a line boundary, so the issued vector carries up to
-    /// `2 * vector_width` line addresses. Collapsing this to N lines (the
-    /// pre-calibration value) throttles VMIG drain on multi-line rows and
-    /// under-reports the paper's miss coverage. Default 32 = `2 * 16`.
-    pub vmig_batch_lines: usize,
     /// Cache-line budget of outstanding *target* coverage: a speculative
     /// window may start resolving (and so issuing target prefetches) only
     /// while its start is within this many lines of the NPU's consumption
@@ -66,27 +59,11 @@ pub struct NvrConfig {
     /// the pre-pipelining one-window-at-a-time episode loop (the `fig6b`
     /// driver uses exactly that as its baseline). Default 4: deep enough
     /// to cover a DRAM round trip of index-fetch latency on every
-    /// measured workload; 8 and 16 measure no better, and the usefulness
-    /// throttle below handles the workloads that cannot absorb even 4.
+    /// measured workload; 8 and 16 measure no better, and the
+    /// controller's DARE-style usefulness throttle (fed by
+    /// [`crate::LifetimeTracker`]) collapses the depth to 1 on the
+    /// workloads that cannot absorb even 4.
     pub lookahead_tiles: usize,
-    /// DARE-style usefulness throttle: when the rolling ratio of
-    /// evicted-unused prefetches (measured by [`crate::LifetimeTracker`]
-    /// over the last [`NvrConfig::throttle_window`] ended prefetches)
-    /// crosses this threshold, the effective lookahead depth collapses
-    /// back to 1, recovering as the ratio drops. Filters lookahead by
-    /// *observed* usefulness rather than window extent — deep lookahead
-    /// where it pays, shallow where it pollutes. Must lie in `(0, 1]`;
-    /// 1.0 never throttles. Default 0.1: a rolling window where more
-    /// than one prefetch in ten is evicted untouched means the pipeline
-    /// is churning the L2 (GCN-class turnover) and pipelined opens stop
-    /// paying for themselves.
-    pub throttle_evicted_ratio: f64,
-    /// Ended-prefetch capacity of the throttle's rolling window.
-    /// Smaller reacts faster but jitters; larger smooths phase changes
-    /// away. Default 128 = half the default line budget, so a fully
-    /// wasted window is noticed within one lookahead depth's worth of
-    /// outcomes.
-    pub throttle_window: usize,
     /// Fuzzy-range factor applied to predicted windows (§III,
     /// coverage-oriented philosophy): >1 over-fetches slightly to secure
     /// whole batches at the cost of some redundancy. Valid in
@@ -138,29 +115,18 @@ impl NvrConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`NvrError::Config`] if a knob is zero, the fuzzy factor is
-    /// not in `[1.0, 2.0]`, or the throttle threshold is not in `(0, 1]`.
+    /// Returns [`NvrError::Config`] if a knob is zero or the fuzzy factor
+    /// is not in `[1.0, 2.0]`.
     pub fn validate(&self) -> Result<(), NvrError> {
-        if self.vector_width == 0 || self.lookahead_lines == 0 || self.vmig_batch_lines == 0 {
+        if self.vector_width == 0 || self.lookahead_lines == 0 || self.lookahead_tiles == 0 {
             return Err(NvrError::Config(
-                "NVR vector width, VMIG batch and lookahead budget must be non-zero".into(),
-            ));
-        }
-        if self.lookahead_tiles == 0 || self.throttle_window == 0 {
-            return Err(NvrError::Config(
-                "NVR lookahead depth and throttle window must be non-zero".into(),
+                "NVR vector width, lookahead budget and lookahead depth must be non-zero".into(),
             ));
         }
         if !(1.0..=2.0).contains(&self.fuzzy_factor) {
             return Err(NvrError::Config(format!(
                 "fuzzy factor {} outside [1.0, 2.0]",
                 self.fuzzy_factor
-            )));
-        }
-        if !(self.throttle_evicted_ratio > 0.0 && self.throttle_evicted_ratio <= 1.0) {
-            return Err(NvrError::Config(format!(
-                "throttle ratio {} outside (0, 1]",
-                self.throttle_evicted_ratio
             )));
         }
         Ok(())
@@ -171,11 +137,8 @@ impl Default for NvrConfig {
     fn default() -> Self {
         NvrConfig {
             vector_width: 16,
-            vmig_batch_lines: 32,
             lookahead_lines: 256,
             lookahead_tiles: 4,
-            throttle_evicted_ratio: 0.1,
-            throttle_window: 128,
             fuzzy_factor: 1.1,
             use_lbd: true,
             nsb_admit_min_reuse: 4,
@@ -207,11 +170,6 @@ mod tests {
         };
         assert!(bad.validate().is_err());
         let bad = NvrConfig {
-            vmig_batch_lines: 0,
-            ..NvrConfig::default()
-        };
-        assert!(bad.validate().is_err());
-        let bad = NvrConfig {
             fuzzy_factor: 3.0,
             ..NvrConfig::default()
         };
@@ -223,21 +181,6 @@ mod tests {
         assert!(bad.validate().is_err());
         let bad = NvrConfig {
             lookahead_tiles: 0,
-            ..NvrConfig::default()
-        };
-        assert!(bad.validate().is_err());
-        let bad = NvrConfig {
-            throttle_window: 0,
-            ..NvrConfig::default()
-        };
-        assert!(bad.validate().is_err());
-        let bad = NvrConfig {
-            throttle_evicted_ratio: 0.0,
-            ..NvrConfig::default()
-        };
-        assert!(bad.validate().is_err());
-        let bad = NvrConfig {
-            throttle_evicted_ratio: 1.5,
             ..NvrConfig::default()
         };
         assert!(bad.validate().is_err());

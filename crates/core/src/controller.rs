@@ -6,20 +6,22 @@
 //! over future tiles: up to [`NvrConfig::lookahead_tiles`] speculative
 //! windows are in flight at once, each stepping through the phases
 //!
-//! 1. **window prediction** — exact bounds for the tile at the ROB head
-//!    (sparse-unit registers); LBD-chained predictions beyond it;
+//! 1. **window sizing** — a window opens at the coverage cursor with the
+//!    LBD's predicted length (the fuzzy-stretched average of the snooped
+//!    tile windows), clipped at the LBD's estimated end of the index
+//!    array;
 //! 2. **index fetch** (`FetchIndex`) — the window's index lines are
-//!    prefetched (SD-guided stream loads) the moment the window opens, and
-//!    the window then waits for the fills — real speculative execution,
-//!    never oracle access;
+//!    prefetched, with one window-length of stream-ahead (the SD's W/index
+//!    stream), the moment the window opens, and the window then waits for
+//!    the fills — real speculative execution, never oracle access;
 //! 3. **chain resolution** (`Resolve`) — the PIE evaluates `sparse_func`
 //!    on the fetched index values, `vector_width` lanes per cycle,
 //!    scheduling intermediate table probes for two-level chains
 //!    (`ProbeWait`);
 //! 4. **vector issue** — resolved target lines drain through the VMIG,
-//!    which accumulates a full vector ([`NvrConfig::vmig_batch_lines`]
-//!    lines) while resolution is flowing and flushes whenever the thread
-//!    blocks or runs dry, filling L2 (and the NSB when configured). The
+//!    which accumulates a full vector (`VMIG_BATCH_LINES`, 32 lines) while
+//!    resolution is flowing and flushes whenever the thread blocks or runs
+//!    dry, filling L2 (and the NSB when configured). The
 //!    issue stage paces on *per-channel* occupancy of the multi-channel
 //!    DRAM backend: a line whose channel's prefetch queue is full defers
 //!    in place instead of being rejected at the channel, so speculative
@@ -51,10 +53,11 @@
 //!
 //! The lookahead is kept honest by a DARE-style usefulness throttle fed
 //! by how each prefetch's L2 life ended (first use or unused eviction —
-//! see [`crate::lifetime`]): when the rolling evicted-unused ratio
-//! crosses [`NvrConfig::throttle_evicted_ratio`], the effective depth
-//! collapses to a single window until the speculation is being consumed
-//! again, and once *any* waste has been observed, oversized window
+//! see [`crate::lifetime`]): when the rolling evicted-unused ratio over
+//! the last `THROTTLE_WINDOW` (128) ended prefetches crosses
+//! `THROTTLE_EVICTED_RATIO` (0.1), the effective depth collapses to a
+//! single window until the speculation is being consumed again, and
+//! once *any* waste has been observed, oversized window
 //! predictions are chunked down to the reach budget so the speculative
 //! footprint stays inside what the L2 demonstrably holds until use.
 //!
@@ -66,21 +69,38 @@
 
 use std::collections::VecDeque;
 
-use nvr_common::{Addr, Cycle};
+use nvr_common::{Addr, Cycle, LineAddr, Region};
 use nvr_mem::MemorySystem;
 use nvr_prefetch::{Prefetcher, TimelinessReport};
-use nvr_trace::event::PC_INDEX_LOAD;
-use nvr_trace::{AccessEvent, EventKind, MemoryImage, SnoopState};
-
-use nvr_common::LineAddr;
+use nvr_trace::{AccessEvent, EventKind, MemoryImage, SnoopState, SparseFunc};
 
 use crate::config::{NvrConfig, TriggerPolicy};
 use crate::lifetime::LifetimeTracker;
 use crate::loop_bound::{LoopBoundDetector, Window};
 use crate::reuse::ReusePredictor;
-use crate::sparse_chain::SparseChainDetector;
-use crate::stride_detector::StrideDetector;
 use crate::vmig::Vmig;
+
+/// Line capacity of one VIGU vector operation (§IV-F). Each of the 16 PIE
+/// lanes resolves one gather target per cycle, and a target row may
+/// straddle a line boundary, so the issued vector carries up to 32 line
+/// addresses. Collapsing this to 16 lines throttles VMIG drain on
+/// multi-line rows and under-reports the paper's miss coverage. It stays
+/// 32 when the ablations vary [`NvrConfig::vector_width`].
+const VMIG_BATCH_LINES: usize = 32;
+
+/// DARE-style usefulness throttle: when the rolling ratio of
+/// evicted-unused prefetches over the last [`THROTTLE_WINDOW`] ended
+/// prefetches crosses this threshold, the effective lookahead depth
+/// collapses back to 1, recovering as the ratio drops. A rolling window
+/// where more than one prefetch in ten is evicted untouched means the
+/// pipeline is churning the L2 (GCN-class turnover) and pipelined opens
+/// stop paying for themselves.
+const THROTTLE_EVICTED_RATIO: f64 = 0.1;
+
+/// Ended-prefetch capacity of the throttle's rolling window: half the
+/// default line budget, so a fully wasted window is noticed within one
+/// lookahead depth's worth of outcomes.
+const THROTTLE_WINDOW: usize = 128;
 
 /// Progress of one speculative window in the lookahead pipeline.
 #[derive(Debug, Clone)]
@@ -98,16 +118,10 @@ enum Phase {
     },
 }
 
-/// One in-flight speculative window.
-#[derive(Debug, Clone)]
-struct Runahead {
-    phase: Phase,
-}
-
-impl Runahead {
-    /// The element window this entry covers.
+impl Phase {
+    /// The element window this phase works on.
     fn window(&self) -> Window {
-        match self.phase {
+        match *self {
             Phase::FetchIndex { window, .. }
             | Phase::Resolve { window, .. }
             | Phase::ProbeWait { window, .. } => window,
@@ -116,7 +130,7 @@ impl Runahead {
 
     /// The cycle this window is waiting for, if it is blocked on a fill.
     fn blocked_until(&self) -> Option<Cycle> {
-        match self.phase {
+        match *self {
             Phase::FetchIndex { ready, .. } | Phase::ProbeWait { ready, .. } => Some(ready),
             Phase::Resolve { .. } => None,
         }
@@ -148,9 +162,10 @@ enum StepOutcome {
 #[derive(Debug, Clone)]
 pub struct NvrPrefetcher {
     cfg: NvrConfig,
-    sd: StrideDetector,
     lbd: LoopBoundDetector,
-    scd: SparseChainDetector,
+    /// The last snooped sparse function (the sparse unit's gather
+    /// registers, §IV-D): resolves every speculative gather target.
+    func: Option<SparseFunc>,
     vmig: Vmig,
     lifetime: LifetimeTracker,
     /// The run's timeliness, measured by [`Prefetcher::finalize_run`].
@@ -163,7 +178,7 @@ pub struct NvrPrefetcher {
     clock: Cycle,
     /// In-flight speculative windows, oldest first (the lookahead
     /// pipeline). Capacity is the throttled effective depth.
-    windows: VecDeque<Runahead>,
+    windows: VecDeque<Phase>,
     /// Whether prefetches also fill the NSB (§IV-G): set on each
     /// `advance` to whether the memory system has one.
     fill_nsb: bool,
@@ -198,14 +213,13 @@ impl NvrPrefetcher {
             reason = "init-time config validation in the constructor, outside the tick loop"
         )]
         cfg.validate().expect("nvr config must be valid");
-        let mut vmig = Vmig::new(cfg.vmig_batch_lines);
+        let mut vmig = Vmig::new(VMIG_BATCH_LINES);
         vmig.set_nsb_admit(cfg.nsb_admit_min_reuse);
         NvrPrefetcher {
-            sd: StrideDetector::new(cfg.vector_width),
             lbd: LoopBoundDetector::new(cfg.fuzzy_factor),
-            scd: SparseChainDetector::new(),
+            func: None,
             vmig,
-            lifetime: LifetimeTracker::new(cfg.throttle_window),
+            lifetime: LifetimeTracker::new(THROTTLE_WINDOW),
             timeliness: TimelinessReport::default(),
             reuse: ReusePredictor::new(),
             clock: 0,
@@ -243,16 +257,10 @@ impl NvrPrefetcher {
         self.fill_nsb && !self.scoring_active()
     }
 
-    /// Whether any speculative window is in flight (for tests).
-    #[must_use]
-    pub fn in_runahead(&self) -> bool {
-        !self.windows.is_empty()
-    }
-
     /// The current lookahead depth after the usefulness throttle: the
     /// configured [`NvrConfig::lookahead_tiles`] while the rolling
-    /// evicted-unused ratio stays below
-    /// [`NvrConfig::throttle_evicted_ratio`]; 1 (the single-window
+    /// evicted-unused ratio stays at or below `THROTTLE_EVICTED_RATIO`
+    /// (0.1); 1 (the single-window
     /// episode loop) once it crosses — DARE-style filtering by observed
     /// usefulness rather than window extent.
     #[must_use]
@@ -260,7 +268,7 @@ impl NvrPrefetcher {
         let d = self.cfg.lookahead_tiles;
         if d > 1
             && self.lifetime.warmed_up()
-            && self.lifetime.rolling_wasted_ratio() > self.cfg.throttle_evicted_ratio
+            && self.lifetime.rolling_wasted_ratio() > THROTTLE_EVICTED_RATIO
         {
             1
         } else {
@@ -278,8 +286,8 @@ impl NvrPrefetcher {
     /// the DRAM channel on turnover-heavy workloads (GCN, MK) faster than
     /// any throttle can react.
     fn max_ahead_elems(&self) -> u64 {
-        let row_lines = self.scd.entry().map_or(1, |e| {
-            nvr_common::div_ceil(e.row_bytes, nvr_common::LINE_BYTES).max(1)
+        let row_lines = self.func.map_or(1, |f| {
+            nvr_common::div_ceil(f.row_bytes(), nvr_common::LINE_BYTES).max(1)
         });
         (self.cfg.lookahead_lines as u64 / row_lines).max(self.cfg.vector_width as u64)
     }
@@ -306,11 +314,6 @@ impl NvrPrefetcher {
         // gated separately on the one-budget reach below, which is what
         // actually paces the (expensive, cache-filling) target stream.
         if start >= snoop.elem_consumed + max_ahead * self.effective_depth() as u64 {
-            #[cfg(feature = "nvr-debug")]
-            eprintln!(
-                "NVR bound: start={} consumed={} max_ahead={}",
-                start, snoop.elem_consumed, max_ahead
-            );
             return false;
         }
         // Adaptive chunking: once the tracker has seen *any* of our
@@ -339,39 +342,23 @@ impl NvrPrefetcher {
                 end = end.min(array_end);
             }
         }
-        let window = Window {
-            start,
-            end,
-            exact: false,
-        };
+        let window = Window { start, end };
         // Commit the coverage immediately so a mid-tile reset cannot
         // re-predict (and re-flood) the same element range.
         self.covered_until = window.end;
-        #[cfg(feature = "nvr-debug")]
-        eprintln!(
-            "NVR window [{}, {}) depth={}/{} cur={} clock={}",
-            window.start,
-            window.end,
-            self.windows.len() + 1,
-            self.effective_depth(),
-            self.current_tile,
-            self.clock
-        );
         // Pipelined open: the index fetch issues *now*, so the next window
         // can open as soon as this one's lines are in flight — fills of
         // consecutive windows overlap instead of serialising.
         let ready = self.fetch_index_lines(window, snoop, mem);
-        self.windows.push_back(Runahead {
-            phase: Phase::FetchIndex { window, ready },
-        });
+        self.windows.push_back(Phase::FetchIndex { window, ready });
         true
     }
 
     /// Issues index-line prefetches for `window`, plus one window-length of
-    /// SD stream-ahead (§IV-B: the stride detector keeps the W/index stream
-    /// flowing ahead of resolution, so the next window's FetchIndex finds
-    /// its lines resident instead of paying a serialised DRAM round trip).
-    /// Returns the fill-ready cycle of the window's own lines.
+    /// stream-ahead (§IV-B: the W/index stream keeps flowing ahead of
+    /// resolution, so the next window's FetchIndex finds its lines
+    /// resident instead of paying a serialised DRAM round trip). Returns
+    /// the fill-ready cycle of the window's own lines.
     fn fetch_index_lines(
         &mut self,
         window: Window,
@@ -380,17 +367,17 @@ impl NvrPrefetcher {
     ) -> Cycle {
         let start = snoop.index_elem_addr(window.start);
         let bytes = window.len() * 4;
-        let region = nvr_common::Region::new(start, bytes);
+        let region = Region::new(start, bytes);
         let mut ready = self.clock;
+        let mut last_line = None;
         for line in region.lines() {
             // The window's own lines are fetched (or waited on)
             // unconditionally — stream-ahead may have only *queued* a line
-            // in the VIGU without issuing it yet, and the SD mark alone
-            // must never let a window resolve against lines that were
-            // never fetched. `prefetch_line` is redundancy-safe, and a
-            // still-queued duplicate is dropped later by the VIGU's
-            // residency filter.
-            self.sd.note_prefetched(PC_INDEX_LOAD, line);
+            // in the VIGU without issuing it yet, and a window must never
+            // resolve against lines that were never fetched.
+            // `prefetch_line` is redundancy-safe, and a still-queued
+            // duplicate is dropped later by the VIGU's residency filter.
+            last_line = Some(line);
             match mem.prefetch_line(line, self.clock, self.bulk_fill_nsb()) {
                 nvr_mem::PrefetchOutcome::Issued { fill_done } => ready = ready.max(fill_done),
                 nvr_mem::PrefetchOutcome::Redundant => {
@@ -410,14 +397,13 @@ impl NvrPrefetcher {
         // here — a same-cycle burst of a window's worth of index lines
         // used to queue in front of in-flight target fills and turn them
         // late. They ride outside the VIGU's vector accounting: a
-        // sequential index run is not a PIE-resolved gather vector.
-        let ahead = nvr_common::Region::new(region.end(), bytes);
-        let sd = &mut self.sd;
-        self.vmig.push_stream(
-            ahead
-                .lines()
-                .filter(|&line| sd.note_prefetched(PC_INDEX_LOAD, line)),
-        );
+        // sequential index run is not a PIE-resolved gather vector. A
+        // window that ends mid-line shares that line with the stream
+        // ahead, which must not queue it again (the "last prefetch addr"
+        // field of Table I's SD entry).
+        let ahead = Region::new(region.end(), bytes);
+        self.vmig
+            .push_stream(ahead.lines().filter(|&line| Some(line) != last_line));
         ready
     }
 
@@ -436,7 +422,7 @@ impl NvrPrefetcher {
         image: &MemoryImage,
         mem: &mut MemorySystem,
     ) -> StepOutcome {
-        self.windows.retain(|st| match &st.phase {
+        self.windows.retain(|phase| match phase {
             Phase::Resolve { window, next_elem } => *next_elem < window.end,
             Phase::FetchIndex { .. } | Phase::ProbeWait { .. } => true,
         });
@@ -445,7 +431,7 @@ impl NvrPrefetcher {
         // prefetch stream is already ahead of the channel, and opening
         // deeper windows would only queue speculative traffic in front of
         // demand fetches on the shared DRAM channel.
-        let backlog_ok = self.vmig.pending() < 2 * self.cfg.vmig_batch_lines;
+        let backlog_ok = self.vmig.pending() < 2 * VMIG_BATCH_LINES;
         if backlog_ok && self.windows.len() < self.effective_depth() && self.try_start(snoop, mem) {
             return StepOutcome::Worked;
         }
@@ -456,7 +442,7 @@ impl NvrPrefetcher {
             // reach: its index lines may fly ahead, its target stream may
             // not (no wake-up time — the NPU's progress at the next
             // advance window unblocks it).
-            if let Phase::FetchIndex { window, .. } = &self.windows[i].phase {
+            if let Phase::FetchIndex { window, .. } = &self.windows[i] {
                 if window.start >= resolve_limit {
                     continue;
                 }
@@ -486,24 +472,17 @@ impl NvrPrefetcher {
         // cloning it — `ProbeWait` carries a probe Vec, and cloning it made
         // every step of a two-level window an allocation.
         let placeholder = Phase::Resolve {
-            window: Window {
-                start: 0,
-                end: 0,
-                exact: false,
-            },
+            window: Window { start: 0, end: 0 },
             next_elem: 0,
         };
-        let phase = std::mem::replace(&mut self.windows[i].phase, placeholder);
-        match phase {
-            Phase::FetchIndex { window, .. } => {
-                // Skip straight past anything the NPU demanded while the
-                // fill was in flight.
-                self.windows[i].phase = Phase::Resolve {
-                    window,
-                    next_elem: window.start.max(snoop.elem_consumed.min(window.end)),
-                };
-                StepOutcome::Worked
-            }
+        let phase = std::mem::replace(&mut self.windows[i], placeholder);
+        self.windows[i] = match phase {
+            // Skip straight past anything the NPU demanded while the fill
+            // was in flight.
+            Phase::FetchIndex { window, .. } => Phase::Resolve {
+                window,
+                next_elem: window.start.max(snoop.elem_consumed.min(window.end)),
+            },
             Phase::Resolve { window, next_elem } => {
                 let group_end = (next_elem + self.cfg.vector_width as u64).min(window.end);
                 let mut values = std::mem::take(&mut self.scratch_values);
@@ -511,18 +490,13 @@ impl NvrPrefetcher {
                 values.extend(
                     (next_elem..group_end).map(|e| image.read_u32(snoop.index_elem_addr(e))),
                 );
-                if self.scd.is_two_level() {
+                let phase = if let Some(func) = self.func.filter(SparseFunc::is_two_level) {
                     // Schedule probe fills for the group, into a recycled
                     // probe buffer from the arena.
                     let mut probes = self.probe_pool.pop().unwrap_or_default();
                     probes.clear();
                     let mut ready = self.clock;
-                    for &v in &values {
-                        // `is_two_level()` guarantees a table, so every
-                        // value has a probe address.
-                        let Some(probe) = self.scd.probe_addr(v) else {
-                            continue;
-                        };
+                    for probe in values.iter().filter_map(|&v| func.probe(v)) {
                         if let nvr_mem::PrefetchOutcome::Issued { fill_done } =
                             mem.prefetch_line(probe.line(), self.clock, self.bulk_fill_nsb())
                         {
@@ -530,38 +504,21 @@ impl NvrPrefetcher {
                         }
                         probes.push(probe);
                     }
-                    self.windows[i].phase = Phase::ProbeWait {
+                    Phase::ProbeWait {
                         window,
                         next_elem: group_end,
                         probes,
                         ready,
-                    };
-                } else {
-                    // Score each resolved target line by how often the
-                    // window machinery has touched it: hub rows resolved by
-                    // many neighbouring windows earn admission to the NSB,
-                    // cold rows stay L2-only (scores all-zero when scoring
-                    // is inactive, reproducing unscored behaviour exactly).
-                    let scoring = self.scoring_active();
-                    let mut bundle = std::mem::take(&mut self.scratch_bundle);
-                    bundle.clear();
-                    for &v in &values {
-                        if let Some(target) = self.scd.predict_and_track(v) {
-                            for line in target.lines() {
-                                let score = if scoring { self.reuse.observe(line) } else { 0 };
-                                bundle.push((line, score));
-                            }
-                        }
                     }
-                    self.vmig.push_bundle_scored(bundle.drain(..));
-                    self.scratch_bundle = bundle;
-                    self.windows[i].phase = Phase::Resolve {
+                } else {
+                    self.push_targets(values.iter().copied());
+                    Phase::Resolve {
                         window,
                         next_elem: group_end,
-                    };
-                }
+                    }
+                };
                 self.scratch_values = values;
-                StepOutcome::Worked
+                phase
             }
             Phase::ProbeWait {
                 window,
@@ -569,27 +526,37 @@ impl NvrPrefetcher {
                 mut probes,
                 ..
             } => {
-                let scoring = self.scoring_active();
-                let mut bundle = std::mem::take(&mut self.scratch_bundle);
-                bundle.clear();
-                for probe in &probes {
-                    let slot = image.read_u32(*probe);
-                    if let Some(target) = self.scd.predict_and_track(slot) {
-                        for line in target.lines() {
-                            let score = if scoring { self.reuse.observe(line) } else { 0 };
-                            bundle.push((line, score));
-                        }
-                    }
-                }
-                self.vmig.push_bundle_scored(bundle.drain(..));
-                self.scratch_bundle = bundle;
+                self.push_targets(probes.iter().map(|&probe| image.read_u32(probe)));
                 // Return the consumed probe buffer to the arena.
                 probes.clear();
                 self.probe_pool.push(probes);
-                self.windows[i].phase = Phase::Resolve { window, next_elem };
-                StepOutcome::Worked
+                Phase::Resolve { window, next_elem }
+            }
+        };
+        StepOutcome::Worked
+    }
+
+    /// Resolves the gather target of each of `keys` (index values, or the
+    /// slots two-level probes read) and queues its lines on the VIGU as
+    /// one vector. Each line is scored by how often the window machinery
+    /// has touched it: hub rows resolved by many neighbouring windows earn
+    /// admission to the NSB, cold rows stay L2-only (scores all-zero when
+    /// scoring is inactive, reproducing unscored behaviour exactly).
+    fn push_targets(&mut self, keys: impl Iterator<Item = u32>) {
+        let Some(func) = self.func else {
+            return;
+        };
+        let scoring = self.scoring_active();
+        let mut bundle = std::mem::take(&mut self.scratch_bundle);
+        bundle.clear();
+        for key in keys {
+            for line in func.row(key).lines() {
+                let score = if scoring { self.reuse.observe(line) } else { 0 };
+                bundle.push((line, score));
             }
         }
+        self.vmig.push_bundle_scored(bundle.drain(..));
+        self.scratch_bundle = bundle;
     }
 }
 
@@ -618,13 +585,10 @@ impl Prefetcher for NvrPrefetcher {
         _mem: &mut MemorySystem,
     ) {
         match event.kind {
-            EventKind::IndexLoad { .. } => {
-                self.sd.observe(PC_INDEX_LOAD, event.addr);
-            }
             EventKind::GatherLoad if event.missed => {
                 self.miss_seen_in_tile = true;
             }
-            EventKind::GatherLoad | EventKind::TableProbe { .. } => {}
+            EventKind::IndexLoad { .. } | EventKind::GatherLoad | EventKind::TableProbe { .. } => {}
         }
     }
 
@@ -644,13 +608,12 @@ impl Prefetcher for NvrPrefetcher {
         self.fill_nsb = mem.has_nsb();
         self.lifetime.drain(mem);
         // Snoop ingestion is free (hardware registers).
-        self.lbd.set_total_tiles(snoop.total_tiles);
         if snoop.window_len() > 0 {
             self.lbd
                 .observe(snoop.tile, snoop.elem_start, snoop.elem_end);
         }
         if let Some(g) = snoop.gather {
-            self.scd.observe_gather(&g);
+            self.func = Some(g.func);
         }
         // The NPU has demand-loaded everything up to its progress pointer.
         self.covered_until = self.covered_until.max(snoop.elem_consumed);
@@ -664,9 +627,9 @@ impl Prefetcher for NvrPrefetcher {
         // demand stream has already fetched (pure waste), and it is the
         // ROB-head progress register that says so, not oracle knowledge.
         self.windows
-            .retain(|st| st.window().end > snoop.elem_consumed);
-        for st in &mut self.windows {
-            if let Phase::Resolve { window, next_elem } = &mut st.phase {
+            .retain(|phase| phase.window().end > snoop.elem_consumed);
+        for phase in &mut self.windows {
+            if let Phase::Resolve { window, next_elem } = phase {
                 *next_elem = (*next_elem).max(snoop.elem_consumed.min(window.end));
             }
         }
@@ -678,15 +641,15 @@ impl Prefetcher for NvrPrefetcher {
         // Per cycle: the VIGU issue port drains one vector while the
         // runahead thread (sparse unit + PIE) makes independent progress —
         // they are separate hardware units. The VIGU accumulates a *full*
-        // vector (`vmig_batch_lines`) while resolution is flowing — partial
+        // vector (`VMIG_BATCH_LINES`) while resolution is flowing — partial
         // issue would fragment the speculative MSHR file across undersized
         // vectors — and flushes whenever the thread blocks or runs dry.
         while self.clock < to {
             let flowing = self
                 .windows
                 .iter()
-                .any(|st| matches!(st.phase, Phase::Resolve { .. }));
-            let issued = if self.vmig.pending() >= self.cfg.vmig_batch_lines || !flowing {
+                .any(|phase| matches!(phase, Phase::Resolve { .. }));
+            let issued = if self.vmig.pending() >= VMIG_BATCH_LINES || !flowing {
                 self.vmig.issue(mem, self.clock, self.fill_nsb) > 0
             } else {
                 false
@@ -787,6 +750,30 @@ mod tests {
             tiles,
             image,
         }
+    }
+
+    /// Stream-ahead never queues the index line a window shares with it:
+    /// the window's own fetch already covers that line.
+    #[test]
+    fn duplicate_prefetch_suppressed() {
+        let mut nvr = NvrPrefetcher::new(NvrConfig::default());
+        let mut mem = MemorySystem::new(MemoryConfig::default());
+        let snoop = SnoopState {
+            tile: 0,
+            total_tiles: 1,
+            index_base: Addr::new(0x10_0000),
+            elem_start: 0,
+            elem_end: 64,
+            elem_consumed: 0,
+            gather: None,
+        };
+        // Elements [0, 24) end mid-line: their 96 bytes span index lines
+        // 0 and 1, and the 96 bytes of stream-ahead span lines 1 and 2.
+        nvr.fetch_index_lines(Window { start: 0, end: 24 }, &snoop, &mut mem);
+        assert_eq!(nvr.vmig.pending(), 1, "only line 2 streams ahead");
+        // Elements [32, 48) fill line 2 exactly; line 3 streams ahead.
+        nvr.fetch_index_lines(Window { start: 32, end: 48 }, &snoop, &mut mem);
+        assert_eq!(nvr.vmig.pending(), 2);
     }
 
     #[test]

@@ -4,37 +4,27 @@
 //! rides alongside the NPU (§III–§IV). It monitors CPU/NPU state through
 //! read-only snoopers, borrows the sparse-operators unit during its idle
 //! periods to execute approximate dependency chains ahead of the pipeline,
-//! and injects native vectorised prefetch loads. Its components, each a
-//! module here mirroring Fig. 3:
+//! and injects native vectorised prefetch loads. Where each unit of Fig. 3
+//! lives:
 //!
-//! | Paper unit | Module | Role |
+//! | Paper unit | Where | Role |
 //! |---|---|---|
-//! | Snooper            | [`controller`] (event routing) | read-only CPU/NPU state extraction |
-//! | Stride Detector    | [`stride_detector`] | W/index stream prediction |
-//! | Loop Bound Detector| [`loop_bound`] | window prediction + overrun clipping (SST) |
-//! | Sparse Chain Det.  | [`sparse_chain`] | indirect-chain target computation (IPT) |
+//! | Snooper            | [`controller`] (`advance`) | read-only CPU/NPU state extraction |
+//! | Stride Detector    | [`controller`] (index fetch and stream-ahead) | W/index stream prefetch, skipping the line a window shares with the stream ahead |
+//! | Loop Bound Detector| [`loop_bound`] | window length + overrun clipping (SST) |
+//! | Sparse Chain Det.  | [`controller`] (the snooped [`nvr_trace::SparseFunc`]) | indirect-chain target computation: [`nvr_trace::SparseFunc::probe`] and [`nvr_trace::SparseFunc::row`] |
 //! | VMIG               | [`vmig`] | micro-instruction revectorisation, 16-wide issue |
 //! | NSB                | [`nsb`] | in-NPU non-blocking speculative buffer config |
 //! | —                  | [`overhead`] | Table I storage accounting |
 //!
+//! The timing model keeps only the state it reads: the SD's last
+//! prefetched index line and the SCD's snooped sparse function are
+//! controller state, not modules. [`overhead`] still counts every unit's
+//! bits as Table I prints them.
+//!
 //! The composition — [`NvrPrefetcher`] — implements
 //! [`nvr_prefetch::Prefetcher`] and plugs into the same engine socket as the
 //! baselines.
-//!
-//! # Crate features
-//!
-//! * **`nvr-debug`** — verbose runahead tracing from the [`controller`] on
-//!   stderr: every speculative window open (`NVR window [start, end) ...`)
-//!   and every depth-bound stall (`NVR bound: ...`). Off by default and
-//!   fully compiled out when disabled, so the timing model pays nothing
-//!   for it. Enable it when a workload's coverage looks wrong and you need
-//!   to see *where* runahead stopped:
-//!
-//!   ```sh
-//!   cargo run -p nvr_sim --bin sweep --features nvr_core/nvr-debug -- \
-//!       --grid --jobs 1 --scale tiny --workload GCN --system NVR
-//!   cargo test -p nvr_core --features nvr-debug -- --nocapture
-//!   ```
 //!
 //! # Examples
 //!
@@ -66,8 +56,6 @@ pub mod loop_bound;
 pub mod nsb;
 pub mod overhead;
 pub mod reuse;
-pub mod sparse_chain;
-pub mod stride_detector;
 pub mod vmig;
 
 pub use config::{NvrConfig, TriggerPolicy};
@@ -77,6 +65,4 @@ pub use loop_bound::LoopBoundDetector;
 pub use nsb::{nsb_config, nsb_scored};
 pub use overhead::{overhead_report, OverheadReport};
 pub use reuse::ReusePredictor;
-pub use sparse_chain::SparseChainDetector;
-pub use stride_detector::StrideDetector;
 pub use vmig::Vmig;

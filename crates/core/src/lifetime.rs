@@ -8,8 +8,9 @@
 //! [`nvr_mem::Cache`]) — used at its first demand at any level, or evicted
 //! unused — and keeps the ordered outcomes once NVR asks. The
 //! [`LifetimeTracker`] folds them into a rolling wasted-prefetch ratio over
-//! the most recent outcomes, which the controller compares against
-//! [`crate::NvrConfig::throttle_evicted_ratio`] to back its cross-tile
+//! the most recent outcomes, which the controller compares against its
+//! evicted-unused threshold (0.1 over the last 128 outcomes, constants in
+//! [`crate::controller`]) to back its cross-tile
 //! lookahead depth off — filtered runahead in the spirit of DARE's
 //! usefulness-gated prefetch stream, where the throttle input is
 //! *observed* usefulness rather than window extent. The run's

@@ -1,38 +1,29 @@
 //! LBD: the Loop Bound Detector (§IV-E).
 //!
 //! Maintains the Sparse Structure Table (SST): per-tile index windows
-//! observed through the snoopers. For the tile currently at the ROB head
-//! the bounds are exact (read out of the sparse unit's `IdxPtr` registers);
-//! for future tiles the LBD *predicts* windows by chaining an exponentially
-//! weighted average of observed window lengths from the last exact anchor.
-//! Predictions carry a fuzzy-range factor (§III coverage-oriented
-//! philosophy), trading a little redundancy for whole-batch coverage, and
-//! the total-tile count snooped from the CPU's loop branch clips runahead
-//! at the kernel's end — the overrun protection fixed-distance runahead
+//! observed through the snoopers. The controller sizes each speculative
+//! window from an exponentially weighted average of the observed window
+//! lengths, stretched by a fuzzy-range factor (§III coverage-oriented
+//! philosophy) that trades a little redundancy for whole-batch coverage,
+//! and clips runahead at the index array's estimated end, extrapolated
+//! from the last observed tile over the total-tile count snooped from the
+//! CPU's loop branch — the overrun protection fixed-distance runahead
 //! lacks.
 
-/// A predicted or observed index window, in elements.
+/// A speculative index window, in elements.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Window {
+pub(crate) struct Window {
     /// First element (inclusive).
-    pub start: u64,
+    pub(crate) start: u64,
     /// Last element (exclusive).
-    pub end: u64,
-    /// Whether the bounds are exact (snooped) rather than predicted.
-    pub exact: bool,
+    pub(crate) end: u64,
 }
 
 impl Window {
     /// Number of elements in the window.
     #[must_use]
-    pub fn len(&self) -> u64 {
+    pub(crate) fn len(&self) -> u64 {
         self.end.saturating_sub(self.start)
-    }
-
-    /// Whether the window is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.end <= self.start
     }
 }
 
@@ -44,11 +35,11 @@ impl Window {
 /// use nvr_core::LoopBoundDetector;
 ///
 /// let mut lbd = LoopBoundDetector::new(1.0);
-/// lbd.set_total_tiles(10);
 /// lbd.observe(0, 0, 32);
 /// lbd.observe(1, 32, 64);
-/// let w = lbd.predict(2).expect("in range");
-/// assert_eq!((w.start, w.end), (64, 96));
+/// assert_eq!(lbd.predicted_len(), 32);
+/// // Ten tiles in all: eight more of 32 elements after tile 1 ends at 64.
+/// assert_eq!(lbd.estimated_end(10), Some(64 + 8 * 32));
 /// ```
 #[derive(Debug, Clone)]
 pub struct LoopBoundDetector {
@@ -56,7 +47,6 @@ pub struct LoopBoundDetector {
     avg_len: f64,
     /// Last exactly observed tile and its end element.
     anchor: Option<(usize, u64)>,
-    total_tiles: Option<usize>,
     fuzzy: f64,
     observed: u64,
 }
@@ -73,15 +63,9 @@ impl LoopBoundDetector {
         LoopBoundDetector {
             avg_len: 0.0,
             anchor: None,
-            total_tiles: None,
             fuzzy,
             observed: 0,
         }
-    }
-
-    /// Records the kernel's outer trip count (snooped from CPU branches).
-    pub fn set_total_tiles(&mut self, total: usize) {
-        self.total_tiles = Some(total);
     }
 
     /// Records an exact window for `tile` from the sparse-unit registers.
@@ -127,37 +111,6 @@ impl LoopBoundDetector {
         let remaining = total_tiles.saturating_sub(anchor_tile + 1) as f64;
         Some(anchor_end + (remaining * self.avg_len).ceil() as u64)
     }
-
-    /// Predicts the window of `tile`, or `None` when the tile is past the
-    /// snooped trip count or no anchor exists yet.
-    ///
-    /// The predicted *fetch* range is the average length stretched by the
-    /// fuzzy factor; chained starts use the unstretched average so
-    /// consecutive predictions overlap slightly rather than drift.
-    #[must_use]
-    #[expect(
-        clippy::cast_possible_truncation,
-        reason = "window lengths and ends are non-negative element counts far below 2^53"
-    )]
-    pub fn predict(&self, tile: usize) -> Option<Window> {
-        if let Some(total) = self.total_tiles {
-            if tile >= total {
-                return None;
-            }
-        }
-        let (anchor_tile, anchor_end) = self.anchor?;
-        if tile <= anchor_tile {
-            return None; // already executed; nothing to predict
-        }
-        let gap = (tile - anchor_tile - 1) as f64;
-        let start = anchor_end as f64 + gap * self.avg_len;
-        let len = (self.avg_len * self.fuzzy).ceil();
-        Some(Window {
-            start: start.floor() as u64,
-            end: (start + len).ceil() as u64,
-            exact: false,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -167,71 +120,76 @@ mod tests {
     #[test]
     fn uniform_windows_predict_exactly() {
         let mut lbd = LoopBoundDetector::new(1.0);
-        lbd.set_total_tiles(100);
         for t in 0..4 {
             lbd.observe(t, t as u64 * 50, (t as u64 + 1) * 50);
         }
-        let w = lbd.predict(4).expect("next tile");
-        assert_eq!((w.start, w.end), (200, 250));
-        let w6 = lbd.predict(6).expect("two ahead");
-        assert_eq!(w6.start, 300);
+        assert_eq!(lbd.predicted_len(), 50);
+        // Tile 3 ends at 200; 96 more tiles of 50 follow it.
+        assert_eq!(lbd.estimated_end(100), Some(200 + 96 * 50));
     }
 
     #[test]
     fn clips_at_total_tiles() {
         let mut lbd = LoopBoundDetector::new(1.0);
-        lbd.set_total_tiles(3);
         lbd.observe(0, 0, 10);
-        assert!(lbd.predict(2).is_some());
-        assert!(lbd.predict(3).is_none());
-        assert!(lbd.predict(99).is_none());
+        assert_eq!(lbd.estimated_end(3), Some(30));
+        // The observed tile is the last one: the array ends with it.
+        assert_eq!(lbd.estimated_end(1), Some(10));
+        // A trip count behind the anchor never clips before it.
+        assert_eq!(lbd.estimated_end(0), Some(10));
     }
 
     #[test]
     fn fuzzy_stretches_fetch_range() {
         let mut lbd = LoopBoundDetector::new(1.5);
         lbd.observe(0, 0, 100);
-        let w = lbd.predict(1).expect("predictable");
-        assert_eq!(w.start, 100);
-        assert_eq!(w.end, 250); // 100 * 1.5 stretched
-        assert!(!w.exact);
+        // 100 * 1.5 stretched; the array end extrapolates the
+        // unstretched average.
+        assert_eq!(lbd.predicted_len(), 150);
+        assert_eq!(lbd.estimated_end(2), Some(200));
     }
 
     #[test]
     fn ewma_adapts_to_varying_lengths() {
         let mut lbd = LoopBoundDetector::new(1.0);
         lbd.observe(0, 0, 100);
-        lbd.observe(1, 100, 120); // len 20
-        lbd.observe(2, 120, 140); // len 20
-        let w = lbd.predict(3).expect("predictable");
-        // Average drifts toward 20 but retains history.
-        assert!(w.len() < 100 && w.len() >= 20, "len {}", w.len());
-        assert_eq!(w.start, 140, "chained from last exact anchor");
+        lbd.observe(1, 100, 120);
+        lbd.observe(2, 120, 140);
+        // Two windows of 20: the average drifts toward 20 but retains
+        // history, 0.75 * (0.75 * 100 + 0.25 * 20) + 0.25 * 20 = 65.
+        assert_eq!(lbd.predicted_len(), 65);
+        assert_eq!(
+            lbd.estimated_end(4),
+            Some(140 + 65),
+            "chained from last exact anchor"
+        );
     }
 
     #[test]
     fn no_prediction_without_observation() {
         let lbd = LoopBoundDetector::new(1.1);
-        assert!(lbd.predict(1).is_none());
+        assert_eq!(lbd.predicted_len(), 0);
+        assert_eq!(lbd.estimated_end(10), None);
     }
 
     #[test]
     fn no_prediction_for_executed_tiles() {
         let mut lbd = LoopBoundDetector::new(1.0);
         lbd.observe(5, 500, 550);
-        assert!(lbd.predict(5).is_none());
-        assert!(lbd.predict(4).is_none());
-        assert!(lbd.predict(6).is_some());
+        // An older tile trains the average but never moves the anchor
+        // back: from tile 4 the end would be 450 + 3 * 50.
+        lbd.observe(4, 400, 450);
+        assert_eq!(lbd.estimated_end(8), Some(550 + 2 * 50));
+        lbd.observe(6, 550, 650);
+        // avg = 0.75 * 50 + 0.25 * 100 = 62.5, rounded up past tile 6.
+        assert_eq!(lbd.estimated_end(8), Some(650 + 63));
     }
 
     #[test]
     fn window_len_and_empty() {
-        let w = Window {
-            start: 10,
-            end: 10,
-            exact: true,
-        };
-        assert!(w.is_empty());
-        assert_eq!(w.len(), 0);
+        let len = |start, end| Window { start, end }.len();
+        assert_eq!(len(10, 14), 4);
+        assert_eq!(len(10, 10), 0);
+        assert_eq!(len(10, 5), 0, "an inverted window is empty");
     }
 }

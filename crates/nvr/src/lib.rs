@@ -3,11 +3,13 @@
 //! A clean-room, cycle-level reproduction of the DAC 2025 paper *NVR:
 //! Vector Runahead on NPUs for Sparse Memory Access* (Wang, Zhao, et al.):
 //! a Gemmini-like NPU timing model, a non-blocking cache hierarchy with an
-//! optional in-NPU speculative buffer (NSB), the NVR prefetcher itself
-//! (snoopers, stride detector, loop-bound detector, sparse-chain detector,
-//! VMIG), three general-purpose baselines (stream, IMP, DVR), the paper's
-//! eight sparse workloads, and an LLM system-level model — plus experiment
-//! drivers regenerating every table and figure of the evaluation.
+//! optional in-NPU speculative buffer (NSB), the NVR prefetcher itself (a
+//! pipelined controller holding the snoopers, the stride detector's index
+//! stream and the sparse-chain detector's snooped sparse function, plus a
+//! loop-bound detector and the VMIG), three general-purpose baselines
+//! (stream, IMP, DVR), the paper's eight sparse workloads, and an LLM
+//! system-level model — plus experiment drivers regenerating every table
+//! and figure of the evaluation.
 //!
 //! This facade re-exports the workspace crates under stable names.
 //!

@@ -18,9 +18,9 @@
 //!   stalling the pipeline, costing timeliness;
 //! * **no NSB fill path** — it targets the shared L2 only.
 
-use nvr_common::{Addr, Cycle};
+use nvr_common::{Addr, Cycle, LineAddr};
 use nvr_mem::MemorySystem;
-use nvr_trace::{AccessEvent, EventKind, MemoryImage, SnoopState, SparseFunc};
+use nvr_trace::{AccessEvent, EventKind, MemoryImage, SnoopState};
 
 use crate::api::Prefetcher;
 
@@ -119,13 +119,6 @@ impl DvrPrefetcher {
         Ok(image.read_u32(addr))
     }
 
-    /// Pushes the lines of one gather target onto the episode queue.
-    fn queue_target(queue: &mut Vec<Addr>, base: Addr, row_bytes: u64) {
-        for l in nvr_common::Region::new(base, row_bytes).lines() {
-            queue.push(l.base());
-        }
-    }
-
     /// Executes one speculative element; returns `false` when the episode
     /// blocked or ended (state is saved for the next `advance` window).
     fn step(&mut self, snoop: &SnoopState, image: &MemoryImage, mem: &mut MemorySystem) -> bool {
@@ -139,15 +132,9 @@ impl DvrPrefetcher {
         // Resume a pending two-level probe read.
         if let Some(probe) = ep.pending_probe.take() {
             let slot = image.read_u32(probe);
-            if let SparseFunc::TableLookup {
-                ia_base, row_bytes, ..
-            } = g.func
-            {
-                Self::queue_target(
-                    &mut ep.queue,
-                    ia_base.offset(u64::from(slot) * row_bytes),
-                    row_bytes,
-                );
+            if g.func.is_two_level() {
+                ep.queue
+                    .extend(g.func.row(slot).lines().map(LineAddr::base));
             }
             ep.remaining = ep.remaining.saturating_sub(1);
             ep.next_elem = ep.next_elem.offset(self.index_stride);
@@ -167,41 +154,21 @@ impl DvrPrefetcher {
                 return false;
             }
         };
-        match g.func {
-            SparseFunc::Affine { ia_base, row_bytes } => {
-                Self::queue_target(
-                    &mut ep.queue,
-                    ia_base.offset(u64::from(idx) * row_bytes),
-                    row_bytes,
-                );
-                ep.remaining -= 1;
-                ep.next_elem = ep.next_elem.offset(self.index_stride);
-            }
-            SparseFunc::TableLookup {
-                table_base,
-                ia_base,
-                row_bytes,
-            } => {
-                let probe = table_base.offset(u64::from(idx) * 4);
-                match self.spec_read(probe, image, mem) {
-                    Ok(slot) => {
-                        Self::queue_target(
-                            &mut ep.queue,
-                            ia_base.offset(u64::from(slot) * row_bytes),
-                            row_bytes,
-                        );
-                        ep.remaining -= 1;
-                        ep.next_elem = ep.next_elem.offset(self.index_stride);
-                    }
-                    Err(ready) => {
-                        ep.blocked_until = ready;
-                        ep.pending_probe = Some(probe);
-                        self.episode = Some(ep);
-                        return false;
-                    }
+        let key = match g.func.probe(idx) {
+            None => idx,
+            Some(probe) => match self.spec_read(probe, image, mem) {
+                Ok(slot) => slot,
+                Err(ready) => {
+                    ep.blocked_until = ready;
+                    ep.pending_probe = Some(probe);
+                    self.episode = Some(ep);
+                    return false;
                 }
-            }
-        }
+            },
+        };
+        ep.queue.extend(g.func.row(key).lines().map(LineAddr::base));
+        ep.remaining -= 1;
+        ep.next_elem = ep.next_elem.offset(self.index_stride);
         self.episode = Some(ep);
         true
     }
@@ -317,7 +284,7 @@ impl Prefetcher for DvrPrefetcher {
 mod tests {
     use super::*;
     use nvr_mem::MemoryConfig;
-    use nvr_trace::GatherDesc;
+    use nvr_trace::{GatherDesc, SparseFunc};
 
     fn snoop_with_gather(func: SparseFunc) -> SnoopState {
         SnoopState {

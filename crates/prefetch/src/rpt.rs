@@ -1,8 +1,8 @@
 //! Reference-prediction-table infrastructure shared by the prefetchers.
 //!
 //! The classic stride-detection entry: previous address, stride, and a
-//! saturating confidence counter. NVR's Stride Detector (§IV-B) and the
-//! stream/IMP baselines all build on this structure.
+//! saturating confidence counter. The IMP baseline builds on it to learn
+//! the index stream's stride.
 
 use nvr_common::Addr;
 

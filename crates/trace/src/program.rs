@@ -46,27 +46,66 @@ pub struct ResolvedGather {
 }
 
 impl SparseFunc {
-    /// Resolves the gather region for index value `idx`, reading the image
-    /// for table-lookup functions.
+    /// The table word that index value `idx` reads before its target is
+    /// known: `table_base + 4 · idx` for a table lookup, `None` for an
+    /// affine function.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use nvr_trace::SparseFunc;
+    /// use nvr_common::Addr;
+    ///
+    /// let hash = SparseFunc::TableLookup {
+    ///     table_base: Addr::new(0x2000),
+    ///     ia_base: Addr::new(0x8000_0000),
+    ///     row_bytes: 64,
+    /// };
+    /// assert_eq!(hash.probe(7), Some(Addr::new(0x2000 + 7 * 4)));
+    /// ```
+    #[must_use]
+    pub fn probe(&self, idx: u32) -> Option<Addr> {
+        match *self {
+            SparseFunc::Affine { .. } => None,
+            SparseFunc::TableLookup { table_base, .. } => {
+                Some(table_base.offset(u64::from(idx) * 4))
+            }
+        }
+    }
+
+    /// The gathered row of `key`, `ia_base + key · row_bytes`: `key` is
+    /// the index value of an affine function and the slot read at
+    /// [`SparseFunc::probe`] of a table lookup.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use nvr_trace::SparseFunc;
+    /// use nvr_common::Addr;
+    ///
+    /// let csr = SparseFunc::Affine { ia_base: Addr::new(0x1000), row_bytes: 64 };
+    /// let row = csr.row(3);
+    /// assert_eq!((row.start(), row.bytes()), (Addr::new(0x1000 + 3 * 64), 64));
+    /// ```
+    #[must_use]
+    pub fn row(&self, key: u32) -> Region {
+        match *self {
+            SparseFunc::Affine { ia_base, row_bytes }
+            | SparseFunc::TableLookup {
+                ia_base, row_bytes, ..
+            } => Region::new(ia_base.offset(u64::from(key) * row_bytes), row_bytes),
+        }
+    }
+
+    /// Resolves the gather region for index value `idx`: the row of the
+    /// index value itself, or of the slot its probe reads from the image.
     #[must_use]
     pub fn element_region(&self, idx: u32, image: &MemoryImage) -> ResolvedGather {
-        match *self {
-            SparseFunc::Affine { ia_base, row_bytes } => ResolvedGather {
-                target: Region::new(ia_base.offset(u64::from(idx) * row_bytes), row_bytes),
-                probe: None,
-            },
-            SparseFunc::TableLookup {
-                table_base,
-                ia_base,
-                row_bytes,
-            } => {
-                let probe = table_base.offset(u64::from(idx) * 4);
-                let slot = image.read_u32(probe);
-                ResolvedGather {
-                    target: Region::new(ia_base.offset(u64::from(slot) * row_bytes), row_bytes),
-                    probe: Some(probe),
-                }
-            }
+        let probe = self.probe(idx);
+        let key = probe.map_or(idx, |p| image.read_u32(p));
+        ResolvedGather {
+            target: self.row(key),
+            probe,
         }
     }
 
@@ -281,6 +320,47 @@ mod tests {
         assert_eq!(r.probe, Some(Addr::new(0x2010)));
         assert_eq!(r.target.start(), Addr::new(0x30_0000 + 7 * 64));
         assert!(f.is_two_level());
+    }
+
+    #[test]
+    fn affine_chain_tracking() {
+        let img = image_with_indices();
+        let f = SparseFunc::Affine {
+            ia_base: Addr::new(0x4000_0000),
+            row_bytes: 128,
+        };
+        for idx in [0, 5, 4096] {
+            assert_eq!(f.probe(idx), None);
+            let row = f.row(idx);
+            assert_eq!(row.start(), Addr::new(0x4000_0000 + u64::from(idx) * 128));
+            assert_eq!(row.bytes(), 128);
+            let r = f.element_region(idx, &img);
+            assert_eq!((r.target, r.probe), (row, None));
+        }
+    }
+
+    #[test]
+    fn two_level_chain_probe() {
+        let mut img = MemoryImage::new();
+        // table[b] = 3 * b + 1
+        img.add_u32_segment(Addr::new(0x2000), (0..16).map(|b| 3 * b + 1).collect());
+        let f = SparseFunc::TableLookup {
+            table_base: Addr::new(0x2000),
+            ia_base: Addr::new(0x8000_0000),
+            row_bytes: 64,
+        };
+        for idx in [0, 7, 15] {
+            let probe = f.probe(idx).expect("a table lookup probes");
+            assert_eq!(probe, Addr::new(0x2000 + u64::from(idx) * 4));
+            let slot = img.read_u32(probe);
+            assert_eq!(slot, 3 * idx + 1);
+            assert_eq!(
+                f.row(slot).start(),
+                Addr::new(0x8000_0000 + u64::from(slot) * 64)
+            );
+            let r = f.element_region(idx, &img);
+            assert_eq!((r.target, r.probe), (f.row(slot), Some(probe)));
+        }
     }
 
     #[test]

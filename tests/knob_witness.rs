@@ -34,11 +34,6 @@ const KNOBS: &[Knob] = &[
         change: |s| nvr(s).vector_width = 4,
     },
     Knob {
-        field: "NvrConfig::vmig_batch_lines",
-        system: SystemKind::Nvr,
-        change: |s| nvr(s).vmig_batch_lines = 8,
-    },
-    Knob {
         field: "NvrConfig::lookahead_lines",
         system: SystemKind::Nvr,
         change: |s| nvr(s).lookahead_lines = 32,
@@ -47,16 +42,6 @@ const KNOBS: &[Knob] = &[
         field: "NvrConfig::lookahead_tiles",
         system: SystemKind::Nvr,
         change: |s| nvr(s).lookahead_tiles = 1,
-    },
-    Knob {
-        field: "NvrConfig::throttle_evicted_ratio",
-        system: SystemKind::Nvr,
-        change: |s| nvr(s).throttle_evicted_ratio = 0.01,
-    },
-    Knob {
-        field: "NvrConfig::throttle_window",
-        system: SystemKind::Nvr,
-        change: |s| nvr(s).throttle_window = 8,
     },
     Knob {
         field: "NvrConfig::fuzzy_factor",
@@ -190,11 +175,8 @@ fn every_knob_moves_its_witness_cell() {
     // knob.
     let NvrConfig {
         vector_width: _,
-        vmig_batch_lines: _,
         lookahead_lines: _,
         lookahead_tiles: _,
-        throttle_evicted_ratio: _,
-        throttle_window: _,
         fuzzy_factor: _,
         use_lbd: _,
         nsb_admit_min_reuse: _,
@@ -227,7 +209,7 @@ fn every_knob_moves_its_witness_cell() {
         dma_bytes_per_cycle: _,
         loads_per_cycle: _,
     } = NpuConfig::default();
-    assert_eq!(KNOBS.len(), 10 + 5 + 4 + 4 + 5);
+    assert_eq!(KNOBS.len(), 7 + 5 + 4 + 4 + 5);
 
     let program = WorkloadId::Gcn.build(&WorkloadSpec::tiny(DataWidth::Fp16, 2025));
     // Unchanged cells, each simulated once.
