@@ -5,7 +5,7 @@ use nvr_common::{Cycle, Histogram, LineAddr};
 use crate::cache::{completed_by, retire, track_fill, Cache, ProbeResult};
 use crate::config::MemoryConfig;
 use crate::dram::{ChannelPrefetch, DramBackend};
-use crate::stats::MemoryStats;
+use crate::stats::{CacheStats, MemoryStats};
 
 /// Classification of a demand access, for statistics and latency breakdowns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -322,8 +322,13 @@ impl MemorySystem {
         if fill_nsb {
             if let Some(nsb) = &mut self.nsb {
                 if nsb.mshr_available(now) {
+                    // The NSB may still hold a copy the L2 evicted: the
+                    // install refills it in place (its fill time, LRU stamp
+                    // and score move), but only a new copy begins an NSB
+                    // prefetch life and counts as issued there.
                     let nsb_slot = nsb.lookup(line);
-                    if nsb.install_at(nsb_slot, fill_done, true, now, nsb_reuse) {
+                    let new_copy = !nsb_slot.found();
+                    if nsb.install_at(nsb_slot, fill_done, true, now, nsb_reuse) && new_copy {
                         nsb.note_prefetch_issued();
                     }
                 }
@@ -462,28 +467,39 @@ impl MemorySystem {
 
     /// Folds end-of-run state (resident unused prefetches) into the stats.
     ///
-    /// In debug builds, checks that every L2 prefetch life ended exactly
-    /// one way: used, evicted unused or resident unused. A
+    /// In debug builds, checks that every prefetch life at each level
+    /// ended exactly one way: used, evicted unused or resident unused. A
     /// [`crate::RetentionPolicy::ScoredReuse`] L2 may refuse a speculative
     /// fill whose DRAM fetch was already counted issued; that fill begins
     /// no life and is counted in `retention_rejected` (with any refused
     /// demand fill), so there the issued count may exceed the lives by at
-    /// most the rejections. No other policy refuses a fill, so elsewhere
-    /// the identity is exact.
+    /// most the rejections. No other policy refuses a fill, and the NSB
+    /// counts a prefetch issued only when it places a new copy, so
+    /// elsewhere the identity is exact.
     pub fn finalize(&mut self) {
         if let Some(nsb) = &mut self.nsb {
             nsb.finalize_stats();
         }
         self.l2.finalize_stats();
+        let lives = |s: &CacheStats| {
+            s.prefetch_useful.get()
+                + s.prefetch_evicted_unused.get()
+                + s.prefetch_resident_unused.get()
+        };
         let l2 = self.l2.stats();
-        let issued = l2.prefetch_issued.get();
-        let lives = l2.prefetch_useful.get()
-            + l2.prefetch_evicted_unused.get()
-            + l2.prefetch_resident_unused.get();
+        let (issued, l2_lives) = (l2.prefetch_issued.get(), lives(l2));
         debug_assert!(
-            lives <= issued && issued - lives <= l2.retention_rejected.get(),
-            "{issued} issued L2 prefetches against {lives} lives: {l2:?}"
+            l2_lives <= issued && issued - l2_lives <= l2.retention_rejected.get(),
+            "{issued} issued L2 prefetches against {l2_lives} lives: {l2:?}"
         );
+        if let Some(nsb) = &self.nsb {
+            let nsb = nsb.stats();
+            debug_assert_eq!(
+                nsb.prefetch_issued.get(),
+                lives(nsb),
+                "issued NSB prefetches against lives: {nsb:?}"
+            );
+        }
     }
 }
 
@@ -730,6 +746,41 @@ mod tests {
         assert_eq!(s.l2.prefetch_useful.get(), 1);
         assert_eq!(s.l2.prefetch_resident_unused.get(), 1);
         assert_eq!(s.prefetch_accuracy(), 0.5);
+    }
+
+    #[test]
+    fn nsb_refill_after_l2_eviction_is_not_issued() {
+        // Line 0 and lines 512 * k share an L2 set (8 ways of 512 sets).
+        let mut mem = MemorySystem::new(cfg_with_nsb());
+        let line = LineAddr::new(0);
+        let fill = match mem.prefetch_line(line, 0, true) {
+            PrefetchOutcome::Issued { fill_done } => fill_done,
+            other => panic!("{other:?}"),
+        };
+        // Eight L2-only prefetches into the set evict the line from the
+        // L2, its least recently used filled way; the NSB keeps its copy.
+        for k in 1..=8 {
+            let other = LineAddr::new(512 * k);
+            assert!(matches!(
+                mem.prefetch_line(other, fill + 1, false),
+                PrefetchOutcome::Issued { .. }
+            ));
+        }
+        let nsb = mem.nsb.as_ref().expect("nsb");
+        assert!(!mem.l2.contains(line) && nsb.contains(line));
+        assert_eq!(nsb.stats().prefetch_issued.get(), 1);
+        // Fetching the line again refills the NSB copy in place: the L2
+        // counts a new prefetch, the NSB no new copy.
+        assert!(matches!(
+            mem.prefetch_line(line, 2 * fill, true),
+            PrefetchOutcome::Issued { .. }
+        ));
+        mem.finalize();
+        let s = mem.stats();
+        assert_eq!(s.l2.prefetch_issued.get(), 10);
+        let nsb = s.nsb.expect("nsb");
+        assert_eq!(nsb.prefetch_issued.get(), 1);
+        assert_eq!(nsb.prefetch_resident_unused.get(), 1);
     }
 
     /// Tag lookups so far at (L2, NSB).

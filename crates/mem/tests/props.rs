@@ -28,7 +28,8 @@ proptest! {
     /// an arbitrary mix of prefetches, a demand still completes and the
     /// stats identity (hits + merges + misses == accesses) holds. Every
     /// prefetch the L2 issued ends exactly one way, with or without an NSB
-    /// that prefetches also fill and that serves demands first.
+    /// that prefetches also fill and that serves demands first, and so
+    /// does every prefetch the NSB issued.
     #[test]
     fn prefetch_preserves_invariants(
         seed in any::<u64>(),
@@ -61,12 +62,14 @@ proptest! {
             s.l2.demand_accesses(),
             s.l2.demand_hits.get() + s.l2.mshr_merges.get() + s.l2.demand_misses.get()
         );
-        prop_assert_eq!(
-            s.l2.prefetch_issued.get(),
-            s.l2.prefetch_useful.get()
-                + s.l2.prefetch_evicted_unused.get()
-                + s.l2.prefetch_resident_unused.get()
-        );
+        for level in std::iter::once(&s.l2).chain(&s.nsb) {
+            prop_assert_eq!(
+                level.prefetch_issued.get(),
+                level.prefetch_useful.get()
+                    + level.prefetch_evicted_unused.get()
+                    + level.prefetch_resident_unused.get()
+            );
+        }
     }
 
     /// DRAM completions are monotone in request order at a fixed address
