@@ -468,7 +468,7 @@ impl NvrPrefetcher {
         image: &MemoryImage,
         mem: &mut MemorySystem,
     ) -> StepOutcome {
-        // Move the phase out (every arm writes a fresh one back) instead of
+        // Move the phase out (every arm returns a fresh one) instead of
         // cloning it — `ProbeWait` carries a probe Vec, and cloning it made
         // every step of a two-level window an allocation.
         let placeholder = Phase::Resolve {
@@ -774,6 +774,41 @@ mod tests {
         // Elements [32, 48) fill line 2 exactly; line 3 streams ahead.
         nvr.fetch_index_lines(Window { start: 32, end: 48 }, &snoop, &mut mem);
         assert_eq!(nvr.vmig.pending(), 2);
+    }
+
+    /// Before the sparse unit's gather registers are snooped, runahead
+    /// still fetches index lines but resolves no gather target.
+    #[test]
+    fn untrained_predicts_nothing() {
+        let mut image = MemoryImage::new();
+        image.add_u32_segment(Addr::new(0x10_0000), (0..256).collect());
+        let snoop = |gather| SnoopState {
+            tile: 0,
+            total_tiles: 4,
+            index_base: Addr::new(0x10_0000),
+            elem_start: 0,
+            elem_end: 64,
+            elem_consumed: 0,
+            gather,
+        };
+        let run = |gather| {
+            let mut nvr = NvrPrefetcher::new(NvrConfig::default());
+            let mut mem = MemorySystem::new(MemoryConfig::default());
+            nvr.advance(0, 20_000, &snoop(gather), &image, &mut mem);
+            (
+                mem.stats().l2.prefetch_issued.get(),
+                nvr.vmig().vectors_issued(),
+            )
+        };
+        let (issued, vectors) = run(None);
+        assert!(issued > 0, "index lines are fetched");
+        assert_eq!(vectors, 0, "no target without a snooped function");
+        let func = SparseFunc::Affine {
+            ia_base: Addr::new(0x1_0000_0000),
+            row_bytes: 64,
+        };
+        let (_, vectors) = run(Some(GatherDesc { func, batch: 16 }));
+        assert!(vectors > 0, "a snooped function resolves targets");
     }
 
     #[test]

@@ -89,6 +89,58 @@ fn ooo_never_slower_than_inorder() {
     }
 }
 
+/// Memory-bound runs respond monotonically to the memory: raising DRAM
+/// latency 150 → 300 → 600 cycles never lowers a total, and adding
+/// channels 1 → 2 → 4 never raises one. Every workload under every system,
+/// tiny scale, FP16, all through one lab.
+#[test]
+fn totals_monotone_in_dram_latency_and_channels() {
+    use nvr::sim::lab::Cell;
+
+    let memory = |latency, channels| {
+        let mut mem =
+            MemoryConfig::default().with_dram(DramConfig::default().with_channels(channels));
+        mem.dram.latency = latency;
+        mem
+    };
+    // Indices 0..=2 step the latency at one channel; 1, 3 and 4 step the
+    // channels at the default latency.
+    let memories = [
+        memory(150, 1),
+        memory(300, 1),
+        memory(600, 1),
+        memory(300, 2),
+        memory(300, 4),
+    ];
+    assert_eq!(memories[1], MemoryConfig::default());
+    let spec = WorkloadSpec::tiny(DataWidth::Fp16, 2025);
+    let cells: Vec<Cell> = memories
+        .iter()
+        .flat_map(|mem| Cell::grid(&WorkloadId::ALL, &SystemKind::ALL, spec, mem))
+        .collect();
+    let outcomes = Lab::new(2).run(&cells);
+    let per_memory = WorkloadId::ALL.len() * SystemKind::ALL.len();
+    for i in 0..per_memory {
+        let total = |m: usize| outcomes[m * per_memory + i].result.total_cycles;
+        let cell = &outcomes[i];
+        let name = format!("{}/{}", cell.result.name, cell.system.label());
+        // (the faster memory, the slower one, the step between them)
+        for (fast, slow, step) in [
+            (0, 1, "latency 150 -> 300"),
+            (1, 2, "latency 300 -> 600"),
+            (3, 1, "channels 1 -> 2"),
+            (4, 3, "channels 2 -> 4"),
+        ] {
+            assert!(
+                total(fast) <= total(slow),
+                "{name}, {step}: {} cycles on the faster memory, {} on the slower",
+                total(fast),
+                total(slow)
+            );
+        }
+    }
+}
+
 /// The paper's ordering on the scattered-gather workloads: runahead beats
 /// pattern-based prefetching, which beats nothing.
 #[test]
