@@ -12,8 +12,8 @@
 //!   of depending on the `rand` crate.
 //! * [`width::DataWidth`] — the INT8 / FP16 / INT32 operand widths evaluated
 //!   in the paper's Fig. 5.
-//! * [`stats`] — counters, ratios and latency histograms shared by the
-//!   cache, NPU and prefetcher models.
+//! * [`stats`] — counters and latency histograms shared by the cache,
+//!   NPU and prefetcher models.
 //!
 //! # Examples
 //!
@@ -35,7 +35,7 @@ pub use addr::{Addr, LineAddr, Region, LINE_BYTES, LINE_SHIFT};
 pub use error::NvrError;
 pub use flatmap::FlatMap;
 pub use rng::Pcg32;
-pub use stats::{mean, mean_ci95, Counter, Histogram, Ratio};
+pub use stats::{mean, mean_ci95, Counter, Histogram};
 pub use width::DataWidth;
 
 /// Simulation time in clock cycles.

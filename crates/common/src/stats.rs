@@ -51,104 +51,6 @@ impl fmt::Display for Counter {
     }
 }
 
-/// A numerator/denominator pair reported as a rate.
-///
-/// Used for hit rates, prefetch accuracy, and coverage, where both parts are
-/// interesting on their own ([C-INTERMEDIATE]).
-///
-/// # Examples
-///
-/// ```
-/// use nvr_common::Ratio;
-///
-/// let mut hit_rate = Ratio::new();
-/// hit_rate.record(true);
-/// hit_rate.record(false);
-/// assert_eq!(hit_rate.rate(), 0.5);
-/// ```
-///
-/// [C-INTERMEDIATE]: https://rust-lang.github.io/api-guidelines/flexibility.html
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Ratio {
-    hits: u64,
-    total: u64,
-}
-
-impl Ratio {
-    /// An empty ratio (rate reported as 0).
-    #[inline]
-    #[must_use]
-    pub const fn new() -> Self {
-        Ratio { hits: 0, total: 0 }
-    }
-
-    /// Creates a ratio from raw parts.
-    #[inline]
-    #[must_use]
-    pub const fn from_parts(hits: u64, total: u64) -> Self {
-        Ratio { hits, total }
-    }
-
-    /// Records one observation; `hit` contributes to the numerator.
-    #[inline]
-    pub fn record(&mut self, hit: bool) {
-        self.total += 1;
-        if hit {
-            self.hits += 1;
-        }
-    }
-
-    /// Numerator.
-    #[inline]
-    #[must_use]
-    pub const fn hits(self) -> u64 {
-        self.hits
-    }
-
-    /// Denominator.
-    #[inline]
-    #[must_use]
-    pub const fn total(self) -> u64 {
-        self.total
-    }
-
-    /// Misses (denominator minus numerator).
-    #[inline]
-    #[must_use]
-    pub const fn misses(self) -> u64 {
-        self.total - self.hits
-    }
-
-    /// The rate in `[0, 1]`; `0` when empty.
-    #[inline]
-    #[must_use]
-    pub fn rate(self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.total as f64
-        }
-    }
-
-    /// Merges another ratio into this one.
-    pub fn merge(&mut self, other: Ratio) {
-        self.hits += other.hits;
-        self.total += other.total;
-    }
-}
-
-impl fmt::Display for Ratio {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}/{} ({:.1}%)",
-            self.hits,
-            self.total,
-            self.rate() * 100.0
-        )
-    }
-}
-
 /// A fixed-bucket latency histogram with power-of-two bucket edges.
 ///
 /// Records per-access latencies so stall distributions can be inspected
@@ -336,23 +238,6 @@ mod tests {
         c.add(10);
         assert_eq!(c.get(), 11);
         assert_eq!(c.to_string(), "11");
-    }
-
-    #[test]
-    fn ratio_rate_and_merge() {
-        let mut r = Ratio::new();
-        assert_eq!(r.rate(), 0.0);
-        for i in 0..10 {
-            r.record(i % 2 == 0);
-        }
-        assert_eq!(r.hits(), 5);
-        assert_eq!(r.misses(), 5);
-        assert!((r.rate() - 0.5).abs() < 1e-12);
-
-        let mut other = Ratio::from_parts(10, 10);
-        other.merge(r);
-        assert_eq!(other.total(), 20);
-        assert_eq!(other.hits(), 15);
     }
 
     #[test]

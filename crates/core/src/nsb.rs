@@ -9,12 +9,13 @@
 
 use nvr_mem::{CacheConfig, RetentionPolicy};
 
-/// An NSB configuration of `kib` kibibytes.
+/// An NSB configuration of `kib` kibibytes: [`CacheConfig::nsb_default`]
+/// resized.
 ///
 /// Associativity follows the paper's high-way design (§IV-G argues
 /// direct-mapped/low-associativity buffers conflict-miss badly on sparse
-/// index spaces): 16 ways, scaled down only when the buffer is too small to
-/// support them.
+/// index spaces): the default's 16 ways, scaled down only when the buffer
+/// is too small to support them.
 ///
 /// # Examples
 ///
@@ -34,22 +35,16 @@ use nvr_mem::{CacheConfig, RetentionPolicy};
 #[must_use]
 pub fn nsb_config(kib: u64) -> CacheConfig {
     assert!(kib > 0, "NSB size must be non-zero");
+    let nsb = CacheConfig::nsb_default();
     let size_bytes = kib * 1024;
-    // Keep at least one set while preferring 16 ways.
+    // Keep at least one set while preferring the default's ways.
     let max_ways = size_bytes / nvr_common::LINE_BYTES;
-    let mut ways = 16.min(max_ways);
+    let mut ways = nsb.ways.min(max_ways);
     // Capacity must divide evenly into ways x line.
     while ways > 1 && !size_bytes.is_multiple_of(nvr_common::LINE_BYTES * ways) {
         ways -= 1;
     }
-    CacheConfig {
-        name: "NSB",
-        size_bytes,
-        ways,
-        hit_latency: 2,
-        mshr_entries: 16,
-        policy: RetentionPolicy::Lru,
-    }
+    nsb.with_size(size_bytes).with_ways(ways)
 }
 
 /// [`nsb_config`] with the reuse-aware retention policy
@@ -90,6 +85,11 @@ mod tests {
             assert_eq!(cfg.size_bytes, kib * 1024);
             assert_eq!(cfg.ways, 16, "{kib} KiB should support 16 ways");
         }
+    }
+
+    #[test]
+    fn default_size_is_the_default_nsb() {
+        assert_eq!(nsb_config(16), CacheConfig::nsb_default());
     }
 
     #[test]

@@ -4,8 +4,7 @@
 //! non-blocking speculative buffer (NSB) in front of a shared L2 cache,
 //! backed by a multi-channel, bandwidth-limited DRAM backend
 //! ([`DramBackend`]: line-address interleaved channels, bounded
-//! per-channel prefetch queues, demand-over-prefetch arbitration), plus
-//! the NPU scratchpad for dense operands.
+//! per-channel prefetch queues, demand-over-prefetch arbitration).
 //!
 //! # Timing model
 //!
@@ -45,12 +44,10 @@ pub mod cache;
 pub mod config;
 pub mod dram;
 pub mod hierarchy;
-pub mod scratchpad;
 pub mod stats;
 
 pub use cache::{Cache, ProbeResult};
 pub use config::{CacheConfig, DramConfig, MemoryConfig, RetentionPolicy};
 pub use dram::{ChannelPrefetch, DramBackend};
 pub use hierarchy::{AccessOutcome, AccessResult, MemorySystem, PrefetchOutcome};
-pub use scratchpad::Scratchpad;
 pub use stats::{CacheStats, ChannelStats, DramStats, MemoryStats};

@@ -1,7 +1,5 @@
 //! NPU configuration.
 
-use nvr_common::NvrError;
-
 /// Execution discipline of the NPU pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
@@ -9,107 +7,38 @@ pub enum ExecMode {
     /// stalls everything (the paper's baseline Gemmini behaviour, §II-B).
     #[default]
     InOrder,
-    /// Ideal out-of-order: loads for up to `rob_tiles` upcoming tiles issue
-    /// while earlier tiles compute, overlapping memory with computation.
-    OutOfOrder {
-        /// Tile-granular ROB window.
-        rob_tiles: usize,
-    },
+    /// Ideal out-of-order: loads for up to eight upcoming tiles issue while
+    /// earlier tiles compute, overlapping memory with computation.
+    OutOfOrder,
 }
 
-/// Configuration of the NPU timing model.
+/// Configuration of the NPU timing model: its execution discipline.
+///
+/// Everything else about the NPU is the one Gemmini-class design the
+/// paper evaluates (§IV-A), fixed in the engine: 16 sparse-unit lanes, a
+/// 256 KiB scratchpad filled at 32 B/cycle by one DMA engine, one index
+/// load per cycle, and an 8-tile ROB when out of order.
 ///
 /// # Examples
 ///
 /// ```
-/// use nvr_npu::NpuConfig;
+/// use nvr_npu::{ExecMode, NpuConfig};
 ///
-/// let cfg = NpuConfig::default();
-/// assert_eq!(cfg.vector_width, 16);
-/// cfg.validate()?;
-/// # Ok::<(), nvr_common::NvrError>(())
+/// assert_eq!(NpuConfig::default().exec, ExecMode::InOrder);
+/// assert_eq!(NpuConfig::out_of_order().exec, ExecMode::OutOfOrder);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct NpuConfig {
     /// Execution discipline.
     pub exec: ExecMode,
-    /// SIMD lanes / gather elements per vector load (the paper's N=16).
-    pub vector_width: usize,
-    /// Scratchpad capacity in bytes (Gemmini default: 256 KB).
-    pub scratchpad_bytes: u64,
-    /// DMA engine throughput, bytes per cycle.
-    pub dma_bytes_per_cycle: u64,
-    /// Coarse loads the load controller can issue per cycle.
-    pub loads_per_cycle: u64,
 }
 
 impl NpuConfig {
-    /// The configuration with ideal OoO execution, default window.
+    /// The configuration with ideal OoO execution.
     #[must_use]
     pub fn out_of_order() -> Self {
         NpuConfig {
-            exec: ExecMode::OutOfOrder { rob_tiles: 8 },
-            ..NpuConfig::default()
+            exec: ExecMode::OutOfOrder,
         }
-    }
-
-    /// Checks the configuration is realisable.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NvrError::Config`] if any knob is zero.
-    pub fn validate(&self) -> Result<(), NvrError> {
-        if self.vector_width == 0
-            || self.scratchpad_bytes == 0
-            || self.dma_bytes_per_cycle == 0
-            || self.loads_per_cycle == 0
-        {
-            return Err(NvrError::Config(
-                "NPU configuration values must be non-zero".into(),
-            ));
-        }
-        if let ExecMode::OutOfOrder { rob_tiles } = self.exec {
-            if rob_tiles == 0 {
-                return Err(NvrError::Config("ROB window must be non-zero".into()));
-            }
-        }
-        Ok(())
-    }
-}
-
-impl Default for NpuConfig {
-    fn default() -> Self {
-        NpuConfig {
-            exec: ExecMode::InOrder,
-            vector_width: 16,
-            scratchpad_bytes: 256 * 1024,
-            dma_bytes_per_cycle: 32,
-            loads_per_cycle: 1,
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn defaults_valid() {
-        NpuConfig::default().validate().expect("default valid");
-        NpuConfig::out_of_order().validate().expect("ooo valid");
-    }
-
-    #[test]
-    fn zero_knobs_rejected() {
-        let bad = NpuConfig {
-            vector_width: 0,
-            ..NpuConfig::default()
-        };
-        assert!(bad.validate().is_err());
-        let bad = NpuConfig {
-            exec: ExecMode::OutOfOrder { rob_tiles: 0 },
-            ..NpuConfig::default()
-        };
-        assert!(bad.validate().is_err());
     }
 }

@@ -1,15 +1,34 @@
 //! The cycle-stepped NPU execution engine.
 
 use nvr_common::{Addr, Cycle};
-use nvr_mem::{AccessOutcome, MemorySystem, Scratchpad};
+use nvr_mem::{AccessOutcome, MemorySystem};
 use nvr_prefetch::Prefetcher;
-use nvr_trace::event::PC_TABLE_PROBE;
 use nvr_trace::{AccessEvent, EventKind, NpuProgram, ResolvedGather, SnoopState, TileOp};
 
 use crate::config::{ExecMode, NpuConfig};
 use crate::result::RunResult;
-use crate::sparse_unit::SparseUnit;
-use crate::systolic::SystolicArray;
+
+/// Index-processing lanes of the sparse-operators unit: it aligns 16 of a
+/// tile's indices per cycle, the paper's vector width N = 16 (§IV-A).
+const SPARSE_LANES: u64 = 16;
+
+/// The scratchpad's capacity: Gemmini's default 256 KiB (§IV-A). A tile's
+/// engine-side DMA moves at most this much. It bounds each transfer, not
+/// their sum, since a tile's operands leave when the tile retires.
+const SCRATCHPAD_BYTES: u64 = 256 * 1024;
+
+/// Throughput of the one DMA engine that fills the scratchpad. Assumed:
+/// the paper gives no DMA width; this is half of a 64 B line per cycle.
+const DMA_BYTES_PER_CYCLE: u64 = 32;
+
+/// Index lines the load controller issues per cycle. Assumed: the paper
+/// gives no port count; one port issues a tile's index lines one a cycle.
+const LOADS_PER_CYCLE: u64 = 1;
+
+/// Tiles the ideal out-of-order NPU keeps in flight: a tile's loads issue
+/// only once the tile this many back has started compute. Assumed: the
+/// paper gives no window for its ideal OoO Gemmini (§V-A).
+const ROB_TILES: usize = 8;
 
 /// The NPU engine: executes an [`NpuProgram`] against a memory system,
 /// driving an attached prefetcher with events and idle windows.
@@ -36,8 +55,7 @@ use crate::systolic::SystolicArray;
 /// ```
 #[derive(Debug, Clone)]
 pub struct NpuEngine {
-    cfg: NpuConfig,
-    systolic: SystolicArray,
+    exec: ExecMode,
 }
 
 /// Mutable per-run accounting.
@@ -54,34 +72,9 @@ struct Counters {
 
 impl NpuEngine {
     /// Creates an engine with the given configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration fails [`NpuConfig::validate`].
     #[must_use]
     pub fn new(cfg: NpuConfig) -> Self {
-        #[expect(
-            clippy::expect_used,
-            reason = "init-time config validation in the constructor, outside the tick loop"
-        )]
-        cfg.validate().expect("npu config must be valid");
-        NpuEngine {
-            cfg,
-            systolic: SystolicArray::gemmini_default(),
-        }
-    }
-
-    /// The configuration this engine was built with.
-    #[must_use]
-    pub fn config(&self) -> &NpuConfig {
-        &self.cfg
-    }
-
-    /// The systolic array whose timing this engine assumes; workload
-    /// generators should size `compute_cycles` with the same array.
-    #[must_use]
-    pub fn systolic(&self) -> &SystolicArray {
-        &self.systolic
+        NpuEngine { exec: cfg.exec }
     }
 
     /// Executes `program` to completion; returns timing and miss counts.
@@ -91,8 +84,8 @@ impl NpuEngine {
     /// loads, compute, store. Only the schedule differs. In order, a
     /// tile's loads issue at the previous tile's compute end and each
     /// batch once the one before it completes; out of order, a tile's
-    /// loads issue once the load port is free and the tile `rob_tiles`
-    /// back has started compute, and one batch issues per cycle.
+    /// loads issue once the load port is free and the tile eight back
+    /// (`ROB_TILES`) has started compute, and one batch issues per cycle.
     ///
     /// The prefetcher [observes](Prefetcher::observe) every demand access,
     /// and each tile grants it the same [`Prefetcher::advance`] windows in
@@ -122,12 +115,10 @@ impl NpuEngine {
             program,
             mem,
             prefetcher,
-            loads_per_cycle: self.cfg.loads_per_cycle,
             index_base,
             counters: Counters::default(),
         };
-        let mut sched = Schedule::new(&self.cfg, program.tiles.len());
-        let mut sparse_unit = SparseUnit::new(self.cfg.vector_width);
+        let mut sched = Schedule::new(self.exec, program.tiles.len());
         let mut last_drain: Cycle = 0;
         for tile in &program.tiles {
             let issue = sched.tile_issue();
@@ -148,7 +139,7 @@ impl NpuEngine {
                 for batch in resolved.chunks(g.batch.max(1)) {
                     consumed += batch.len() as u64;
                     let snoop = walk.snoop(tile, consumed);
-                    let (elem_issue, ready) = walk.load_batch(tile, &snoop, batch, next);
+                    let (elem_issue, ready) = walk.load_batch(&snoop, batch, next);
                     walk.advance(elem_issue, ready, &snoop);
                     data_ready = data_ready.max(ready);
                     next = sched.next_batch(next, ready);
@@ -157,7 +148,7 @@ impl NpuEngine {
             // Compute: the sparse unit aligns the indices, then the array runs.
             let (compute_start, compute_end) =
                 sched.compute(next, data_ready.max(dma_done), tile.compute_cycles);
-            let sparse_done = sparse_unit.process(compute_start, tile.index_count());
+            let sparse_done = sched.align(compute_start, tile.index_count());
             walk.counters.compute_cycles += tile.compute_cycles;
             let snoop = walk.snoop(tile, tile.index_count() as u64);
             walk.advance(sparse_done.min(compute_end), compute_end, &snoop);
@@ -178,14 +169,14 @@ impl NpuEngine {
     /// model, bit for bit.
     ///
     /// Under that memory the index lines complete
-    /// `(lines − 1) / loads_per_cycle + demand_latency` after issue, each
+    /// `(lines − 1) / LOADS_PER_CYCLE + demand_latency` after issue, each
     /// gather batch takes `demand_latency` (twice that when a table probe
     /// precedes the element loads), engine-side DMA still serialises
-    /// through the scratchpad, and channel-side DMA and stores are free,
+    /// through the one DMA engine, and channel-side DMA and stores are free,
     /// so the run ends with the last tile's compute.
     #[must_use]
     pub fn base_cycles(&self, program: &NpuProgram, demand_latency: Cycle) -> Cycle {
-        let mut sched = Schedule::new(&self.cfg, program.tiles.len());
+        let mut sched = Schedule::new(self.exec, program.tiles.len());
         for tile in &program.tiles {
             let issue = sched.tile_issue();
             let dma_done = sched.dma_in(issue, tile.dma_bytes);
@@ -193,7 +184,7 @@ impl NpuEngine {
             let index_ready = if lines == 0 {
                 issue
             } else {
-                issue + (lines - 1) / self.cfg.loads_per_cycle + demand_latency
+                issue + (lines - 1) / LOADS_PER_CYCLE + demand_latency
             };
             let batches = tile
                 .gather
@@ -214,11 +205,15 @@ impl NpuEngine {
 /// The tile schedule of one run, the only part of it that depends on the
 /// [`ExecMode`]: when each tile's loads issue and when each gather batch
 /// issues after the one before it. In both modes engine-side DMA
-/// serialises through the scratchpad and compute through the array.
+/// serialises through the one DMA engine, index alignment through the
+/// sparse-operators unit and compute through the array.
 #[derive(Debug)]
 struct Schedule {
     exec: ExecMode,
-    spad: Scratchpad,
+    /// The DMA engine's next free cycle.
+    dma_free: Cycle,
+    /// The sparse-operators unit's next free cycle.
+    sparse_free: Cycle,
     /// The load port's next free cycle.
     load_free: Cycle,
     /// The previous tile's compute end.
@@ -228,10 +223,11 @@ struct Schedule {
 }
 
 impl Schedule {
-    fn new(cfg: &NpuConfig, tiles: usize) -> Self {
+    fn new(exec: ExecMode, tiles: usize) -> Self {
         Schedule {
-            exec: cfg.exec,
-            spad: Scratchpad::new(cfg.scratchpad_bytes, cfg.dma_bytes_per_cycle),
+            exec,
+            dma_free: 0,
+            sparse_free: 0,
             load_free: 0,
             compute_free: 0,
             compute_starts: Vec::with_capacity(tiles),
@@ -240,12 +236,12 @@ impl Schedule {
 
     /// When the next tile's loads issue: in order, at the previous tile's
     /// compute end; out of order, once the load port is free and the tile
-    /// `rob_tiles` back has started compute.
+    /// [`ROB_TILES`] back has started compute.
     fn tile_issue(&self) -> Cycle {
         match self.exec {
             ExecMode::InOrder => self.compute_free,
-            ExecMode::OutOfOrder { rob_tiles } => {
-                let back = self.compute_starts.len().checked_sub(rob_tiles);
+            ExecMode::OutOfOrder => {
+                let back = self.compute_starts.len().checked_sub(ROB_TILES);
                 let gate = back.map_or(0, |j| self.compute_starts[j]);
                 self.load_free.max(gate)
             }
@@ -258,24 +254,28 @@ impl Schedule {
     fn next_batch(&self, issue: Cycle, ready: Cycle) -> Cycle {
         match self.exec {
             ExecMode::InOrder => ready,
-            ExecMode::OutOfOrder { .. } => issue + 1,
+            ExecMode::OutOfOrder => issue + 1,
         }
     }
 
     /// The completion cycle of a tile's engine-side DMA of `bytes` dense
-    /// operands issued at `at`; `at` itself when it has none.
-    #[expect(
-        clippy::expect_used,
-        reason = "the transfer is clamped to the scratchpad's capacity, so it always fits"
-    )]
+    /// operands issued at `at`, at most a scratchpad's worth; `at` itself
+    /// when it has none.
     fn dma_in(&mut self, at: Cycle, bytes: u64) -> Cycle {
         if bytes == 0 {
             return at;
         }
-        let bytes = bytes.min(self.spad.capacity_bytes());
-        self.spad
-            .dma_in(at, bytes)
-            .expect("tile DMA clamped to the scratchpad")
+        let start = at.max(self.dma_free);
+        self.dma_free = start + bytes.min(SCRATCHPAD_BYTES).div_ceil(DMA_BYTES_PER_CYCLE);
+        self.dma_free
+    }
+
+    /// The cycle the sparse-operators unit finishes aligning `indices`
+    /// indices it starts at `at`, once it is free.
+    fn align(&mut self, at: Cycle, indices: usize) -> Cycle {
+        let start = at.max(self.sparse_free);
+        self.sparse_free = start + (indices as u64).div_ceil(SPARSE_LANES);
+        self.sparse_free
     }
 
     /// Starts a tile's compute once its operands are `ready` and the
@@ -296,7 +296,6 @@ struct Walk<'a> {
     program: &'a NpuProgram,
     mem: &'a mut MemorySystem,
     prefetcher: &'a mut dyn Prefetcher,
-    loads_per_cycle: u64,
     /// The first tile's index address: the snooped index array's base.
     index_base: Addr,
     counters: Counters,
@@ -342,7 +341,7 @@ impl Walk<'_> {
         let values = tile.index_values(&self.program.image);
         let mut line_missed = Vec::new();
         for (k, line) in tile.index_region.lines().enumerate() {
-            let t = issue_at + (k as u64) / self.loads_per_cycle;
+            let t = issue_at + (k as u64) / LOADS_PER_CYCLE;
             let r = self.mem.demand_line(line, t);
             ready = ready.max(r.ready_at);
             let missed = r.outcome == AccessOutcome::Miss;
@@ -355,7 +354,7 @@ impl Walk<'_> {
             let addr = start.offset(p as u64 * 4);
             let line = usize::try_from(addr.line().index() - start.line().index());
             let missed = line.ok().and_then(|l| line_missed.get(l));
-            let ev = AccessEvent::index_load(issue_at, tile.id, addr, v, missed == Some(&true));
+            let ev = AccessEvent::index_load(issue_at, addr, v, missed == Some(&true));
             self.prefetcher
                 .observe(&ev, snoop, &self.program.image, self.mem);
         }
@@ -367,7 +366,6 @@ impl Walk<'_> {
     /// of the element loads and the cycle the batch completes.
     fn load_batch(
         &mut self,
-        tile: &TileOp,
         snoop: &SnoopState,
         batch: &[ResolvedGather],
         issue_at: Cycle,
@@ -379,8 +377,6 @@ impl Walk<'_> {
             elem_issue = elem_issue.max(r.ready_at);
             let ev = AccessEvent {
                 cycle: issue_at,
-                tile: tile.id,
-                pc: PC_TABLE_PROBE,
                 addr: probe,
                 kind: EventKind::TableProbe {
                     value: self.program.image.read_u32(probe),
@@ -403,7 +399,7 @@ impl Walk<'_> {
             self.counters.gather_elements += 1;
             self.counters.gather_element_misses += u64::from(elem_missed);
             any_missed |= elem_missed;
-            let ev = AccessEvent::gather(elem_issue, tile.id, rg.target.start(), elem_missed);
+            let ev = AccessEvent::gather(elem_issue, rg.target.start(), elem_missed);
             self.prefetcher
                 .observe(&ev, snoop, &self.program.image, self.mem);
         }
@@ -625,16 +621,19 @@ mod tests {
         assert!(r.total_cycles > 2 * 164, "two serialised memory levels");
     }
 
-    /// Dense tiles only: DMA (some past the scratchpad's capacity),
-    /// compute and stores, with no index or gather phase.
-    fn dense_program() -> NpuProgram {
-        let tiles = (0..6)
-            .map(|i| TileOp {
-                id: i,
+    /// Dense tiles only, one per `dma_bytes` and `compute_cycles` pair:
+    /// DMA, compute and stores, with no index or gather phase.
+    fn dense_program(dma_bytes: &[u64], compute_cycles: &[u64]) -> NpuProgram {
+        let tiles = dma_bytes
+            .iter()
+            .zip(compute_cycles)
+            .enumerate()
+            .map(|(id, (&dma_bytes, &compute_cycles))| TileOp {
+                id,
                 index_region: Region::empty(),
                 gather: None,
-                dma_bytes: [0, 4096, 1 << 20, 64, 300_000, 32][i],
-                compute_cycles: [7, 0, 90, 500, 3, 40][i],
+                dma_bytes,
+                compute_cycles,
                 store_bytes: 128,
             })
             .collect();
@@ -690,8 +689,14 @@ mod tests {
         };
         let programs = [
             empty,
-            dense_program(),
+            // Some DMA past the scratchpad's capacity.
+            dense_program(
+                &[0, 4096, 1 << 20, 64, 300_000, 32],
+                &[7, 0, 90, 500, 3, 40],
+            ),
             gather_program(16, 64, 50),
+            // Compute-bound, so the ROB gates its tiles past the eighth.
+            gather_program(24, 16, 2000),
             two_level_program(),
             unaligned_program(),
         ];
@@ -699,37 +704,42 @@ mod tests {
             MemoryConfig::default(),
             MemoryConfig::default().with_nsb(CacheConfig::nsb_default()),
         ];
-        // A two-tile ROB gates most tiles of every multi-tile program.
-        for exec in [ExecMode::InOrder, ExecMode::OutOfOrder { rob_tiles: 2 }] {
-            for loads_per_cycle in [1, 3] {
-                let engine = NpuEngine::new(NpuConfig {
-                    exec,
-                    loads_per_cycle,
-                    ..NpuConfig::default()
-                });
-                for program in &programs {
-                    for mem_cfg in &mems {
-                        let mut ideal = MemorySystem::ideal(mem_cfg.clone());
-                        let reference = engine
-                            .run(program, &mut ideal, &mut NullPrefetcher::new())
-                            .total_cycles;
-                        assert_eq!(
-                            engine.base_cycles(program, mem_cfg.min_demand_latency()),
-                            reference,
-                            "{}: {exec:?}, {loads_per_cycle} loads/cycle, NSB {}",
-                            program.name,
-                            mem_cfg.nsb.is_some()
-                        );
-                    }
+        for cfg in [NpuConfig::default(), NpuConfig::out_of_order()] {
+            let engine = NpuEngine::new(cfg.clone());
+            for program in &programs {
+                for mem_cfg in &mems {
+                    let mut ideal = MemorySystem::ideal(mem_cfg.clone());
+                    let reference = engine
+                        .run(program, &mut ideal, &mut NullPrefetcher::new())
+                        .total_cycles;
+                    assert_eq!(
+                        engine.base_cycles(program, mem_cfg.min_demand_latency()),
+                        reference,
+                        "{}: {:?}, NSB {}",
+                        program.name,
+                        cfg.exec,
+                        mem_cfg.nsb.is_some()
+                    );
                 }
             }
         }
     }
 
-    /// Records the snooped state of every window (`true`) and demand
-    /// access (`false`) the engine shows it.
+    #[test]
+    fn dma_serialises_back_to_back_tiles() {
+        // Out of order, every dense tile's loads issue at cycle 0, yet each
+        // DMA waits for the one before it on the one DMA engine, at 32 B a
+        // cycle. A transfer past the 256 KiB scratchpad moves only that.
+        let engine = NpuEngine::new(NpuConfig::out_of_order());
+        assert_eq!(engine.base_cycles(&dense_program(&[4096], &[0]), 0), 128);
+        let three = dense_program(&[4096, 4096, 1 << 20], &[0; 3]);
+        assert_eq!(engine.base_cycles(&three, 0), 128 + 128 + 8192);
+    }
+
+    /// Records every window the engine grants (`Some((from, to))`) and
+    /// every demand access it shows (`None`), each with its snooped state.
     #[derive(Default)]
-    struct Recorder(Vec<(bool, SnoopState)>);
+    struct Recorder(Vec<(Option<(Cycle, Cycle)>, SnoopState)>);
 
     impl Prefetcher for Recorder {
         fn name(&self) -> &'static str {
@@ -743,18 +753,18 @@ mod tests {
             _: &MemoryImage,
             _: &mut MemorySystem,
         ) {
-            self.0.push((false, *s));
+            self.0.push((None, *s));
         }
 
         fn advance(
             &mut self,
-            _: Cycle,
-            _: Cycle,
+            from: Cycle,
+            to: Cycle,
             s: &SnoopState,
             _: &MemoryImage,
             _: &mut MemorySystem,
         ) {
-            self.0.push((true, *s));
+            self.0.push((Some((from, to)), *s));
         }
     }
 
@@ -770,7 +780,7 @@ mod tests {
         for tile in &program.tiles {
             let at = format!("{} tile {}", program.name, tile.id);
             let of_tile = rec.0.iter().filter(|(_, s)| s.tile == tile.id);
-            let (windows, observed): (Vec<_>, Vec<_>) = of_tile.partition(|(w, _)| *w);
+            let (windows, observed): (Vec<_>, Vec<_>) = of_tile.partition(|(w, _)| w.is_some());
             let batches = tile
                 .gather
                 .map_or(0, |g| tile.index_count().div_ceil(g.batch));
@@ -794,6 +804,60 @@ mod tests {
             let out_of_order = tile_windows(&program, NpuConfig::out_of_order());
             assert_eq!(in_order, out_of_order, "{}", program.name);
         }
+    }
+
+    #[test]
+    fn compute_window_opens_after_index_alignment() {
+        // Contiguous, line-aligned index slices, one per `(indices,
+        // compute_cycles)` tile, with no gather, DMA or stores.
+        let mut next = Addr::new(0x10_0000);
+        let mut image = MemoryImage::new();
+        image.add_u32_segment(next, vec![0; 1680]);
+        let mut tiles = Vec::new();
+        for (id, (indices, compute_cycles)) in [(64, 100), (1600, 1), (16, 1000), (0, 50)]
+            .into_iter()
+            .enumerate()
+        {
+            let index_region = Region::new(next, 4 * indices);
+            next = index_region.end();
+            tiles.push(TileOp {
+                id,
+                index_region,
+                gather: None,
+                dma_bytes: 0,
+                compute_cycles,
+                store_bytes: 0,
+            });
+        }
+        let program = NpuProgram {
+            name: "align".into(),
+            width: DataWidth::Int8,
+            tiles,
+            image,
+        };
+        let mut rec = Recorder::default();
+        let mut mem = MemorySystem::ideal(MemoryConfig::default());
+        NpuEngine::new(NpuConfig::out_of_order()).run(&program, &mut mem, &mut rec);
+        // Each tile's last window is its compute phase, which ends with
+        // its compute: its (open, start, end).
+        let compute = |tile: usize| {
+            let mut windows = rec.0.iter().rev();
+            let last = windows.find_map(|(w, s)| w.filter(|_| s.tile == tile));
+            let (from, to) = last.expect("every tile has a compute window");
+            (from, to - program.tiles[tile].compute_cycles, to)
+        };
+        let ((open0, start0, _), (open1, start1, end1), (open2, start2, _), (open3, start3, _)) =
+            (compute(0), compute(1), compute(2), compute(3));
+        // 16 lanes align tile 0's 64 indices in 4 cycles.
+        assert_eq!(open0, start0 + 4);
+        // Tile 1's 1,600 take 100 cycles, past its 1-cycle compute.
+        assert_eq!(open1, end1);
+        // Tile 2 starts compute while the unit still aligns tile 1, so its
+        // one cycle of alignment queues behind tile 1's.
+        assert!(start2 < start1 + 100, "{start2} vs {start1}");
+        assert_eq!(open2, start1 + 100 + 1);
+        // A tile with no indices to align finds the unit idle.
+        assert_eq!(open3, start3);
     }
 
     #[test]

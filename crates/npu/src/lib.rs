@@ -3,13 +3,16 @@
 //! Reproduces the baseline accelerator of §IV-A: a systolic-array NPU with
 //! an explicitly managed scratchpad, decoupled load/execute/store
 //! controllers, a coarse-grained instruction stream, and a basic sparse
-//! operators unit. Two execution modes mirror the paper's comparison
-//! points:
+//! operators unit. The hardware is one fixed design, held as constants in
+//! [`engine`], each with its source: 16 sparse-unit lanes, a 256 KiB
+//! scratchpad filled at 32 B/cycle by one DMA engine, one index load per
+//! cycle, and an 8-tile ROB. [`NpuConfig`] sets only which of two
+//! execution modes runs, mirroring the paper's comparison points:
 //!
 //! * **in-order** — load and compute serialise; a cache miss in any vector
 //!   element stalls the whole pipeline (§II-B);
 //! * **ideal out-of-order** — loads of upcoming tiles issue while earlier
-//!   tiles compute, bounded by a ROB-like tile window; the paper's
+//!   tiles compute, bounded by the ROB's tile window; the paper's
 //!   "ideal OoO Gemmini" that still underperforms on IO-bound workloads.
 //!
 //! One tile walker runs both modes; the mode only sets when a tile's loads
@@ -33,11 +36,9 @@
 pub mod config;
 pub mod engine;
 pub mod result;
-pub mod sparse_unit;
 pub mod systolic;
 
 pub use config::{ExecMode, NpuConfig};
 pub use engine::NpuEngine;
 pub use result::RunResult;
-pub use sparse_unit::SparseUnit;
 pub use systolic::SystolicArray;

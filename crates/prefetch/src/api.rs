@@ -213,7 +213,7 @@ mod tests {
             elem_consumed: 0,
             gather: None,
         };
-        let ev = AccessEvent::gather(0, 0, Addr::new(0x40), true);
+        let ev = AccessEvent::gather(0, Addr::new(0x40), true);
         p.observe(&ev, &snoop, &MemoryImage::new(), &mut mem);
         p.advance(0, 100, &snoop, &MemoryImage::new(), &mut mem);
         assert_eq!(mem.stats().dram.prefetch_lines.get(), 0);

@@ -3,10 +3,10 @@
 //!
 //! On a demand-gather stall, DVR enters runahead: it walks the index stream
 //! forward from the stall point, speculatively executing the indirect chain
-//! (including table probes) for a fixed distance of `runahead_elems`
+//! (including table probes) for a fixed distance of `RUNAHEAD_ELEMS`
 //! elements, vectorising target prefetches. The paper grants DVR the same
 //! parallelism as NVR (§V-A: "expanded ... to the same number of
-//! parallels"), which we honour via `issue_per_cycle`.
+//! parallels"), which we honour via `ISSUE_PER_CYCLE`.
 //!
 //! What DVR structurally lacks relative to NVR (§II-C, §IV):
 //!
@@ -24,23 +24,14 @@ use nvr_trace::{AccessEvent, EventKind, MemoryImage, SnoopState};
 
 use crate::api::Prefetcher;
 
-/// Tuning knobs for [`DvrPrefetcher`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DvrConfig {
-    /// Index elements speculatively executed per runahead episode.
-    pub runahead_elems: usize,
-    /// Target-line prefetches issued per cycle while draining.
-    pub issue_per_cycle: usize,
-}
+/// Index elements speculatively executed per runahead episode. Assumed:
+/// the paper gives DVR no distance (§V-A); 64 elements are four NPU
+/// vectors of indices.
+const RUNAHEAD_ELEMS: usize = 64;
 
-impl Default for DvrConfig {
-    fn default() -> Self {
-        DvrConfig {
-            runahead_elems: 64,
-            issue_per_cycle: 4,
-        }
-    }
-}
+/// Target-line prefetches issued per cycle while draining. Assumed: §V-A
+/// grants DVR NVR's parallelism without a number; four lines a cycle.
+const ISSUE_PER_CYCLE: usize = 4;
 
 /// An active runahead episode.
 #[derive(Debug, Clone)]
@@ -70,7 +61,6 @@ struct Episode {
 /// ```
 #[derive(Debug, Clone)]
 pub struct DvrPrefetcher {
-    cfg: DvrConfig,
     /// Address of the most recently observed index element.
     last_index_addr: Option<Addr>,
     /// Detected element stride of the index stream (bytes).
@@ -80,18 +70,6 @@ pub struct DvrPrefetcher {
 }
 
 impl DvrPrefetcher {
-    /// Creates a DVR with the given configuration.
-    #[must_use]
-    pub fn new(cfg: DvrConfig) -> Self {
-        DvrPrefetcher {
-            cfg,
-            last_index_addr: None,
-            index_stride: 4,
-            episode: None,
-            clock: 0,
-        }
-    }
-
     /// Whether a runahead episode is currently active (for tests).
     #[must_use]
     pub fn in_runahead(&self) -> bool {
@@ -173,14 +151,14 @@ impl DvrPrefetcher {
         true
     }
 
-    /// Issues queued target prefetches at up to `issue_per_cycle` per
+    /// Issues queued target prefetches at up to [`ISSUE_PER_CYCLE`] per
     /// cycle. Lines whose DRAM channel's prefetch queue is full are held
     /// back (order preserved) and retried next cycle, mirroring the
     /// per-channel back-pressure the paper grants every queue-bearing
     /// prefetcher.
     fn drain_queue(&mut self, mem: &mut MemorySystem) {
         if let Some(ep) = &mut self.episode {
-            let n = ep.queue.len().min(self.cfg.issue_per_cycle);
+            let n = ep.queue.len().min(ISSUE_PER_CYCLE);
             let mut deferred = Vec::new();
             for addr in ep.queue.drain(..n) {
                 if mem.prefetch_channel_ready(addr.line(), self.clock) {
@@ -196,7 +174,12 @@ impl DvrPrefetcher {
 
 impl Default for DvrPrefetcher {
     fn default() -> Self {
-        DvrPrefetcher::new(DvrConfig::default())
+        DvrPrefetcher {
+            last_index_addr: None,
+            index_stride: 4,
+            episode: None,
+            clock: 0,
+        }
     }
 }
 
@@ -228,7 +211,7 @@ impl Prefetcher for DvrPrefetcher {
                 if let Some(last) = self.last_index_addr {
                     self.episode = Some(Episode {
                         next_elem: last.offset(self.index_stride),
-                        remaining: self.cfg.runahead_elems,
+                        remaining: RUNAHEAD_ELEMS,
                         queue: Vec::new(),
                         blocked_until: 0,
                         pending_probe: None,
@@ -317,20 +300,20 @@ mod tests {
 
         // NPU consumed index elements 0 and 1...
         p.observe(
-            &AccessEvent::index_load(0, 0, Addr::new(0x1000), 0, false),
+            &AccessEvent::index_load(0, Addr::new(0x1000), 0, false),
             &snoop,
             &image,
             &mut mem,
         );
         p.observe(
-            &AccessEvent::index_load(1, 0, Addr::new(0x1004), 97, false),
+            &AccessEvent::index_load(1, Addr::new(0x1004), 97, false),
             &snoop,
             &image,
             &mut mem,
         );
         // ...and a gather stalls.
         p.observe(
-            &AccessEvent::gather(10, 0, Addr::new(0x1000_0000), true),
+            &AccessEvent::gather(10, Addr::new(0x1000_0000), true),
             &snoop,
             &image,
             &mut mem,
@@ -341,8 +324,8 @@ mod tests {
         p.advance(10, 5_000, &snoop, &image, &mut mem);
         let issued = mem.stats().l2.prefetch_issued.get();
         assert!(
-            issued >= 64,
-            "64-element runahead should issue >=64 target lines, got {issued}"
+            issued >= RUNAHEAD_ELEMS as u64,
+            "a {RUNAHEAD_ELEMS}-element runahead should issue as many target lines, got {issued}"
         );
     }
 
@@ -352,7 +335,7 @@ mod tests {
         let mut p = DvrPrefetcher::default();
         let mut mem = MemorySystem::new(MemoryConfig::default());
         p.observe(
-            &AccessEvent::gather(10, 0, Addr::new(0x1000_0000), true),
+            &AccessEvent::gather(10, Addr::new(0x1000_0000), true),
             &snoop,
             &image,
             &mut mem,
@@ -363,19 +346,16 @@ mod tests {
     #[test]
     fn episode_completes_and_rearms() {
         let (image, snoop) = affine_setup();
-        let mut p = DvrPrefetcher::new(DvrConfig {
-            runahead_elems: 8,
-            issue_per_cycle: 4,
-        });
+        let mut p = DvrPrefetcher::default();
         let mut mem = MemorySystem::new(MemoryConfig::default());
         p.observe(
-            &AccessEvent::index_load(0, 0, Addr::new(0x1000), 0, false),
+            &AccessEvent::index_load(0, Addr::new(0x1000), 0, false),
             &snoop,
             &image,
             &mut mem,
         );
         p.observe(
-            &AccessEvent::gather(1, 0, Addr::new(0x1000_0000), true),
+            &AccessEvent::gather(1, Addr::new(0x1000_0000), true),
             &snoop,
             &image,
             &mut mem,
@@ -384,7 +364,7 @@ mod tests {
         assert!(!p.in_runahead(), "episode should drain");
         // A later stall re-triggers.
         p.observe(
-            &AccessEvent::gather(20_000, 0, Addr::new(0x1200_0000), true),
+            &AccessEvent::gather(20_000, Addr::new(0x1200_0000), true),
             &snoop,
             &image,
             &mut mem,
@@ -405,19 +385,16 @@ mod tests {
             row_bytes: 64,
         };
         let snoop = snoop_with_gather(func);
-        let mut p = DvrPrefetcher::new(DvrConfig {
-            runahead_elems: 8,
-            issue_per_cycle: 4,
-        });
+        let mut p = DvrPrefetcher::default();
         let mut mem = MemorySystem::new(MemoryConfig::default());
         p.observe(
-            &AccessEvent::index_load(0, 0, Addr::new(0x1000), 0, false),
+            &AccessEvent::index_load(0, Addr::new(0x1000), 0, false),
             &snoop,
             &image,
             &mut mem,
         );
         p.observe(
-            &AccessEvent::gather(1, 0, Addr::new(0x2000_0000), true),
+            &AccessEvent::gather(1, Addr::new(0x2000_0000), true),
             &snoop,
             &image,
             &mut mem,
@@ -433,7 +410,8 @@ mod tests {
 
     #[test]
     fn overruns_past_array_end_prefetch_garbage() {
-        // Index array of only 4 elements; runahead of 32 overruns.
+        // Index array of only 4 elements, which a 64-element runahead
+        // overruns.
         let mut image = MemoryImage::new();
         image.add_u32_segment(Addr::new(0x1000), vec![1, 2, 3, 4]);
         let func = SparseFunc::Affine {
@@ -441,19 +419,16 @@ mod tests {
             row_bytes: 64,
         };
         let snoop = snoop_with_gather(func);
-        let mut p = DvrPrefetcher::new(DvrConfig {
-            runahead_elems: 32,
-            issue_per_cycle: 4,
-        });
+        let mut p = DvrPrefetcher::default();
         let mut mem = MemorySystem::new(MemoryConfig::default());
         p.observe(
-            &AccessEvent::index_load(0, 0, Addr::new(0x1000), 1, false),
+            &AccessEvent::index_load(0, Addr::new(0x1000), 1, false),
             &snoop,
             &image,
             &mut mem,
         );
         p.observe(
-            &AccessEvent::gather(1, 0, Addr::new(0x1000_0000), true),
+            &AccessEvent::gather(1, Addr::new(0x1000_0000), true),
             &snoop,
             &image,
             &mut mem,

@@ -4,79 +4,49 @@
 //! to learn an affine mapping `target = base + (value << shift)`. Once a
 //! mapping is locked, every index value it sees — including values it reads
 //! *ahead* out of already-resident index lines — produces a target prefetch
-//! `distance` elements before the NPU's gather reaches it.
+//! `DISTANCE` elements before the NPU's gather reaches it.
 //!
 //! Mechanistic limits reproduced here, which drive its Fig. 5/6 standing:
 //!
 //! * non-affine chains (voxel-hash table lookups) rarely lock, and a lock
-//!   they do reach unlocks after `unlock_after` mismatches, so point-cloud
+//!   they do reach unlocks after `UNLOCK_AFTER` mismatches, so point-cloud
 //!   workloads get little beyond the index-stream prefetches;
-//! * the lead time is bounded by `distance` index elements, far shorter than
+//! * the lead time is bounded by `DISTANCE` index elements, far shorter than
 //!   a runahead prefetcher's reach, costing timeliness (coverage);
 //! * a locked mapping is verified against later misses and unlocked on
 //!   repeated mismatch, so a workload phase change retrains.
 
 use std::collections::VecDeque;
 
-use nvr_common::{Addr, Cycle, NvrError};
+use nvr_common::{Addr, Cycle};
 use nvr_mem::MemorySystem;
 use nvr_trace::{AccessEvent, EventKind, MemoryImage, SnoopState};
 
 use crate::api::Prefetcher;
 use crate::rpt::StrideEntry;
 
-/// Tuning knobs for [`ImpPrefetcher`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ImpConfig {
-    /// Index elements of lead: on seeing index element `p`, prefetch the
-    /// target of element `p + distance` (when its value is resident).
-    pub distance: u64,
-    /// Largest `shift` considered when learning `base + (value << shift)`.
-    pub max_shift: u32,
-    /// Candidate-table capacity.
-    pub candidates: usize,
-    /// Consecutive prediction mismatches before a locked mapping unlocks.
-    pub unlock_after: u32,
-    /// Lines of index stream prefetched ahead.
-    pub stream_degree: u64,
-}
+/// Index elements of lead: on seeing index element `p`, IMP prefetches
+/// the target of element `p + DISTANCE` when that value is on chip.
+/// Assumed: the paper gives IMP no distance (§V-A); this is one NPU
+/// vector of indices (N = 16).
+const DISTANCE: u64 = 16;
 
-impl ImpConfig {
-    /// Checks the configuration is realisable.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NvrError::Config`] if the candidate table has no entries
-    /// (the first training miss would have nowhere to go) or `max_shift`
-    /// is 64 or more (`value << shift` would overflow).
-    pub fn validate(&self) -> Result<(), NvrError> {
-        if self.candidates == 0 {
-            return Err(NvrError::Config(
-                "IMP candidate table must have at least one entry".into(),
-            ));
-        }
-        if self.max_shift >= u64::BITS {
-            return Err(NvrError::Config(format!(
-                "IMP max shift {} must be below {}",
-                self.max_shift,
-                u64::BITS
-            )));
-        }
-        Ok(())
-    }
-}
+/// Largest `shift` considered when learning `base + (value << shift)`.
+/// Assumed: it covers power-of-two rows of up to 4 KiB.
+const MAX_SHIFT: u32 = 12;
 
-impl Default for ImpConfig {
-    fn default() -> Self {
-        ImpConfig {
-            distance: 16,
-            max_shift: 12,
-            candidates: 64,
-            unlock_after: 8,
-            stream_degree: 4,
-        }
-    }
-}
+/// Candidate-table capacity. Assumed: the paper does not size IMP's
+/// tables (§V-A); 64 entries hold the 26 candidates one miss adds (every
+/// shift of the last two index values) twice over.
+const CANDIDATES: usize = 64;
+
+/// Consecutive prediction mismatches before a locked mapping unlocks.
+/// Assumed: eight, half a vector of gathers.
+const UNLOCK_AFTER: u32 = 8;
+
+/// Lines of index stream prefetched ahead. Assumed: the stream
+/// baseline's degree of four lines.
+const STREAM_DEGREE: u64 = 4;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Mapping {
@@ -96,7 +66,6 @@ struct Mapping {
 /// ```
 #[derive(Debug, Clone)]
 pub struct ImpPrefetcher {
-    cfg: ImpConfig,
     /// Stride tracking of the index-load address stream.
     index_stride: StrideEntry,
     /// Recently observed index values (for correlation learning). A ring
@@ -107,22 +76,6 @@ pub struct ImpPrefetcher {
 }
 
 impl ImpPrefetcher {
-    /// Creates an IMP with the given configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration fails [`ImpConfig::validate`].
-    #[must_use]
-    pub fn new(cfg: ImpConfig) -> Self {
-        cfg.validate().expect("IMP config must be valid");
-        ImpPrefetcher {
-            cfg,
-            index_stride: StrideEntry::new(),
-            recent_values: VecDeque::with_capacity(33),
-            trainer: Trainer::new(ShiftTable::new(cfg.candidates, cfg.max_shift)),
-        }
-    }
-
     /// The learned mapping, if locked (exposed for tests and reporting).
     #[must_use]
     pub fn locked_mapping(&self) -> Option<(u64, u32)> {
@@ -132,7 +85,11 @@ impl ImpPrefetcher {
 
 impl Default for ImpPrefetcher {
     fn default() -> Self {
-        ImpPrefetcher::new(ImpConfig::default())
+        ImpPrefetcher {
+            index_stride: StrideEntry::new(),
+            recent_values: VecDeque::with_capacity(33),
+            trainer: Trainer::new(ShiftTable::new(CANDIDATES)),
+        }
     }
 }
 
@@ -157,7 +114,7 @@ impl Prefetcher for ImpPrefetcher {
                 }
                 // Stream part: keep the index array itself flowing.
                 if let Some(pred) = self.index_stride.predict(1) {
-                    for k in 0..self.cfg.stream_degree {
+                    for k in 0..STREAM_DEGREE {
                         mem.prefetch_line(pred.line().step(k), event.cycle, false);
                     }
                 }
@@ -166,8 +123,7 @@ impl Prefetcher for ImpPrefetcher {
                 if let Some(m) = self.trainer.locked {
                     let stride = self.index_stride.stride();
                     if stride > 0 {
-                        let ahead_addr =
-                            Addr::new(event.addr.raw() + self.cfg.distance * stride as u64);
+                        let ahead_addr = Addr::new(event.addr.raw() + DISTANCE * stride as u64);
                         if mem.npu_side_contains(ahead_addr.line()) {
                             let v = image.read_u32(ahead_addr);
                             let target = Addr::new(m.base + (u64::from(v) << m.shift));
@@ -177,8 +133,7 @@ impl Prefetcher for ImpPrefetcher {
                 }
             }
             EventKind::GatherLoad if event.missed => {
-                self.trainer
-                    .on_miss(&self.cfg, &self.recent_values, event.addr);
+                self.trainer.on_miss(&self.recent_values, event.addr);
             }
             _ => {}
         }
@@ -221,11 +176,11 @@ struct ShiftTable {
 }
 
 impl ShiftTable {
-    fn new(capacity: usize, max_shift: u32) -> Self {
+    fn new(capacity: usize) -> Self {
         ShiftTable {
             capacity,
             order: VecDeque::with_capacity(capacity),
-            buckets: vec![VecDeque::new(); max_shift as usize + 1],
+            buckets: vec![VecDeque::new(); MAX_SHIFT as usize + 1],
         }
     }
 }
@@ -274,16 +229,16 @@ impl<T: CandidateTable> Trainer<T> {
     /// Trains on a gather miss at `miss_addr` while unlocked, or checks the
     /// locked mapping against it; `recent` holds the index values seen so
     /// far, newest last.
-    fn on_miss(&mut self, cfg: &ImpConfig, recent: &VecDeque<u32>, miss_addr: Addr) {
+    fn on_miss(&mut self, recent: &VecDeque<u32>, miss_addr: Addr) {
         match self.locked {
-            Some(m) => self.verify(m, cfg, recent, miss_addr),
-            None => self.learn(cfg, recent, miss_addr),
+            Some(m) => self.verify(m, recent, miss_addr),
+            None => self.learn(recent, miss_addr),
         }
     }
 
-    fn learn(&mut self, cfg: &ImpConfig, recent: &VecDeque<u32>, miss_addr: Addr) {
+    fn learn(&mut self, recent: &VecDeque<u32>, miss_addr: Addr) {
         for &v in recent.iter().rev().take(2) {
-            for shift in 0..=cfg.max_shift {
+            for shift in 0..=MAX_SHIFT {
                 let scaled = u64::from(v) << shift;
                 let Some(base) = miss_addr.raw().checked_sub(scaled) else {
                     continue;
@@ -298,7 +253,7 @@ impl<T: CandidateTable> Trainer<T> {
         }
     }
 
-    fn verify(&mut self, m: Mapping, cfg: &ImpConfig, recent: &VecDeque<u32>, miss_addr: Addr) {
+    fn verify(&mut self, m: Mapping, recent: &VecDeque<u32>, miss_addr: Addr) {
         let predicted = recent
             .iter()
             .rev()
@@ -308,7 +263,7 @@ impl<T: CandidateTable> Trainer<T> {
             self.mismatches = 0;
         } else {
             self.mismatches += 1;
-            if self.mismatches >= cfg.unlock_after {
+            if self.mismatches >= UNLOCK_AFTER {
                 self.locked = None;
                 self.candidates.clear();
                 self.mismatches = 0;
@@ -340,8 +295,7 @@ mod tests {
     /// prefetches targets.
     #[test]
     fn locks_affine_mapping() {
-        let cfg = ImpConfig::default();
-        let mut p = ImpPrefetcher::new(cfg);
+        let mut p = ImpPrefetcher::default();
         let mut mem = MemorySystem::new(MemoryConfig::default());
         let mut image = MemoryImage::new();
         let ia_base = 0x100_0000u64;
@@ -355,7 +309,7 @@ mod tests {
             // The engine loads the index element (value on the bus)...
             mem.demand_line(index_addr.line(), i as Cycle * 10);
             p.observe(
-                &AccessEvent::index_load(i as Cycle * 10, 0, index_addr, v, false),
+                &AccessEvent::index_load(i as Cycle * 10, index_addr, v, false),
                 &s,
                 &image,
                 &mut mem,
@@ -365,7 +319,7 @@ mod tests {
             let missed = !mem.npu_side_contains(target.line());
             mem.demand_line(target.line(), i as Cycle * 10 + 5);
             p.observe(
-                &AccessEvent::gather(i as Cycle * 10 + 5, 0, target, missed),
+                &AccessEvent::gather(i as Cycle * 10 + 5, target, missed),
                 &s,
                 &image,
                 &mut mem,
@@ -393,7 +347,7 @@ mod tests {
         for i in 0..200u64 {
             let v = rng.next_u32() % 1000;
             p.observe(
-                &AccessEvent::index_load(i * 10, 0, Addr::new(0x1000 + i * 4), v, false),
+                &AccessEvent::index_load(i * 10, Addr::new(0x1000 + i * 4), v, false),
                 &s,
                 &image,
                 &mut mem,
@@ -401,7 +355,7 @@ mod tests {
             // Target unrelated to v: random placement.
             let target = Addr::new(0x100_0000 + rng.gen_range(1 << 24));
             p.observe(
-                &AccessEvent::gather(i * 10 + 5, 0, target, true),
+                &AccessEvent::gather(i * 10 + 5, target, true),
                 &s,
                 &image,
                 &mut mem,
@@ -423,13 +377,13 @@ mod tests {
         for i in 0..32u64 {
             let v = indices[i as usize];
             p.observe(
-                &AccessEvent::index_load(i, 0, Addr::new(0x1000 + i * 4), v, false),
+                &AccessEvent::index_load(i, Addr::new(0x1000 + i * 4), v, false),
                 &s,
                 &image,
                 &mut mem,
             );
             p.observe(
-                &AccessEvent::gather(i, 0, Addr::new(0x100_0000 + (u64::from(v) << 8)), true),
+                &AccessEvent::gather(i, Addr::new(0x100_0000 + (u64::from(v) << 8)), true),
                 &s,
                 &image,
                 &mut mem,
@@ -440,7 +394,7 @@ mod tests {
         let mut rng = nvr_common::Pcg32::seed_from_u64(6);
         for i in 32..64u64 {
             p.observe(
-                &AccessEvent::gather(i, 0, Addr::new(0x900_0000 + rng.gen_range(1 << 20)), true),
+                &AccessEvent::gather(i, Addr::new(0x900_0000 + rng.gen_range(1 << 20)), true),
                 &s,
                 &image,
                 &mut mem,
@@ -454,39 +408,6 @@ mod tests {
         // Guard: the test harness above assumes 4-byte index elements.
         let r = Region::new(Addr::new(0x1000), 16);
         assert_eq!(r.bytes() / 4, 4);
-    }
-
-    #[test]
-    fn validate_rejects_empty_candidate_table() {
-        let cfg = ImpConfig {
-            candidates: 0,
-            ..ImpConfig::default()
-        };
-        assert!(cfg.validate().is_err());
-        assert!(ImpConfig::default().validate().is_ok());
-    }
-
-    #[test]
-    fn validate_rejects_overflowing_shift() {
-        let widest = ImpConfig {
-            max_shift: 63,
-            ..ImpConfig::default()
-        };
-        assert!(widest.validate().is_ok());
-        let overflowing = ImpConfig {
-            max_shift: 64,
-            ..ImpConfig::default()
-        };
-        assert!(overflowing.validate().is_err());
-    }
-
-    #[test]
-    #[should_panic(expected = "IMP config must be valid")]
-    fn new_rejects_invalid_config() {
-        let _ = ImpPrefetcher::new(ImpConfig {
-            candidates: 0,
-            ..ImpConfig::default()
-        });
     }
 
     /// The candidate table as it stood before the per-shift split: one
@@ -521,16 +442,14 @@ mod tests {
     /// that unlock — and checks the locked mapping after every event.
     #[test]
     fn shift_table_matches_reference_fifo() {
-        // (candidates, max_shift): the default table, and small tables
-        // that evict constantly (two entries lock only on a repeated value).
-        let tables = [(64, 12), (8, 3), (23, 7), (2, 1)];
-        for (seed, &(candidates, max_shift)) in tables.iter().enumerate() {
-            let cfg = ImpConfig {
-                candidates,
-                max_shift,
-                ..ImpConfig::default()
+        // The default table, and small tables that evict constantly. Two
+        // entries lock only on a repeated value and a miss small enough
+        // that at most two shifts of it fit, so some misses are that small.
+        for (seed, candidates) in [CANDIDATES, 8, 23, 2].into_iter().enumerate() {
+            let mut imp = ImpPrefetcher {
+                trainer: Trainer::new(ShiftTable::new(candidates)),
+                ..ImpPrefetcher::default()
             };
-            let mut imp = ImpPrefetcher::new(cfg);
             let mut reference = Trainer::new(ReferenceTable {
                 capacity: candidates,
                 candidates: Vec::new(),
@@ -549,11 +468,11 @@ mod tests {
                     }
                     let addr = Addr::new(0x1000 + 4 * next_index);
                     next_index += 1;
-                    let ev = AccessEvent::index_load(event, 0, addr, value, false);
+                    let ev = AccessEvent::index_load(event, addr, value, false);
                     imp.observe(&ev, &s, &image, &mut mem);
                 } else {
                     if mismatch_run == 0 && rng.gen_bool(0.02) {
-                        mismatch_run = cfg.unlock_after + rng.gen_range(4) as u32;
+                        mismatch_run = UNLOCK_AFTER + rng.gen_range(4) as u32;
                     }
                     let miss = if mismatch_run > 0 {
                         mismatch_run -= 1;
@@ -562,20 +481,20 @@ mod tests {
                         // Affine in a recent value, over a few bases.
                         let back = rng.gen_index(imp.recent_values.len().clamp(1, 3));
                         let v = imp.recent_values.iter().rev().nth(back).copied();
-                        let shift = rng.gen_range(u64::from(max_shift) + 1);
+                        let shift = rng.gen_range(u64::from(MAX_SHIFT) + 1);
                         0x10_0000 * (1 + rng.gen_range(3)) + (u64::from(v.unwrap_or(0)) << shift)
                     } else {
-                        rng.gen_range(1 << 12)
+                        rng.gen_range(1 << 7)
                     };
-                    let ev = AccessEvent::gather(event, 0, Addr::new(miss), true);
+                    let ev = AccessEvent::gather(event, Addr::new(miss), true);
                     imp.observe(&ev, &s, &image, &mut mem);
-                    reference.on_miss(&cfg, &imp.recent_values, Addr::new(miss));
+                    reference.on_miss(&imp.recent_values, Addr::new(miss));
                 }
                 let after = imp.locked_mapping();
                 assert_eq!(
                     after,
                     reference.locked.map(|m| (m.base, m.shift)),
-                    "table {candidates}x{max_shift}, event {event}"
+                    "table {candidates}, event {event}"
                 );
                 match (before, after) {
                     (None, Some(_)) => locks += 1,
@@ -585,7 +504,7 @@ mod tests {
             }
             assert!(
                 locks >= 20 && unlocks >= 20,
-                "table {candidates}x{max_shift}: {locks} locks, {unlocks} unlocks"
+                "table {candidates}: {locks} locks, {unlocks} unlocks"
             );
         }
     }

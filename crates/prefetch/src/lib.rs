@@ -24,7 +24,7 @@ pub mod rpt;
 pub mod stream;
 
 pub use api::{NullPrefetcher, Prefetcher, TimelinessReport};
-pub use dvr::{DvrConfig, DvrPrefetcher};
-pub use imp::{ImpConfig, ImpPrefetcher};
+pub use dvr::DvrPrefetcher;
+pub use imp::ImpPrefetcher;
 pub use rpt::StrideEntry;
-pub use stream::{StreamConfig, StreamPrefetcher};
+pub use stream::StreamPrefetcher;

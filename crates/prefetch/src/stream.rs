@@ -13,27 +13,18 @@ use nvr_trace::{AccessEvent, MemoryImage, SnoopState};
 
 use crate::api::Prefetcher;
 
-/// Tuning knobs for [`StreamPrefetcher`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StreamConfig {
-    /// Number of concurrently tracked streams.
-    pub streams: usize,
-    /// Lines prefetched ahead once a stream is confirmed.
-    pub degree: u64,
-    /// Maximum line distance between a miss and a tracked stream head for
-    /// the miss to extend that stream.
-    pub window: u64,
-}
+/// Streams tracked at once, LRU-replaced. Assumed: the paper does not
+/// size its stream baseline (§V-A); sixteen is a typical table size.
+const STREAMS: usize = 16;
 
-impl Default for StreamConfig {
-    fn default() -> Self {
-        StreamConfig {
-            streams: 16,
-            degree: 4,
-            window: 4,
-        }
-    }
-}
+/// Lines prefetched past a miss once its stream is confirmed. Assumed:
+/// the paper gives no degree (§V-A); four lines is a typical fixed degree.
+const DEGREE: i64 = 4;
+
+/// Largest line distance, along a stream's direction, between a miss and
+/// the stream's head for the miss to extend that stream. Assumed: equal
+/// to [`DEGREE`], so a miss inside the last prefetched run still matches.
+const WINDOW: i64 = 4;
 
 #[derive(Debug, Clone, Copy)]
 struct StreamEntry {
@@ -57,24 +48,13 @@ struct StreamEntry {
 /// let p = StreamPrefetcher::default();
 /// assert_eq!(p.name(), "Stream");
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct StreamPrefetcher {
-    cfg: StreamConfig,
     entries: Vec<StreamEntry>,
     tick: u64,
 }
 
 impl StreamPrefetcher {
-    /// Creates a stream prefetcher with the given configuration.
-    #[must_use]
-    pub fn new(cfg: StreamConfig) -> Self {
-        StreamPrefetcher {
-            cfg,
-            entries: Vec::new(),
-            tick: 0,
-        }
-    }
-
     fn allocate(&mut self, line: LineAddr) {
         let entry = StreamEntry {
             head: line.step(1),
@@ -82,28 +62,21 @@ impl StreamPrefetcher {
             confidence: 0,
             last_use: self.tick,
         };
-        if self.entries.len() < self.cfg.streams {
+        if self.entries.len() < STREAMS {
             self.entries.push(entry);
         } else if let Some(victim) = self.entries.iter_mut().min_by_key(|e| e.last_use) {
             *victim = entry;
         }
     }
 
-    /// Finds a stream this line extends: the line lies within `window`
+    /// Finds a stream this line extends: the line lies within [`WINDOW`]
     /// lines of the head, in the stream's direction.
     fn matching_stream(&mut self, line: LineAddr) -> Option<&mut StreamEntry> {
-        let window = self.cfg.window;
         self.entries.iter_mut().find(|e| {
             let delta = line.index() as i64 - e.head.index() as i64;
             let along = delta * e.direction;
-            (0..=window as i64).contains(&along)
+            (0..=WINDOW).contains(&along)
         })
-    }
-}
-
-impl Default for StreamPrefetcher {
-    fn default() -> Self {
-        StreamPrefetcher::new(StreamConfig::default())
     }
 }
 
@@ -125,16 +98,15 @@ impl Prefetcher for StreamPrefetcher {
         self.tick += 1;
         let line = event.addr.line();
         let tick = self.tick;
-        let degree = self.cfg.degree;
         if let Some(e) = self.matching_stream(line) {
             e.confidence = e.confidence.saturating_add(1);
             e.last_use = tick;
             let direction = e.direction;
             e.head = LineAddr::new((line.index() as i64 + direction).max(0) as u64);
             if e.confidence >= 2 {
-                // Confirmed stream: prefetch `degree` lines past the miss.
+                // Confirmed stream: prefetch `DEGREE` lines past the miss.
                 let base = line.index() as i64;
-                for k in 1..=degree as i64 {
+                for k in 1..=DEGREE {
                     let idx = base + k * direction;
                     if idx >= 0 {
                         mem.prefetch_line(LineAddr::new(idx as u64), event.cycle, false);
@@ -177,7 +149,7 @@ mod tests {
     }
 
     fn miss_at(line: u64) -> AccessEvent {
-        AccessEvent::gather(0, 0, LineAddr::new(line).base(), true)
+        AccessEvent::gather(0, LineAddr::new(line).base(), true)
     }
 
     #[test]
@@ -238,20 +210,17 @@ mod tests {
         }
         // The ascending-window match still catches head-adjacent lines, so
         // at minimum the prefetcher does not crash and stays bounded.
-        assert!(mem.stats().l2.prefetch_issued.get() <= 8 * 4);
+        assert!(mem.stats().l2.prefetch_issued.get() <= 8 * DEGREE as u64);
     }
 
     #[test]
     fn table_capacity_is_bounded() {
-        let mut p = StreamPrefetcher::new(StreamConfig {
-            streams: 4,
-            ..StreamConfig::default()
-        });
+        let mut p = StreamPrefetcher::default();
         let mut mem = MemorySystem::new(MemoryConfig::default());
         let s = snoop();
         for i in 0..100 {
             p.observe(&miss_at(i * 1_000_000), &s, &MemoryImage::new(), &mut mem);
         }
-        assert!(p.entries.len() <= 4);
+        assert_eq!(p.entries.len(), STREAMS);
     }
 }

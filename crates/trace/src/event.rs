@@ -1,18 +1,9 @@
 //! Demand-access events observed by prefetchers.
 //!
-//! Conventional prefetchers see only the demand stream (addresses, plus the
-//! loaded values for index loads — the signal IMP correlates on). Synthetic
-//! PCs distinguish the instruction slots so table-based prefetchers can key
-//! their pattern tables the way hardware keys on the program counter.
+//! Conventional prefetchers see only the demand stream: addresses, plus
+//! the loaded values of index loads, the signal IMP correlates on.
 
 use nvr_common::{Addr, Cycle};
-
-/// Synthetic PC of index-array loads.
-pub const PC_INDEX_LOAD: u64 = 0x8000_1000;
-/// Synthetic PC of gather (indirect) loads.
-pub const PC_GATHER: u64 = 0x8000_2000;
-/// Synthetic PC of table-probe loads (two-level sparse functions).
-pub const PC_TABLE_PROBE: u64 = 0x8000_3000;
 
 /// What kind of access an event describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,10 +28,6 @@ pub enum EventKind {
 pub struct AccessEvent {
     /// Issue cycle.
     pub cycle: Cycle,
-    /// Tile that issued the access.
-    pub tile: usize,
-    /// Synthetic program counter of the issuing instruction slot.
-    pub pc: u64,
     /// Element byte address.
     pub addr: Addr,
     /// Access classification.
@@ -52,11 +39,9 @@ pub struct AccessEvent {
 impl AccessEvent {
     /// Convenience constructor for an index-load event.
     #[must_use]
-    pub fn index_load(cycle: Cycle, tile: usize, addr: Addr, value: u32, missed: bool) -> Self {
+    pub fn index_load(cycle: Cycle, addr: Addr, value: u32, missed: bool) -> Self {
         AccessEvent {
             cycle,
-            tile,
-            pc: PC_INDEX_LOAD,
             addr,
             kind: EventKind::IndexLoad { value },
             missed,
@@ -65,11 +50,9 @@ impl AccessEvent {
 
     /// Convenience constructor for a gather event.
     #[must_use]
-    pub fn gather(cycle: Cycle, tile: usize, addr: Addr, missed: bool) -> Self {
+    pub fn gather(cycle: Cycle, addr: Addr, missed: bool) -> Self {
         AccessEvent {
             cycle,
-            tile,
-            pc: PC_GATHER,
             addr,
             kind: EventKind::GatherLoad,
             missed,
@@ -82,12 +65,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn constructors_set_pcs() {
-        let e = AccessEvent::index_load(1, 2, Addr::new(0x10), 42, false);
-        assert_eq!(e.pc, PC_INDEX_LOAD);
+    fn constructors_set_kinds() {
+        let e = AccessEvent::index_load(1, Addr::new(0x10), 42, false);
         assert_eq!(e.kind, EventKind::IndexLoad { value: 42 });
-        let g = AccessEvent::gather(3, 4, Addr::new(0x20), true);
-        assert_eq!(g.pc, PC_GATHER);
+        assert!(!e.missed);
+        let g = AccessEvent::gather(3, Addr::new(0x20), true);
+        assert_eq!(g.kind, EventKind::GatherLoad);
         assert!(g.missed);
     }
 }

@@ -1,9 +1,11 @@
 //! Every config knob steers the model: changing any public field of
 //! `NvrConfig`, `CacheConfig`, `DramConfig`, `MemoryConfig` or `NpuConfig`
 //! from its value on a named witness cell must change that cell's
-//! `RunOutcome`. A knob that moves no cell is dead and should be deleted,
-//! not listed. The test asserts a difference, never a value, so a change
-//! that means to move results needs no re-pinning here.
+//! `RunOutcome`. These fields are every value a `SystemSpec` holds (the
+//! stream, IMP and DVR specs carry none), so every one is witnessed. A
+//! knob that moves no cell is dead and should be deleted, not listed. The
+//! test asserts a difference, never a value, so a change that means to
+//! move results needs no re-pinning here.
 
 use nvr::core::{nsb_config, TriggerPolicy};
 use nvr::mem::RetentionPolicy;
@@ -131,27 +133,7 @@ const KNOBS: &[Knob] = &[
     Knob {
         field: "NpuConfig::exec",
         system: SystemKind::InOrder,
-        change: |s| s.npu.exec = ExecMode::OutOfOrder { rob_tiles: 8 },
-    },
-    Knob {
-        field: "NpuConfig::vector_width",
-        system: SystemKind::Nvr,
-        change: |s| s.npu.vector_width = 4,
-    },
-    Knob {
-        field: "NpuConfig::scratchpad_bytes",
-        system: SystemKind::InOrder,
-        change: |s| s.npu.scratchpad_bytes = 1024,
-    },
-    Knob {
-        field: "NpuConfig::dma_bytes_per_cycle",
-        system: SystemKind::InOrder,
-        change: |s| s.npu.dma_bytes_per_cycle = 4,
-    },
-    Knob {
-        field: "NpuConfig::loads_per_cycle",
-        system: SystemKind::InOrder,
-        change: |s| s.npu.loads_per_cycle = 4,
+        change: |s| s.npu.exec = ExecMode::OutOfOrder,
     },
 ];
 
@@ -202,14 +184,8 @@ fn every_knob_moves_its_witness_cell() {
         dram: _,
         prefetch_mshrs: _,
     } = MemoryConfig::default();
-    let NpuConfig {
-        exec: _,
-        vector_width: _,
-        scratchpad_bytes: _,
-        dma_bytes_per_cycle: _,
-        loads_per_cycle: _,
-    } = NpuConfig::default();
-    assert_eq!(KNOBS.len(), 7 + 5 + 4 + 4 + 5);
+    let NpuConfig { exec: _ } = NpuConfig::default();
+    assert_eq!(KNOBS.len(), 7 + 5 + 4 + 4 + 1);
 
     let program = WorkloadId::Gcn.build(&WorkloadSpec::tiny(DataWidth::Fp16, 2025));
     // Unchanged cells, each simulated once.
