@@ -35,6 +35,25 @@ const NO_TAG: u64 = u64::MAX;
 const F_PREFETCH: u8 = 1 << 0;
 /// Whether a demand access touched the line since its fill.
 const F_DEMANDED: u8 = 1 << 1;
+/// Fingerprint of a never-filled way and of a fingerprint row's padding.
+/// Every tag's fingerprint has its high bit set, so none equals this one.
+const NO_FP: u8 = 0;
+/// Fingerprints matched per `u64` word; each set's row of the `fps` lane
+/// is padded to a multiple of it.
+const FP_LANES: usize = 8;
+/// Every byte of a word holding 1.
+const BYTE_ONES: u64 = u64::from_le_bytes([1; FP_LANES]);
+/// The low seven bits of every byte of a word.
+const LOW7: u64 = 0x7F * BYTE_ONES;
+/// The high bit of every byte of a word.
+const HIGH: u64 = 0x80 * BYTE_ONES;
+
+/// `tag`'s fingerprint in the `fps` lane: the top 7 bits of a
+/// multiplicative hash, which every tag bit reaches, under a set high bit.
+#[inline]
+fn fingerprint(tag: u64) -> u8 {
+    0x80 | (tag.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 57) as u8
+}
 
 /// One resolved tag lookup of a line in a [`Cache`]: its set and tag, and
 /// its SoA slot when resident or in flight.
@@ -120,8 +139,15 @@ fn weaker(way: (u64, u64, usize), best: (u64, u64, usize)) -> (u64, u64, usize) 
 /// Way metadata lives in dense structure-of-arrays form: parallel vectors
 /// (`tags`, `fill_done`, `issued_at`, `last_use`, `reuse`, `flags`), each
 /// indexed by `set * ways + way`. Never-filled ways hold a sentinel tag no
-/// line maps to, so a lookup scans the `tags` lane alone — one tightly
+/// line maps to, so the `tags` lane alone decides residency — one tightly
 /// packed array, with no per-set `Vec` indirection on the hot path.
+///
+/// A lookup reads one more lane first: `fps`, one fingerprint byte per way
+/// (7 hashed tag bits under a set high bit, 0 for a never-filled way),
+/// indexed by `set * fp_stride + way`, with each set's row zero-padded to
+/// `fp_stride`, a multiple of 8 ways. It matches 8 fingerprints per `u64`
+/// and compares the full tag only of the ways whose fingerprint matches,
+/// so a lookup usually makes one tag compare on a hit and none on a miss.
 ///
 /// # Prefetch lives
 ///
@@ -166,6 +192,11 @@ pub struct Cache {
     /// SoA way metadata, indexed by `set * ways + way`; [`NO_TAG`] marks a
     /// never-filled way.
     tags: Vec<u64>,
+    /// Length of a set's row in `fps`: `ways` rounded up to [`FP_LANES`].
+    fp_stride: usize,
+    /// Each way's tag [`fingerprint`], indexed by `set * fp_stride + way`;
+    /// [`NO_FP`] for a never-filled way and for a row's padding.
+    fps: Vec<u8>,
     /// Cycle at which each way's fill completes; `<= now` means filled.
     fill_done: Vec<Cycle>,
     /// Cycle each way's fill was installed: a prefetch life's issue cycle.
@@ -194,6 +225,9 @@ pub struct Cache {
     /// Tag lookups so far, for the one-lookup-per-level invariant test.
     #[cfg(test)]
     lookups: std::cell::Cell<u64>,
+    /// Full-tag compares so far, made by lookups on fingerprint matches.
+    #[cfg(test)]
+    tag_compares: std::cell::Cell<u64>,
 }
 
 impl Cache {
@@ -221,12 +255,15 @@ impl Cache {
         } else {
             (u64::MAX, 0)
         };
+        let fp_stride = (cfg.ways as usize).next_multiple_of(FP_LANES);
         Cache {
             ways: cfg.ways as usize,
             n_sets: sets,
             set_mask,
             set_shift,
             tags: vec![NO_TAG; slots],
+            fp_stride,
+            fps: vec![NO_FP; sets as usize * fp_stride],
             fill_done: vec![0; slots],
             issued_at: vec![0; slots],
             last_use: vec![0; slots],
@@ -239,6 +276,8 @@ impl Cache {
             fills: 0,
             #[cfg(test)]
             lookups: std::cell::Cell::new(0),
+            #[cfg(test)]
+            tag_compares: std::cell::Cell::new(0),
             cfg,
         }
     }
@@ -312,9 +351,11 @@ impl Cache {
         self.fills
     }
 
-    /// Resolves `line`'s set, tag and way — the one tag scan per level
+    /// Resolves `line`'s set, tag and way — the one tag lookup per level
     /// that each hierarchy call makes. Power-of-two set counts split the
-    /// line index by mask and shift; other counts divide.
+    /// line index by mask and shift; other counts divide. The way comes
+    /// from the fingerprint match of [`Cache::find`]; debug builds check
+    /// it against a scan of the set's tag lane.
     #[inline]
     pub(crate) fn lookup(&self, line: LineAddr) -> Slot {
         #[cfg(test)]
@@ -330,17 +371,43 @@ impl Cache {
             reason = "set < n_sets, and n_sets * ways slots are allocated"
         )]
         let set = set as usize;
+        let way = self.find(set, tag);
+        debug_assert_eq!(
+            way,
+            (set * self.ways..(set + 1) * self.ways).find(|&i| self.tags[i] == tag),
+            "fingerprint lookup of {line:?} disagrees with the tag scan"
+        );
+        Slot { set, tag, way }
+    }
+
+    /// The SoA index of the way of `set` that holds `tag`, if any.
+    ///
+    /// Each `u64` of the set's fingerprint row holds 8 ways' fingerprints.
+    /// XOR with the probe's fingerprint in every byte zeroes the bytes of
+    /// matching ways, and an exact zero-byte test (no borrow between
+    /// bytes) marks them. Only a marked way's full tag is compared. A line
+    /// occupies at most one way, so the first verified match is the line's,
+    /// and on a hit the search stops there.
+    #[inline]
+    fn find(&self, set: usize, tag: u64) -> Option<usize> {
         let base = set * self.ways;
-        // A line occupies at most one way, so the last match is the only
-        // one; scanning every way without an early exit trades a few
-        // compares for the mispredicted exit branch of a search.
-        let mut way = None;
-        for (w, &t) in self.tags[base..base + self.ways].iter().enumerate() {
-            if t == tag {
-                way = Some(base + w);
+        let row = &self.fps[set * self.fp_stride..(set + 1) * self.fp_stride];
+        let probe = u64::from(fingerprint(tag)) * BYTE_ONES;
+        for (word, lanes) in row.chunks_exact(FP_LANES).enumerate() {
+            let diff = u64::from_le_bytes(lanes.try_into().unwrap_or([NO_FP; FP_LANES])) ^ probe;
+            // A byte's high bit ends up set unless the byte was zero.
+            let mut matches = !(((diff & LOW7) + LOW7) | diff) & HIGH;
+            while matches != 0 {
+                let i = base + word * FP_LANES + (matches.trailing_zeros() / 8) as usize;
+                #[cfg(test)]
+                self.tag_compares.set(self.tag_compares.get() + 1);
+                if self.tags[i] == tag {
+                    return Some(i);
+                }
+                matches &= matches - 1;
             }
         }
-        Slot { set, tag, way }
+        None
     }
 
     /// Tag lookups so far.
@@ -539,6 +606,7 @@ impl Cache {
         }
         self.fills += 1;
         self.tags[victim] = slot.tag;
+        self.fps[slot.set * self.fp_stride + (victim - base)] = fingerprint(slot.tag);
         self.fill_done[victim] = fill_done;
         self.issued_at[victim] = now;
         self.last_use[victim] = now;
@@ -553,9 +621,10 @@ impl Cache {
     /// mid-fill, which is pathological — the least recently used way.
     /// Returns a SoA slot index.
     ///
-    /// One pass finds the first-minimum `last_use` way. When that way is
-    /// filled it is also the filled LRU, so the fill-state filter runs
-    /// only when it is mid-fill.
+    /// One branch-free pass finds the first-minimum `last_use` way: which
+    /// way is older is data-dependent, so a branch would mispredict. When
+    /// that way is filled it is also the filled LRU, so the fill-state
+    /// filter runs only when it is mid-fill.
     fn pick_victim(&self, base: usize, now: Cycle) -> usize {
         let end = base + self.ways;
         let last_use = &self.last_use[base..end];
@@ -563,14 +632,13 @@ impl Cache {
         if let Some(w) = self.first_unfilled(base) {
             return base + w;
         }
-        let mut lru = 0;
-        for w in 1..last_use.len() {
+        let mut lru = (0, last_use[0]);
+        for (w, &used) in last_use.iter().enumerate().skip(1) {
             // Strictly less keeps the earliest way on ties, matching an
             // LRU scan in way order.
-            if last_use[w] < last_use[lru] {
-                lru = w;
-            }
+            lru = select_unpredictable(used < lru.1, (w, used), lru);
         }
+        let (lru, _) = lru;
         if fill_done[lru] <= now {
             return base + lru;
         }
@@ -1051,6 +1119,90 @@ mod tests {
         assert_eq!(c.drain_outcomes().count(), 0, "a drain empties the record");
         assert_eq!(c.stats().prefetch_evicted_unused.get(), 2);
         assert_eq!(c.prefetch_slack().sum(), 30 - 20);
+    }
+
+    /// The way a plain scan of the set's tag lane finds for `line`, with
+    /// the set and tag split by division: the oracle for [`Cache::lookup`].
+    fn reference_lookup(c: &Cache, line: LineAddr) -> Option<usize> {
+        let (set, tag) = (line.index() % c.n_sets, line.index() / c.n_sets);
+        let base = set as usize * c.ways;
+        (base..base + c.ways).find(|&i| c.tags[i] == tag)
+    }
+
+    /// Installs a random line of `lines` (a demand or a prefetch, filling
+    /// now or later) into `c`, then checks `c.lookup` against the tag scan
+    /// for one line of `lines` and for the one just installed.
+    fn install_and_check(c: &mut Cache, rng: &mut Pcg32, lines: &[LineAddr], now: Cycle) {
+        let line = lines[rng.gen_index(lines.len())];
+        if rng.gen_bool(0.3) {
+            c.probe(line, now, true);
+        } else {
+            c.install(line, now + rng.gen_range(4), rng.gen_bool(0.5), now);
+        }
+        for line in [lines[rng.gen_index(lines.len())], line] {
+            assert_eq!(
+                c.lookup(line).way,
+                reference_lookup(c, line),
+                "{} ways, {line:?} at cycle {now}",
+                c.ways
+            );
+        }
+    }
+
+    #[test]
+    fn lookup_matches_tag_scan() {
+        let mut rng = Pcg32::seed_from_u64(0xf1f0);
+        // 3 and 12 ways pad their fingerprint rows to 8 and 16 bytes.
+        for ways in [1u64, 3, 8, 12, 16] {
+            // Random lines over three times the capacity, so sets fill,
+            // evict and refill.
+            let mut c = tiny_cache(ways, 4);
+            let lines: Vec<_> = (0..ways * 12)
+                .map(|_| LineAddr::new(rng.gen_range(1 << 40)))
+                .collect();
+            for now in 0..6_000 {
+                install_and_check(&mut c, &mut rng, &lines, now);
+            }
+            // One set whose tags all share a fingerprint byte, so every
+            // filled way is a fingerprint match and only the tag decides.
+            let mut c = tiny_cache(ways, 1);
+            let shared: Vec<_> = (0..)
+                .filter(|&t| fingerprint(t) == fingerprint(0))
+                .take(ways as usize * 2)
+                .map(LineAddr::new)
+                .collect();
+            for now in 0..2_000 {
+                install_and_check(&mut c, &mut rng, &shared, now);
+            }
+            // Tags just below the never-filled tag.
+            let mut c = tiny_cache(ways, 1);
+            let top: Vec<_> = (1..=ways * 2).map(|k| LineAddr::new(NO_TAG - k)).collect();
+            for now in 0..2_000 {
+                install_and_check(&mut c, &mut rng, &top, now);
+            }
+        }
+    }
+
+    #[test]
+    fn fingerprints_spare_full_tag_compares() {
+        // The paper's 8-way L2 under random lines over twice its capacity:
+        // about half the probes hit, and each miss installs.
+        let mut c = Cache::new(CacheConfig::l2_default());
+        let span = 2 * c.config().sets() * c.config().ways;
+        let mut rng = Pcg32::seed_from_u64(0xc0de);
+        for now in 0..200_000 {
+            let line = LineAddr::new(rng.gen_range(span));
+            if c.probe(line, now, true) == ProbeResult::Miss {
+                c.install(line, now, false, now);
+            }
+        }
+        let (compares, lookups) = (c.tag_compares.get(), c.lookups());
+        // A scan of every way would compare 8 tags per lookup of a full
+        // set; a fingerprint match compares about one per hit.
+        assert!(
+            compares * 10 <= lookups * 11,
+            "{compares} full-tag compares in {lookups} lookups"
+        );
     }
 
     /// `pick_victim` as it stood before the single-pass rewrite (never-filled
