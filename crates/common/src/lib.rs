@@ -46,26 +46,6 @@ pub use width::DataWidth;
 /// bug class here.
 pub type Cycle = u64;
 
-/// Integer ceiling division used throughout the timing models.
-///
-/// # Examples
-///
-/// ```
-/// assert_eq!(nvr_common::div_ceil(10, 4), 3);
-/// assert_eq!(nvr_common::div_ceil(8, 4), 2);
-/// assert_eq!(nvr_common::div_ceil(0, 4), 0);
-/// ```
-///
-/// # Panics
-///
-/// Panics if `d == 0`.
-#[inline]
-#[must_use]
-pub fn div_ceil(n: u64, d: u64) -> u64 {
-    assert!(d != 0, "div_ceil divisor must be non-zero");
-    n.div_ceil(d)
-}
-
 /// Declares a fieldless registry enum and its `ALL` constant, every
 /// variant in declaration order, from one variant list: a new variant
 /// cannot be declared without landing in `ALL`, and the label and
@@ -105,25 +85,4 @@ macro_rules! registry_enum {
             pub const ALL: [$name; [$(stringify!($variant)),+].len()] = [$($name::$variant),+];
         }
     };
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn div_ceil_basics() {
-        assert_eq!(div_ceil(0, 1), 0);
-        assert_eq!(div_ceil(1, 1), 1);
-        assert_eq!(div_ceil(7, 8), 1);
-        assert_eq!(div_ceil(9, 8), 2);
-        assert_eq!(div_ceil(64, 64), 1);
-        assert_eq!(div_ceil(65, 64), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-zero")]
-    fn div_ceil_zero_divisor_panics() {
-        let _ = div_ceil(1, 0);
-    }
 }

@@ -286,9 +286,9 @@ impl NvrPrefetcher {
     /// the DRAM channel on turnover-heavy workloads (GCN, MK) faster than
     /// any throttle can react.
     fn max_ahead_elems(&self) -> u64 {
-        let row_lines = self.func.map_or(1, |f| {
-            nvr_common::div_ceil(f.row_bytes(), nvr_common::LINE_BYTES).max(1)
-        });
+        let row_lines = self
+            .func
+            .map_or(1, |f| f.row_bytes().div_ceil(nvr_common::LINE_BYTES).max(1));
         (self.cfg.lookahead_lines as u64 / row_lines).max(self.cfg.vector_width as u64)
     }
 
@@ -588,7 +588,7 @@ impl Prefetcher for NvrPrefetcher {
             EventKind::GatherLoad if event.missed => {
                 self.miss_seen_in_tile = true;
             }
-            EventKind::IndexLoad { .. } | EventKind::GatherLoad | EventKind::TableProbe { .. } => {}
+            EventKind::IndexLoad { .. } | EventKind::GatherLoad | EventKind::TableProbe => {}
         }
     }
 
@@ -666,44 +666,18 @@ impl Prefetcher for NvrPrefetcher {
             // queue position opening (`next_prefetch_wakeup`). The skipped
             // cycles would each have re-walked the queue and re-scanned the
             // windows to do nothing.
-            match outcome {
-                StepOutcome::Worked => {
-                    self.clock += 1;
-                }
-                StepOutcome::Blocked(until) => {
-                    if issued {
-                        // Keep draining the queue cycle by cycle while the
-                        // thread waits on its fill.
-                        self.clock += 1;
-                    } else if self.vmig.is_empty() {
-                        // Nothing to issue: fast-forward to the fill.
-                        self.clock = until.min(to).max(self.clock + 1);
-                    } else {
-                        // Queue stuck behind back-pressure: fast-forward to
-                        // the fill or the first issue opportunity, whichever
-                        // is sooner.
-                        let wake = mem
-                            .next_prefetch_wakeup(self.clock)
-                            .map_or(until, |w| w.min(until));
-                        self.clock = wake.min(to).max(self.clock + 1);
-                    }
-                }
-                StepOutcome::Idle => {
-                    if issued {
-                        self.clock += 1;
-                    } else if self.vmig.is_empty() {
-                        break;
-                    } else {
-                        // No thread work at all, queue stuck: only a memory-
-                        // side event can unstick it.
-                        let wake = mem.next_prefetch_wakeup(self.clock);
-                        self.clock = match wake {
-                            Some(w) => w.min(to).max(self.clock + 1),
-                            None => self.clock + 1,
-                        };
-                    }
-                }
-            }
+            let wake = match outcome {
+                StepOutcome::Worked => None,
+                StepOutcome::Blocked(_) | StepOutcome::Idle if issued => None,
+                StepOutcome::Idle if self.vmig.is_empty() => break,
+                StepOutcome::Blocked(until) if self.vmig.is_empty() => Some(until),
+                StepOutcome::Blocked(until) => Some(
+                    mem.next_prefetch_wakeup(self.clock)
+                        .map_or(until, |w| w.min(until)),
+                ),
+                StepOutcome::Idle => mem.next_prefetch_wakeup(self.clock),
+            };
+            self.clock = wake.map_or(self.clock + 1, |w| w.min(to).max(self.clock + 1));
         }
     }
 }

@@ -12,17 +12,17 @@
 //! the NSB's [`nvr_mem::RetentionPolicy::ScoredReuse`] policy admits,
 //! rejects (shrinks) and evicts on it.
 //!
-//! Determinism: the predictor is an open-addressing table keyed by line
-//! index under a fixed hash (Fibonacci hashing) with a fixed decay
-//! epoch — no [`std::collections::HashMap`] randomised state, no clocks —
-//! so identical runs produce identical scores. The table form matters for
+//! Determinism: the counts live in a [`nvr_common::FlatMap`] keyed by
+//! line index, with a fixed decay epoch — no
+//! [`std::collections::HashMap`] randomised state, no clocks — so
+//! identical runs produce identical scores. The flat table matters for
 //! speed: `observe` runs once per resolved target line, and a pointer-
 //! chasing map on that path dominated the NSB configurations' wall time.
-//! For the same reason decay is lazy: each slot remembers the epoch its
+//! For the same reason decay is lazy: each entry remembers the epoch its
 //! count was written in and is halved on read, so an epoch boundary costs
-//! one increment instead of a table rebuild.
+//! one increment instead of a pass over the table.
 
-use nvr_common::LineAddr;
+use nvr_common::{FlatMap, LineAddr};
 
 /// Observations between decay steps. At each epoch boundary every count
 /// halves (integer division) and exhausted entries are dropped, so a
@@ -32,40 +32,6 @@ use nvr_common::LineAddr;
 /// at 16 lanes: long enough to span the lookahead horizon, short enough
 /// to track tile phases.
 const DECAY_EPOCH: u32 = 4096;
-
-/// Initial slot count; must be a power of two.
-const INITIAL_SLOTS: usize = 1024;
-
-/// An unoccupied slot's key marker. Line indices are byte addresses
-/// shifted down by the line-size log, so `u64::MAX` cannot collide with a
-/// real key.
-const EMPTY: u64 = u64::MAX;
-
-/// One table slot. Probes land on random slots, so a slot's fields share
-/// a cache line instead of living in parallel lanes.
-#[derive(Debug, Clone, Copy)]
-struct Entry {
-    /// Line index, or [`EMPTY`].
-    key: u64,
-    /// Touch count as of `stamp`.
-    count: u32,
-    /// Decay epoch in which `count` was written; the count is worth
-    /// `count >> (epoch - stamp)` now (see [`decayed`]).
-    stamp: u32,
-}
-
-impl Entry {
-    const FREE: Entry = Entry {
-        key: EMPTY,
-        count: 0,
-        stamp: 0,
-    };
-
-    /// The count as of decay epoch `epoch`.
-    fn score(&self, epoch: u32) -> u32 {
-        decayed(self.count, self.stamp, epoch)
-    }
-}
 
 /// Counts resolved-target touches per line inside a decaying horizon.
 ///
@@ -81,28 +47,17 @@ impl Entry {
 /// assert_eq!(p.score(LineAddr::new(7)), 2);
 /// assert_eq!(p.score(LineAddr::new(8)), 0);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ReusePredictor {
-    /// Linear probing from the key's hash, power-of-two capacity.
-    slots: Vec<Entry>,
-    /// Occupied slots, including entries decayed to zero that the next
-    /// [`ReusePredictor::rebuild`] drops.
-    len: usize,
+    /// Per line index, its touch count and the decay epoch the count was
+    /// written in: the count is worth `count >> (epoch - stamp)` now (see
+    /// [`decayed`]). Holds entries decayed to zero until the table's grow
+    /// point drops them.
+    counts: FlatMap<(u32, u32)>,
     /// Decay steps taken so far.
     epoch: u32,
     /// Observations since the last decay step.
     since_decay: u32,
-}
-
-impl Default for ReusePredictor {
-    fn default() -> Self {
-        ReusePredictor {
-            slots: vec![Entry::FREE; INITIAL_SLOTS],
-            len: 0,
-            epoch: 0,
-            since_decay: 0,
-        }
-    }
 }
 
 /// A count written in decay epoch `stamp`, as of `epoch`: halved (integer
@@ -110,18 +65,6 @@ impl Default for ReusePredictor {
 /// halved to zero is an exhausted entry.
 fn decayed(count: u32, stamp: u32, epoch: u32) -> u32 {
     count.checked_shr(epoch - stamp).unwrap_or(0)
-}
-
-/// Home slot of `key` in a table of `slots` (a power of two) slots:
-/// Fibonacci hashing, the top bits of the key times 2^64 / φ. One
-/// multiply spreads line-index runs and strides evenly, and keeps the
-/// probe's address off a longer mixing chain.
-#[expect(
-    clippy::cast_possible_truncation,
-    reason = "the shift keeps log2(slots) bits, so the result is below slots"
-)]
-fn home(key: u64, slots: usize) -> usize {
-    (key.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (u64::BITS - slots.trailing_zeros())) as usize
 }
 
 impl ReusePredictor {
@@ -140,99 +83,35 @@ impl ReusePredictor {
             self.epoch += 1;
             self.since_decay = 0;
         }
-        // Keep the load factor under 1/2 so probe chains stay short.
-        if (self.len + 1) * 2 > self.slots.len() {
-            self.rebuild();
+        let epoch = self.epoch;
+        // Drop exhausted entries where the table would grow, so it stays
+        // sized to the lines still inside the horizon.
+        if self.counts.would_grow() {
+            self.counts
+                .retain(|_, (count, stamp)| decayed(count, stamp, epoch) > 0);
         }
-        let mask = self.slots.len() - 1;
-        let key = line.index();
-        let mut i = home(key, self.slots.len());
-        loop {
-            let slot = &mut self.slots[i];
-            if slot.key == key {
-                // An exhausted entry restarts at 1, as a fresh one does.
-                slot.count = slot.score(self.epoch).saturating_add(1);
-                slot.stamp = self.epoch;
-                return slot.count;
-            }
-            if slot.key == EMPTY {
-                *slot = Entry {
-                    key,
-                    count: 1,
-                    stamp: self.epoch,
-                };
-                self.len += 1;
-                return 1;
-            }
-            i = (i + 1) & mask;
-        }
+        let ((count, stamp), _) = self.counts.find_or_insert(line.index(), (0, epoch));
+        // An exhausted entry restarts at 1, as a fresh one does.
+        *count = decayed(*count, *stamp, epoch).saturating_add(1);
+        *stamp = epoch;
+        *count
     }
 
     /// The current score of `line` (0 if never observed this horizon).
     #[must_use]
     pub fn score(&self, line: LineAddr) -> u32 {
-        let mask = self.slots.len() - 1;
-        let key = line.index();
-        let mut i = home(key, self.slots.len());
-        loop {
-            let slot = &self.slots[i];
-            if slot.key == key {
-                return slot.score(self.epoch);
-            }
-            if slot.key == EMPTY {
-                return 0;
-            }
-            i = (i + 1) & mask;
-        }
+        self.counts
+            .get(line.index())
+            .map_or(0, |(count, stamp)| decayed(count, stamp, self.epoch))
     }
 
     /// Lines currently holding a non-zero score (a scan of the table).
     #[must_use]
     pub fn tracked(&self) -> usize {
-        self.slots
+        self.counts
             .iter()
-            .filter(|s| s.key != EMPTY && s.score(self.epoch) > 0)
+            .filter(|&(_, (count, stamp))| decayed(count, stamp, self.epoch) > 0)
             .count()
-    }
-
-    /// Drops exhausted entries and carries the rest into the current
-    /// epoch, in a fresh table sized to the survivors: the smallest
-    /// power-of-two slot count, from [`INITIAL_SLOTS`] up, that they fill
-    /// at most a quarter of. Runs when the table reaches half load, so it
-    /// amortises to a fraction of an observe.
-    fn rebuild(&mut self) {
-        let epoch = self.epoch;
-        let live = self
-            .slots
-            .iter()
-            .filter(|s| s.key != EMPTY && s.score(epoch) > 0)
-            .count();
-        let mut cap = INITIAL_SLOTS;
-        while (live + 1) * 4 > cap {
-            cap *= 2;
-        }
-        let old = std::mem::replace(&mut self.slots, vec![Entry::FREE; cap]);
-        for entry in old.into_iter().filter(|e| e.key != EMPTY) {
-            let count = entry.score(epoch);
-            if count > 0 {
-                self.place(Entry {
-                    count,
-                    stamp: epoch,
-                    ..entry
-                });
-            }
-        }
-        self.len = live;
-    }
-
-    /// Puts `entry` at the first free slot of its probe chain.
-    fn place(&mut self, entry: Entry) {
-        let mask = self.slots.len() - 1;
-        let mut i = home(entry.key, self.slots.len());
-        while self.slots[i].key != EMPTY {
-            i = (i + 1) & mask;
-        }
-        self.slots[i] = entry;
     }
 }
 
@@ -299,11 +178,8 @@ mod tests {
             c.observe(LineAddr::new(5));
         }
         // Force the stored count to the ceiling, then observe once more.
-        for slot in &mut c.slots {
-            if slot.count > 0 {
-                slot.count = u32::MAX;
-            }
-        }
+        c.counts
+            .insert(LineAddr::new(5).index(), (u32::MAX, c.epoch));
         assert_eq!(c.observe(LineAddr::new(5)), u32::MAX);
         // Normal path still exact.
         assert_eq!(p.observe(LineAddr::new(5)), 1);
@@ -312,8 +188,9 @@ mod tests {
     #[test]
     fn growth_preserves_scores() {
         let mut p = ReusePredictor::new();
-        // Insert enough distinct lines to force several growth rebuilds
-        // (staying under one decay epoch), then verify every score.
+        // Insert enough distinct lines to pass the table's grow point
+        // several times (staying under one decay epoch, so every retain
+        // keeps every line), then verify every score.
         for i in 0..2000u64 {
             p.observe(LineAddr::new(i));
             p.observe(LineAddr::new(i));
@@ -352,9 +229,9 @@ mod tests {
     fn lazy_decay_matches_eager_reference() {
         let mut rng = nvr_common::Pcg32::seed_from_u64(42);
         let (mut p, mut r) = (ReusePredictor::new(), Reference::default());
-        // Hub lines recur across many epochs; the cold tail forces table
-        // growth, and lines seen once die within an epoch, so later
-        // rebuilds drop them and carry the survivors over.
+        // Hub lines recur across many epochs; the cold tail drives the
+        // table to its grow point, and lines seen once die within an
+        // epoch, so later retains drop them and keep the survivors.
         for i in 0..(24 * DECAY_EPOCH) {
             let key = match rng.gen_index(10) {
                 0..=2 => rng.gen_range(64),

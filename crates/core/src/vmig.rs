@@ -69,7 +69,7 @@ pub struct Vmig {
     /// e.g. index stream-ahead lines), keyed by line index. Doubles as
     /// the dedup set: membership here means the line is in `queue`, so a
     /// push is one probe instead of a queue scan.
-    scores: FlatMap,
+    scores: FlatMap<u32>,
     /// DARE-style NSB admission threshold ([`crate::NvrConfig::nsb_admit_min_reuse`]):
     /// when non-zero, a line's full predicted-reuse score earns retention
     /// priority only once it reaches the threshold; lines below it are
@@ -116,19 +116,14 @@ impl Vmig {
     /// keeps the *maximum* score seen for the line — a line wanted by two
     /// bundles is more reusable, not less.
     pub fn push_scored(&mut self, line: LineAddr, score: u32) {
-        match self.scores.get(line.index()) {
-            Some(old) => {
-                if u64::from(score) > old {
-                    self.scores.insert(line.index(), u64::from(score));
-                }
-            }
-            None => {
-                self.scores.insert(line.index(), u64::from(score));
-                self.queue.push_back(Queued {
-                    line,
-                    absent_at: UNPROBED,
-                });
-            }
+        let (best, new) = self.scores.find_or_insert(line.index(), score);
+        if new {
+            self.queue.push_back(Queued {
+                line,
+                absent_at: UNPROBED,
+            });
+        } else {
+            *best = (*best).max(score);
         }
     }
 
@@ -260,11 +255,7 @@ impl Vmig {
                 kept += 1;
                 continue;
             }
-            #[expect(
-                clippy::cast_possible_truncation,
-                reason = "scores map only ever stores u64::from(u32) values"
-            )]
-            let score = self.scores.remove(line.index()).map_or(0, |s| s as u32);
+            let score = self.scores.remove(line.index()).unwrap_or(0);
             // DARE-style admission: with an active threshold, a line's
             // predicted reuse earns retention priority only once it
             // clears the threshold; below it the line carries no score.

@@ -73,7 +73,8 @@ pub struct CacheConfig {
     /// Victim-selection / admission policy of this level. Defaults to
     /// [`RetentionPolicy::Lru`]; the NVR+NSB system switches its NSB to
     /// [`RetentionPolicy::ScoredReuse`] so speculative fills compete on
-    /// predicted reuse instead of recency.
+    /// predicted reuse instead of recency. The L2 admits every fill:
+    /// [`MemoryConfig::validate`] rejects a `ScoredReuse` L2.
     pub policy: RetentionPolicy,
 }
 
@@ -190,7 +191,7 @@ impl DramConfig {
     /// Cycles one channel is occupied transferring one cache line.
     #[must_use]
     pub fn line_transfer_cycles(&self) -> Cycle {
-        nvr_common::div_ceil(LINE_BYTES, self.bytes_per_cycle)
+        LINE_BYTES.div_ceil(self.bytes_per_cycle)
     }
 
     /// Same configuration with a different channel count (fig7b sweeps).
@@ -296,12 +297,23 @@ impl MemoryConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`NvrError::Config`] if any level's configuration is invalid.
+    /// Returns [`NvrError::Config`] if any level's configuration is
+    /// invalid, or if the L2 runs [`RetentionPolicy::ScoredReuse`]: the L2
+    /// is the last on-chip level, so a fill it refused, demand or
+    /// speculative, would have nowhere to land.
     pub fn validate(&self) -> Result<(), NvrError> {
         if let Some(nsb) = &self.nsb {
             nsb.validate()?;
         }
         self.l2.validate()?;
+        if self.l2.policy == RetentionPolicy::ScoredReuse {
+            return Err(NvrError::Config(format!(
+                "{}: policy {} may refuse fills; the L2 must admit every fill (use {})",
+                self.l2.name,
+                RetentionPolicy::ScoredReuse,
+                RetentionPolicy::ScoredEvict
+            )));
+        }
         self.dram.validate()
     }
 }
@@ -352,6 +364,16 @@ mod tests {
             ..CacheConfig::l2_default()
         };
         assert!(odd.validate().is_ok());
+    }
+
+    #[test]
+    fn refusing_l2_rejected() {
+        let mut cfg = MemoryConfig::default();
+        cfg.l2.policy = RetentionPolicy::ScoredReuse;
+        let err = cfg.validate().expect_err("a ScoredReuse L2 is invalid");
+        assert!(err.to_string().contains("L2: policy scored"), "{err}");
+        cfg.l2.policy = RetentionPolicy::ScoredEvict;
+        cfg.validate().expect("a ScoredEvict L2 is valid");
     }
 
     #[test]

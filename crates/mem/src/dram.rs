@@ -253,41 +253,32 @@ impl DramBackend {
     /// striped across all channels at demand priority; returns the cycle
     /// the last stripe's data arrives.
     pub fn read_stream(&mut self, now: Cycle, bytes: u64) -> Cycle {
-        if bytes == 0 {
-            return now;
-        }
-        let mut done = now;
-        for ch in 0..self.cfg.channels {
-            let share = self.stripe_share(bytes, ch);
-            if share == 0 {
-                continue;
-            }
-            let transfer = nvr_common::div_ceil(share, self.cfg.bytes_per_cycle);
-            let slot = self.demand_slot(ch, now, transfer);
-            done = done.max(slot + self.cfg.latency + transfer);
-        }
         self.stats.dma_bytes.add(bytes);
-        done
+        self.stripe(now, bytes, self.cfg.latency)
     }
 
     /// Streams `bytes` out (stores / writebacks), striped across all
     /// channels at demand priority; returns the cycle the last channel
     /// drains.
     pub fn write_bytes(&mut self, now: Cycle, bytes: u64) -> Cycle {
-        if bytes == 0 {
-            return now;
-        }
+        self.stats.write_bytes.add(bytes);
+        self.stripe(now, bytes, 0)
+    }
+
+    /// Schedules each channel's share of `bytes` at demand priority from
+    /// `now`; returns the cycle the last share completes, `latency` after
+    /// its transfer ends (`now` when `bytes` is 0).
+    fn stripe(&mut self, now: Cycle, bytes: u64, latency: Cycle) -> Cycle {
         let mut done = now;
         for ch in 0..self.cfg.channels {
             let share = self.stripe_share(bytes, ch);
             if share == 0 {
                 continue;
             }
-            let transfer = nvr_common::div_ceil(share, self.cfg.bytes_per_cycle);
+            let transfer = share.div_ceil(self.cfg.bytes_per_cycle);
             let slot = self.demand_slot(ch, now, transfer);
-            done = done.max(slot + transfer);
+            done = done.max(slot + latency + transfer);
         }
-        self.stats.write_bytes.add(bytes);
         done
     }
 

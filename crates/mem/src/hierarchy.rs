@@ -5,7 +5,7 @@ use nvr_common::{Cycle, Histogram, LineAddr};
 use crate::cache::{completed_by, retire, track_fill, Cache, ProbeResult};
 use crate::config::MemoryConfig;
 use crate::dram::{ChannelPrefetch, DramBackend};
-use crate::stats::{CacheStats, MemoryStats};
+use crate::stats::MemoryStats;
 
 /// Classification of a demand access, for statistics and latency breakdowns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -312,11 +312,8 @@ impl MemorySystem {
             }
         };
         track_fill(&mut self.pf_inflight, fill_done, now);
-        // A scored L2 may shrink (reject the fill) to keep a hotter
-        // resident; the DRAM fetch is already in flight either way, so
-        // the issue is counted against the level regardless and the
-        // rejection shows up in `retention_rejected`. An accepted fill
-        // begins a prefetch life.
+        // The L2 admits every fill (`MemoryConfig::validate`), so each
+        // issue begins a prefetch life.
         self.l2.install_at(l2_slot, fill_done, true, now, reuse);
         self.l2.note_prefetch_issued();
         if fill_nsb {
@@ -468,36 +465,23 @@ impl MemorySystem {
     /// Folds end-of-run state (resident unused prefetches) into the stats.
     ///
     /// In debug builds, checks that every prefetch life at each level
-    /// ended exactly one way: used, evicted unused or resident unused. A
-    /// [`crate::RetentionPolicy::ScoredReuse`] L2 may refuse a speculative
-    /// fill whose DRAM fetch was already counted issued; that fill begins
-    /// no life and is counted in `retention_rejected` (with any refused
-    /// demand fill), so there the issued count may exceed the lives by at
-    /// most the rejections. No other policy refuses a fill, and the NSB
-    /// counts a prefetch issued only when it places a new copy, so
-    /// elsewhere the identity is exact.
+    /// ended exactly one way: issued = used + evicted unused + resident
+    /// unused. The L2 admits every fill, and the NSB counts a prefetch
+    /// issued only when it places a new copy, so at both levels each
+    /// issue begins exactly one life.
     pub fn finalize(&mut self) {
         if let Some(nsb) = &mut self.nsb {
             nsb.finalize_stats();
         }
         self.l2.finalize_stats();
-        let lives = |s: &CacheStats| {
-            s.prefetch_useful.get()
-                + s.prefetch_evicted_unused.get()
-                + s.prefetch_resident_unused.get()
-        };
-        let l2 = self.l2.stats();
-        let (issued, l2_lives) = (l2.prefetch_issued.get(), lives(l2));
-        debug_assert!(
-            l2_lives <= issued && issued - l2_lives <= l2.retention_rejected.get(),
-            "{issued} issued L2 prefetches against {l2_lives} lives: {l2:?}"
-        );
-        if let Some(nsb) = &self.nsb {
-            let nsb = nsb.stats();
+        for level in std::iter::once(&self.l2).chain(&self.nsb) {
+            let s = level.stats();
             debug_assert_eq!(
-                nsb.prefetch_issued.get(),
-                lives(nsb),
-                "issued NSB prefetches against lives: {nsb:?}"
+                s.prefetch_issued.get(),
+                s.prefetch_useful.get()
+                    + s.prefetch_evicted_unused.get()
+                    + s.prefetch_resident_unused.get(),
+                "issued prefetches against lives: {s:?}"
             );
         }
     }

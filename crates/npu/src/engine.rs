@@ -378,9 +378,7 @@ impl Walk<'_> {
             let ev = AccessEvent {
                 cycle: issue_at,
                 addr: probe,
-                kind: EventKind::TableProbe {
-                    value: self.program.image.read_u32(probe),
-                },
+                kind: EventKind::TableProbe,
                 missed: r.outcome == AccessOutcome::Miss,
             };
             self.prefetcher

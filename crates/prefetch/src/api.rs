@@ -11,8 +11,7 @@ use nvr_trace::{AccessEvent, MemoryImage, SnoopState};
 /// [`TimelinessReport::measure`]; [`Prefetcher::timeliness`] returns
 /// `None` for the rest. Each count is one way an L2 prefetch life ends,
 /// recorded once by the L2 (see [`nvr_mem::Cache`]), so the four add up
-/// to the L2's `prefetch_issued` (less any speculative fill a
-/// [`nvr_mem::RetentionPolicy::ScoredReuse`] L2 refused):
+/// to the L2's `prefetch_issued`:
 ///
 /// * **timely** — the first demand, at any level, found the serving
 ///   copy's fill complete;

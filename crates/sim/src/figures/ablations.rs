@@ -11,6 +11,7 @@ use nvr_mem::MemoryConfig;
 use nvr_workloads::{Scale, WorkloadId, WorkloadSpec};
 
 use crate::lab::{Cell, Lab, ProgramSpec};
+use crate::metrics::speedup;
 use crate::runner::SystemKind;
 use crate::sweep::pool;
 
@@ -146,7 +147,7 @@ pub fn run(lab: &mut Lab, scale: Scale, seed: u64) -> Ablations {
                             label,
                             workload: w.short(),
                             cycles: r.total_cycles,
-                            speedup: base.result.total_cycles as f64 / r.total_cycles as f64,
+                            speedup: speedup(base.result.total_cycles, r.total_cycles),
                             accuracy: r.mem.prefetch_accuracy(),
                             pack: nvr.vmig().mean_pack_width(),
                         }

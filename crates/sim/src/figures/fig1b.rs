@@ -12,6 +12,7 @@ use nvr_mem::MemoryConfig;
 use nvr_workloads::{Scale, WorkloadSpec};
 
 use crate::lab::{Cell, Lab, ProgramSpec};
+use crate::metrics::speedup;
 use crate::report::{fmt3, Table};
 use crate::runner::SystemKind;
 
@@ -64,7 +65,7 @@ pub fn run(lab: &mut Lab, scale: Scale, seed: u64) -> Fig1b {
             Point {
                 ratio,
                 cycles,
-                speedup: dense as f64 / cycles.max(1) as f64,
+                speedup: speedup(dense, cycles),
                 offchip_lines: o.result.mem.demand_offchip_lines(),
             }
         })

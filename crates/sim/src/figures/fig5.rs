@@ -8,7 +8,7 @@
 
 use std::fmt;
 
-use nvr_common::DataWidth;
+use nvr_common::{mean, DataWidth};
 use nvr_core::nsb_config;
 use nvr_mem::MemoryConfig;
 use nvr_workloads::{Scale, WorkloadId, WorkloadSpec};
@@ -72,11 +72,7 @@ impl Fig5 {
                 }
             }
         }
-        if reductions.is_empty() {
-            0.0
-        } else {
-            reductions.iter().sum::<f64>() / reductions.len() as f64
-        }
+        mean(&reductions)
     }
 }
 

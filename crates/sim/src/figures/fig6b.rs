@@ -25,6 +25,7 @@ use nvr_prefetch::TimelinessReport;
 use nvr_workloads::{Scale, WorkloadId, WorkloadSpec};
 
 use crate::lab::{Cell, Lab, ProgramSpec};
+use crate::metrics::speedup;
 use crate::report::{fmt3, Table};
 use crate::runner::{PrefetcherSpec, SystemKind, SystemSpec};
 
@@ -111,7 +112,7 @@ pub fn run(lab: &mut Lab, scale: Scale, seed: u64, workloads: &[WorkloadId]) -> 
                 variant,
                 depth,
                 cycles: r.total_cycles,
-                speedup: base as f64 / r.total_cycles.max(1) as f64,
+                speedup: speedup(base, r.total_cycles),
                 timeliness: o.timeliness.clone().unwrap_or_default(),
             });
         }

@@ -20,7 +20,7 @@ use nvr_mem::{DramConfig, MemoryConfig};
 use nvr_workloads::{Scale, WorkloadId, WorkloadSpec};
 
 use crate::lab::{Cell, Lab};
-use crate::metrics::geometric_mean;
+use crate::metrics::{geometric_mean, speedup};
 use crate::report::{fmt3, Table};
 use crate::runner::SystemKind;
 
@@ -104,7 +104,7 @@ pub fn run(lab: &mut Lab, scale: Scale, seed: u64, workloads: &[WorkloadId]) -> 
                     workload: w.short(),
                     system: o.system.label(),
                     cycles: o.result.total_cycles,
-                    speedup: ino as f64 / o.result.total_cycles.max(1) as f64,
+                    speedup: speedup(ino, o.result.total_cycles),
                     channel_util_max: o.result.max_channel_utilisation(),
                     channel_util_mean: nvr_common::mean(util),
                     qd_p50: o.queue_delay_percentile(0.5),

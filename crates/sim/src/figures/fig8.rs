@@ -10,6 +10,7 @@
 
 use std::fmt;
 
+use nvr_common::mean;
 use nvr_llm::{decode_throughput, prefill_throughput, LlmConfig};
 use nvr_mem::{DramConfig, MemoryConfig};
 use nvr_workloads::Scale;
@@ -73,11 +74,7 @@ impl Fig8 {
             .filter(|((_, b), _)| *b > 0.0)
             .map(|((_, b), (_, n))| n / b)
             .collect();
-        if gains.is_empty() {
-            0.0
-        } else {
-            gains.iter().sum::<f64>() / gains.len() as f64
-        }
+        mean(&gains)
     }
 }
 

@@ -25,6 +25,7 @@ use nvr_workloads::minkowski::{PointcloudParams, VoxelOrder};
 use nvr_workloads::{Scale, TileOrder, WorkloadId, WorkloadSpec};
 
 use crate::lab::{self, Lab, ProgramSpec};
+use crate::metrics::speedup;
 use crate::report::{fmt3, Table};
 use crate::runner::{PrefetcherSpec, RunOutcome, SystemKind, SystemSpec};
 
@@ -175,7 +176,7 @@ pub fn run_subset(
 fn pair_speedups(outcomes: &[RunOutcome]) -> impl Iterator<Item = (u64, f64)> + '_ {
     outcomes.chunks(2).map(|pair| {
         let (ino, sys) = (pair[0].result.total_cycles, pair[1].result.total_cycles);
-        (sys, ino as f64 / sys.max(1) as f64)
+        (sys, speedup(ino, sys))
     })
 }
 

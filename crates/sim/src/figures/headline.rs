@@ -17,7 +17,7 @@ use nvr_mem::{DramConfig, MemoryConfig};
 use nvr_workloads::{Scale, WorkloadId, WorkloadSpec};
 
 use crate::lab::{Cell, Lab};
-use crate::metrics::geometric_mean;
+use crate::metrics::{geometric_mean, speedup};
 use crate::runner::{RunOutcome, SystemKind};
 
 /// One evaluated headline configuration.
@@ -85,9 +85,7 @@ pub fn run(lab: &mut Lab, scale: Scale, seed: u64, workloads: &[WorkloadId]) -> 
     };
     let pair = [SystemKind::InOrder, SystemKind::NvrNsb];
     let two_ch = lab.run(&Cell::grid(workloads, &pair, spec, &two_ch_mem));
-    let speedup = |ino: &RunOutcome, o: &RunOutcome| {
-        ino.result.total_cycles as f64 / o.result.total_cycles.max(1) as f64
-    };
+    let cycles = |o: &RunOutcome| o.result.total_cycles;
     let misses = |o: &RunOutcome| o.result.mem.l2.demand_misses.get();
 
     let mut miss_reductions = Vec::new();
@@ -107,9 +105,9 @@ pub fn run(lab: &mut Lab, scale: Scale, seed: u64, workloads: &[WorkloadId]) -> 
             offchip_reductions
                 .push(1.0 - nvr.result.mem.demand_offchip_lines() as f64 / ino_off as f64);
         }
-        rows[0].push((w.short(), speedup(ino, nvr)));
-        rows[1].push((w.short(), speedup(ino, nsb)));
-        rows[2].push((w.short(), speedup(&two[0], &two[1])));
+        rows[0].push((w.short(), speedup(cycles(ino), cycles(nvr))));
+        rows[1].push((w.short(), speedup(cycles(ino), cycles(nsb))));
+        rows[2].push((w.short(), speedup(cycles(&two[0]), cycles(&two[1]))));
     }
     let configs: Vec<HeadlineConfig> = ["NVR", "NVR+NSB", "NVR+NSB 2ch"]
         .into_iter()

@@ -34,7 +34,7 @@ pub mod runner;
 pub mod sweep;
 
 pub use lab::Lab;
-pub use metrics::{coverage, geometric_mean, pollution, timeliness_split};
+pub use metrics::{coverage, geometric_mean, pollution, speedup, timeliness_split};
 pub use report::Table;
 pub use runner::{run_system, PrefetcherSpec, RunOutcome, SystemKind, SystemSpec};
 pub use sweep::{run_sweep, SweepJob, SweepResults, SweepSpec};

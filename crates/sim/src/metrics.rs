@@ -36,6 +36,20 @@ pub fn timeliness_split(report: &TimelinessReport) -> (f64, f64, f64) {
     )
 }
 
+/// Speedup of a run of `cycles` over a `baseline` run of the same
+/// program: `baseline / cycles`, a zero-cycle run counting as one cycle.
+///
+/// # Examples
+///
+/// ```
+/// assert_eq!(nvr_sim::speedup(300, 100), 3.0);
+/// assert_eq!(nvr_sim::speedup(300, 0), 300.0);
+/// ```
+#[must_use]
+pub fn speedup(baseline: u64, cycles: u64) -> f64 {
+    baseline as f64 / cycles.max(1) as f64
+}
+
 /// Prefetch coverage: the fraction of baseline misses a prefetcher
 /// eliminated (`1 - with/without`), clamped to `[0, 1]`.
 ///

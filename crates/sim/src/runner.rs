@@ -214,7 +214,8 @@ impl SystemSpec {
     /// The outcome of `program` on this system, labelled `system`: the
     /// timed run with a fresh prefetcher, its ideal-memory base and the
     /// prefetcher's measured timeliness.
-    pub(crate) fn outcome(&self, program: &NpuProgram, system: SystemKind) -> RunOutcome {
+    #[must_use]
+    pub fn outcome(&self, program: &NpuProgram, system: SystemKind) -> RunOutcome {
         let mut prefetcher = self.prefetcher.build();
         let result = self.run_with(program, prefetcher.as_mut());
         RunOutcome {

@@ -35,6 +35,7 @@ use nvr_mem::MemoryConfig;
 use nvr_workloads::{Scale, TileOrder, WorkloadId, WorkloadSpec};
 
 use crate::lab::{Cell, Lab, ProgramSpec};
+use crate::metrics::speedup;
 use crate::report::{fmt3, Table};
 use crate::runner::{RunOutcome, SystemKind};
 
@@ -221,10 +222,10 @@ impl SweepResults {
             j.width,
             j.seed,
         )?;
-        Some(
-            base.outcome.result.total_cycles as f64
-                / cell.outcome.result.total_cycles.max(1) as f64,
-        )
+        Some(speedup(
+            base.outcome.result.total_cycles,
+            cell.outcome.result.total_cycles,
+        ))
     }
 
     /// Mean speedup and 95% CI half-width of `cell`'s seed group — every

@@ -15,10 +15,7 @@ pub enum EventKind {
         value: u32,
     },
     /// A table-probe read of a two-level sparse function.
-    TableProbe {
-        /// The loaded slot value.
-        value: u32,
-    },
+    TableProbe,
     /// An indirect gather of one element row.
     GatherLoad,
 }

@@ -506,14 +506,7 @@ fn fallback_configurations_match_pinned_digests() {
     for workload in [WorkloadId::Gcn, WorkloadId::H2o] {
         let program = workload.build(&WorkloadSpec::tiny(DataWidth::Fp16, 777));
         for (label, system, spec) in &cases {
-            let mut prefetcher = spec.prefetcher.build();
-            let result = spec.run_with(&program, prefetcher.as_mut());
-            let outcome = RunOutcome {
-                system: *system,
-                result,
-                base_cycles: spec.base_cycles(&program),
-                timeliness: prefetcher.timeliness(),
-            };
+            let outcome = spec.outcome(&program, *system);
             let digest = Digest::of_text(&format!("{outcome:?}"));
             got += &format!(
                 "{} {label} {} 0x{digest:016x}\n",

@@ -139,15 +139,7 @@ const KNOBS: &[Knob] = &[
 
 /// The whole outcome of `spec` on `program`, as comparable text.
 fn outcome(system: SystemKind, spec: &SystemSpec, program: &NpuProgram) -> String {
-    let mut prefetcher = spec.prefetcher.build();
-    let result = spec.run_with(program, prefetcher.as_mut());
-    let outcome = RunOutcome {
-        system,
-        result,
-        base_cycles: spec.base_cycles(program),
-        timeliness: prefetcher.timeliness(),
-    };
-    format!("{outcome:?}")
+    format!("{:?}", spec.outcome(program, system))
 }
 
 #[test]

@@ -61,7 +61,7 @@ fn prefetchers_never_change_the_demand_stream() {
                         npu: npu.clone(),
                         ..kind.spec(&mem)
                     };
-                    let r = system.run_with(&program, system.prefetcher.build().as_mut());
+                    let r = system.outcome(&program, kind).result;
                     let closest = r.mem.nsb.as_ref().unwrap_or(&r.mem.l2);
                     let accesses = closest.demand_accesses();
                     (r.gather_elements, r.gather_batches, r.index_lines, accesses)
