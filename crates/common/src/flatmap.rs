@@ -24,7 +24,7 @@
 /// use nvr_common::FlatMap;
 ///
 /// let mut m = FlatMap::new();
-/// m.insert(7, 100);
+/// assert_eq!(m.find_or_insert(7, 100), (&mut 100, true));
 /// assert_eq!(m.get(7), Some(100));
 /// let (count, new) = m.find_or_insert(7, 0);
 /// *count += 1;
@@ -117,17 +117,6 @@ impl<V: Copy + Default> FlatMap<V> {
             }
             i = (i + 1) & mask;
         }
-    }
-
-    /// Inserts or overwrites `key`'s value; returns the previous value if
-    /// the key was present.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `key` is [`FlatMap::EMPTY`].
-    pub fn insert(&mut self, key: u64, val: V) -> Option<V> {
-        let (slot, new) = self.find_or_insert(key, val);
-        (!new).then(|| std::mem::replace(slot, val))
     }
 
     /// The value stored for `key`, if present.
@@ -243,13 +232,17 @@ mod tests {
     fn insert_get_remove_roundtrip() {
         let mut m = FlatMap::new();
         assert!(m.is_empty());
-        assert_eq!(m.insert(1, 10), None);
-        assert_eq!(m.insert(2, 20), None);
-        assert_eq!(m.insert(1, 11), Some(10), "overwrite returns old value");
+        assert_eq!(m.find_or_insert(1, 10), (&mut 10, true));
+        assert_eq!(m.find_or_insert(2, 20), (&mut 20, true));
+        assert_eq!(
+            m.find_or_insert(1, 11),
+            (&mut 10, false),
+            "a found key keeps its value"
+        );
         assert_eq!(m.len(), 2);
-        assert_eq!(m.get(1), Some(11));
+        assert_eq!(m.get(1), Some(10));
         assert_eq!(m.get(3), None);
-        assert_eq!(m.remove(1), Some(11));
+        assert_eq!(m.remove(1), Some(10));
         assert_eq!(m.remove(1), None);
         assert_eq!(m.get(2), Some(20));
         assert_eq!(m.len(), 1);
@@ -259,7 +252,7 @@ mod tests {
     fn survives_growth_and_heavy_churn() {
         let mut m = FlatMap::new();
         for i in 0..10_000u64 {
-            m.insert(i, i * 3);
+            m.find_or_insert(i, i * 3);
         }
         assert_eq!(m.len(), 10_000);
         for i in 0..10_000u64 {
@@ -283,7 +276,7 @@ mod tests {
         // removals exercise the shift-vs-stay decision both ways.
         let mut m = FlatMap::new();
         for i in 0..48u64 {
-            m.insert(i, i);
+            m.find_or_insert(i, i);
         }
         for i in 0..48u64 {
             assert_eq!(m.remove(i), Some(i));
@@ -298,7 +291,7 @@ mod tests {
     #[should_panic(expected = "free-slot marker")]
     fn empty_marker_key_rejected() {
         let mut m = FlatMap::new();
-        m.insert(FlatMap::<u64>::EMPTY, 1);
+        m.find_or_insert(FlatMap::<u64>::EMPTY, 1);
     }
 
     #[test]

@@ -198,6 +198,9 @@ pub struct NvrPrefetcher {
     /// a retired window's buffer is cleared and reused by the next
     /// two-level group instead of allocating per group.
     probe_pool: Vec<Vec<Addr>>,
+    /// Advance-loop turns taken over the run: the cycles the loop
+    /// simulated one by one rather than skipped.
+    turns: u64,
 }
 
 impl NvrPrefetcher {
@@ -231,6 +234,7 @@ impl NvrPrefetcher {
             scratch_values: Vec::new(),
             scratch_bundle: Vec::new(),
             probe_pool: Vec::new(),
+            turns: 0,
             cfg,
         }
     }
@@ -239,6 +243,13 @@ impl NvrPrefetcher {
     #[must_use]
     pub fn vmig(&self) -> &Vmig {
         &self.vmig
+    }
+
+    /// Advance-loop turns taken over the run, one per simulated cycle
+    /// that the event-driven ticking did not skip.
+    #[must_use]
+    pub fn turns(&self) -> u64 {
+        self.turns
     }
 
     /// Whether reuse scoring is active: fills target the NSB *and* the
@@ -645,16 +656,33 @@ impl Prefetcher for NvrPrefetcher {
         // issue would fragment the speculative MSHR file across undersized
         // vectors — and flushes whenever the thread blocks or runs dry.
         while self.clock < to {
+            self.turns += 1;
             let flowing = self
                 .windows
                 .iter()
                 .any(|phase| matches!(phase, Phase::Resolve { .. }));
-            let issued = if self.vmig.pending() >= VMIG_BATCH_LINES || !flowing {
+            let mut issued = if self.vmig.pending() >= VMIG_BATCH_LINES || !flowing {
                 self.vmig.issue(mem, self.clock, self.fill_nsb) > 0
             } else {
                 false
             };
             let outcome = self.step(snoop, image, mem);
+            // Dead turn: after an issue the thread did no work, so no
+            // window is resolving and the next turn's VIGU tries to issue
+            // again. With the speculative MSHR file full at the next cycle
+            // it issues nothing, and unless a blocked window wakes exactly
+            // then, its step repeats this one. Take that turn as taken: its
+            // wake-up below is this turn's outcome with nothing issued.
+            let next = self.clock + 1;
+            if issued
+                && next < to
+                && outcome != StepOutcome::Worked
+                && outcome != StepOutcome::Blocked(next)
+                && !mem.prefetch_ready(next)
+            {
+                self.clock = next;
+                issued = false;
+            }
             // Event-driven ticking: a cycle where the thread cannot progress
             // (`Blocked`/`Idle`) and the VIGU issued nothing is *provably
             // repeatable* — a zero-line issue pass leaves the queue holding

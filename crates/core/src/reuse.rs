@@ -178,8 +178,7 @@ mod tests {
             c.observe(LineAddr::new(5));
         }
         // Force the stored count to the ceiling, then observe once more.
-        c.counts
-            .insert(LineAddr::new(5).index(), (u32::MAX, c.epoch));
+        *c.counts.find_or_insert(LineAddr::new(5).index(), (0, 0)).0 = (u32::MAX, c.epoch);
         assert_eq!(c.observe(LineAddr::new(5)), u32::MAX);
         // Normal path still exact.
         assert_eq!(p.observe(LineAddr::new(5)), 1);

@@ -4,6 +4,7 @@ use std::hint::select_unpredictable;
 
 use nvr_common::{Cycle, Histogram, LineAddr};
 
+use crate::completion::CompletionFile;
 use crate::config::{CacheConfig, RetentionPolicy};
 use crate::stats::CacheStats;
 
@@ -78,39 +79,6 @@ impl Slot {
     }
 }
 
-/// Entries of an ascending cycle file (an MSHR file's completions, a DRAM
-/// channel's queued starts) that are due by `now`: a prefix. On a
-/// saturated channel even the head is usually still pending, which one
-/// compare answers; otherwise a binary search finds the prefix.
-pub(crate) fn completed_by(file: &[Cycle], now: Cycle) -> usize {
-    match file.first() {
-        Some(&head) if head <= now => file.partition_point(|&c| c <= now),
-        _ => 0,
-    }
-}
-
-/// Drops the entries of an ascending completion file completed by `now`.
-pub(crate) fn retire(file: &mut Vec<Cycle>, now: Cycle) {
-    let done = completed_by(file, now);
-    if done > 0 {
-        file.drain(..done);
-    }
-}
-
-/// Records a fill completing at `fill_done` in an ascending completion
-/// file, first dropping the entries completed by `now`. Timestamp-forwarded
-/// bursts append strictly later completions, so the common case is a push.
-pub(crate) fn track_fill(file: &mut Vec<Cycle>, fill_done: Cycle, now: Cycle) {
-    retire(file, now);
-    match file.last() {
-        Some(&last) if last > fill_done => {
-            let pos = file.partition_point(|&c| c <= fill_done);
-            file.insert(pos, fill_done);
-        }
-        _ => file.push(fill_done),
-    }
-}
-
 /// The weaker of a way's ranked (score, `last_use`, way) entry and the
 /// best one so far, chosen without a branch: which wins is data-dependent,
 /// so a branch would mispredict. On a full tie `best` stays, so the
@@ -129,10 +97,11 @@ fn weaker(way: (u64, u64, usize), best: (u64, u64, usize)) -> (u64, u64, usize) 
 /// fill completes report [`ProbeResult::InFlight`] — exactly the behaviour a
 /// miss-status holding register file provides in hardware.
 ///
-/// MSHR capacity is enforced by counting lines whose fill is still pending:
-/// [`Cache::mshr_free_at`] tells the caller when an MSHR slot frees up, so
-/// demand accesses stall (and prefetches drop) when the file is full, as in
-/// §IV-F–G of the paper.
+/// MSHR capacity is enforced on the ascending file of pending fill
+/// completions: [`Cache::mshr_available`] and [`Cache::mshr_free_at`] each
+/// read the one entry that decides them, so demand accesses stall (and
+/// NSB fills are skipped) when the file is full, as in §IV-F–G of the
+/// paper.
 ///
 /// # Layout
 ///
@@ -210,9 +179,8 @@ pub struct Cache {
     reuse: Vec<u32>,
     /// Provenance bits (`F_PREFETCH | F_DEMANDED`); 0 for never-filled ways.
     flags: Vec<u8>,
-    /// Completion cycles of outstanding fills (the MSHR file), kept in
-    /// ascending order so occupancy questions are binary searches.
-    inflight: Vec<Cycle>,
+    /// Completion cycles of outstanding demand fills (the MSHR file).
+    inflight: CompletionFile,
     stats: CacheStats,
     /// Issue→use slack, in cycles, of every prefetch life that ended used.
     slack: Histogram,
@@ -269,7 +237,7 @@ impl Cache {
             last_use: vec![0; slots],
             reuse: vec![0; slots],
             flags: vec![0; slots],
-            inflight: Vec::with_capacity(cfg.mshr_entries),
+            inflight: CompletionFile::with_capacity(cfg.mshr_entries),
             stats: CacheStats::new(cfg.name),
             slack: Histogram::new(),
             outcomes: None,
@@ -480,36 +448,21 @@ impl Cache {
         slot.way.map(|i| self.fill_done[i].max(now))
     }
 
-    /// Number of MSHR entries still pending at `now`.
-    #[must_use]
-    pub fn mshr_pending(&self, now: Cycle) -> usize {
-        self.inflight.len() - completed_by(&self.inflight, now)
-    }
-
-    /// Whether a new fill can be accepted at `now`.
+    /// Whether a new fill can be accepted at `now`: fewer than
+    /// `mshr_entries` fills are pending.
     #[must_use]
     pub fn mshr_available(&self, now: Cycle) -> bool {
-        self.mshr_pending(now) < self.cfg.mshr_entries
+        self.inflight.pending_below(self.cfg.mshr_entries, now)
     }
 
-    /// Earliest cycle at which an MSHR slot is free.
-    ///
-    /// Returns `now` when a slot is already free; otherwise the completion
-    /// cycle of the soonest-finishing outstanding fill. The file is kept
-    /// sorted, so this is an index into it — the pending suffix can run to
-    /// thousands of entries under an out-of-order burst, where anything
-    /// super-logarithmic per miss dominates the whole simulation.
+    /// Earliest cycle at which an MSHR slot is free: `now` when a slot is
+    /// free already, otherwise the completion that leaves fewer than
+    /// `mshr_entries` fills pending. Under an out-of-order burst the file
+    /// can hold more fills than it has entries; that completion is then
+    /// not the soonest one.
     #[must_use]
     pub fn mshr_free_at(&self, now: Cycle) -> Cycle {
-        let done = completed_by(&self.inflight, now);
-        let pending = self.inflight.len() - done;
-        if pending < self.cfg.mshr_entries {
-            return now;
-        }
-        // The slot frees at the (pending - mshr_entries + 1)-th pending
-        // completion — rank `pending - mshr_entries` (0-based) of the
-        // ascending pending suffix.
-        self.inflight[done + (pending - self.cfg.mshr_entries)]
+        self.inflight.free_at(self.cfg.mshr_entries, now)
     }
 
     /// Installs `line` with its data arriving at `fill_done`, allocating an
@@ -562,7 +515,7 @@ impl Cache {
             self.last_use[i] = now;
             self.reuse[i] = self.reuse[i].max(reuse);
             if !from_prefetch {
-                track_fill(&mut self.inflight, fill_done, now);
+                self.track_fill(fill_done, now);
             }
             return true;
         }
@@ -593,7 +546,7 @@ impl Cache {
         };
 
         if !from_prefetch {
-            track_fill(&mut self.inflight, fill_done, now);
+            self.track_fill(fill_done, now);
         }
         if self.tags[victim] != NO_TAG {
             self.stats.evictions.inc();
@@ -613,6 +566,13 @@ impl Cache {
         self.reuse[victim] = reuse;
         self.flags[victim] = if from_prefetch { F_PREFETCH } else { 0 };
         true
+    }
+
+    /// Records a demand fill completing at `fill_done` in the MSHR file,
+    /// first dropping the fills completed by `now`.
+    fn track_fill(&mut self, fill_done: Cycle, now: Cycle) {
+        self.inflight.retire(now);
+        self.inflight.insert(fill_done);
     }
 
     /// LRU victim of the set at SoA offset `base`: the first never-filled
@@ -915,7 +875,7 @@ mod tests {
         // Both done by cycle 30; new installs reuse slots rather than grow.
         c.install(LineAddr::new(3), 40, false, 30);
         c.install(LineAddr::new(4), 50, false, 30);
-        assert_eq!(c.mshr_pending(30), 2);
+        assert_eq!(c.inflight.pending(30), 2);
         assert!(c.inflight.len() <= 2, "slots must be recycled");
     }
 
@@ -928,27 +888,15 @@ mod tests {
         c.install(LineAddr::new(1), 100, false, 0);
         c.install(LineAddr::new(2), 120, false, 0);
         c.install(LineAddr::new(3), 110, false, 0); // grows the file to 3
-        assert_eq!(c.mshr_pending(0), 3);
+        assert_eq!(c.inflight.pending(0), 3);
         // Ranks at 100, 110, 120: with 2 entries, a slot frees at the
         // 2nd-smallest pending completion.
         assert_eq!(c.mshr_free_at(0), 110);
         assert_eq!(c.mshr_free_at(105), 110);
         assert_eq!(c.mshr_free_at(110), 110);
-    }
-
-    #[test]
-    fn completed_by_matches_binary_search() {
-        // Empty, pending-head, partial and fully completed files.
-        for len in [0usize, 1, 2, 9, 40] {
-            let file: Vec<Cycle> = (0..len as u64).map(|i| 10 * i).collect();
-            for now in 0..(10 * len as u64 + 10) {
-                assert_eq!(
-                    completed_by(&file, now),
-                    file.partition_point(|&c| c <= now),
-                    "len {len}, now {now}"
-                );
-            }
-        }
+        // The same rank decides availability: two fills pend until 110.
+        assert!(!c.mshr_available(105));
+        assert!(c.mshr_available(110));
     }
 
     #[test]

@@ -46,7 +46,7 @@
 
 use nvr_common::{Cycle, LineAddr, LINE_BYTES};
 
-use crate::cache::completed_by;
+use crate::completion::CompletionFile;
 use crate::config::DramConfig;
 use crate::stats::DramStats;
 
@@ -69,9 +69,9 @@ struct Lane {
     /// transfers that have already started.
     busy_free: Cycle,
     /// Scheduled start cycles of queued (not yet started) speculative
-    /// transfers, ascending. A started transfer leaves it at the lane's
-    /// next demand slot or enqueue.
-    pf_queue: Vec<Cycle>,
+    /// transfers. A started transfer leaves it at the lane's next demand
+    /// slot or enqueue.
+    pf_queue: CompletionFile,
 }
 
 /// The multi-channel DRAM backend (see module docs).
@@ -147,11 +147,9 @@ impl DramBackend {
     fn promote(&mut self, ch: usize, now: Cycle) {
         let t = self.cfg.line_transfer_cycles();
         let lane = &mut self.lanes[ch];
-        let started = completed_by(&lane.pf_queue, now);
-        if started > 0 {
-            // Starts ascend, so the last started transfer ends last.
-            lane.busy_free = lane.busy_free.max(lane.pf_queue[started - 1] + t);
-            lane.pf_queue.drain(..started);
+        // Starts ascend, so the last started transfer ends last.
+        if let Some(last) = lane.pf_queue.retire(now) {
+            lane.busy_free = lane.busy_free.max(last + t);
         }
     }
 
@@ -163,14 +161,8 @@ impl DramBackend {
         let lane = &mut self.lanes[ch];
         let slot = now.max(lane.busy_free);
         lane.busy_free = slot + transfer;
-        let mut cur = lane.busy_free;
-        let t = self.cfg.line_transfer_cycles();
-        for s in &mut lane.pf_queue {
-            if *s < cur {
-                *s = cur;
-            }
-            cur = *s + t;
-        }
+        lane.pf_queue
+            .restack(lane.busy_free, self.cfg.line_transfer_cycles());
         self.stats.busy_cycles.add(transfer);
         self.stats.channels[ch].busy_cycles.add(transfer);
         slot
@@ -205,13 +197,13 @@ impl DramBackend {
             return ChannelPrefetch::QueueFull;
         }
         let lane = &mut self.lanes[ch];
-        let tail_end = lane.pf_queue.last().map_or(lane.busy_free, |&s| s + t);
+        let tail_end = lane.pf_queue.last().map_or(lane.busy_free, |s| s + t);
         let start = now.max(tail_end);
         if start <= now {
             // Starts immediately: straight onto the bus, never queued.
             lane.busy_free = lane.busy_free.max(start + t);
         } else {
-            lane.pf_queue.push(start);
+            lane.pf_queue.insert(start);
         }
         self.stats.busy_cycles.add(t);
         self.stats.prefetch_lines.inc();
@@ -226,20 +218,14 @@ impl DramBackend {
 
     /// Whether `line`'s channel can accept another speculative fill at
     /// `now` — the per-channel occupancy signal queue-aware issuers (the
-    /// VIGU) pace on instead of letting requests drop.
+    /// VIGU) pace on instead of letting requests drop: fewer than
+    /// `queue_depth` of its queued transfers are still waiting. The
+    /// started prefix lingers in the queue until the next enqueue.
     #[must_use]
     pub fn prefetch_ready(&self, line: LineAddr, now: Cycle) -> bool {
-        self.prefetch_queue_len(line, now) < self.cfg.queue_depth
-    }
-
-    /// Queued (not yet started) speculative transfers on `line`'s channel
-    /// at `now`.
-    #[must_use]
-    pub fn prefetch_queue_len(&self, line: LineAddr, now: Cycle) -> usize {
-        // Start cycles ascend, so the transfers still waiting at `now` are
-        // a suffix; the started prefix lingers until the next enqueue.
-        let q = &self.lanes[self.channel_of(line)].pf_queue;
-        q.len() - completed_by(q, now)
+        self.lanes[self.channel_of(line)]
+            .pf_queue
+            .pending_below(self.cfg.queue_depth, now)
     }
 
     /// Per-channel share of `bytes` under even striping (dense traffic),
@@ -290,14 +276,9 @@ impl DramBackend {
     /// retry would be futile.
     #[must_use]
     pub fn next_pf_queue_start(&self, now: Cycle) -> Option<Cycle> {
-        // Per-lane queues are ascending: the earliest pending start in
-        // each is the first entry past `now`.
         self.lanes
             .iter()
-            .filter_map(|lane| {
-                let q = &lane.pf_queue;
-                q.get(completed_by(q, now)).copied()
-            })
+            .filter_map(|lane| lane.pf_queue.first_pending(now))
             .min()
     }
 
@@ -391,13 +372,14 @@ mod tests {
         for i in 0..4 {
             d.prefetch_fetch(LineAddr::new(i), 0);
         }
-        assert_eq!(d.prefetch_queue_len(LineAddr::new(0), 0), 3);
-        assert_eq!(d.prefetch_queue_len(LineAddr::new(0), t - 1), 3);
+        let waiting = |d: &DramBackend, now| d.lanes[0].pf_queue.pending(now);
+        assert_eq!(waiting(&d, 0), 3);
+        assert_eq!(waiting(&d, t - 1), 3);
         // Started transfers stay at the head until the next enqueue, but
         // no longer count as waiting.
-        assert_eq!(d.prefetch_queue_len(LineAddr::new(0), t), 2);
-        assert_eq!(d.prefetch_queue_len(LineAddr::new(0), 2 * t + 1), 1);
-        assert_eq!(d.prefetch_queue_len(LineAddr::new(0), 3 * t), 0);
+        assert_eq!(waiting(&d, t), 2);
+        assert_eq!(waiting(&d, 2 * t + 1), 1);
+        assert_eq!(waiting(&d, 3 * t), 0);
     }
 
     #[test]

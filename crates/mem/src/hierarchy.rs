@@ -2,7 +2,8 @@
 
 use nvr_common::{Cycle, Histogram, LineAddr};
 
-use crate::cache::{completed_by, retire, track_fill, Cache, ProbeResult};
+use crate::cache::{Cache, ProbeResult};
+use crate::completion::CompletionFile;
 use crate::config::MemoryConfig;
 use crate::dram::{ChannelPrefetch, DramBackend};
 use crate::stats::MemoryStats;
@@ -69,10 +70,9 @@ pub struct MemorySystem {
     nsb: Option<Cache>,
     l2: Cache,
     dram: DramBackend,
-    /// Outstanding speculative fills (the dedicated prefetch MSHR file),
-    /// kept in ascending completion order so occupancy queries are a
-    /// binary search rather than a scan.
-    pf_inflight: Vec<Cycle>,
+    /// Completion cycles of outstanding speculative fills (the dedicated
+    /// prefetch MSHR file).
+    pf_inflight: CompletionFile,
     ideal: bool,
 }
 
@@ -93,7 +93,7 @@ impl MemorySystem {
             nsb: cfg.nsb.clone().map(Cache::new),
             l2: Cache::new(cfg.l2.clone()),
             dram: DramBackend::new(cfg.dram.clone()),
-            pf_inflight: Vec::with_capacity(cfg.prefetch_mshrs),
+            pf_inflight: CompletionFile::with_capacity(cfg.prefetch_mshrs),
             ideal: false,
             cfg,
         }
@@ -294,9 +294,8 @@ impl MemorySystem {
             return PrefetchOutcome::Redundant;
         }
         // Retiring completed speculative fills first leaves only pending
-        // entries, so occupancy is the file length and the insertion
-        // below finds nothing left to retire.
-        retire(&mut self.pf_inflight, now);
+        // entries, so occupancy is the file length.
+        self.pf_inflight.retire(now);
         if self.pf_inflight.len() >= self.cfg.prefetch_mshrs {
             self.l2.note_prefetch_dropped();
             return PrefetchOutcome::Dropped;
@@ -311,7 +310,7 @@ impl MemorySystem {
                 return PrefetchOutcome::Dropped;
             }
         };
-        track_fill(&mut self.pf_inflight, fill_done, now);
+        self.pf_inflight.insert(fill_done);
         // The L2 admits every fill (`MemoryConfig::validate`), so each
         // issue begins a prefetch life.
         self.l2.install_at(l2_slot, fill_done, true, now, reuse);
@@ -358,7 +357,7 @@ impl MemorySystem {
     /// instead of letting requests drop.
     #[must_use]
     pub fn prefetch_ready(&self, now: Cycle) -> bool {
-        self.prefetch_slots(now) > 0
+        self.pf_inflight.pending_below(self.cfg.prefetch_mshrs, now)
     }
 
     /// Free entries of the speculative MSHR file at `now`. Vectorised
@@ -366,8 +365,9 @@ impl MemorySystem {
     /// file back-pressures instead of dropping elements.
     #[must_use]
     pub fn prefetch_slots(&self, now: Cycle) -> usize {
-        let pending = self.pf_inflight.len() - completed_by(&self.pf_inflight, now);
-        self.cfg.prefetch_mshrs.saturating_sub(pending)
+        self.cfg
+            .prefetch_mshrs
+            .saturating_sub(self.pf_inflight.pending(now))
     }
 
     /// Starts keeping the order in which the L2's prefetch lives end (see
@@ -404,9 +404,8 @@ impl MemorySystem {
     /// keep finding the same thing.
     #[must_use]
     pub fn next_prefetch_wakeup(&self, now: Cycle) -> Option<Cycle> {
-        let done = completed_by(&self.pf_inflight, now);
-        let mshr = self.pf_inflight.get(done).copied();
-        if self.pf_inflight.len() - done >= self.cfg.prefetch_mshrs {
+        let mshr = self.pf_inflight.first_pending(now);
+        if !self.prefetch_ready(now) {
             return mshr;
         }
         let queue = self.dram.next_pf_queue_start(now);

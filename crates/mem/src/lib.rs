@@ -41,6 +41,7 @@
 )]
 
 pub mod cache;
+mod completion;
 pub mod config;
 pub mod dram;
 pub mod hierarchy;

@@ -283,6 +283,45 @@ fn tiny_grid_cycle_total_is_pinned() {
     assert_golden!("tiny_grid.txt", &got);
 }
 
+/// NVR's work counters on every tiny FP16 NVR and NVR+NSB cell at seed
+/// 2025 (`tests/golden/work_counters.txt`): the advance loop's turns and
+/// the VMIG's vectors, lines, filtered and deferred counts. They are exact
+/// on any host, so a lost skip path or a new per-cycle pass fails here,
+/// where a host timing would drown it in noise.
+#[test]
+fn nvr_work_counters_are_pinned() {
+    let mem = MemoryConfig::default();
+    let mut got = String::from("# workload system turns vectors lines filtered deferred\n");
+    for workload in WorkloadId::ALL {
+        let program = workload.build(&WorkloadSpec::tiny(DataWidth::Fp16, 2025));
+        for system in [SystemKind::Nvr, SystemKind::NvrNsb] {
+            let spec = system.spec(&mem);
+            let PrefetcherSpec::Nvr(cfg) = &spec.prefetcher else {
+                panic!("{} runs no NVR", system.label());
+            };
+            // Our own prefetcher, so its counters can be read after.
+            let mut nvr = NvrPrefetcher::new(cfg.clone());
+            let _ = spec.run_with(&program, &mut nvr);
+            let v = nvr.vmig();
+            let counts = [
+                nvr.turns(),
+                v.vectors_issued(),
+                v.lines_issued(),
+                v.lines_filtered(),
+                v.lines_deferred(),
+            ]
+            .map(|c| c.to_string());
+            got += &format!(
+                "{} {} {}\n",
+                workload.short(),
+                system.label(),
+                counts.join(" ")
+            );
+        }
+    }
+    assert_golden!("work_counters.txt", &got);
+}
+
 /// `SystemSpec::base_cycles` computes the ideal-memory base in closed form
 /// (`NpuEngine::base_cycles`); the engine run over `MemorySystem::ideal`
 /// is its reference model. They must agree on every workload under both
